@@ -8,8 +8,9 @@
 Exit codes: 0 success (check: all conditions hold on samples); 2 scene
 or validation violation; 3 check found a fault; 4 check was
 inconclusive somewhere; 64 usage / missing file; 65 unknown gallery
-name.  The default seed comes from STRATHOM_SEED (0 otherwise); every
-task derives its own stream from it.
+name.  The default seed comes from STRATHOM_SEED (0 otherwise; a
+value that is not an integer is a usage error); every task derives its
+own stream from it.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ EXIT_UNKNOWN_NAME = 65
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("STRATHOM_SEED", "0")
     try:
-        return int(os.environ.get("STRATHOM_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise _UsageError(f"STRATHOM_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

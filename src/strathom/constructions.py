@@ -498,7 +498,8 @@ class SampledSheet:
             list(self.frames[k].T) + [self.arc_dirs[k]], n=self.n
         )
 
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+    def _nearest_patch(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest sheet points and the indices of their patches."""
         pts = np.atleast_2d(points)
         delta = pts[:, None, :] - self.centers[None, :, :]  # (P, K, n)
         coords = np.einsum("pkn,knq->pkq", delta, self.frames)
@@ -506,9 +507,14 @@ class SampledSheet:
         q = self.centers[None, :, :] + np.einsum("pkq,knq->pkn", coords, self.frames)
         dists = np.linalg.norm(pts[:, None, :] - q, axis=2)
         best = np.argmin(dists, axis=1)
-        out = q[np.arange(len(pts)), best]
-        tangents = [self.patch_tangent(int(k)) for k in best]
-        return out, tangents
+        return q[np.arange(len(pts)), best], best
+
+    def closest(self, points: np.ndarray) -> np.ndarray:
+        return self._nearest_patch(points)[0]
+
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+        out, best = self._nearest_patch(points)
+        return out, [self.patch_tangent(int(k)) for k in best]
 
     def to_json(self) -> dict:
         return {

@@ -40,7 +40,7 @@ from .dsl import _bump_value_and_slope, parse_map
 from .regularity import PreconditionError, Status, check_af_at, transverse_at
 from .scene import Scene
 from .seeds import rng_for
-from .strata import StratifiedMapContext, Stratum
+from .strata import StratifiedMapContext, Stratum, _gauss_newton
 
 __all__ = [
     "PerturbationField",
@@ -138,9 +138,7 @@ class PerturbationField:
             d = np.sum(diff**2, axis=2) / self.radii[None, :] ** 2
             grad = 2.0 * diff / self.radii[None, :, None] ** 2
             disp = diff
-            disp_jac = np.broadcast_to(
-                np.eye(self.m), (w.shape[0], len(self.radii), self.m, self.m)
-            )
+            disp_jac = None  # the identity: d(w - c)/dw
         val, slope = _bump_value_and_slope(1.0 - d)
         dval = -slope[:, :, None] * grad  # (k, B, m)
         return val, dval, disp, disp_jac
@@ -166,7 +164,10 @@ class PerturbationField:
         )
         # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
         term1 = np.einsum("kbn,kbm->knm", payload, dval)
-        term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
+        if disp_jac is None:
+            term2 = np.einsum("kb,bnm->knm", val, self.linears)
+        else:
+            term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
         jac = self.scale * (term1 + term2)
         return jac[0] if single else jac
 
@@ -253,16 +254,15 @@ def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tu
             starts.append(rng.uniform(box[:, 0], box[:, 1], size=(k, stratum.dim)))
     lo = box[:, 0] + 1e-12
     hi = box[:, 1] - 1e-12
+
+    def residual(u, idx):
+        vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
+        return vals - points[idx], jacs
+
     best_u = None
     best_d = np.full(k, np.inf)
     for u0 in starts:
-        u = np.clip(u0, lo, hi)
-        for _ in range(40):
-            vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-            step = np.linalg.pinv(jacs) @ (points - vals)[:, :, None]
-            u = np.clip(u + step[:, :, 0], lo, hi)
-            if np.max(np.abs(step)) < 1e-12:
-                break
+        u = _gauss_newton(residual, u0, lo, hi, tol=1e-12, max_iter=40).u
         vals = stratum.chart(u, check_domain=False)
         margins = stratum.domain_margins(u)
         admissible = np.all(margins >= -1e-8, axis=1)

@@ -35,6 +35,7 @@ from .strata import (
     Arc,
     StratifiedMapContext,
     Stratum,
+    _gauss_newton,
     approach_sequence,
 )
 
@@ -316,10 +317,13 @@ class AffineSurface:
     def tangent_at_center(self) -> Subspace:
         return self.space
 
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+    def closest(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        q = self.base + self.space.project(pts - self.base)
-        return q, [self.space] * len(pts)
+        return self.base + self.space.project(pts - self.base)
+
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+        q = self.closest(points)
+        return q, [self.space] * len(q)
 
 
 @dataclass(frozen=True)
@@ -343,15 +347,24 @@ class ChartSurface:
         jac = self.chart.jacobian(self.center_preimage, check_domain=False)
         return span_of(list(jac.T), n=self.n)
 
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+    def _preimages(self, points: np.ndarray) -> np.ndarray:
+        """Chart points of the nearest sheet points, by Gauss-Newton
+        from the center preimage inside ``box``."""
         pts = np.atleast_2d(points)
         box = np.asarray(self.box)
-        w = np.tile(self.center_preimage, (len(pts), 1))
-        for _ in range(50):
+
+        def residual(w, idx):
             vals, jacs = self.chart.value_and_jacobian(w, check_domain=False)
-            step = np.linalg.pinv(jacs) @ (pts - vals)[:, :, None]
-            w = np.clip(w + step[:, :, 0], box[:, 0], box[:, 1])
-        vals, jacs = self.chart.value_and_jacobian(w, check_domain=False)
+            return vals - pts[idx], jacs
+
+        w0 = np.tile(self.center_preimage, (len(pts), 1))
+        return _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50).u
+
+    def closest(self, points: np.ndarray) -> np.ndarray:
+        return self.chart(self._preimages(points), check_domain=False)
+
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
+        vals, jacs = self.chart.value_and_jacobian(self._preimages(points), check_domain=False)
         tangents = [span_of(list(j.T), n=self.n) for j in jacs]
         return vals, tangents
 
@@ -428,21 +441,23 @@ def _find_intersections(
 
     Returns unique chart points, their images, and the matching surface
     tangents.  Seeds that stall at positive distance are discarded: they
-    witness no intersection.
+    witness no intersection.  The iteration asks the surface only for
+    nearest points (``closest``); tangents come from ``project`` at the
+    solutions kept.
     """
     if len(seeds_u) == 0:
         return np.zeros((0, stratum.dim)), np.zeros((0, stratum.ambient)), []
     box = np.asarray(stratum.sample_box)
-    lo, hi = box[:, 0] + 1e-12, box[:, 1] - 1e-12
-    u = np.clip(seeds_u, lo, hi)
-    for _ in range(iters):
+
+    def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        q, _ = surface.project(vals)
-        step = np.linalg.pinv(jacs) @ (q - vals)[:, :, None]
-        u = np.clip(u + step[:, :, 0], lo, hi)
+        return vals - surface.closest(vals), jacs
+
+    u = _gauss_newton(
+        residual, seeds_u, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=iters
+    ).u
     vals = stratum.chart(u, check_domain=False)
-    q, _ = surface.project(vals)
-    resid = np.linalg.norm(vals - q, axis=1)
+    resid = np.linalg.norm(vals - surface.closest(vals), axis=1)
     margins = stratum.domain_margins(u)
     # strict positivity only: intersection points may hug the domain
     # boundary arbitrarily closely (that is what faults look like)
@@ -603,14 +618,17 @@ def _sample_leaf_points(
     targets = base_point + offsets @ leaf.basis.T
     f_ref = np.asarray(ctx.f(base_point, check_domain=False), dtype=float)
     kappa = 1.0e3
-    u = np.tile(uy, (count, 1))
-    for _ in range(60):
+
+    def residual(u, idx):
         vals, cjacs = sy.chart.value_and_jacobian(u, check_domain=False)
         fvals, fjacs = ctx.f.value_and_jacobian(vals, check_domain=False)
-        res = np.concatenate([kappa * (fvals - f_ref), vals - targets], axis=1)
+        res = np.concatenate([kappa * (fvals - f_ref), vals - targets[idx]], axis=1)
         jac = np.concatenate([kappa * (fjacs @ cjacs), cjacs], axis=1)
-        step = np.linalg.pinv(jac) @ res[:, :, None]
-        u = u - step[:, :, 0]
+        return res, jac
+
+    u = _gauss_newton(
+        residual, np.tile(uy, (count, 1)), -np.inf, np.inf, tol=1e-13, max_iter=60
+    ).u
     pts = sy.chart(u, check_domain=False)
     fvals = ctx.f(pts, check_domain=False)
     ok = np.linalg.norm(fvals - f_ref, axis=1) < 1e-9

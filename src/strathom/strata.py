@@ -15,6 +15,7 @@ than discovered; closure computation is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,47 @@ class NumericalInconsistencyError(ValidationError):
 
 
 # ---------------------------------------------------------------------------
+# Per-point Gauss-Newton
+
+
+class _GaussNewtonResult(NamedTuple):
+    u: np.ndarray  # (k, d) final iterates
+    iterations: np.ndarray  # (k,) steps taken by each point
+    converged: np.ndarray  # (k,) clipped movement fell below tol
+
+
+def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewtonResult:
+    """Batched Gauss-Newton with a per-point exit.
+
+    ``residual(u, idx)`` returns the residuals (k, r) and their Jacobians
+    (k, r, d) at the iterates ``u`` of the rows ``idx``; only rows still
+    active are evaluated.  Each step is ``u <- clip(u - pinv(J) r, lo, hi)``.
+    A point freezes once its clipped movement (max-abs) falls below
+    ``tol``, so a point pinned to the box edge stops even though its
+    unclipped step never shrinks.  Points still moving after ``max_iter``
+    steps keep their last iterate and report ``converged=False``.
+    """
+    u = np.clip(np.asarray(u0, dtype=float), lo, hi)
+    k = len(u)
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        ua = u[active]
+        res, jacs = residual(ua, active)
+        step = np.linalg.pinv(jacs) @ res[:, :, None]
+        new = np.clip(ua - step[:, :, 0], lo, hi)
+        u[active] = new
+        iterations[active] += 1
+        done = np.max(np.abs(new - ua), axis=1) < tol
+        converged[active[done]] = True
+        active = active[~done]
+    return _GaussNewtonResult(u, iterations, converged)
+
+
+# ---------------------------------------------------------------------------
 # Stratum
 
 
@@ -85,9 +127,9 @@ class Stratum:
     """Parametrized submanifold: chart psi: R^d -> R^n on an open domain.
 
     ``inverse_hint`` (optional) maps ambient points near the stratum back
-    to chart coordinates in closed form and short-circuits point
-    location; without it location falls back to a damped Gauss-Newton
-    solve multistarted over ``sample_box``.
+    to chart coordinates in closed form and seeds point location, a
+    per-point Gauss-Newton solve clipped to ``sample_box`` and
+    multistarted over it.
     """
 
     name: str
@@ -166,20 +208,18 @@ class Stratum:
         rng = rng_for(seed, "locate", self.name)
         for _ in range(starts):
             seeds_list.append(rng.uniform(box[:, 0], box[:, 1]))
-        u = np.array(seeds_list)
+
+        def residual(u, _idx):
+            vals, jacs = self.chart.value_and_jacobian(u, check_domain=False)
+            return vals - p, jacs
+
         # the sample box is the declared working region of the chart; an
         # inward nudge keeps iterates evaluable when the chart formula is
         # singular on an open boundary (log, sqrt)
-        lo = box[:, 0] + 1e-12
-        hi = box[:, 1] - 1e-12
-        u = np.clip(u, lo, hi)
-        for _ in range(iters):
-            vals, jacs = self.chart.value_and_jacobian(u, check_domain=False)
-            res = vals - p
-            step = np.linalg.pinv(jacs) @ res[:, :, None]
-            u = np.clip(u - step[:, :, 0], lo, hi)
-            if np.max(np.abs(step)) < 1e-13:
-                break
+        u = _gauss_newton(
+            residual, np.array(seeds_list), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+            tol=1e-13, max_iter=iters,
+        ).u
         vals = self.chart(u, check_domain=False)
         dists = np.linalg.norm(vals - p, axis=1)
         margins = self.domain_margins(u)

@@ -169,6 +169,13 @@ class TestSeedEnvironment:
         b.pop("timing")
         assert a == b
 
+    def test_non_integer_env_var_is_usage_error(self, scene_path_factory, tmp_path, monkeypatch, capsys):
+        scene = scene_path_factory("parabola-shelf")
+        monkeypatch.setenv("STRATHOM_SEED", "forty-two")
+        assert main(["check", scene, "--json", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert "STRATHOM_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestGallery:
     def test_list_shows_all_entries(self, capsys):

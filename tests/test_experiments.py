@@ -47,6 +47,19 @@ class TestPerturbationField:
         )
         assert np.max(np.abs(jac - fd)) < 1e-8
 
+    def test_line_jacobian_equals_identity_product(self):
+        # the line topology's displacement Jacobian is the identity; the
+        # direct contraction must agree bit for bit with the explicit
+        # product through a broadcast identity
+        delta = _scaled_perturbation(3, 3, [[-1, 1]] * 3, 0.25, 0, 0, 4)
+        w = grid_points([[-1.0, 1.0]] * 3, [6, 6, 6])
+        val, dval, disp, _ = delta._humps(w)
+        payload = delta.offsets[None, :, :] + np.einsum("bnm,kbm->kbn", delta.linears, disp)
+        eye = np.broadcast_to(np.eye(3), (len(w), len(delta.radii), 3, 3))
+        term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", delta.linears, eye))
+        expected = delta.scale * (np.einsum("kbn,kbm->knm", payload, dval) + term2)
+        assert np.array_equal(delta.jacobian(w), expected)
+
     def test_circle_field_is_periodic(self):
         delta = _scaled_perturbation(2, 1, [[-np.pi, np.pi]], 0.1, 0, 0, 3, topology="circle")
         left = delta(np.array([-np.pi]))
