@@ -94,6 +94,9 @@ class AffineMap:
             return self.matrix.copy()
         return np.broadcast_to(self.matrix, (arr.shape[0],) + self.matrix.shape).copy()
 
+    def value_and_jacobian(self, w, check_domain: bool = False):
+        return self(w), self.jacobian(w)
+
 
 def seeded_full_rank_map(n: int, seed: int, min_sv: float = 0.35) -> AffineMap:
     """Seeded affine self-map of R^n with all singular values >= min_sv;
@@ -144,36 +147,38 @@ class PerturbationField:
         return val, dval, disp, disp_jac
 
     def __call__(self, w, check_domain: bool = False) -> np.ndarray:
-        arr = np.asarray(w, dtype=float)
-        single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        val, _, disp, _ = self._humps(pts)
-        payload = self.offsets[None, :, :] + np.einsum(
-            "bnm,kbm->kbn", self.linears, disp
-        )
-        out = self.scale * np.sum(val[:, :, None] * payload, axis=1)
-        return out[0] if single else out
+        return self._evaluate(w, value=True, jacobian=False)[0]
 
     def jacobian(self, w, check_domain: bool = False) -> np.ndarray:
+        return self._evaluate(w, value=False, jacobian=True)[1]
+
+    def value_and_jacobian(self, w, check_domain: bool = False):
+        return self._evaluate(w, value=True, jacobian=True)
+
+    def _evaluate(self, w, value: bool, jacobian: bool):
+        """Values and Jacobians, as asked, from one pass over the humps."""
         arr = np.asarray(w, dtype=float)
-        single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        val, dval, disp, disp_jac = self._humps(pts)
+        val, dval, disp, disp_jac = self._humps(np.atleast_2d(arr))
         payload = self.offsets[None, :, :] + np.einsum(
             "bnm,kbm->kbn", self.linears, disp
         )
-        # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
-        term1 = np.einsum("kbn,kbm->knm", payload, dval)
-        if disp_jac is None:
-            term2 = np.einsum("kb,bnm->knm", val, self.linears)
-        else:
-            term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
-        jac = self.scale * (term1 + term2)
-        return jac[0] if single else jac
+        out = jac = None
+        if value:
+            out = self.scale * np.sum(val[:, :, None] * payload, axis=1)
+        if jacobian:
+            # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
+            term1 = np.einsum("kbn,kbm->knm", payload, dval)
+            if disp_jac is None:
+                term2 = np.einsum("kb,bnm->knm", val, self.linears)
+            else:
+                term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
+            jac = self.scale * (term1 + term2)
+        if arr.ndim == 1:
+            return (None if out is None else out[0]), (None if jac is None else jac[0])
+        return out, jac
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
-        vals = self(sample)
-        jacs = self.jacobian(sample)
+        vals, jacs = self.value_and_jacobian(sample)
         vnorm = float(np.max(np.linalg.norm(vals, axis=1)))
         jnorm = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
         return vnorm + jnorm
@@ -193,6 +198,11 @@ class PerturbedTrialMap:
 
     def jacobian(self, w, check_domain: bool = False) -> np.ndarray:
         return self.base.jacobian(w, check_domain=False) + self.delta.jacobian(w)
+
+    def value_and_jacobian(self, w, check_domain: bool = False):
+        base_val, base_jac = self.base.value_and_jacobian(w, check_domain=False)
+        val, jac = self.delta.value_and_jacobian(w)
+        return base_val + val, base_jac + jac
 
 
 def make_perturbation(
@@ -311,8 +321,7 @@ def transversality_margin(
     nothing.
     """
     n = ctx.prestratification.ambient
-    images = trial_map(k_points)
-    jacs = trial_map.jacobian(k_points)
+    images, jacs = trial_map.value_and_jacobian(k_points)
     worst = np.inf
     worst_point = k_points[0]
     for stratum in ctx.prestratification.strata:

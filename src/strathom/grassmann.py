@@ -37,11 +37,18 @@ __all__ = [
 ]
 
 
+def _ranks(sv: np.ndarray, rtol: float = RTOL) -> np.ndarray:
+    """Numerical ranks from singular values (..., r), descending along
+    the last axis: the count above max(rtol * largest, ATOL)."""
+    sv = np.asarray(sv, dtype=float)
+    if sv.shape[-1] == 0:
+        return np.zeros(sv.shape[:-1], dtype=int)
+    cut = np.maximum(rtol * sv[..., :1], ATOL)
+    return np.count_nonzero(sv > cut, axis=-1)
+
+
 def _rank(sv: np.ndarray, rtol: float = RTOL) -> int:
-    if sv.size == 0:
-        return 0
-    cut = max(rtol * float(sv[0]), ATOL)
-    return int(np.count_nonzero(sv > cut))
+    return int(_ranks(sv, rtol))
 
 
 def _orthonormal_range(mat: np.ndarray, rtol: float = RTOL) -> np.ndarray:

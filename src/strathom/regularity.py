@@ -22,12 +22,12 @@ import numpy as np
 
 from .dsl import Add, Expr, Mul, Num, SmoothMap, Sub, Var
 from .grassmann import (
-    RTOL,
     Subspace,
     SubspaceSequence,
+    _rank,
+    _ranks,
     grassmann_limit,
     span_of,
-    subspace_sum,
 )
 from .seeds import rng_for
 from .strata import (
@@ -86,15 +86,22 @@ def transverse_at(image: Subspace, leaf: Subspace, n: int) -> TransversalityResu
     """Does image + leaf span R^n?  Defect counts the missing dimensions."""
     if image.n != n or leaf.n != n:
         raise ValueError("ambient dimension mismatch")
-    stacked = np.hstack([image.basis, leaf.basis])
-    if stacked.shape[1] < n:
-        total = subspace_sum(image, leaf)
-        return TransversalityResult(False, n - total.dim, 0.0)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    cut = max(RTOL * float(sv[0]), 1e-12) if sv.size else 0.0
-    rank = int(np.count_nonzero(sv > cut))
+    sv = np.linalg.svd(np.hstack([image.basis, leaf.basis]), compute_uv=False)
+    rank = _rank(sv)
     margin = float(sv[n - 1]) if sv.size >= n else 0.0
     return TransversalityResult(rank == n, n - rank, margin)
+
+
+def _transverse_ranks(images: list[Subspace], leaves: np.ndarray) -> np.ndarray:
+    """Rank of image_i + leaf_i for each row of leaves (k, n, l), decided
+    as :func:`transverse_at` decides it; images are grouped by dimension."""
+    dims = np.array([t.dim for t in images], dtype=int)
+    ranks = np.empty(len(images), dtype=int)
+    for dim in np.unique(dims):
+        idx = np.nonzero(dims == dim)[0]
+        stacked = np.concatenate([np.stack([images[i].basis for i in idx]), leaves[idx]], axis=2)
+        ranks[idx] = _ranks(np.linalg.svd(stacked, compute_uv=False))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +166,21 @@ def _limit_verdict(
     point,
     plan: ApproachPlan,
     condition: str,
-    tangent_of,
+    tangents_of,
     required: Subspace,
     seed: int,
 ) -> RegularityVerdict:
     """Shared arc pipeline: march arcs, take Grassmann limits, test
-    containment of the required subspace in each limit."""
+    containment of the required subspace in each limit.
+
+    ``tangents_of(chart_points)`` returns one subspace per row of an
+    arc's chart points (k, d).
+    """
     arcs = approach_sequence(ctx.prestratification, x, point, plan, seed=seed)
     evidence: list[ArcEvidence] = []
     witness: FaultWitness | None = None
     for arc in arcs:
-        tangents = tuple(tangent_of(arc.chart_points[i]) for i in range(len(arc.chart_points)))
+        tangents = tangents_of(arc.chart_points)
         tags = tuple(str(np.round(u, 12).tolist()) for u in arc.chart_points)
         lim = grassmann_limit(SubspaceSequence(tangents, tags), plan.window, plan.angle_tol)
         if not lim.converged:
@@ -246,7 +257,7 @@ def check_af_at(
     sx = ctx.stratum(x)
     return _limit_verdict(
         ctx, x, y, point, plan, "af",
-        lambda u: ctx.leaf_tangent(sx, u), required, seed,
+        lambda U: tuple(Subspace(b) for b in ctx.leaf_tangents(sx, U)), required, seed,
     )
 
 
@@ -263,16 +274,17 @@ def check_whitney_a_at(
     uy = _base_chart_point(ctx, y, point, seed)
     sy = ctx.stratum(y)
     sx = ctx.stratum(x)
-    required = _stratum_tangent(sy, uy)
+    required = _stratum_tangents(sy, uy[None])[0]
     return _limit_verdict(
         ctx, x, y, point, plan, "a",
-        lambda u: _stratum_tangent(sx, u), required, seed,
+        lambda U: _stratum_tangents(sx, U), required, seed,
     )
 
 
-def _stratum_tangent(stratum: Stratum, u) -> Subspace:
-    jac = stratum.chart.jacobian(u)
-    return span_of(list(jac.T), n=stratum.ambient)
+def _stratum_tangents(stratum: Stratum, U) -> tuple[Subspace, ...]:
+    """Column spans of the chart Jacobians at chart points U (k, d)."""
+    bases, sv, _ = np.linalg.svd(stratum.chart.jacobian(U), full_matrices=False)
+    return tuple(Subspace(b[:, :r]) for b, r in zip(bases, _ranks(sv)))
 
 
 def check_af_pair(
@@ -520,13 +532,13 @@ def check_tf_at(
         u_hits, p_hits, tangents = _find_intersections(sx, surface, center, float(r), seeds_u)
         bad_point = None
         bad_defect = 0
-        for u_hit, p_hit, t_s in zip(u_hits, p_hits, tangents):
-            leaf_x = ctx.leaf_tangent(sx, u_hit)
-            res = transverse_at(t_s, leaf_x, n)
-            if not res.transverse:
-                bad_point = p_hit
-                bad_defect = res.defect
-                break
+        if len(u_hits):
+            ranks = _transverse_ranks(tangents, ctx.leaf_tangents(sx, u_hits))
+            short = ranks < n
+            if np.any(short):
+                i = int(np.argmax(short))
+                bad_point = p_hits[i]
+                bad_defect = n - int(ranks[i])
         radii_detail.append(
             {
                 "radius": float(r),
@@ -694,20 +706,16 @@ def check_afs_at(
         samples_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
         bad_point = None
         bad_rank = -1
-        for u in samples_u:
-            if s_req == 0:
-                break  # rank-0 requirement is vacuous
-            leaf_x = ctx.leaf_tangent(sx, u)
-            p = np.asarray(sx.chart(u), dtype=float)
-            jac = retraction.jacobian(p, check_domain=False)
-            pushed = jac @ leaf_x.basis
-            sv = np.linalg.svd(pushed, compute_uv=False) if pushed.size else np.zeros(0)
-            cut = max(RTOL * float(sv[0]), 1e-12) if sv.size else 0.0
-            rank = int(np.count_nonzero(sv > cut))
-            if rank < s_req:
-                bad_point = p
-                bad_rank = rank
-                break
+        if s_req and len(samples_u):  # a rank-0 requirement is vacuous
+            leaves_x = ctx.leaf_tangents(sx, samples_u)
+            pts = np.asarray(sx.chart(samples_u), dtype=float)
+            pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
+            ranks = _ranks(np.linalg.svd(pushed, compute_uv=False))
+            low = ranks < s_req
+            if np.any(low):
+                i = int(np.argmax(low))
+                bad_point = pts[i]
+                bad_rank = int(ranks[i])
         radii_detail.append(
             {
                 "radius": float(r),

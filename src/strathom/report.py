@@ -76,8 +76,17 @@ def replay_witness(verdict_json: dict) -> dict:
     """Re-run the containment test of a stored fault from its own data.
 
     Returns the recomputed status and angle; a verdict is replayable
-    when these match the stored ones to tight tolerance.
+    when these match the stored ones to tight tolerance.  Only "a" and
+    "af" faults carry a limit and a required subspace to re-test; a
+    "tf" or "afs" witness stores placeholders (limit {0}, angle NaN)
+    that would "replay" as a fault whatever its point, so it is
+    refused with ValueError.
     """
+    if verdict_json["condition"] not in ("a", "af"):
+        raise ValueError(
+            f"a {verdict_json['condition']!r} witness carries no containment "
+            "evidence to replay; only 'a' and 'af' faults replay"
+        )
     n = verdict_json["ambient"]
     w = verdict_json["witness"]
     limit = Subspace.from_json(w["limit"], n)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import SmoothMap, _eval_values, to_source
-from .grassmann import RTOL, Subspace, grassmann_distance, kernel, span_of
+from .grassmann import Subspace, _ranks, span_of
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
@@ -305,13 +305,6 @@ class RankCertificate:
     max_dropped_sv: float  # largest singular value below the cutoff
 
 
-def _numerical_rank(sv: np.ndarray) -> int:
-    if sv.size == 0:
-        return 0
-    cut = max(RTOL * float(sv[0]), 1e-12)
-    return int(np.count_nonzero(sv > cut))
-
-
 def validate_constant_rank(
     f: SmoothMap, stratum: Stratum, samples: int = 60, seed: int = 0
 ) -> RankCertificate:
@@ -325,7 +318,7 @@ def validate_constant_rank(
     _, f_jacs = f.value_and_jacobian(vals, check_domain=False)
     composed = f_jacs @ chart_jacs  # (k, p, d)
     svs = np.linalg.svd(composed, compute_uv=False)
-    ranks = np.array([_numerical_rank(sv) for sv in svs])
+    ranks = _ranks(svs)
     if not np.all(ranks == ranks[0]):
         lo = int(np.argmin(ranks))
         hi = int(np.argmax(ranks))
@@ -352,9 +345,13 @@ class StratifiedMapContext:
     """A map f together with per-stratum constant-rank certificates.
 
     Immutable after construction; owner of induced-foliation queries.
-    The two available leaf-tangent computations (ambient kernel
-    intersection, pushed-forward chart kernel) are always cross-checked
-    against each other.
+    Leaf tangents come from one batched kernel, :meth:`leaf_tangents`,
+    which the checkers call once per arc, per sample set and per set of
+    intersection points.  It always runs both computations (ambient
+    kernel intersection, pushed-forward chart kernel) and cross-checks
+    them at every point.  The one uncross-checked leaf-tangent path left
+    is ``experiments._leaf_bases_batch``, the stability experiments'
+    chart-route shortcut.
     """
 
     f: SmoothMap
@@ -387,7 +384,12 @@ class StratifiedMapContext:
         return s.dim - self.rank(name)
 
     def leaf_tangent(self, stratum: Stratum | str, u) -> Subspace:
-        """Tangent space of the induced-foliation leaf through psi(u).
+        """Tangent space of the induced-foliation leaf through psi(u): one
+        row of :meth:`leaf_tangents`."""
+        return Subspace(self.leaf_tangents(stratum, np.asarray(u, dtype=float)[None])[0])
+
+    def leaf_tangents(self, stratum: Stratum | str, U) -> np.ndarray:
+        """Orthonormal leaf-tangent bases (k, n, d - rank) at chart points U (k, d).
 
         The constant-rank certificate pins the leaf dimension at
         d - rank, so both computations are rank-constrained (a
@@ -398,43 +400,72 @@ class StratifiedMapContext:
         (b) the kernel of d(f o psi) forced to corank d - rank, pushed
             forward through dpsi.
 
-        The two routes are independent and must agree to 1e-6.
+        The two routes are independent and must agree to 1e-6 at every
+        point; each step runs once for the whole batch, and a failing
+        check names the first point that fails it.  Route (a) is
+        returned.
         """
         s = self.stratum(stratum) if isinstance(stratum, str) else stratum
-        u = np.asarray(u, dtype=float)
-        point, chart_jac = s.chart.value_and_jacobian(u)
-        tangent = span_of(list(chart_jac.T), n=s.ambient, rtol=IMMERSION_RTOL)
-        if tangent.dim != s.dim:
-            raise ImmersionError(f"chart of {s.name!r} loses rank at {u.tolist()}")
-        leaf_dim = s.dim - self.rank(s.name)
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != s.dim:
+            raise ValueError(f"expected chart points of shape (k, {s.dim}), got {U.shape}")
+        n, d = s.ambient, s.dim
+        leaf_dim = d - self.rank(s.name)
+        if len(U) == 0:
+            return np.zeros((0, n, leaf_dim))
+        points, chart_jacs = s.chart.value_and_jacobian(U)
+        tangents, t_sv, _ = np.linalg.svd(chart_jacs, full_matrices=False)
+        bad = _ranks(t_sv, IMMERSION_RTOL) != d
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ImmersionError(f"chart of {s.name!r} loses rank at {U[i].tolist()}")
         if leaf_dim == 0:
-            return Subspace.zero(s.ambient)
-        _, f_jac = self.f.value_and_jacobian(point, check_domain=False)
+            return np.zeros((len(U), n, 0))
+        _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)
 
-        # (a) principal directions of the tangent space against ker df
-        ker_ambient = kernel(f_jac)
-        if ker_ambient.dim < leaf_dim:
+        # (a) principal directions of the tangent space against ker df,
+        # grouped by the rank of df (one group unless df drops rank)
+        _, f_sv, f_vt = np.linalg.svd(f_jacs)
+        f_ranks = _ranks(f_sv)
+        short = n - f_ranks < leaf_dim
+        if np.any(short):
+            i = int(np.argmax(short))
             raise NumericalInconsistencyError(
-                f"ker df at {point.tolist()} has dimension {ker_ambient.dim} < {leaf_dim}"
+                f"ker df at {points[i].tolist()} has dimension {n - f_ranks[i]} < {leaf_dim}"
             )
-        m = ker_ambient.basis.T @ tangent.basis
-        _, _, vt = np.linalg.svd(m, full_matrices=True)
-        ambient_route = Subspace(tangent.basis @ vt.T[:, :leaf_dim])
+        ambient_route = np.empty((len(U), n, leaf_dim))
+        for r in np.unique(f_ranks):
+            idx = np.nonzero(f_ranks == r)[0]
+            _, _, vt = np.linalg.svd(f_vt[idx, r:, :] @ tangents[idx])  # ker df^T @ tangents
+            ambient_route[idx] = tangents[idx] @ np.swapaxes(vt, 1, 2)[:, :, :leaf_dim]
 
         # (b) corank-constrained chart kernel, pushed forward
-        _, _, vt_c = np.linalg.svd(f_jac @ chart_jac, full_matrices=True)
-        pushed = chart_jac @ vt_c.T[:, s.dim - leaf_dim :]
-        chart_route = span_of(list(pushed.T), n=s.ambient)
-        if chart_route.dim != leaf_dim:
+        _, _, c_vt = np.linalg.svd(f_jacs @ chart_jacs)
+        pushed = chart_jacs @ np.swapaxes(c_vt, 1, 2)[:, :, d - leaf_dim :]
+        chart_route, c_sv, _ = np.linalg.svd(pushed, full_matrices=False)
+        c_ranks = _ranks(c_sv)
+        bad = c_ranks != leaf_dim
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise NumericalInconsistencyError(
-                f"chart-kernel route on {s.name!r} at {u.tolist()} gives dimension "
-                f"{chart_route.dim}, expected {leaf_dim}"
+                f"chart-kernel route on {s.name!r} at {U[i].tolist()} gives dimension "
+                f"{c_ranks[i]}, expected {leaf_dim}"
             )
-        angle = grassmann_distance(ambient_route, chart_route)
-        if angle > 1e-6:
+
+        # largest principal angle between the routes: arccos of the
+        # smallest cosine, recomputed from the residual's largest sine
+        # below pi/4 where arccos loses half the precision
+        cross = np.swapaxes(ambient_route, 1, 2) @ chart_route
+        angle = np.arccos(np.clip(np.linalg.svd(cross, compute_uv=False)[:, -1], 0.0, 1.0))
+        resid = chart_route - ambient_route @ cross
+        sin = np.clip(np.linalg.svd(resid, compute_uv=False)[:, 0], 0.0, 1.0)
+        angle = np.where(angle < np.pi / 4, np.arcsin(sin), angle)
+        bad = angle > 1e-6
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise NumericalInconsistencyError(
-                f"leaf tangent routes disagree on {s.name!r} at {u.tolist()} "
-                f"(angle {angle:.2e})"
+                f"leaf tangent routes disagree on {s.name!r} at {U[i].tolist()} "
+                f"(angle {angle[i]:.2e})"
             )
         return ambient_route
 
@@ -588,8 +619,7 @@ def validate_prestratification(
         pts = s.sample_chart_points(samples, rng)
         sampled[s.name] = pts
         jacs = s.chart.jacobian(pts)
-        svs = np.linalg.svd(jacs, compute_uv=False)
-        ranks = np.array([_numerical_rank(sv) for sv in svs])
+        ranks = _ranks(np.linalg.svd(jacs, compute_uv=False))
         if not np.all(ranks == s.dim):
             bad = int(np.argmax(ranks != s.dim))
             raise ImmersionError(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from strathom.dsl import parse_map
 from strathom.experiments import (
+    PerturbedTrialMap,
     _scaled_perturbation,
     calibrate_epsilon,
     grid_points,
@@ -59,6 +61,23 @@ class TestPerturbationField:
         term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", delta.linears, eye))
         expected = delta.scale * (np.einsum("kbn,kbm->knm", payload, dval) + term2)
         assert np.array_equal(delta.jacobian(w), expected)
+
+    @pytest.mark.parametrize(
+        "topology, base, box",
+        [
+            ("line", seeded_full_rank_map(3, seed=4), [[-1, 1]] * 3),
+            ("circle", parse_map("cos(x1), sin(x1)", 1), [[-np.pi, np.pi]]),
+        ],
+    )
+    def test_value_and_jacobian_equal_separate_calls(self, topology, base, box):
+        delta = _scaled_perturbation(base.m, len(box), box, 0.2, 3, 1, 4, topology=topology)
+        lo, hi = np.asarray(box, dtype=float).T
+        w = rng_for(3, "vj-test").uniform(lo, hi, size=(40, len(box)))
+        for fn in (delta, PerturbedTrialMap(base, delta)):
+            for pts in (w, w[0]):
+                val, jac = fn.value_and_jacobian(pts)
+                assert np.array_equal(val, fn(pts))
+                assert np.array_equal(jac, fn.jacobian(pts))
 
     def test_circle_field_is_periodic(self):
         delta = _scaled_perturbation(2, 1, [[-np.pi, np.pi]], 0.1, 0, 0, 3, topology="circle")

@@ -149,7 +149,7 @@ class TestOscillatingTangents:
 
         v = R._limit_verdict(
             ctx, "S1", "S2", ORIGIN, ApproachPlan(), "af",
-            oscillating_tangent, span3([1, 0, 0]), 0,
+            lambda U: tuple(oscillating_tangent(u) for u in U), span3([1, 0, 0]), 0,
         )
         assert v.status is Status.INCONCLUSIVE
         assert all(not a.converged for a in v.arcs)

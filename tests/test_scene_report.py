@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from strathom.regularity import check_af_at, check_whitney_a_at
+from strathom.regularity import (
+    check_af_at,
+    check_afs_at,
+    check_tf_at,
+    check_whitney_a_at,
+    random_test_surface,
+)
 from strathom.report import Report, replay_witness, verdict_to_json, write_csv
 from strathom.scene import SceneError, canonical_json, load_scene, scene_from_dict, scene_hash
 
@@ -96,6 +102,23 @@ class TestWitnessReplay:
         replayed = replay_witness(data)
         assert replayed["status"] == "fails-with-witness"
         assert abs(replayed["angle"] - v.witness.angle) < 1e-9
+
+    @pytest.mark.parametrize("condition", ["tf", "afs"])
+    def test_radial_faults_do_not_replay(self, gallery_ctx, condition):
+        # their witnesses hold placeholders (limit {0}, angle NaN) that
+        # would "replay" as faults even with the point moved
+        _, scene, ctx = gallery_ctx("blowup")
+        (inc,) = scene.prestratification.incidences
+        if condition == "tf":
+            surface = random_test_surface(ctx, inc.y, inc.point, seed=0)
+            v = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=0)
+        else:
+            v = check_afs_at(ctx, inc.x, inc.y, inc.point, seed=0)
+        assert v.status.value == "fails-with-witness"
+        data = json.loads(json.dumps(verdict_to_json(v)))
+        data["witness"]["point"] = [5.0, 5.0, 5.0]
+        with pytest.raises(ValueError, match=condition):
+            replay_witness(data)
 
     def test_verdict_json_carries_evidence(self, fault_json):
         data, _ = fault_json
