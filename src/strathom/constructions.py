@@ -509,8 +509,12 @@ class SampledSheet:
         best = np.argmin(dists, axis=1)
         return q[np.arange(len(pts)), best], best
 
-    def closest(self, points: np.ndarray) -> np.ndarray:
-        return self._nearest_patch(points)[0]
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest sheet points (k, n) and the plane frames (k, n, n-2) of
+        their patches: the local tangent of the sampled point set, without
+        the arc direction that :meth:`project` adds."""
+        out, best = self._nearest_patch(points)
+        return out, self.frames[best]
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
         out, best = self._nearest_patch(points)

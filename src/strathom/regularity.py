@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,12 +330,14 @@ class AffineSurface:
     def tangent_at_center(self) -> Subspace:
         return self.space
 
-    def closest(self, points: np.ndarray) -> np.ndarray:
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest surface points (k, n) and tangent frames there (k, n, s)."""
         pts = np.atleast_2d(points)
-        return self.base + self.space.project(pts - self.base)
+        q = self.base + self.space.project(pts - self.base)
+        return q, np.broadcast_to(self.space.basis, (len(q),) + self.space.basis.shape)
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
-        q = self.closest(points)
+        q, _ = self.nearest(points)
         return q, [self.space] * len(q)
 
 
@@ -372,13 +375,22 @@ class ChartSurface:
         w0 = np.tile(self.center_preimage, (len(pts), 1))
         return _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50).u
 
-    def closest(self, points: np.ndarray) -> np.ndarray:
-        return self.chart(self._preimages(points), check_domain=False)
+    def _frames(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest sheet points, the left singular vectors of the chart
+        Jacobians there and their numerical ranks."""
+        vals, jacs = self.chart.value_and_jacobian(self._preimages(points), check_domain=False)
+        frames, sv, _ = np.linalg.svd(jacs, full_matrices=False)
+        return vals, frames, _ranks(sv)
+
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest sheet points (k, n) and tangent frames there (k, n, s):
+        orthonormal columns up to the rank of the chart, zero beyond it."""
+        vals, frames, ranks = self._frames(points)
+        return vals, frames * (np.arange(frames.shape[2]) < ranks[:, None])[:, None, :]
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
-        vals, jacs = self.chart.value_and_jacobian(self._preimages(points), check_domain=False)
-        tangents = [span_of(list(j.T), n=self.n) for j in jacs]
-        return vals, tangents
+        vals, frames, ranks = self._frames(points)
+        return vals, [Subspace(f[:, :r]) for f, r in zip(frames, ranks)]
 
 
 def random_test_surface(
@@ -439,6 +451,13 @@ def _samples_in_ball(
     return draws[near][:count]
 
 
+class _Intersections(NamedTuple):
+    u: np.ndarray  # (h, d) chart points of the kept solutions
+    points: np.ndarray  # (h, n) their images
+    tangents: list[Subspace]  # surface tangents there
+    stalled: int  # seeds still moving after the last step
+
+
 def _find_intersections(
     stratum: Stratum,
     surface,
@@ -447,29 +466,42 @@ def _find_intersections(
     seeds_u: np.ndarray,
     tol: float = 1e-9,
     iters: int = 60,
-):
-    """Alternating projections from chart seeds onto surface-stratum
-    intersection points inside the ball.
+) -> _Intersections:
+    """Gauss-Newton from chart seeds onto surface-stratum intersection
+    points inside the ball.
 
-    Returns unique chart points, their images, and the matching surface
-    tangents.  Seeds that stall at positive distance are discarded: they
-    witness no intersection.  The iteration asks the surface only for
-    nearest points (``closest``); tangents come from ``project`` at the
-    solutions kept.
+    With ``q, F = surface.nearest(psi(u))`` (nearest surface point and
+    its orthonormal tangent frame) and the chart Jacobian J = QR, each
+    step is the shortest move along the stratum, measured in the ambient
+    space, that cancels the linearized normal residual: the least-norm
+    v with (I - F F^T) Q v = (I - F F^T)(psi(u) - q), pulled back as
+    u <- u - R^-1 v.  The ambient move Q v does not depend on the chart,
+    and the iteration converges quadratically where the surface meets
+    the stratum transversally.
+
+    Kept are solutions within ``tol`` of the surface, strictly inside
+    the domain, inside the ball and not at the center, with numerically
+    identical ones collapsed; their surface tangents come from
+    ``surface.project``.  Seeds that stall at positive distance witness
+    no intersection; ``stalled`` counts the seeds whose solve was still
+    moving after ``iters`` steps.
     """
-    if len(seeds_u) == 0:
-        return np.zeros((0, stratum.dim)), np.zeros((0, stratum.ambient)), []
     box = np.asarray(stratum.sample_box)
 
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        return vals - surface.closest(vals), jacs
+        q, frames = surface.nearest(vals)
+        basis, tri = np.linalg.qr(jacs)
+        normal = basis - frames @ (np.swapaxes(frames, 1, 2) @ basis)
+        return vals - q, normal, tri
 
-    u = _gauss_newton(
+    solved = _gauss_newton(
         residual, seeds_u, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=iters
-    ).u
+    )
+    u = solved.u
+    stalled = int(np.count_nonzero(~solved.converged))
     vals = stratum.chart(u, check_domain=False)
-    resid = np.linalg.norm(vals - surface.closest(vals), axis=1)
+    resid = np.linalg.norm(vals - surface.nearest(vals)[0], axis=1)
     margins = stratum.domain_margins(u)
     # strict positivity only: intersection points may hug the domain
     # boundary arbitrarily closely (that is what faults look like)
@@ -480,14 +512,12 @@ def _find_intersections(
     # not intersection points
     keep = (resid < tol) & interior & (dist_center <= radius) & (dist_center > 1e-7)
     u = u[keep]
-    if len(u) == 0:
-        return np.zeros((0, stratum.dim)), np.zeros((0, stratum.ambient)), []
     # collapse numerically identical solutions
     _, idx = np.unique(np.round(u, 7), axis=0, return_index=True)
     u = u[np.sort(idx)]
     vals = stratum.chart(u, check_domain=False)
-    q, tangents = surface.project(vals)
-    return u, vals, tangents
+    _, tangents = surface.project(vals)
+    return _Intersections(u, vals, tangents, stalled)
 
 
 def check_tf_at(
@@ -529,22 +559,23 @@ def check_tf_at(
     for j, r in enumerate(plan.radii()):
         rng = rng_for(seed, "tf", x, y, str(j))
         seeds_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
-        u_hits, p_hits, tangents = _find_intersections(sx, surface, center, float(r), seeds_u)
+        hits = _find_intersections(sx, surface, center, float(r), seeds_u)
         bad_point = None
         bad_defect = 0
-        if len(u_hits):
-            ranks = _transverse_ranks(tangents, ctx.leaf_tangents(sx, u_hits))
+        if len(hits.u):
+            ranks = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u))
             short = ranks < n
             if np.any(short):
                 i = int(np.argmax(short))
-                bad_point = p_hits[i]
+                bad_point = hits.points[i]
                 bad_defect = n - int(ranks[i])
         radii_detail.append(
             {
                 "radius": float(r),
                 "samples": int(len(seeds_u)),
-                "intersections": int(len(u_hits)),
+                "intersections": int(len(hits.u)),
                 "nontransverse": bad_point is not None,
+                "stalled": hits.stalled,
             }
         )
         if bad_point is None:

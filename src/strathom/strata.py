@@ -93,6 +93,10 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
     ``residual(u, idx)`` returns the residuals (k, r) and their Jacobians
     (k, r, d) at the iterates ``u`` of the rows ``idx``; only rows still
     active are evaluated.  Each step is ``u <- clip(u - pinv(J) r, lo, hi)``.
+    A residual may return a third array, upper-triangular factors R
+    (k, d, d), when its Jacobians are taken in the coordinates v = R u
+    (the Q of a chart Jacobian QR): the step is then
+    ``R^-1 pinv(J) r``, the minimum-norm step in v pulled back to u.
     A point freezes once its clipped movement (max-abs) falls below
     ``tol``, so a point pinned to the box edge stops even though its
     unclipped step never shrinks.  Points still moving after ``max_iter``
@@ -107,8 +111,10 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
         if active.size == 0:
             break
         ua = u[active]
-        res, jacs = residual(ua, active)
+        res, jacs, *r_factor = residual(ua, active)
         step = np.linalg.pinv(jacs) @ res[:, :, None]
+        if r_factor:
+            step = np.linalg.solve(r_factor[0], step)
         new = np.clip(ua - step[:, :, 0], lo, hi)
         u[active] = new
         iterations[active] += 1

@@ -15,6 +15,7 @@ from strathom.constructions import (
 from strathom.dsl import parse_map
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
 from strathom.regularity import Status, check_af_at, transverse_at
+from strathom.strata import NumericalInconsistencyError, StratifiedMapContext
 
 ORIGIN = (0.0, 0.0, 0.0)
 
@@ -250,6 +251,29 @@ class TestDestabilizer:
 
 
 class TestWitnessSheet:
+    def test_errors_come_in_arc_order(self, gallery_ctx):
+        # the arc leaves the shelf's domain at t = 0.0125.  A leaf-tangent
+        # failure at t = 0.025 comes first and is the error reported; with
+        # the failure moved past the domain exit, the domain error is.
+        _, _, ctx = gallery_ctx("parabola-shelf")
+
+        def failing_below(cutoff):
+            class Failing(StratifiedMapContext):
+                def leaf_tangents(self, stratum, U):
+                    U = np.asarray(U, dtype=float)
+                    bad = (stratum.name == "S1") & (U[:, 0] < cutoff)
+                    if np.any(bad):
+                        raise NumericalInconsistencyError(f"leaf fails at {U[np.argmax(bad)].tolist()}")
+                    return super().leaf_tangents(stratum, U)
+
+            return Failing(f=ctx.f, prestratification=ctx.prestratification, ranks=ctx.ranks)
+
+        arc = parse_map("x1, 0.02 - x1", 1)
+        with pytest.raises(NumericalInconsistencyError, match=r"fails at \[0\.025, -0\.005"):
+            tf_witness(failing_below(0.03), "S1", "S2", ORIGIN, arc, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ConstructionError, match="leaves the chart domain at t=0.0125"):
+            tf_witness(failing_below(0.01), "S1", "S2", ORIGIN, arc, np.array([0.0, 0.0, 1.0]))
+
     def test_shelf_sheet_certificates(self, shelf_fault):
         scene, ctx, witness = shelf_fault
         wit = scene.raw["witness"]

@@ -92,19 +92,19 @@ class TestKernel:
         assert blowup.leaf_tangents(y, U).shape == (4, 3, 0)
 
 
-# detail["radii"] rows (samples, intersections) and (samples,) recorded
-# with the one-point-at-a-time checkers, seed 0, default radial plan
+# detail["radii"] rows (samples, intersections, stalled) and (samples,),
+# seed 0, default radial plan
 RECORDED = {
     "blowup": (
         True,
-        [(103, 58), (91, 57), (119, 75), (101, 54), (118, 70),
-         (99, 65), (111, 74), (95, 62), (134, 73), (108, 68)],
+        [(103, 58, 40), (91, 56, 35), (119, 75, 44), (101, 54, 47), (118, 70, 48),
+         (99, 65, 34), (111, 74, 37), (95, 62, 33), (134, 73, 61), (108, 68, 40)],
         [114, 106, 89, 116, 125, 94, 118, 107, 99, 105],
     ),
     "parallel-planes": (
         False,
-        [(186, 96), (200, 109), (200, 120), (200, 100), (200, 107),
-         (200, 99), (200, 116), (200, 101), (194, 109), (200, 107)],
+        [(186, 96, 90), (200, 109, 91), (200, 120, 80), (200, 100, 100), (200, 107, 92),
+         (200, 99, 101), (200, 116, 83), (200, 101, 99), (194, 109, 85), (200, 107, 93)],
         [200] * 10,
     ),
 }
@@ -120,8 +120,9 @@ def test_radial_details_match_recorded_values(gallery_ctx, name):
     afs = check_afs_at(ctx, inc.x, inc.y, inc.point, seed=0)
     radii = [0.5 * 0.5**j for j in range(10)]
     assert tf.detail["radii"] == [
-        {"radius": r, "samples": k, "intersections": hits, "nontransverse": faulted}
-        for r, (k, hits) in zip(radii, tf_rows)
+        {"radius": r, "samples": k, "intersections": hits, "nontransverse": faulted,
+         "stalled": stalled}
+        for r, (k, hits, stalled) in zip(radii, tf_rows)
     ]
     assert afs.detail["radii"] == [
         {"radius": r, "samples": k, "rank_drop": faulted} for r, k in zip(radii, afs_rows)

@@ -2,11 +2,21 @@
 
 import numpy as np
 
+from strathom import regularity
 from strathom.dsl import parse_map
 from strathom.experiments import grid_points, seeded_full_rank_map, transversality_margin
-from strathom.regularity import ChartSurface, _find_intersections, _samples_in_ball
+from strathom.grassmann import span_of
+from strathom.regularity import (
+    AffineSurface,
+    ChartSurface,
+    Status,
+    _find_intersections,
+    _samples_in_ball,
+    check_tf_at,
+    random_test_surface,
+)
 from strathom.seeds import derive_seed, rng_for
-from strathom.strata import _gauss_newton
+from strathom.strata import Stratum, _gauss_newton
 
 
 def _chart_residual(chart, targets, calls=None):
@@ -112,8 +122,92 @@ class TestReferenceValues:
         seeds_u = _samples_in_ball(
             halfplane, u0, center, 0.5, 200, rng_for(0, "tf", "S1", "S2", "0")
         )[:10]
-        u, points, tangents = _find_intersections(halfplane, surface, center, 0.5, seeds_u)
+        u, points, tangents, _ = _find_intersections(halfplane, surface, center, 0.5, seeds_u)
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(points[:, :2] - expected)) < 1e-12
         assert np.all(points[:, 2] == 0.0)
         assert all(t.dim == 2 for t in tangents)
+
+
+PARABOLIC_SHEET = ChartSurface(
+    chart=parse_map("(x1^2 + x2^2)/4, x1, x2", 2),
+    center_preimage=np.zeros(2),
+    box=((-2.0, 2.0), (-2.0, 2.0)),
+)
+
+
+class TestIntersectionSearch:
+    def test_one_degree_surface_converges_within_two_steps(self, monkeypatch):
+        # alternating projection contracts by cos(1 deg)^2 per step here;
+        # the Newton step lands on the intersection line at once
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(_gauss_newton(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(regularity, "_gauss_newton", recording)
+        plane = Stratum("P", parse_map("x1, x2, 0", 2), sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        angle = np.deg2rad(1.0)
+        surface = AffineSurface(
+            base=np.zeros(3), space=span_of([[1, 0, 0], [0, np.cos(angle), np.sin(angle)]], n=3)
+        )
+        seeds_u = rng_for(0, "one-degree").uniform(-0.9, 0.9, size=(50, 2))
+        hits = _find_intersections(plane, surface, np.zeros(3), 2.0, seeds_u)
+        (solved,) = solves
+        assert np.all(solved.converged)
+        assert np.all(solved.iterations <= 2)
+        assert hits.stalled == 0
+        assert len(hits.u) == 50
+        assert np.max(np.abs(hits.points[:, 1:])) < 1e-12
+
+    def test_hits_do_not_depend_on_the_chart(self):
+        # the same plane through psi'(y) = psi(A y), A = [[10, 0], [1, 1]];
+        # the boxes are wide enough that no iterate is clipped
+        box = ((-5.0, 5.0), (-5.0, 5.0))
+        plane = Stratum("P", parse_map("x1, x2, 0", 2), sample_box=box)
+        stretched = Stratum("P", parse_map("10*x1, x1 + x2, 0", 2), sample_box=box)
+        seeds_u = rng_for(0, "chart-invariance").uniform(-1.0, 1.0, size=(40, 2))
+        seeds_y = np.column_stack([seeds_u[:, 0] / 10, seeds_u[:, 1] - seeds_u[:, 0] / 10])
+        center = np.array([0.0, 0.0, 1.0])
+        hits = _find_intersections(plane, PARABOLIC_SHEET, center, 3.0, seeds_u)
+        hits_y = _find_intersections(stretched, PARABOLIC_SHEET, center, 3.0, seeds_y)
+        assert len(hits.u) == len(hits_y.u) == 40
+        assert hits.stalled == hits_y.stalled == 0
+        assert np.max(np.abs(hits.points - hits_y.points)) < 1e-12
+        # the hits lie on the parabola x = y^2 / 4 in the plane z = 0
+        assert np.max(np.abs(hits.points[:, 0] - hits.points[:, 1] ** 2 / 4)) < 1e-12
+
+    def test_chart_surface_frames_drop_lost_rank(self):
+        # x1, x2^3, x2^2 loses rank along x2 = 0: the tangent there is the
+        # x1 axis, at the hit as at the center
+        cusp = ChartSurface(
+            chart=parse_map("x1, x2^3, x2^2", 2),
+            center_preimage=np.zeros(2),
+            box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        point = np.array([[0.3, 0.0, -1.0]])
+        q, frames = cusp.nearest(point)
+        _, (tangent,) = cusp.project(point)
+        assert np.array_equal(q, [[0.3, 0.0, 0.0]])
+        assert np.array_equal(np.abs(frames[0]), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert tangent.dim == cusp.tangent_at_center().dim == 1
+        assert np.array_equal(np.abs(tangent.basis), [[1.0], [0.0], [0.0]])
+
+    def test_blowup_cli_surface_fails_at_every_radius(self):
+        # `strathom check --condition all --seed 20261017` on blowup: the
+        # alternating projection found no intersection with test surface
+        # 1 at any radius, so tf held vacuously where af fails
+        from strathom.gallery import gallery_entry
+
+        seed = 20261017
+        scene = gallery_entry("blowup").scene()
+        ctx = scene.build_context(seed=derive_seed(seed, "context"))
+        (inc,) = scene.prestratification.incidences
+        surface_seed = derive_seed(derive_seed(seed, "check", "tf", inc.x, inc.y), "1")
+        surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
+        verdict = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed)
+        rows = verdict.detail["radii"]
+        assert all(r["intersections"] > 0 for r in rows), rows
+        assert all(r["nontransverse"] for r in rows)
+        assert verdict.status is Status.FAILS
