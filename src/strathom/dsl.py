@@ -1,10 +1,14 @@
 """Expression language for differentiable maps R^n -> R^m.
 
 Maps are written in a small infix grammar and evaluated numerically,
-with exact first derivatives obtained by forward-mode dual numbers
-(a value together with an n-vector of partials).  Evaluation is
+with exact first derivatives in forward mode (each node's value
+together with its n-vector of partials).  A map is compiled once into a
+tape: its distinct nodes in evaluation order, a subexpression that
+appears several times being one node.  One forward pass over the tape,
+with one rule per node type, gives the values and, when asked, the
+partials, so values and Jacobians agree to the bit.  Evaluation is
 vectorised: a batch of points produces a batch of values/Jacobians in
-one AST walk.
+one pass.
 
 Grammar (standard precedence, ``^`` binds tightest and is
 right-associative)::
@@ -30,6 +34,7 @@ SmoothMap values are immutable and safe to evaluate concurrently.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +56,6 @@ __all__ = [
     "Div",
     "Pow",
     "Call",
-    "Dual",
     "SmoothMap",
     "parse_expr",
     "parse_map",
@@ -159,41 +163,6 @@ _FUNCTION_ARITY = {
 }
 _NONSMOOTH = frozenset({"abs", "min", "max"})
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
-
-
-def nonsmooth_calls(e: Expr) -> list[str]:
-    """Names of non-smooth primitives appearing anywhere in ``e``."""
-    out: list[str] = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            if node.fn in _NONSMOOTH:
-                out.append(node.fn)
-            stack.extend(node.args)
-        elif isinstance(node, Neg):
-            stack.append(node.a)
-        elif isinstance(node, (Add, Sub, Mul, Div, Pow)):
-            stack.append(node.a)
-            stack.append(node.b)
-    return out
-
-
-def variables_used(e: Expr) -> set[int]:
-    out: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.index)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-        elif isinstance(node, Neg):
-            stack.append(node.a)
-        elif isinstance(node, (Add, Sub, Mul, Div, Pow)):
-            stack.append(node.a)
-            stack.append(node.b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,70 +398,14 @@ def _bump_value_and_slope(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers (batched)
-
-
-class Dual:
-    """Batch of dual numbers: values (k,) with partials (k, nvars)."""
-
-    __slots__ = ("val", "eps")
-
-    def __init__(self, val: np.ndarray, eps: np.ndarray):
-        self.val = val
-        self.eps = eps
-
-    @staticmethod
-    def seed(x: np.ndarray) -> list["Dual"]:
-        """One Dual per coordinate of a batch of points x (k, n)."""
-        k, n = x.shape
-        duals = []
-        for i in range(n):
-            eps = np.zeros((k, n))
-            eps[:, i] = 1.0
-            duals.append(Dual(x[:, i].copy(), eps))
-        return duals
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.eps + other.eps)
-        return Dual(self.val + other, self.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.eps - other.eps)
-        return Dual(self.val - other, self.eps)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.eps)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.eps)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                self.eps * other.val[:, None] + other.eps * self.val[:, None],
-            )
-        return Dual(self.val * other, self.eps * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            _check_nonzero(other.val, "division by zero")
-            inv = 1.0 / other.val
-            val = self.val * inv
-            return Dual(val, (self.eps - other.eps * val[:, None]) * inv[:, None])
-        _check_nonzero(np.asarray(other, dtype=float), "division by zero")
-        return Dual(self.val / other, self.eps / other)
-
-    def __rtruediv__(self, other):
-        _check_nonzero(self.val, "division by zero")
-        val = other / self.val
-        return Dual(val, -self.eps * (val / self.val)[:, None])
+# Node rules
+#
+# A rule takes its node's parameter (see ``_lower``), the points x (k, n),
+# its operands' values and -- when partials are requested -- their
+# partials, and returns the node's value and partials.  Partials are
+# (k, n) arrays, or None for a node that does not depend on x; the whole
+# partials list is None when they are not requested.  Value errors are
+# raised on every evaluation, kink errors only when partials are requested.
 
 
 def _check_nonzero(v: np.ndarray, msg: str) -> None:
@@ -500,175 +413,253 @@ def _check_nonzero(v: np.ndarray, msg: str) -> None:
         raise EvaluationError(msg)
 
 
-def _chain(u: Dual, val: np.ndarray, dval: np.ndarray) -> Dual:
-    return Dual(val, u.eps * dval[:, None])
+def _scaled(p, s: np.ndarray):
+    """Partials p times the per-point factor s."""
+    return None if p is None else p * s[:, None]
+
+
+def _plus(p, q):
+    if p is None:
+        return q
+    return p if q is None else p + q
+
+
+def _minus(p, q):
+    if q is None:
+        return p
+    return -q if p is None else p - q
+
+
+def _num(value, x, v, d):
+    return np.full(len(x), value), None
+
+
+def _var(index, x, v, d):
+    if d is None:
+        return x[:, index], None
+    eps = np.zeros(x.shape)
+    eps[:, index] = 1.0
+    return x[:, index], eps
+
+
+def _neg(_, x, v, d):
+    return -v[0], None if d is None else _minus(None, d[0])
+
+
+def _add(_, x, v, d):
+    return v[0] + v[1], None if d is None else _plus(d[0], d[1])
+
+
+def _sub(_, x, v, d):
+    return v[0] - v[1], None if d is None else _minus(d[0], d[1])
+
+
+def _mul(_, x, v, d):
+    a, b = v
+    return a * b, None if d is None else _plus(_scaled(d[0], b), _scaled(d[1], a))
+
+
+def _div(_, x, v, d):
+    a, b = v
+    _check_nonzero(b, "division by zero")
+    val = a / b
+    if d is None:
+        return val, None
+    return val, _scaled(_minus(d[0], _scaled(d[1], val)), 1.0 / b)
+
+
+def _pow(k, x, v, d):
+    """``k`` is the exponent when it is an integer constant, else None."""
+    base = v[0]
+    if k is not None:
+        if k < 0:
+            _check_nonzero(base, "zero base with negative exponent")
+        val = base ** float(k)
+        if d is None or k == 0:
+            return val, None
+        return val, _scaled(d[0], k * base ** float(k - 1))
+    expo = v[1]
+    if np.any(base <= 0.0):
+        raise EvaluationError("non-integer power of a nonpositive base")
+    val = base**expo
+    if d is None:
+        return val, None
+    return val, _scaled(_plus(_scaled(d[1], np.log(base)), _scaled(d[0], expo / base)), val)
+
+
+def _exp(_, x, v, d):
+    val = np.exp(v[0])
+    return val, None if d is None else _scaled(d[0], val)
+
+
+def _log(_, x, v, d):
+    a = v[0]
+    if np.any(a <= 0.0):
+        raise EvaluationError("log of a nonpositive value")
+    return np.log(a), None if d is None else _scaled(d[0], 1.0 / a)
+
+
+def _sin(_, x, v, d):
+    return np.sin(v[0]), None if d is None else _scaled(d[0], np.cos(v[0]))
+
+
+def _cos(_, x, v, d):
+    return np.cos(v[0]), None if d is None else _scaled(d[0], -np.sin(v[0]))
+
+
+def _sqrt(_, x, v, d):
+    a = v[0]
+    if np.any(a < 0.0):
+        raise EvaluationError("sqrt of a negative value")
+    if d is not None and np.any(a == 0.0):
+        raise NonDifferentiableError("sqrt derivative at 0")
+    val = np.sqrt(a)
+    return val, None if d is None else _scaled(d[0], 0.5 / val)
+
+
+def _bump(_, x, v, d):
+    val, slope = _bump_value_and_slope(v[0])
+    return val, None if d is None else _scaled(d[0], slope)
+
+
+def _abs(_, x, v, d):
+    a = v[0]
+    if d is not None and np.any(a == 0.0):
+        raise NonDifferentiableError("abs at its kink")
+    return np.abs(a), None if d is None else _scaled(d[0], np.sign(a))
+
+
+def _min_max(fn, x, v, d):
+    a, b = v
+    val = np.minimum(a, b) if fn == "min" else np.maximum(a, b)
+    if d is None:
+        return val, None
+    if np.any(a == b):
+        raise NonDifferentiableError(f"{fn} at a tie")
+    p, q = d
+    if p is None and q is None:
+        return val, None
+    pick = (a < b) if fn == "min" else (a > b)
+    p = np.zeros_like(q) if p is None else p
+    q = np.zeros_like(p) if q is None else q
+    return val, np.where(pick[:, None], p, q)
+
+
+_RULES = {Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+_CALLS = {
+    "exp": _exp,
+    "log": _log,
+    "sin": _sin,
+    "cos": _cos,
+    "sqrt": _sqrt,
+    "bump": _bump,
+    "abs": _abs,
+    "min": _min_max,
+    "max": _min_max,
+}
+
+
+def _integer_exponent(e: Expr) -> int | None:
+    if isinstance(e, Num) and float(e.value).is_integer():
+        return int(e.value)
+    if isinstance(e, Neg) and isinstance(e.a, Num) and float(e.a.value).is_integer():
+        return -int(e.a.value)
+    return None
+
+
+def _lower(e: Expr):
+    """(rule, parameter, structural tag, operands) of one node."""
+    if isinstance(e, Num):
+        value = float(e.value)
+        return _num, value, struct.pack("<d", value), ()
+    if isinstance(e, Var):
+        return _var, e.index, e.index, ()
+    if isinstance(e, Call):
+        return _CALLS[e.fn], e.fn, e.fn, e.args
+    if isinstance(e, Pow):
+        k = _integer_exponent(e.b)
+        return _pow, k, k, (e.a,) if k is not None else (e.a, e.b)
+    return _RULES[type(e)], None, None, (e.a,) if isinstance(e, Neg) else (e.a, e.b)
 
 
 # ---------------------------------------------------------------------------
-# Evaluators
+# Tape
 
 
-def _eval_values(e: Expr, cols: list[np.ndarray]) -> np.ndarray:
-    """Evaluate on a batch; cols[i] is the (k,) array of coordinate i."""
-    if isinstance(e, Num):
-        return np.full_like(cols[0], e.value)
-    if isinstance(e, Var):
-        return cols[e.index]
-    if isinstance(e, Neg):
-        return -_eval_values(e.a, cols)
-    if isinstance(e, Add):
-        return _eval_values(e.a, cols) + _eval_values(e.b, cols)
-    if isinstance(e, Sub):
-        return _eval_values(e.a, cols) - _eval_values(e.b, cols)
-    if isinstance(e, Mul):
-        return _eval_values(e.a, cols) * _eval_values(e.b, cols)
-    if isinstance(e, Div):
-        num = _eval_values(e.a, cols)
-        den = _eval_values(e.b, cols)
-        _check_nonzero(den, "division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        return _pow_values(_eval_values(e.a, cols), e.b, cols)
-    if isinstance(e, Call):
-        args = [_eval_values(a, cols) for a in e.args]
-        return _call_values(e.fn, args)
-    raise TypeError(type(e))  # pragma: no cover
+class _Tape:
+    """Expressions compiled into their distinct nodes in evaluation order.
 
+    Nodes are keyed structurally -- rule, parameter and operand slots, a
+    ``Num`` by its bit pattern so 0.0 and -0.0 stay apart -- so a
+    subexpression is evaluated once however often it appears, shared by
+    a construction or repeated in the text.  Roots are laid out in order
+    and depth first, the way a recursive walk would evaluate them, so
+    errors surface in the same order.  A value is released after its
+    last use; root values are kept.
+    """
 
-def _pow_values(base: np.ndarray, exponent: Expr, cols) -> np.ndarray:
-    if isinstance(exponent, Num) and float(exponent.value).is_integer():
-        k = int(exponent.value)
-        if k < 0:
-            _check_nonzero(base, "zero base with negative exponent")
-        return base**k
-    if isinstance(exponent, Neg) and isinstance(exponent.a, Num) and exponent.a.value.is_integer():
-        k = -int(exponent.a.value)
-        _check_nonzero(base, "zero base with negative exponent")
-        return base ** float(k)
-    exp_val = _eval_values(exponent, cols)
-    if np.any(base <= 0.0):
-        raise EvaluationError("non-integer power of a nonpositive base")
-    return base**exp_val
+    def __init__(self, roots: tuple[Expr, ...]):
+        self.roots = roots
+        self.nodes: list[Expr] = []  # first node of each slot
+        steps: list[tuple] = []
+        slots: dict[tuple, int] = {}
+        seen: dict[int, int] = {}  # id(node) -> slot, so a shared object is lowered once
 
+        def visit(e: Expr) -> int:
+            slot = seen.get(id(e))
+            if slot is None:
+                rule, param, tag, operands = _lower(e)
+                args = tuple(visit(a) for a in operands)
+                slot = slots.setdefault((rule, tag, args), len(steps))
+                if slot == len(steps):
+                    steps.append((rule, param, args))
+                    self.nodes.append(e)
+                seen[id(e)] = slot
+            return slot
 
-def _call_values(fn: str, args: list[np.ndarray]) -> np.ndarray:
-    a = args[0]
-    if fn == "exp":
-        return np.exp(a)
-    if fn == "log":
-        if np.any(a <= 0.0):
-            raise EvaluationError("log of a nonpositive value")
-        return np.log(a)
-    if fn == "sin":
-        return np.sin(a)
-    if fn == "cos":
-        return np.cos(a)
-    if fn == "sqrt":
-        if np.any(a < 0.0):
-            raise EvaluationError("sqrt of a negative value")
-        return np.sqrt(a)
-    if fn == "bump":
-        return _bump_value_and_slope(a)[0]
-    if fn == "abs":
-        return np.abs(a)
-    if fn == "min":
-        return np.minimum(a, args[1])
-    if fn == "max":
-        return np.maximum(a, args[1])
-    raise TypeError(fn)  # pragma: no cover
+        self.outputs = tuple(visit(r) for r in roots)
+        last_use = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
+        free: list[list[int]] = [[] for _ in steps]
+        for slot, i in last_use.items():
+            if slot not in self.outputs:
+                free[i].append(slot)
+        # root j is checked once it and every root before it are computed
+        checks: list[list[int]] = [[] for _ in steps]
+        ready = -1
+        for j, slot in enumerate(self.outputs):
+            ready = max(ready, slot)
+            checks[ready].append(j)
+        self.steps = [step + (tuple(f), tuple(c)) for step, f, c in zip(steps, free, checks)]
 
-
-def _eval_dual(e: Expr, duals: list[Dual]) -> Dual:
-    if isinstance(e, Num):
-        k, n = duals[0].eps.shape
-        return Dual(np.full(k, e.value), np.zeros((k, n)))
-    if isinstance(e, Var):
-        return duals[e.index]
-    if isinstance(e, Neg):
-        return -_eval_dual(e.a, duals)
-    if isinstance(e, Add):
-        return _eval_dual(e.a, duals) + _eval_dual(e.b, duals)
-    if isinstance(e, Sub):
-        return _eval_dual(e.a, duals) - _eval_dual(e.b, duals)
-    if isinstance(e, Mul):
-        return _eval_dual(e.a, duals) * _eval_dual(e.b, duals)
-    if isinstance(e, Div):
-        return _eval_dual(e.a, duals) / _eval_dual(e.b, duals)
-    if isinstance(e, Pow):
-        return _pow_dual(e, duals)
-    if isinstance(e, Call):
-        return _call_dual(e.fn, [_eval_dual(a, duals) for a in e.args])
-    raise TypeError(type(e))  # pragma: no cover
-
-
-def _pow_dual(e: Pow, duals: list[Dual]) -> Dual:
-    base = _eval_dual(e.a, duals)
-    exponent = e.b
-    k_int = None
-    if isinstance(exponent, Num) and float(exponent.value).is_integer():
-        k_int = int(exponent.value)
-    elif (
-        isinstance(exponent, Neg)
-        and isinstance(exponent.a, Num)
-        and exponent.a.value.is_integer()
-    ):
-        k_int = -int(exponent.a.value)
-    if k_int is not None:
-        if k_int == 0:
-            return Dual(np.ones_like(base.val), np.zeros_like(base.eps))
-        if k_int < 0:
-            _check_nonzero(base.val, "zero base with negative exponent")
-        return _chain(base, base.val ** float(k_int), k_int * base.val ** float(k_int - 1))
-    expo = _eval_dual(exponent, duals)
-    if np.any(base.val <= 0.0):
-        raise EvaluationError("non-integer power of a nonpositive base")
-    val = base.val**expo.val
-    logb = np.log(base.val)
-    eps = val[:, None] * (
-        expo.eps * logb[:, None] + base.eps * (expo.val / base.val)[:, None]
-    )
-    return Dual(val, eps)
-
-
-def _call_dual(fn: str, args: list[Dual]) -> Dual:
-    u = args[0]
-    if fn == "exp":
-        v = np.exp(u.val)
-        return _chain(u, v, v)
-    if fn == "log":
-        if np.any(u.val <= 0.0):
-            raise EvaluationError("log of a nonpositive value")
-        return _chain(u, np.log(u.val), 1.0 / u.val)
-    if fn == "sin":
-        return _chain(u, np.sin(u.val), np.cos(u.val))
-    if fn == "cos":
-        return _chain(u, np.cos(u.val), -np.sin(u.val))
-    if fn == "sqrt":
-        if np.any(u.val < 0.0):
-            raise EvaluationError("sqrt of a negative value")
-        if np.any(u.val == 0.0):
-            raise NonDifferentiableError("sqrt derivative at 0")
-        v = np.sqrt(u.val)
-        return _chain(u, v, 0.5 / v)
-    if fn == "bump":
-        val, slope = _bump_value_and_slope(u.val)
-        return _chain(u, val, slope)
-    if fn == "abs":
-        if np.any(u.val == 0.0):
-            raise NonDifferentiableError("abs at its kink")
-        return _chain(u, np.abs(u.val), np.sign(u.val))
-    if fn in ("min", "max"):
-        v = args[1]
-        if np.any(u.val == v.val):
-            raise NonDifferentiableError(f"{fn} at a tie")
-        if fn == "min":
-            pick = u.val < v.val
-        else:
-            pick = u.val > v.val
-        val = np.where(pick, u.val, v.val)
-        eps = np.where(pick[:, None], u.eps, v.eps)
-        return Dual(val, eps)
-    raise TypeError(fn)  # pragma: no cover
+    def run(self, x: np.ndarray, partials: bool = False, check: bool = False):
+        """Root values (k, #roots) at the points x (k, n) and, with
+        ``partials``, their Jacobians (k, #roots, n), else None.  With
+        ``check`` the roots are domain predicates: each is checked ``> 0``
+        in order, before any node that only later roots need runs."""
+        vals: list = [None] * len(self.steps)
+        ders: list = [None] * len(self.steps)
+        for i, (rule, param, args, free, checks) in enumerate(self.steps):
+            vals[i], ders[i] = rule(
+                param, x, [vals[a] for a in args], [ders[a] for a in args] if partials else None
+            )
+            for a in free:
+                vals[a] = ders[a] = None
+            if check:
+                for j in checks:
+                    bad = vals[self.outputs[j]] <= 0.0
+                    if np.any(bad):
+                        raise DomainError(
+                            f"point {x[int(np.argmax(bad))].tolist()} violates domain "
+                            f"predicate {to_source(self.roots[j])} > 0"
+                        )
+        k, n = x.shape
+        out = np.empty((k, len(self.outputs)))
+        jac = np.zeros((k, len(self.outputs), n)) if partials else None
+        for j, slot in enumerate(self.outputs):
+            out[:, j] = vals[slot]
+            if partials and ders[slot] is not None:
+                jac[:, j, :] = ders[slot]
+        return out, jac
 
 
 # ---------------------------------------------------------------------------
@@ -681,23 +672,31 @@ class SmoothMap:
 
     ``domain`` is a conjunction of strict inequalities ``expr > 0`` on the
     input; evaluating outside it raises :class:`DomainError` unless the
-    caller opts out with ``check_domain=False``.
+    caller opts out with ``check_domain=False``.  Components and domain
+    are compiled once, at construction, into one tape each.
     """
 
     n: int
     components: tuple[Expr, ...]
     domain: tuple[Expr, ...] = ()
     source: str | None = field(default=None, compare=False)
+    _tape: _Tape = field(init=False, repr=False, compare=False)
+    _domain_tape: _Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("input dimension must be >= 1")
         if not self.components:
             raise ValueError("a map needs at least one component")
-        for comp in self.components + self.domain:
-            bad = [i for i in variables_used(comp) if i >= self.n]
-            if bad:
-                raise ValueError(f"component references x{bad[0] + 1} beyond dimension {self.n}")
+        object.__setattr__(self, "_tape", _Tape(self.components))
+        object.__setattr__(self, "_domain_tape", _Tape(self.domain))
+        bad = [
+            e.index
+            for e in self._tape.nodes + self._domain_tape.nodes
+            if isinstance(e, Var) and e.index >= self.n
+        ]
+        if bad:
+            raise ValueError(f"component references x{bad[0] + 1} beyond dimension {self.n}")
 
     @property
     def m(self) -> int:
@@ -705,12 +704,9 @@ class SmoothMap:
 
     def require_smooth(self) -> "SmoothMap":
         """Reject non-smooth primitives in the components (not the domain)."""
-        for comp in self.components:
-            bad = nonsmooth_calls(comp)
-            if bad:
-                raise SmoothnessError(
-                    f"non-smooth primitive {bad[0]!r} in a map declared C^1"
-                )
+        bad = [e.fn for e in self._tape.nodes if isinstance(e, Call) and e.fn in _NONSMOOTH]
+        if bad:
+            raise SmoothnessError(f"non-smooth primitive {bad[0]!r} in a map declared C^1")
         return self
 
     # -- evaluation ---------------------------------------------------------
@@ -724,55 +720,36 @@ class SmoothMap:
             raise ValueError(f"expected points of dimension {self.n}, got shape {arr.shape}")
         return arr, single
 
+    def domain_values(self, x) -> np.ndarray:
+        """Values of the domain predicates, (k, #predicates) for a batch."""
+        arr, single = self._batch(x)
+        vals = self._domain_tape.run(arr)[0]
+        return vals[0] if single else vals
+
     def in_domain(self, x) -> np.ndarray | bool:
         arr, single = self._batch(x)
-        ok = np.ones(arr.shape[0], dtype=bool)
-        cols = [arr[:, i] for i in range(self.n)]
-        for pred in self.domain:
-            ok &= _eval_values(pred, cols) > 0.0
+        ok = np.all(self._domain_tape.run(arr)[0] > 0.0, axis=1)
         return bool(ok[0]) if single else ok
 
-    def _check_domain(self, arr: np.ndarray) -> None:
-        if not self.domain:
-            return
-        cols = [arr[:, i] for i in range(self.n)]
-        for pred in self.domain:
-            vals = _eval_values(pred, cols)
-            if np.any(vals <= 0.0):
-                i = int(np.argmax(vals <= 0.0))
-                raise DomainError(
-                    f"point {arr[i].tolist()} violates domain predicate {to_source(pred)} > 0"
-                )
-
-    def __call__(self, x, check_domain: bool = True) -> np.ndarray:
+    def _evaluate(self, x, check_domain: bool, partials: bool):
         arr, single = self._batch(x)
-        if check_domain:
-            self._check_domain(arr)
-        cols = [arr[:, i] for i in range(self.n)]
-        out = np.stack([_eval_values(c, cols) for c in self.components], axis=1)
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("non-finite value in evaluation")
-        return out[0] if single else out
-
-    def jacobian(self, x, check_domain: bool = True) -> np.ndarray:
-        return self.value_and_jacobian(x, check_domain=check_domain)[1]
-
-    def value_and_jacobian(self, x, check_domain: bool = True):
-        arr, single = self._batch(x)
-        if check_domain:
-            self._check_domain(arr)
-        duals = Dual.seed(arr)
-        vals = np.empty((arr.shape[0], self.m))
-        jac = np.empty((arr.shape[0], self.m, self.n))
-        for j, comp in enumerate(self.components):
-            d = _eval_dual(comp, duals)
-            vals[:, j] = d.val
-            jac[:, j, :] = d.eps
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(jac))):
+        if check_domain and self.domain:
+            self._domain_tape.run(arr, check=True)
+        vals, jac = self._tape.run(arr, partials)
+        if not (np.isfinite(vals).all() and (jac is None or np.isfinite(jac).all())):
             raise EvaluationError("non-finite value in evaluation")
         if single:
-            return vals[0], jac[0]
+            return vals[0], None if jac is None else jac[0]
         return vals, jac
+
+    def __call__(self, x, check_domain: bool = True) -> np.ndarray:
+        return self._evaluate(x, check_domain, partials=False)[0]
+
+    def jacobian(self, x, check_domain: bool = True) -> np.ndarray:
+        return self._evaluate(x, check_domain, partials=True)[1]
+
+    def value_and_jacobian(self, x, check_domain: bool = True):
+        return self._evaluate(x, check_domain, partials=True)
 
     # -- text form ----------------------------------------------------------
 

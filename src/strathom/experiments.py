@@ -620,35 +620,30 @@ def _slope_zero_witness(h, box, grid: int, wrap: bool) -> dict | None:
 
 
 def _fold_on_circle_witness(h, box, grid_dims, seed: int) -> dict | None:
-    """Newton solve for det Dh = 0 on the unit circle image."""
+    """Gauss-Newton solve for det Dh = 0 on the unit circle image, from
+    the 8 best grid seeds; the residual's Jacobian is a central
+    difference."""
 
     def f_of(w: np.ndarray) -> np.ndarray:
-        jac = h.jacobian(w)
+        vals, jac = h.value_and_jacobian(w)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        vals = h(w)
         return np.stack([det, np.sum(vals**2, axis=1) - 1.0], axis=1)
+
+    step_h = 1e-6
+    probes = step_h * np.eye(2)
+
+    def residual(w, idx):
+        jac = np.stack([(f_of(w + dw) - f_of(w - dw)) / (2 * step_h) for dw in probes], axis=2)
+        return f_of(w), jac
 
     seeds = grid_points(box, grid_dims)
     scores = np.linalg.norm(f_of(seeds), axis=1)
-    order = np.argsort(scores)[:8]
-    w = seeds[order]
-    step_h = 1e-6
-    for _ in range(60):
-        f0 = f_of(w)
-        jac_f = np.zeros((len(w), 2, 2))
-        for j in range(2):
-            dw = np.zeros(2)
-            dw[j] = step_h
-            jac_f[:, :, j] = (f_of(w + dw) - f_of(w - dw)) / (2 * step_h)
-        try:
-            step = np.linalg.solve(jac_f, f0[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return None
-        w = w - np.clip(step, -0.2, 0.2)
-    residual = np.linalg.norm(f_of(w), axis=1)
-    best = int(np.argmin(residual))
-    if residual[best] < 1e-9:
-        return {"w": w[best].tolist(), "residual": float(residual[best])}
+    w0 = seeds[np.argsort(scores)[:8]]
+    w = _gauss_newton(residual, w0, -np.inf, np.inf, tol=1e-13, max_iter=60).u
+    residual_norms = np.linalg.norm(f_of(w), axis=1)
+    best = int(np.argmin(residual_norms))
+    if residual_norms[best] < 1e-9:
+        return {"w": w[best].tolist(), "residual": float(residual_norms[best])}
     return None
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsl import SmoothMap, _eval_values, to_source
+from .dsl import SmoothMap
 from .grassmann import Subspace, _ranks, span_of
 from .seeds import rng_for
 
@@ -185,11 +185,7 @@ class Stratum:
 
     def domain_margins(self, u: np.ndarray) -> np.ndarray:
         """Values of the domain predicates at chart points (k, #preds)."""
-        arr = np.atleast_2d(np.asarray(u, dtype=float))
-        if not self.chart.domain:
-            return np.ones((arr.shape[0], 0))
-        cols = [arr[:, i] for i in range(self.dim)]
-        return np.stack([_eval_values(p, cols) for p in self.chart.domain], axis=1)
+        return self.chart.domain_values(np.atleast_2d(np.asarray(u, dtype=float)))
 
     def locate(
         self,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strathom.constructions import rank_drop_map
 from strathom.dsl import (
     Add,
     Call,
@@ -15,6 +16,7 @@ from strathom.dsl import (
     Num,
     ParseError,
     Pow,
+    SmoothMap,
     SmoothnessError,
     Sub,
     Var,
@@ -172,6 +174,15 @@ class TestEval:
         with pytest.raises(EvaluationError):
             f([0.0])
 
+    def test_domain_predicates_are_checked_in_order(self):
+        # the second predicate cannot be evaluated at x1 = -1; the first,
+        # violated there, is reported before it is tried
+        f = parse_map("x1", 1, domain=("x1", "log(x1)"))
+        with pytest.raises(DomainError, match=r"x1 > 0"):
+            f([-1.0])
+        with pytest.raises(DomainError, match=r"x1 > 0"):
+            f.value_and_jacobian([-1.0])
+
     def test_log_of_negative(self):
         f = parse_map("log(x1)", 1)
         with pytest.raises(EvaluationError):
@@ -227,7 +238,14 @@ class TestJacobian:
         ("bump(x1^2 + x2^2)", 2),
         ("x1^3 - x1, x2", 2),
         ("(1 + x2*cos(x1))*cos(2*x1), (1 + x2*cos(x1))*sin(2*x1), x2*sin(x1)", 2),
+        ("x1/x2, x2/(x1 + 3)", 2),
     ]
+
+    @pytest.mark.parametrize("source,n", CORPUS)
+    def test_values_agree_with_value_and_jacobian(self, source, n):
+        f = parse_map(source, n)
+        x = np.random.default_rng(7).uniform(0.3, 1.5, size=(1000, n))
+        assert np.array_equal(f(x), f.value_and_jacobian(x)[0])
 
     @pytest.mark.parametrize("source,n", CORPUS)
     def test_dual_vs_central_differences(self, source, n):
@@ -241,6 +259,62 @@ class TestJacobian:
             scale = max(1.0, np.max(np.abs(exact)))
             worst = max(worst, np.max(np.abs(exact - approx)) / scale)
         assert worst < 1e-6
+
+
+def _distinct_nodes(comps) -> set[str]:
+    """Structurally distinct subexpressions, keyed by their repr (which
+    tells 0.0 from -0.0)."""
+    found: set[str] = set()
+    stack = list(comps)
+    while stack:
+        e = stack.pop()
+        found.add(repr(e))
+        stack.extend(e.args if isinstance(e, Call) else [getattr(e, f) for f in "ab" if hasattr(e, f)])
+    return found
+
+
+class TestTape:
+    @pytest.mark.parametrize("n,r", [(3, 1), (5, 3), (8, 3)])
+    def test_rank_drop_map_has_one_slot_per_distinct_node(self, n, r):
+        f = rank_drop_map(n, r).map
+        assert len(f._tape.steps) == len(_distinct_nodes(f.components))
+
+    def test_band_chart_repeated_factor_is_one_slot(self):
+        f = parse_map("(1 + x2*cos(x1))*cos(2*x1), (1 + x2*cos(x1))*sin(2*x1), x2*sin(x1)", 2)
+        factor = parse_expr("1 + x2*cos(x1)", 2)
+        assert sum(node == factor for node in f._tape.nodes) == 1
+        assert len(f._tape.steps) == len(_distinct_nodes(f.components))
+
+    def test_signed_zeros_get_separate_slots(self):
+        f = SmoothMap(1, (Mul(Var(0), Num(0.0)), Mul(Var(0), Num(-0.0))))
+        assert len(f._tape.steps) == 5
+        vals = f([2.0])
+        assert not np.signbit(vals[0]) and np.signbit(vals[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.deferred(lambda: _expr_trees), st.deferred(lambda: _expr_trees))
+    def test_joint_map_matches_its_components(self, t1, t2):
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(20, 3))
+        comps = (t1, t2, Mul(t1, t2))
+        joint = SmoothMap(3, comps)
+        singles = [SmoothMap(3, (c,)) for c in comps]
+        for method in ("__call__", "value_and_jacobian"):
+            got = _outputs(joint, method, x)
+            parts = [_outputs(g, method, x) for g in singles]
+            assert (got is None) == any(p is None for p in parts)
+            if got is not None:
+                for j, whole in enumerate(got):
+                    assert np.array_equal(whole, np.concatenate([p[j] for p in parts], axis=1))
+
+
+def _outputs(f, method: str, x) -> tuple | None:
+    """The arrays f.method(x) returns, as a tuple; None if it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = getattr(f, method)(x)
+    except EvaluationError:
+        return None
+    return out if isinstance(out, tuple) else (out,)
 
 
 class TestBumpPrimitive:

@@ -4,6 +4,7 @@ import pytest
 from strathom.dsl import parse_map
 from strathom.experiments import (
     PerturbedTrialMap,
+    _fold_on_circle_witness,
     _scaled_perturbation,
     calibrate_epsilon,
     grid_points,
@@ -186,6 +187,15 @@ class TestNongenericity:
         rep = nongenericity_demo(scene, trials=12, seed=0)
         assert rep.transverse_fraction == entry.expected_transverse_fraction == 0.0
         assert len(rep.witnesses) == 12
+
+    def test_fold_search_survives_a_singular_seed(self):
+        # h = (x1, x2^2): det Dh = 2 x2 and |h|^2 - 1 vanish together at
+        # (+-1, 0); the seeds on x1 = 0, among the 8 best of the grid, have
+        # a singular residual Jacobian, which must not sink the others
+        h = parse_map("x1, x2^2", 2)
+        w = _fold_on_circle_witness(h, [[-2.0, 2.0], [-2.0, 2.0]], [5, 5], seed=0)
+        assert w is not None and w["residual"] < 1e-9
+        assert abs(abs(w["w"][0]) - 1.0) < 1e-9 and abs(w["w"][1]) < 1e-9
 
     def test_regular_scene_lacks_the_block(self, gallery_ctx):
         _, scene, _ = gallery_ctx("parallel-planes")
