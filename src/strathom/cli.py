@@ -255,17 +255,17 @@ def cmd_experiment(args) -> int:
                     base = seeded_full_rank_map(scene.ambient, seed=derive_seed(seed, "base"))
                 trials = args.trials if args.trials is not None else int(exp.get("trials", 200))
                 trial_seed = derive_seed(seed, "stability")
+                bumps = int(exp.get("bumps", 4))
                 eps = args.eps
                 if eps is None:
-                    # certify against the same seeds and trial count as the
-                    # final run, so the reported persistence is complete
+                    # certify against the same seeds, bumps and trial count
+                    # as the final run, so the reported persistence is complete
                     eps = calibrate_epsilon(
                         ctx, base, k_points, seed=trial_seed,
-                        probe_trials=10, rounds=6, certify_trials=trials,
+                        probe_trials=10, rounds=6, bumps=bumps, certify_trials=trials,
                     )
                 srep = stability_trial(
-                    ctx, base, k_points, eps, trials, seed=trial_seed,
-                    bumps=int(exp.get("bumps", 4)),
+                    ctx, base, k_points, eps, trials, seed=trial_seed, bumps=bumps,
                 )
                 report.body["stability"] = srep.to_json()
                 print(

@@ -631,28 +631,42 @@ class _Tape:
             checks[ready].append(j)
         self.steps = [step + (tuple(f), tuple(c)) for step, f, c in zip(steps, free, checks)]
 
-    def run(self, x: np.ndarray, partials: bool = False, check: bool = False):
+    def run(self, x: np.ndarray, partials: bool = False, check: str | None = None):
         """Root values (k, #roots) at the points x (k, n) and, with
-        ``partials``, their Jacobians (k, #roots, n), else None.  With
-        ``check`` the roots are domain predicates: each is checked ``> 0``
-        in order, before any node that only later roots need runs."""
+        ``partials``, their Jacobians (k, #roots, n), else None.
+
+        With ``check`` the roots are domain predicates, each checked
+        ``> 0`` in order, before any node that only later roots need
+        runs.  ``check="raise"`` raises :class:`DomainError` at the first
+        failure.  ``check="mask"`` drops a failing point from the rest of
+        the run and returns the mask (k,) of the points that pass all;
+        it runs values only."""
+        k, n = x.shape
+        rows = np.arange(k)  # the points still in the run
+        passed = None  # which of them pass every check so far
         vals: list = [None] * len(self.steps)
         ders: list = [None] * len(self.steps)
         for i, (rule, param, args, free, checks) in enumerate(self.steps):
+            if passed is not None and not passed.all():  # failed points leave the run
+                vals = [None if v is None else v[passed] for v in vals]
+                rows, x, passed = rows[passed], x[passed], None
             vals[i], ders[i] = rule(
                 param, x, [vals[a] for a in args], [ders[a] for a in args] if partials else None
             )
             for a in free:
                 vals[a] = ders[a] = None
-            if check:
-                for j in checks:
-                    bad = vals[self.outputs[j]] <= 0.0
-                    if np.any(bad):
-                        raise DomainError(
-                            f"point {x[int(np.argmax(bad))].tolist()} violates domain "
-                            f"predicate {to_source(self.roots[j])} > 0"
-                        )
-        k, n = x.shape
+            for j in checks if check else ():
+                ok = vals[self.outputs[j]] > 0.0
+                if check == "raise" and not ok.all():
+                    raise DomainError(
+                        f"point {x[int(np.argmin(ok))].tolist()} violates domain "
+                        f"predicate {to_source(self.roots[j])} > 0"
+                    )
+                passed = ok if passed is None else passed & ok
+        if check:
+            mask = np.zeros(k, bool)
+            mask[rows if passed is None else rows[passed]] = True
+            return mask
         out = np.empty((k, len(self.outputs)))
         jac = np.zeros((k, len(self.outputs), n)) if partials else None
         for j, slot in enumerate(self.outputs):
@@ -727,14 +741,16 @@ class SmoothMap:
         return vals[0] if single else vals
 
     def in_domain(self, x) -> np.ndarray | bool:
+        """Whether each point satisfies the domain predicates; a point
+        that fails one is not evaluated on the later ones."""
         arr, single = self._batch(x)
-        ok = np.all(self._domain_tape.run(arr)[0] > 0.0, axis=1)
+        ok = self._domain_tape.run(arr, check="mask")
         return bool(ok[0]) if single else ok
 
     def _evaluate(self, x, check_domain: bool, partials: bool):
         arr, single = self._batch(x)
         if check_domain and self.domain:
-            self._domain_tape.run(arr, check=True)
+            self._domain_tape.run(arr, check="raise")
         vals, jac = self._tape.run(arr, partials)
         if not (np.isfinite(vals).all() and (jac is None or np.isfinite(jac).all())):
             raise EvaluationError("non-finite value in evaluation")

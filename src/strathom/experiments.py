@@ -98,13 +98,13 @@ class AffineMap:
         return self(w), self.jacobian(w)
 
 
-def seeded_full_rank_map(n: int, seed: int, min_sv: float = 0.35) -> AffineMap:
-    """Seeded affine self-map of R^n with all singular values >= min_sv;
+def seeded_full_rank_map(n: int, seed: int) -> AffineMap:
+    """Seeded affine self-map of R^n with all singular values >= 0.35;
     full ambient rank makes it transverse to every foliated stratum."""
     rng = rng_for(seed, "base-map")
     for _ in range(100):
         a = rng.standard_normal((n, n)) / np.sqrt(n)
-        if np.linalg.svd(a, compute_uv=False)[-1] >= min_sv:
+        if np.linalg.svd(a, compute_uv=False)[-1] >= 0.35:
             return AffineMap(a, 0.05 * rng.standard_normal(n))
     raise RuntimeError("could not draw a well-conditioned base map")
 
@@ -307,12 +307,11 @@ def _leaf_bases_batch(ctx: StratifiedMapContext, stratum: Stratum, chart_points:
 
 
 def transversality_margin(
-    ctx: StratifiedMapContext, trial_map, k_points: np.ndarray, seed: int,
-    proximity: float = PROXIMITY,
+    ctx: StratifiedMapContext, trial_map, k_points: np.ndarray, seed: int
 ) -> tuple[float, np.ndarray]:
     """Smallest transversality margin of the map over the sample grid.
 
-    For each grid point whose image passes within ``proximity`` of a
+    For each grid point whose image passes within ``PROXIMITY`` of a
     stratum, the stacked matrix [Dh | leaf basis] must have full row
     rank; the margin is the ratio of its n-th to its largest singular
     value (scale-invariant: exact rank at finitely many sample points is
@@ -326,7 +325,7 @@ def transversality_margin(
     worst_point = k_points[0]
     for stratum in ctx.prestratification.strata:
         u, d = _nearest_chart_points(stratum, images, seed)
-        near = np.nonzero(d < proximity)[0]
+        near = np.nonzero(d < PROXIMITY)[0]
         if near.size == 0:
             continue
         leaf_bases = _leaf_bases_batch(ctx, stratum, u[near])
@@ -386,12 +385,11 @@ def stability_trial(
     trials: int,
     seed: int = 0,
     bumps: int = 4,
-    margin_tol: float = MARGIN_TOL,
 ) -> StabilityReport:
     """Perturb a transverse base map ``trials`` times at C^1 size eps and
     count how many stay transverse on the grid."""
     base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
-    if base_margin < margin_tol:
+    if base_margin < MARGIN_TOL:
         raise PreconditionError(
             f"base map is not transverse on the grid (margin {base_margin:.2e} "
             f"at {np.asarray(where).tolist()})"
@@ -399,7 +397,7 @@ def stability_trial(
     if trials == 0:
         return StabilityReport(
             eps=eps, trials=0, seed=seed, outcomes=(), min_margins=(),
-            fraction=None, k_count=len(k_points), margin_tol=margin_tol,
+            fraction=None, k_count=len(k_points), margin_tol=MARGIN_TOL,
             base_margin=base_margin,
         )
     outcomes: list[bool] = []
@@ -411,7 +409,7 @@ def stability_trial(
                                      eps, seed, t, bumps)
         h = PerturbedTrialMap(base_map, delta)
         margin, _ = transversality_margin(ctx, h, k_points, seed)
-        outcomes.append(margin >= margin_tol)
+        outcomes.append(margin >= MARGIN_TOL)
         margins.append(margin)
     return StabilityReport(
         eps=eps,
@@ -421,7 +419,7 @@ def stability_trial(
         min_margins=tuple(margins),
         fraction=sum(outcomes) / trials,
         k_count=len(k_points),
-        margin_tol=margin_tol,
+        margin_tol=MARGIN_TOL,
         base_margin=base_margin,
     )
 

@@ -464,8 +464,6 @@ def _find_intersections(
     center: np.ndarray,
     radius: float,
     seeds_u: np.ndarray,
-    tol: float = 1e-9,
-    iters: int = 60,
 ) -> _Intersections:
     """Gauss-Newton from chart seeds onto surface-stratum intersection
     points inside the ball.
@@ -479,12 +477,12 @@ def _find_intersections(
     and the iteration converges quadratically where the surface meets
     the stratum transversally.
 
-    Kept are solutions within ``tol`` of the surface, strictly inside
+    Kept are solutions within 1e-9 of the surface, strictly inside
     the domain, inside the ball and not at the center, with numerically
     identical ones collapsed; their surface tangents come from
     ``surface.project``.  Seeds that stall at positive distance witness
     no intersection; ``stalled`` counts the seeds whose solve was still
-    moving after ``iters`` steps.
+    moving after 60 steps.
     """
     box = np.asarray(stratum.sample_box)
 
@@ -496,7 +494,7 @@ def _find_intersections(
         return vals - q, normal, tri
 
     solved = _gauss_newton(
-        residual, seeds_u, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=iters
+        residual, seeds_u, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=60
     )
     u = solved.u
     stalled = int(np.count_nonzero(~solved.converged))
@@ -510,7 +508,7 @@ def _find_intersections(
     # the incidence point itself belongs to the base stratum, not to X;
     # solutions indistinguishable from it are boundary-limit artifacts,
     # not intersection points
-    keep = (resid < tol) & interior & (dist_center <= radius) & (dist_center > 1e-7)
+    keep = (resid < 1e-9) & interior & (dist_center <= radius) & (dist_center > 1e-7)
     u = u[keep]
     # collapse numerically identical solutions
     _, idx = np.unique(np.round(u, 7), axis=0, return_index=True)
@@ -518,6 +516,82 @@ def _find_intersections(
     vals = stratum.chart(u, check_domain=False)
     _, tangents = surface.project(vals)
     return _Intersections(u, vals, tangents, stalled)
+
+
+def _radial_verdict(
+    ctx: StratifiedMapContext,
+    condition: str,
+    x: str,
+    y: str,
+    point,
+    plan: RadialPlan | None,
+    seed: int,
+    required: Subspace,
+    probe,
+    **detail,
+) -> RegularityVerdict:
+    """Shared shrinking-radius scheme of tf and afs.
+
+    The point is located on the closure of X.  At each radius of the
+    plan, chart points of X inside the ball are drawn from the stream
+    ``rng_for(seed, condition, x, y, j)`` for the j-th radius, and
+    ``probe(radius, samples_u)`` returns the extra entries of that
+    radius's detail row and its first bad point, or None.  The first
+    radius without a bad point is the clean radius and the condition
+    holds; a bad point at every radius is a fault whose witness arc
+    lists them in radius order and sits at the last.  A radius that
+    found nothing to test counts as clean.  The witness is a
+    placeholder: no limit, vector or angle backs it.  ``detail`` entries
+    follow the radius rows and the clean radius in the verdict.
+    """
+    plan = plan or RadialPlan()
+    n = ctx.prestratification.ambient
+    center = np.asarray(point, dtype=float)
+    sx = ctx.stratum(x)
+    u0, _ = sx.locate(center, closure=True, seed=seed)
+    rows: list[dict] = []
+    bad_points: list[np.ndarray] = []
+    clean_radius: float | None = None
+    for j, r in enumerate(plan.radii()):
+        rng = rng_for(seed, condition, x, y, str(j))
+        samples_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
+        extra, bad = probe(float(r), samples_u)
+        rows.append({"radius": float(r), "samples": int(len(samples_u)), **extra})
+        if bad is not None:
+            bad_points.append(bad)
+        elif clean_radius is None:
+            clean_radius = float(r)
+    witness = None
+    if clean_radius is None:
+        witness = FaultWitness(
+            point=tuple(bad_points[-1]),
+            vector=tuple(np.zeros(n)),
+            angle=float("nan"),
+            limit=Subspace.zero(n),
+            required=required,
+            arc=ArcEvidence(
+                direction=(),
+                chart_points=np.zeros((0, sx.dim)),
+                points=np.array(bad_points),
+                tangents=(),
+                converged=True,
+                limit=None,
+                residual=0.0,
+                history=(),
+                contains_required=False,
+                worst_angle=None,
+            ),
+        )
+    return RegularityVerdict(
+        condition=condition,
+        x=x,
+        y=y,
+        point=tuple(center),
+        status=Status.FAILS if witness is not None else Status.HOLDS,
+        required=required,
+        witness=witness,
+        detail={"radii": rows, "clean_radius": clean_radius, **detail},
+    )
 
 
 def check_tf_at(
@@ -534,90 +608,38 @@ def check_tf_at(
     The surface must be transverse to the Y-leaf through the point (the
     hypothesis of the condition; violating it is an error, not a fault).
     At each radius, intersection points of the surface with X inside the
-    ball are found and transversality to the X-leaves is tested there; a
-    radius with no bad point certifies the condition at that scale,
-    while a bad point at every radius is a fault with the witness
-    sequence.
+    ball are found and transversality to the X-leaves is tested there.
+    A detail row adds the number of intersections, whether one of them
+    is non-transverse and the number of stalled seeds.  Verdict and
+    witness follow :func:`_radial_verdict`.
     """
-    plan = plan or RadialPlan()
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     uy = _base_chart_point(ctx, y, point, seed)
     leaf_y = ctx.leaf_tangent(y, uy)
-    t_surface = surface.tangent_at_center()
-    pre = transverse_at(t_surface, leaf_y, n)
+    pre = transverse_at(surface.tangent_at_center(), leaf_y, n)
     if not pre.transverse:
         raise PreconditionError(
             f"test submanifold is not transverse to the Y-leaf at {center.tolist()} "
             f"(defect {pre.defect})"
         )
     sx = ctx.stratum(x)
-    u0, _ = sx.locate(center, closure=True, seed=seed)
-    radii_detail: list[dict] = []
-    witnesses: list[tuple[float, np.ndarray, int]] = []
-    clean_radius: float | None = None
-    for j, r in enumerate(plan.radii()):
-        rng = rng_for(seed, "tf", x, y, str(j))
-        seeds_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
-        hits = _find_intersections(sx, surface, center, float(r), seeds_u)
-        bad_point = None
-        bad_defect = 0
+
+    def probe(radius: float, seeds_u: np.ndarray):
+        hits = _find_intersections(sx, surface, center, radius, seeds_u)
+        bad = None
         if len(hits.u):
-            ranks = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u))
-            short = ranks < n
+            short = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u)) < n
             if np.any(short):
-                i = int(np.argmax(short))
-                bad_point = hits.points[i]
-                bad_defect = n - int(ranks[i])
-        radii_detail.append(
-            {
-                "radius": float(r),
-                "samples": int(len(seeds_u)),
-                "intersections": int(len(hits.u)),
-                "nontransverse": bad_point is not None,
-                "stalled": hits.stalled,
-            }
-        )
-        if bad_point is None:
-            if clean_radius is None:
-                clean_radius = float(r)
-        else:
-            witnesses.append((float(r), bad_point, bad_defect))
-    if clean_radius is not None:
-        status = Status.HOLDS
-        witness = None
-    else:
-        status = Status.FAILS
-        r_w, p_w, defect = witnesses[-1]
-        witness = FaultWitness(
-            point=tuple(p_w),
-            vector=tuple(np.zeros(n)),
-            angle=float("nan"),
-            limit=Subspace.zero(n),
-            required=leaf_y,
-            arc=ArcEvidence(
-                direction=(),
-                chart_points=np.zeros((0, sx.dim)),
-                points=np.array([w[1] for w in witnesses]),
-                tangents=(),
-                converged=True,
-                limit=None,
-                residual=0.0,
-                history=(),
-                contains_required=False,
-                worst_angle=None,
-            ),
-        )
-    return RegularityVerdict(
-        condition="tf",
-        x=x,
-        y=y,
-        point=tuple(center),
-        status=status,
-        required=leaf_y,
-        witness=witness,
-        detail={"radii": radii_detail, "clean_radius": clean_radius},
-    )
+                bad = hits.points[int(np.argmax(short))]
+        row = {
+            "intersections": int(len(hits.u)),
+            "nontransverse": bad is not None,
+            "stalled": hits.stalled,
+        }
+        return row, bad
+
+    return _radial_verdict(ctx, "tf", x, y, point, plan, seed, leaf_y, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -715,86 +737,33 @@ def check_afs_at(
     tangent of the Y-leaf) restricted to X must be a submersion onto the
     leaf on every X-leaf near the point: the differential applied to the
     X-leaf tangents must keep full rank equal to the Y-leaf dimension.
+    The retraction is validated first (an invalid one is an error, not
+    a fault).  A detail row adds whether some sample drops rank, and the
+    detail adds the required rank.  Verdict and witness follow
+    :func:`_radial_verdict`.
     """
-    plan = plan or RadialPlan()
     n = ctx.prestratification.ambient
-    center = np.asarray(point, dtype=float)
     uy = _base_chart_point(ctx, y, point, seed)
     leaf_y = ctx.leaf_tangent(y, uy)
     s_req = leaf_y.dim
     if retraction is None:
-        retraction = orthogonal_retraction(center, leaf_y)
+        retraction = orthogonal_retraction(point, leaf_y)
     if retraction.n != n or retraction.m != n:
         raise PreconditionError("retraction must map the ambient space to itself")
     _validate_retraction(ctx, y, uy, retraction, seed)
     sx = ctx.stratum(x)
-    u0, _ = sx.locate(center, closure=True, seed=seed)
-    radii_detail: list[dict] = []
-    witnesses: list[tuple[float, np.ndarray, int]] = []
-    clean_radius: float | None = None
-    for j, r in enumerate(plan.radii()):
-        rng = rng_for(seed, "afs", x, y, str(j))
-        samples_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
-        bad_point = None
-        bad_rank = -1
+
+    def probe(radius: float, samples_u: np.ndarray):
+        bad = None
         if s_req and len(samples_u):  # a rank-0 requirement is vacuous
             leaves_x = ctx.leaf_tangents(sx, samples_u)
             pts = np.asarray(sx.chart(samples_u), dtype=float)
             pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
-            ranks = _ranks(np.linalg.svd(pushed, compute_uv=False))
-            low = ranks < s_req
+            low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
             if np.any(low):
-                i = int(np.argmax(low))
-                bad_point = pts[i]
-                bad_rank = int(ranks[i])
-        radii_detail.append(
-            {
-                "radius": float(r),
-                "samples": int(len(samples_u)),
-                "rank_drop": bad_point is not None,
-            }
-        )
-        if bad_point is None:
-            if clean_radius is None:
-                clean_radius = float(r)
-        else:
-            witnesses.append((float(r), bad_point, bad_rank))
-    if clean_radius is not None:
-        status = Status.HOLDS
-        witness = None
-    else:
-        status = Status.FAILS
-        _, p_w, rank_w = witnesses[-1]
-        witness = FaultWitness(
-            point=tuple(p_w),
-            vector=tuple(np.zeros(n)),
-            angle=float("nan"),
-            limit=Subspace.zero(n),
-            required=leaf_y,
-            arc=ArcEvidence(
-                direction=(),
-                chart_points=np.zeros((0, sx.dim)),
-                points=np.array([w[1] for w in witnesses]),
-                tangents=(),
-                converged=True,
-                limit=None,
-                residual=0.0,
-                history=(),
-                contains_required=False,
-                worst_angle=None,
-            ),
-        )
-    return RegularityVerdict(
-        condition="afs",
-        x=x,
-        y=y,
-        point=tuple(center),
-        status=status,
-        required=leaf_y,
-        witness=witness,
-        detail={
-            "radii": radii_detail,
-            "clean_radius": clean_radius,
-            "required_rank": s_req,
-        },
+                bad = pts[int(np.argmax(low))]
+        return {"rank_drop": bad is not None}, bad
+
+    return _radial_verdict(
+        ctx, "afs", x, y, point, plan, seed, leaf_y, probe, required_rank=s_req
     )

@@ -123,13 +123,10 @@ class Report:
         payload.pop("timing")
         return canonical_json(payload)
 
-    def write(self, path, pretty: bool = True) -> None:
+    def write(self, path) -> None:
         payload = self.finish()
         with open(path, "w") as fh:
-            if pretty:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            else:
-                fh.write(canonical_json(payload))
+            json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -192,14 +192,14 @@ class Stratum:
         point,
         closure: bool = False,
         seed: int = 0,
-        starts: int = 8,
-        iters: int = 80,
     ) -> tuple[np.ndarray, float]:
         """Chart coordinates of the nearest chart image to ``point``.
 
         Returns (u, distance).  With ``closure=True`` the domain
         predicates may sit at zero (boundary points are eligible);
-        otherwise the result must lie strictly inside the domain.
+        otherwise the result must lie strictly inside the domain.  The
+        solve starts from the inverse hint, the box center and 8 seeded
+        points of the sample box, for at most 80 steps each.
         """
         p = np.asarray(point, dtype=float)
         box = np.asarray(self.sample_box)
@@ -208,7 +208,7 @@ class Stratum:
             seeds_list.append(np.asarray(self.inverse_hint(p, check_domain=False), dtype=float))
         seeds_list.append(box.mean(axis=1))
         rng = rng_for(seed, "locate", self.name)
-        for _ in range(starts):
+        for _ in range(8):
             seeds_list.append(rng.uniform(box[:, 0], box[:, 1]))
 
         def residual(u, _idx):
@@ -220,7 +220,7 @@ class Stratum:
         # singular on an open boundary (log, sqrt)
         u = _gauss_newton(
             residual, np.array(seeds_list), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
-            tol=1e-13, max_iter=iters,
+            tol=1e-13, max_iter=80,
         ).u
         vals = self.chart(u, check_domain=False)
         dists = np.linalg.norm(vals - p, axis=1)
@@ -606,7 +606,6 @@ def validate_prestratification(
     prestratification: Prestratification,
     samples: int = 40,
     seed: int = 0,
-    frontier_probe: bool = True,
 ) -> PrestratificationReport:
     """Sampled validation: immersions, disjointness, incidences, frontier.
 
@@ -656,10 +655,7 @@ def validate_prestratification(
         approach_sequence(P, inc.x, inc.point, seed=seed)  # raises if unreachable
         confirmed += 1
 
-    probes: list[FrontierProbe] = []
-    if frontier_probe:
-        for s in P.strata:
-            probes.append(_probe_frontier(P, s, sampled[s.name], seed))
+    probes = [_probe_frontier(P, s, sampled[s.name], seed) for s in P.strata]
     statuses = {p.status for p in probes}
     if "violated" in statuses:
         frontier_status = "violated"
@@ -727,9 +723,10 @@ def _probe_frontier(
     )
 
 
-def _walk_to_boundary(pred: SmoothMap, u: np.ndarray, t_max: float = 8.0) -> np.ndarray | None:
-    """March from an interior point against the predicate gradient until
-    the predicate crosses zero; bisect the crossing."""
+def _walk_to_boundary(pred: SmoothMap, u: np.ndarray) -> np.ndarray | None:
+    """March from an interior point against the predicate gradient, in
+    doubling steps up to 8 chart units, until the predicate crosses zero;
+    bisect the crossing."""
     val, jac = pred.value_and_jacobian(u)
     grad = jac[0]
     norm = np.linalg.norm(grad)
@@ -738,7 +735,7 @@ def _walk_to_boundary(pred: SmoothMap, u: np.ndarray, t_max: float = 8.0) -> np.
     direction = -grad / norm
     lo, hi = 0.0, None
     t = min(1.0, float(val[0]) / norm + 1e-3)
-    while t <= t_max:
+    while t <= 8.0:
         if pred(u + t * direction)[0] <= 0.0:
             hi = t
             break

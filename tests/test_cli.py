@@ -145,6 +145,29 @@ class TestExperiment:
         assert len(lines) == 6
         assert all(line.endswith(",1") for line in lines[1:])
 
+    def test_calibration_uses_the_scene_bumps(self, tmp_path, monkeypatch, capsys):
+        import strathom.cli as cli_mod
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "bumps": 2}
+        path = tmp_path / "two-bumps.json"
+        path.write_text(json.dumps(scene))
+        seen = []
+        original = cli_mod.calibrate_epsilon
+
+        def calibrate(*args, **kwargs):
+            seen.append(kwargs.get("bumps"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "calibrate_epsilon", calibrate)
+        rc = main(["experiment", str(path), "--stability", "--trials", "3", "--seed", "1",
+                   "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK
+        assert seen == [2]
+        # an eps certified on 4-bump fields lets one of these 2-bump trials fail
+        assert "persisted fraction: 1.0" in capsys.readouterr().out
+
     def test_nongeneric_scene_under_stability_flag(self, scene_path_factory, tmp_path, capsys):
         csv = tmp_path / "n.csv"
         rc = main(["experiment", scene_path_factory("cubic-graph"), "--stability",

@@ -183,6 +183,14 @@ class TestEval:
         with pytest.raises(DomainError, match=r"x1 > 0"):
             f.value_and_jacobian([-1.0])
 
+    def test_in_domain_checks_predicates_in_order_per_point(self):
+        # x1 = -1 fails the first predicate and never reaches the log;
+        # x1 = 0.5 passes it and fails the second
+        f = parse_map("x1", 1, domain=("x1", "log(x1)"))
+        assert f.in_domain([[-1.0], [2.0]]).tolist() == [False, True]
+        assert f.in_domain([[0.5], [-1.0], [2.0]]).tolist() == [False, False, True]
+        assert f.in_domain([-1.0]) is False
+
     def test_log_of_negative(self):
         f = parse_map("log(x1)", 1)
         with pytest.raises(EvaluationError):

@@ -9,6 +9,7 @@ from strathom.dsl import DomainError, parse_map
 from strathom.gallery import gallery_names
 from strathom.grassmann import Subspace, grassmann_distance, kernel, span_of
 from strathom.regularity import check_afs_at, check_tf_at, random_test_surface
+from strathom.report import verdict_to_json
 from strathom.seeds import rng_for
 from strathom.strata import NumericalInconsistencyError
 
@@ -93,7 +94,8 @@ class TestKernel:
 
 
 # detail["radii"] rows (samples, intersections, stalled) and (samples,),
-# seed 0, default radial plan
+# seed 0, default radial plan; a faulted scene fails tf and afs at every
+# radius, the other holds from the first
 RECORDED = {
     "blowup": (
         True,
@@ -127,3 +129,18 @@ def test_radial_details_match_recorded_values(gallery_ctx, name):
     assert afs.detail["radii"] == [
         {"radius": r, "samples": k, "rank_drop": faulted} for r, k in zip(radii, afs_rows)
     ]
+    assert afs.detail["required_rank"] == 1
+    for v in (tf, afs):
+        out = verdict_to_json(v)
+        if not faulted:
+            assert (out["status"], out["detail"]["clean_radius"]) == ("holds-on-samples", 0.5)
+            assert "witness" not in out
+            continue
+        assert (out["status"], out["detail"]["clean_radius"]) == ("fails-with-witness", None)
+        # one bad point per radius, in radius order; the witness sits at the last
+        assert len(v.witness.arc.points) == 10
+        assert v.witness.point == tuple(v.witness.arc.points[-1])
+        w = out["witness"]
+        assert len(w["arc_points"]) == 10 and w["point"] == w["arc_points"][-1]
+        # placeholders: no vector, angle or limit backs a radial fault
+        assert (w["vector"], w["angle"], w["limit"]) == ([0.0, 0.0, 0.0], None, [])
