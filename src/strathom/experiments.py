@@ -250,7 +250,14 @@ def _scaled_perturbation(
 
 def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Batched point location: chart coordinates and distances of the
-    nearest stratum point for each query (closure sense)."""
+    nearest stratum point for each query (closure sense).
+
+    Every query runs from 2 starts (inverse hint, box center) or, without
+    a hint, 4 (box center and 3 seeded box points).  All starts of all
+    queries run in one solve; then, per query, the starts are folded in
+    order and a later one replaces the best only if strictly nearer, so
+    ties keep the earlier start.
+    """
     box = np.asarray(stratum.sample_box)
     k = len(points)
     starts: list[np.ndarray] = []
@@ -267,22 +274,17 @@ def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tu
 
     def residual(u, idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        return vals - points[idx], jacs
+        return vals - points[idx % k], jacs
 
-    best_u = None
-    best_d = np.full(k, np.inf)
-    for u0 in starts:
-        u = _gauss_newton(residual, u0, lo, hi, tol=1e-12, max_iter=40).u
-        vals = stratum.chart(u, check_domain=False)
-        margins = stratum.domain_margins(u)
-        admissible = np.all(margins >= -1e-8, axis=1)
-        d = np.where(admissible, np.linalg.norm(vals - points, axis=1), np.inf)
-        if best_u is None:
-            best_u, best_d = u, d
-        else:
-            better = d < best_d
-            best_u[better] = u[better]
-            best_d[better] = d[better]
+    u = _gauss_newton(residual, np.concatenate(starts), lo, hi, tol=1e-12, max_iter=40).u
+    vals = stratum.chart(u, check_domain=False)
+    admissible = np.all(stratum.domain_margins(u) >= -1e-8, axis=1)
+    d = np.where(admissible, np.linalg.norm(vals - points[np.arange(len(u)) % k], axis=1), np.inf)
+    (best_u, *later_u), (best_d, *later_d) = np.split(u, len(starts)), np.split(d, len(starts))
+    for u_s, d_s in zip(later_u, later_d):
+        better = d_s < best_d
+        best_u[better] = u_s[better]
+        best_d[better] = d_s[better]
     return best_u, best_d
 
 

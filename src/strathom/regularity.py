@@ -462,11 +462,11 @@ def _find_intersections(
     stratum: Stratum,
     surface,
     center: np.ndarray,
-    radius: float,
-    seeds_u: np.ndarray,
-) -> _Intersections:
+    radii: list[float],
+    seeds: list[np.ndarray],
+) -> list[_Intersections]:
     """Gauss-Newton from chart seeds onto surface-stratum intersection
-    points inside the ball.
+    points inside the balls of the given radii, one result per radius.
 
     With ``q, F = surface.nearest(psi(u))`` (nearest surface point and
     its orthonormal tangent frame) and the chart Jacobian J = QR, each
@@ -477,12 +477,15 @@ def _find_intersections(
     and the iteration converges quadratically where the surface meets
     the stratum transversally.
 
-    Kept are solutions within 1e-9 of the surface, strictly inside
-    the domain, inside the ball and not at the center, with numerically
-    identical ones collapsed; their surface tangents come from
+    The seeds of all radii run in one solve; each seed's iterates do not
+    depend on the others in the batch, so the result is the same as one
+    solve per radius.  Then, per radius, kept are the solutions of its
+    own seeds within 1e-9 of the surface, strictly inside the domain,
+    inside its ball and not at the center, with numerically identical
+    ones collapsed; their surface tangents come from
     ``surface.project``.  Seeds that stall at positive distance witness
-    no intersection; ``stalled`` counts the seeds whose solve was still
-    moving after 60 steps.
+    no intersection; ``stalled`` counts the radius's seeds whose solve
+    was still moving after 60 steps.
     """
     box = np.asarray(stratum.sample_box)
 
@@ -494,28 +497,31 @@ def _find_intersections(
         return vals - q, normal, tri
 
     solved = _gauss_newton(
-        residual, seeds_u, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=60
+        residual, np.concatenate(seeds), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+        tol=1e-14, max_iter=60,
     )
-    u = solved.u
-    stalled = int(np.count_nonzero(~solved.converged))
-    vals = stratum.chart(u, check_domain=False)
+    vals = stratum.chart(solved.u, check_domain=False)
     resid = np.linalg.norm(vals - surface.nearest(vals)[0], axis=1)
-    margins = stratum.domain_margins(u)
+    margins = stratum.domain_margins(solved.u)
     # strict positivity only: intersection points may hug the domain
     # boundary arbitrarily closely (that is what faults look like)
-    interior = np.all(margins > 0.0, axis=1) if margins.size else np.ones(len(u), bool)
+    interior = np.all(margins > 0.0, axis=1) if margins.size else np.ones(len(vals), bool)
     dist_center = np.linalg.norm(vals - center, axis=1)
     # the incidence point itself belongs to the base stratum, not to X;
     # solutions indistinguishable from it are boundary-limit artifacts,
     # not intersection points
-    keep = (resid < 1e-9) & interior & (dist_center <= radius) & (dist_center > 1e-7)
-    u = u[keep]
-    # collapse numerically identical solutions
-    _, idx = np.unique(np.round(u, 7), axis=0, return_index=True)
-    u = u[np.sort(idx)]
-    vals = stratum.chart(u, check_domain=False)
-    _, tangents = surface.project(vals)
-    return _Intersections(u, vals, tangents, stalled)
+    on_surface = (resid < 1e-9) & interior & (dist_center > 1e-7)
+    out: list[_Intersections] = []
+    bounds = np.cumsum([0] + [len(s) for s in seeds])
+    for radius, lo, hi in zip(radii, bounds[:-1], bounds[1:]):
+        kept = lo + np.flatnonzero(on_surface[lo:hi] & (dist_center[lo:hi] <= radius))
+        # collapse numerically identical solutions
+        _, idx = np.unique(np.round(solved.u[kept], 7), axis=0, return_index=True)
+        kept = kept[np.sort(idx)]
+        _, tangents = surface.project(vals[kept])
+        stalled = int(np.count_nonzero(~solved.converged[lo:hi]))
+        out.append(_Intersections(solved.u[kept], vals[kept], tangents, stalled))
+    return out
 
 
 def _radial_verdict(
@@ -532,17 +538,18 @@ def _radial_verdict(
 ) -> RegularityVerdict:
     """Shared shrinking-radius scheme of tf and afs.
 
-    The point is located on the closure of X.  At each radius of the
+    The point is located on the closure of X.  For each radius of the
     plan, chart points of X inside the ball are drawn from the stream
-    ``rng_for(seed, condition, x, y, j)`` for the j-th radius, and
-    ``probe(radius, samples_u)`` returns the extra entries of that
-    radius's detail row and its first bad point, or None.  The first
-    radius without a bad point is the clean radius and the condition
-    holds; a bad point at every radius is a fault whose witness arc
-    lists them in radius order and sits at the last.  A radius that
-    found nothing to test counts as clean.  The witness is a
-    placeholder: no limit, vector or angle backs it.  ``detail`` entries
-    follow the radius rows and the clean radius in the verdict.
+    ``rng_for(seed, condition, x, y, j)`` for the j-th radius.  Then
+    ``probe(radii, samples)`` runs once over all radii (tf solves the
+    seeds of every radius together) and returns, per radius, the extra
+    entries of its detail row and its first bad point, or None.  The
+    first radius without a bad point is the clean radius and the
+    condition holds; a bad point at every radius is a fault whose
+    witness arc lists them in radius order and sits at the last.  A
+    radius that found nothing to test counts as clean.  The witness is
+    a placeholder: no limit, vector or angle backs it.  ``detail``
+    entries follow the radius rows and the clean radius in the verdict.
     """
     plan = plan or RadialPlan()
     n = ctx.prestratification.ambient
@@ -552,15 +559,17 @@ def _radial_verdict(
     rows: list[dict] = []
     bad_points: list[np.ndarray] = []
     clean_radius: float | None = None
-    for j, r in enumerate(plan.radii()):
-        rng = rng_for(seed, condition, x, y, str(j))
-        samples_u = _samples_in_ball(sx, u0, center, float(r), plan.samples, rng)
-        extra, bad = probe(float(r), samples_u)
-        rows.append({"radius": float(r), "samples": int(len(samples_u)), **extra})
+    radii = [float(r) for r in plan.radii()]
+    samples = [
+        _samples_in_ball(sx, u0, center, r, plan.samples, rng_for(seed, condition, x, y, str(j)))
+        for j, r in enumerate(radii)
+    ]
+    for r, samples_u, (extra, bad) in zip(radii, samples, probe(radii, samples)):
+        rows.append({"radius": r, "samples": int(len(samples_u)), **extra})
         if bad is not None:
             bad_points.append(bad)
         elif clean_radius is None:
-            clean_radius = float(r)
+            clean_radius = r
     witness = None
     if clean_radius is None:
         witness = FaultWitness(
@@ -607,8 +616,9 @@ def check_tf_at(
 
     The surface must be transverse to the Y-leaf through the point (the
     hypothesis of the condition; violating it is an error, not a fault).
-    At each radius, intersection points of the surface with X inside the
-    ball are found and transversality to the X-leaves is tested there.
+    Intersection points of the surface with X are found by one solve
+    over the seeds of all radii; at each radius, those inside its ball
+    are tested for transversality to the X-leaves.
     A detail row adds the number of intersections, whether one of them
     is non-transverse and the number of stalled seeds.  Verdict and
     witness follow :func:`_radial_verdict`.
@@ -625,19 +635,21 @@ def check_tf_at(
         )
     sx = ctx.stratum(x)
 
-    def probe(radius: float, seeds_u: np.ndarray):
-        hits = _find_intersections(sx, surface, center, radius, seeds_u)
-        bad = None
-        if len(hits.u):
-            short = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u)) < n
-            if np.any(short):
-                bad = hits.points[int(np.argmax(short))]
-        row = {
-            "intersections": int(len(hits.u)),
-            "nontransverse": bad is not None,
-            "stalled": hits.stalled,
-        }
-        return row, bad
+    def probe(radii: list[float], seeds: list[np.ndarray]):
+        out = []
+        for hits in _find_intersections(sx, surface, center, radii, seeds):
+            bad = None
+            if len(hits.u):
+                short = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u)) < n
+                if np.any(short):
+                    bad = hits.points[int(np.argmax(short))]
+            row = {
+                "intersections": int(len(hits.u)),
+                "nontransverse": bad is not None,
+                "stalled": hits.stalled,
+            }
+            out.append((row, bad))
+        return out
 
     return _radial_verdict(ctx, "tf", x, y, point, plan, seed, leaf_y, probe)
 
@@ -753,16 +765,19 @@ def check_afs_at(
     _validate_retraction(ctx, y, uy, retraction, seed)
     sx = ctx.stratum(x)
 
-    def probe(radius: float, samples_u: np.ndarray):
-        bad = None
-        if s_req and len(samples_u):  # a rank-0 requirement is vacuous
-            leaves_x = ctx.leaf_tangents(sx, samples_u)
-            pts = np.asarray(sx.chart(samples_u), dtype=float)
-            pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
-            low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
-            if np.any(low):
-                bad = pts[int(np.argmax(low))]
-        return {"rank_drop": bad is not None}, bad
+    def probe(radii: list[float], samples: list[np.ndarray]):
+        out = []
+        for samples_u in samples:
+            bad = None
+            if s_req and len(samples_u):  # a rank-0 requirement is vacuous
+                leaves_x = ctx.leaf_tangents(sx, samples_u)
+                pts = np.asarray(sx.chart(samples_u), dtype=float)
+                pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
+                low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
+                if np.any(low):
+                    bad = pts[int(np.argmax(low))]
+            out.append(({"rank_drop": bad is not None}, bad))
+        return out
 
     return _radial_verdict(
         ctx, "afs", x, y, point, plan, seed, leaf_y, probe, required_rank=s_req

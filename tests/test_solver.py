@@ -1,14 +1,22 @@
 """The shared per-point Gauss-Newton solver and the point location built on it."""
 
 import numpy as np
+import pytest
 
-from strathom import regularity
+from strathom import experiments, regularity
 from strathom.dsl import parse_map
-from strathom.experiments import grid_points, seeded_full_rank_map, transversality_margin
+from strathom.experiments import (
+    _nearest_chart_points,
+    grid_points,
+    seeded_full_rank_map,
+    transversality_margin,
+)
+from strathom.gallery import gallery_entry
 from strathom.grassmann import span_of
 from strathom.regularity import (
     AffineSurface,
     ChartSurface,
+    RadialPlan,
     Status,
     _find_intersections,
     _samples_in_ball,
@@ -122,7 +130,7 @@ class TestReferenceValues:
         seeds_u = _samples_in_ball(
             halfplane, u0, center, 0.5, 200, rng_for(0, "tf", "S1", "S2", "0")
         )[:10]
-        u, points, tangents, _ = _find_intersections(halfplane, surface, center, 0.5, seeds_u)
+        u, points, tangents, _ = _find_intersections(halfplane, surface, center, [0.5], [seeds_u])[0]
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(points[:, :2] - expected)) < 1e-12
         assert np.all(points[:, 2] == 0.0)
@@ -153,7 +161,7 @@ class TestIntersectionSearch:
             base=np.zeros(3), space=span_of([[1, 0, 0], [0, np.cos(angle), np.sin(angle)]], n=3)
         )
         seeds_u = rng_for(0, "one-degree").uniform(-0.9, 0.9, size=(50, 2))
-        hits = _find_intersections(plane, surface, np.zeros(3), 2.0, seeds_u)
+        (hits,) = _find_intersections(plane, surface, np.zeros(3), [2.0], [seeds_u])
         (solved,) = solves
         assert np.all(solved.converged)
         assert np.all(solved.iterations <= 2)
@@ -170,8 +178,8 @@ class TestIntersectionSearch:
         seeds_u = rng_for(0, "chart-invariance").uniform(-1.0, 1.0, size=(40, 2))
         seeds_y = np.column_stack([seeds_u[:, 0] / 10, seeds_u[:, 1] - seeds_u[:, 0] / 10])
         center = np.array([0.0, 0.0, 1.0])
-        hits = _find_intersections(plane, PARABOLIC_SHEET, center, 3.0, seeds_u)
-        hits_y = _find_intersections(stretched, PARABOLIC_SHEET, center, 3.0, seeds_y)
+        (hits,) = _find_intersections(plane, PARABOLIC_SHEET, center, [3.0], [seeds_u])
+        (hits_y,) = _find_intersections(stretched, PARABOLIC_SHEET, center, [3.0], [seeds_y])
         assert len(hits.u) == len(hits_y.u) == 40
         assert hits.stalled == hits_y.stalled == 0
         assert np.max(np.abs(hits.points - hits_y.points)) < 1e-12
@@ -211,3 +219,120 @@ class TestIntersectionSearch:
         assert all(r["intersections"] > 0 for r in rows), rows
         assert all(r["nontransverse"] for r in rows)
         assert verdict.status is Status.FAILS
+
+
+def _cli_tf_case(name: str, seed: int, k: int):
+    """Context, incidence, k-th test surface and its seed, as
+    `strathom check --condition tf --seed <seed>` draws them."""
+    scene = gallery_entry(name).scene()
+    ctx = scene.build_context(seed=derive_seed(seed, "context"))
+    inc = scene.prestratification.incidences[0]
+    surface_seed = derive_seed(derive_seed(seed, "check", "tf", inc.x, inc.y), str(k))
+    return ctx, inc, random_test_surface(ctx, inc.y, inc.point, seed=surface_seed), surface_seed
+
+
+class TestStackedRadii:
+    @pytest.mark.parametrize(
+        "name, seed, k",
+        # blowup: 58-91 hits and 22-45 stalled seeds per radius;
+        # parallel-planes: 131-147 hits and 20-66 stalled seeds per radius
+        [("blowup", 20261017, 1), ("parallel-planes", 1, 4)],
+    )
+    def test_one_solve_matches_one_solve_per_radius(self, name, seed, k):
+        ctx, inc, surface, surface_seed = _cli_tf_case(name, seed, k)
+        sx = ctx.stratum(inc.x)
+        center = np.asarray(inc.point, dtype=float)
+        u0, _ = sx.locate(center, closure=True, seed=surface_seed)
+        radii = [float(r) for r in RadialPlan().radii()]
+        streams = [rng_for(surface_seed, "tf", inc.x, inc.y, str(j)) for j in range(len(radii))]
+        seeds = [_samples_in_ball(sx, u0, center, r, 200, rng) for r, rng in zip(radii, streams)]
+        stacked = _find_intersections(sx, surface, center, radii, seeds)
+        assert len(stacked) == len(radii)
+        assert sum(len(h.u) for h in stacked) > 0
+        assert sum(h.stalled for h in stacked) > 0
+        for r, seeds_u, hits in zip(radii, seeds, stacked):
+            (alone,) = _find_intersections(sx, surface, center, [r], [seeds_u])
+            assert np.array_equal(hits.u, alone.u)
+            assert np.array_equal(hits.points, alone.points)
+            assert hits.stalled == alone.stalled
+
+    def test_a_radius_without_seeds_keeps_its_row(self):
+        plane = Stratum("P", parse_map("x1, x2, 0", 2), sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        surface = AffineSurface(base=np.zeros(3), space=span_of([[1, 0, 0], [0, 0, 1]], n=3))
+        # the plane meets the surface along the x1 axis
+        seeds_u = rng_for(0, "empty-radius").uniform(-0.9, 0.9, size=(20, 2))
+        first, empty, last = _find_intersections(
+            plane, surface, np.zeros(3), [2.0, 1.0, 2.0],
+            [seeds_u[:12], np.zeros((0, 2)), seeds_u[12:]],
+        )
+        assert empty.u.shape == (0, 2) and len(empty.points) == 0
+        assert empty.tangents == [] and empty.stalled == 0
+        for hits, own in ((first, seeds_u[:12]), (last, seeds_u[12:])):
+            assert len(hits.u) == len(own) and hits.stalled == 0
+            assert np.max(np.abs(hits.u - np.column_stack([own[:, 0], np.zeros(len(own))]))) < 1e-12
+
+    def test_check_tf_at_runs_one_solve(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return _gauss_newton(*args, **kwargs)
+
+        monkeypatch.setattr(regularity, "_gauss_newton", counting)
+        ctx, inc, surface, surface_seed = _cli_tf_case("blowup", 20261017, 1)
+        verdict = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed)
+        rows = verdict.detail["radii"]
+        assert len(rows) == 10
+        assert calls == [sum(r["samples"] for r in rows)]
+
+
+class TestNearestChartPoints:
+    def test_one_solve_matches_the_per_start_fold(self, monkeypatch):
+        # no inverse hint: the box center and three seeded starts; the
+        # domain x2 > 0 makes starts that end on its edge inadmissible
+        sheet = Stratum(
+            "S",
+            parse_map("x1, x2, x1^2 - x2^2", 2, domain=("x2",)),
+            sample_box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        rng = rng_for(0, "nearest-test")
+        points = np.column_stack([
+            rng.uniform(-1.2, 1.2, 60), rng.uniform(-0.6, 1.2, 60), rng.uniform(-1.5, 1.5, 60),
+        ])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return _gauss_newton(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_gauss_newton", counting)
+        u, d = _nearest_chart_points(sheet, points, seed=3)
+        assert calls == [4 * len(points)]
+
+        box = np.asarray(sheet.sample_box)
+        start_rng = rng_for(3, "nearest", "S")
+        starts = [np.tile(box.mean(axis=1), (len(points), 1))]
+        starts += [start_rng.uniform(box[:, 0], box[:, 1], size=(len(points), 2)) for _ in range(3)]
+        best_u, best_d = None, None
+        took_later = np.zeros(len(points), dtype=bool)
+        for u0 in starts:
+            u_s = _gauss_newton(
+                _chart_residual(sheet.chart, points), u0, box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+                tol=1e-12, max_iter=40,
+            ).u
+            admissible = np.all(sheet.domain_margins(u_s) >= -1e-8, axis=1)
+            dist = np.linalg.norm(sheet.chart(u_s, check_domain=False) - points, axis=1)
+            d_s = np.where(admissible, dist, np.inf)
+            if best_u is None:
+                best_u, best_d = u_s, d_s
+            else:
+                better = d_s < best_d
+                best_u[better] = u_s[better]
+                best_d[better] = d_s[better]
+                took_later |= better
+        assert np.array_equal(u, best_u)
+        assert np.array_equal(d, best_d)
+        # the fold is exercised: later starts win somewhere, and some
+        # queries have no admissible start at all
+        assert np.any(took_later)
+        assert np.any(np.isinf(d))
