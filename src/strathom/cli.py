@@ -42,7 +42,7 @@ from .regularity import (
     random_test_surface,
 )
 from .report import Report, verdict_to_json, write_csv
-from .scene import Scene, SceneError, load_scene
+from .scene import Scene, SceneError, _plan_from, load_scene
 from .seeds import derive_seed
 from .strata import ApproachPlan, ValidationError, validate_constant_rank, validate_prestratification
 
@@ -117,23 +117,7 @@ def _load(path: str) -> Scene:
 
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
-    base = scene.plan or ApproachPlan()
-    overrides = {}
-    if args.ratio is not None:
-        overrides["ratio"] = args.ratio
-    if args.terms is not None:
-        overrides["terms"] = args.terms
-    if args.directions is not None:
-        overrides["total_directions"] = args.directions
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.angle_tol is not None:
-        overrides["angle_tol"] = args.angle_tol
-    if not overrides:
-        return base
-    from dataclasses import replace
-
-    return replace(base, **overrides)
+    return _plan_from(scene.plan or ApproachPlan(), vars(args))
 
 
 def cmd_validate(args) -> int:

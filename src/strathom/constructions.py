@@ -423,10 +423,7 @@ def destabilizing_sequence(
         img = span_of(list((rot @ base.jacobian_at_center()).T), n=n)
         if grassmann_distance(img, h_i) > 1e-8:
             raise ConstructionError(f"center image of g_{i} is not H_{i}")
-        delta_vals = gmap(ball) - base_vals
-        delta_jacs = gmap.jacobian(ball) - base_jacs
-        sup_val = float(np.max(np.linalg.norm(delta_vals, axis=1)))
-        sup_jac = float(np.max(np.linalg.svd(delta_jacs, compute_uv=False)[:, 0]))
+        c1_distance = _sampled_c1_size(gmap(ball) - base_vals, gmap.jacobian(ball) - base_jacs)
         entries.append(
             DestabilizerEntry(
                 index=i + 1,
@@ -434,7 +431,7 @@ def destabilizing_sequence(
                 leaf=leaf,
                 h_i=h_i,
                 map=gmap,
-                c1_distance=sup_val + sup_jac,
+                c1_distance=c1_distance,
                 transversality=res,
             )
         )
@@ -442,6 +439,14 @@ def destabilizing_sequence(
     if not all(b < a for a, b in zip(dists, dists[1:])):
         raise ConstructionError("sampled C^1 distances are not strictly decreasing")
     return DestabilizerSequence(base=base, y=y, radius=radius, entries=tuple(entries))
+
+
+def _sampled_c1_size(vals: np.ndarray, jacs: np.ndarray) -> float:
+    """Sampled C^1 size of a map from its values (k, m) and Jacobians
+    (k, m, n) on a sample: max |value| + max largest singular value."""
+    sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
+    sup_jac = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
+    return sup_val + sup_jac
 
 
 def _search_nonspanning(

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,18 +151,6 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
-_FUNCTION_ARITY = {
-    "exp": 1,
-    "log": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "bump": 1,
-    "min": 2,
-    "max": 2,
-}
-_NONSMOOTH = frozenset({"abs", "min", "max"})
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
@@ -230,21 +219,16 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
+    def parse_expr(self, min_prec: int = 0) -> Expr:
+        """The left-associative operators, by precedence climbing."""
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.parse_unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+        while True:
+            tok = self.peek()
+            cls = _INFIX.get(tok.text) if tok.kind == "op" else None
+            if cls is None or _OPS[cls].prec < min_prec:
+                return node
+            self.next()
+            node = cls(node, self.parse_expr(_OPS[cls].prec + 1))
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -275,14 +259,14 @@ class _Parser:
 
     def _ident(self, tok: _Token) -> Expr:
         name = tok.text
-        if name in _FUNCTION_ARITY:
+        if name in _FUNCTIONS:
             self.expect_op("(")
             args = [self.parse_expr()]
             while self.peek().kind == "op" and self.peek().text == ",":
                 self.next()
                 args.append(self.parse_expr())
             self.expect_op(")")
-            arity = _FUNCTION_ARITY[name]
+            arity = _FUNCTIONS[name].arity
             if len(args) != arity:
                 raise ParseError(
                     f"{name} takes {arity} argument(s), got {len(args)}", tok.line, tok.col
@@ -331,38 +315,28 @@ def parse_expr(source: str, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 # Printing (canonical form; parse(to_source(parse(s))) == parse(s))
 
-_PREC = {Add: 10, Sub: 10, Mul: 20, Div: 20, Neg: 30, Pow: 40, Num: 100, Var: 100, Call: 100}
-
 
 def to_source(e: Expr) -> str:
     return _print(e, 0)
 
 
 def _print(e: Expr, parent_prec: int) -> str:
-    prec = _PREC[type(e)]
     if isinstance(e, Num):
         s = repr(e.value)
         return f"({s})" if e.value < 0 else s
     if isinstance(e, Var):
-        s = f"x{e.index + 1}"
-    elif isinstance(e, Neg):
-        s = f"-{_print(e.a, prec)}"
-    elif isinstance(e, Add):
-        s = f"{_print(e.a, prec)} + {_print(e.b, prec + 1)}"
-    elif isinstance(e, Sub):
-        s = f"{_print(e.a, prec)} - {_print(e.b, prec + 1)}"
-    elif isinstance(e, Mul):
-        s = f"{_print(e.a, prec)}*{_print(e.b, prec + 1)}"
-    elif isinstance(e, Div):
-        s = f"{_print(e.a, prec)}/{_print(e.b, prec + 1)}"
-    elif isinstance(e, Pow):
-        # right-assoc: a^b^c prints as a^b^c, (a^b)^c keeps parens
-        s = f"{_print(e.a, prec + 1)}^{_print(e.b, prec)}"
-    elif isinstance(e, Call):
-        s = f"{e.fn}({', '.join(_print(a, 0) for a in e.args)})"
-    else:  # pragma: no cover
-        raise TypeError(type(e))
-    return f"({s})" if prec < parent_prec else s
+        return f"x{e.index + 1}"
+    if isinstance(e, Call):
+        return f"{e.fn}({', '.join(_print(a, 0) for a in e.args)})"
+    op = _OPS[type(e)]
+    if op.assoc == "prefix":
+        s = f"{op.symbol}{_print(e.a, op.prec)}"
+    else:
+        # the operand on the associating side may share the precedence:
+        # a - b - c prints bare, a - (b - c) and (a^b)^c keep parens
+        left, right = (op.prec, op.prec + 1) if op.assoc == "left" else (op.prec + 1, op.prec)
+        s = f"{_print(e.a, left)}{op.symbol}{_print(e.b, right)}"
+    return f"({s})" if op.prec < parent_prec else s
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +519,43 @@ def _min_max(fn, x, v, d):
     return val, np.where(pick[:, None], p, q)
 
 
-_RULES = {Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div}
-_CALLS = {
-    "exp": _exp,
-    "log": _log,
-    "sin": _sin,
-    "cos": _cos,
-    "sqrt": _sqrt,
-    "bump": _bump,
-    "abs": _abs,
-    "min": _min_max,
-    "max": _min_max,
+# ---------------------------------------------------------------------------
+# Node tables: each operator node type and each function is defined once,
+# here; lowering, printing, parsing and the smoothness check read these.
+
+
+class _Op(NamedTuple):
+    rule: Callable
+    prec: int  # binds tighter than every lower value
+    symbol: str  # as printed, spacing included
+    assoc: str  # "left", "right" or "prefix" (unary)
+
+
+class _Function(NamedTuple):
+    rule: Callable
+    arity: int
+    smooth: bool = True
+
+
+_OPS = {
+    Add: _Op(_add, 10, " + ", "left"),
+    Sub: _Op(_sub, 10, " - ", "left"),
+    Mul: _Op(_mul, 20, "*", "left"),
+    Div: _Op(_div, 20, "/", "left"),
+    Neg: _Op(_neg, 30, "-", "prefix"),
+    Pow: _Op(_pow, 40, "^", "right"),
+}
+_INFIX = {op.symbol.strip(): cls for cls, op in _OPS.items() if op.assoc == "left"}
+_FUNCTIONS = {
+    "exp": _Function(_exp, 1),
+    "log": _Function(_log, 1),
+    "sin": _Function(_sin, 1),
+    "cos": _Function(_cos, 1),
+    "sqrt": _Function(_sqrt, 1),
+    "bump": _Function(_bump, 1),
+    "abs": _Function(_abs, 1, smooth=False),
+    "min": _Function(_min_max, 2, smooth=False),
+    "max": _Function(_min_max, 2, smooth=False),
 }
 
 
@@ -575,11 +575,12 @@ def _lower(e: Expr):
     if isinstance(e, Var):
         return _var, e.index, e.index, ()
     if isinstance(e, Call):
-        return _CALLS[e.fn], e.fn, e.fn, e.args
-    if isinstance(e, Pow):
-        k = _integer_exponent(e.b)
-        return _pow, k, k, (e.a,) if k is not None else (e.a, e.b)
-    return _RULES[type(e)], None, None, (e.a,) if isinstance(e, Neg) else (e.a, e.b)
+        return _FUNCTIONS[e.fn].rule, e.fn, e.fn, e.args
+    op = _OPS[type(e)]
+    k = _integer_exponent(e.b) if isinstance(e, Pow) else None
+    if k is not None:
+        return op.rule, k, k, (e.a,)
+    return op.rule, None, None, (e.a,) if op.assoc == "prefix" else (e.a, e.b)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +719,8 @@ class SmoothMap:
 
     def require_smooth(self) -> "SmoothMap":
         """Reject non-smooth primitives in the components (not the domain)."""
-        bad = [e.fn for e in self._tape.nodes if isinstance(e, Call) and e.fn in _NONSMOOTH]
+        calls = [e.fn for e in self._tape.nodes if isinstance(e, Call)]
+        bad = [fn for fn in calls if not _FUNCTIONS[fn].smooth]
         if bad:
             raise SmoothnessError(f"non-smooth primitive {bad[0]!r} in a map declared C^1")
         return self

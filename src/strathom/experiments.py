@@ -31,6 +31,7 @@ import numpy as np
 
 from .constructions import (
     DestabilizerSequence,
+    _sampled_c1_size,
     choose_complement_H,
     destabilizing_sequence,
     frame_for_image,
@@ -178,10 +179,7 @@ class PerturbationField:
         return out, jac
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
-        vals, jacs = self.value_and_jacobian(sample)
-        vnorm = float(np.max(np.linalg.norm(vals, axis=1)))
-        jnorm = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
-        return vnorm + jnorm
+        return _sampled_c1_size(*self.value_and_jacobian(sample))
 
 
 class PerturbedTrialMap:
@@ -222,21 +220,26 @@ def make_perturbation(
     return PerturbationField(centers, radii, offsets, linears, topology=topology)
 
 
+def _c1_sample(k_box, seed: int) -> np.ndarray:
+    """The 1000 points of the box on which a perturbation's C^1 size is
+    measured; one draw serves every trial of a run."""
+    box = np.asarray(k_box)
+    return rng_for(seed, "c1-sample").uniform(box[:, 0], box[:, 1], size=(1000, len(box)))
+
+
 def _scaled_perturbation(
     ambient: int,
-    domain_dim: int,
     k_box,
+    sample: np.ndarray,
     eps: float,
     seed: int,
     trial: int,
     bumps: int,
     topology: str = "line",
 ) -> PerturbationField:
+    """Trial ``trial``'s perturbation, scaled to C^1 size eps on ``sample``."""
     rng = rng_for(seed, "perturbation", str(trial))
-    delta = make_perturbation(ambient, domain_dim, k_box, rng, bumps=bumps, topology=topology)
-    sample = rng_for(seed, "c1-sample").uniform(
-        np.asarray(k_box)[:, 0], np.asarray(k_box)[:, 1], size=(1000, domain_dim)
-    )
+    delta = make_perturbation(ambient, sample.shape[1], k_box, rng, bumps=bumps, topology=topology)
     raw = delta.sampled_c1_norm(sample)
     if raw <= 0.0:
         raise RuntimeError("degenerate perturbation draw")
@@ -396,34 +399,29 @@ def stability_trial(
             f"base map is not transverse on the grid (margin {base_margin:.2e} "
             f"at {np.asarray(where).tolist()})"
         )
-    if trials == 0:
-        return StabilityReport(
-            eps=eps, trials=0, seed=seed, outcomes=(), min_margins=(),
-            fraction=None, k_count=len(k_points), margin_tol=MARGIN_TOL,
-            base_margin=base_margin,
-        )
-    outcomes: list[bool] = []
-    margins: list[float] = []
-    m = k_points.shape[1]
-    for t in range(trials):
-        delta = _scaled_perturbation(ctx.prestratification.ambient, m,
-                                     list(zip(k_points.min(0), k_points.max(0))),
-                                     eps, seed, t, bumps)
-        h = PerturbedTrialMap(base_map, delta)
-        margin, _ = transversality_margin(ctx, h, k_points, seed)
-        outcomes.append(margin >= MARGIN_TOL)
-        margins.append(margin)
+    margins = tuple(_trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps))
+    outcomes = tuple(margin >= MARGIN_TOL for margin in margins)
     return StabilityReport(
         eps=eps,
         trials=trials,
         seed=seed,
-        outcomes=tuple(outcomes),
-        min_margins=tuple(margins),
-        fraction=sum(outcomes) / trials,
+        outcomes=outcomes,
+        min_margins=margins,
+        fraction=sum(outcomes) / trials if trials else None,
         k_count=len(k_points),
         margin_tol=MARGIN_TOL,
         base_margin=base_margin,
     )
+
+
+def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps):
+    """Transversality margins of the perturbed trial maps, lazily and in
+    trial order, so a caller can stop at the first failure."""
+    box = list(zip(k_points.min(0), k_points.max(0)))
+    sample = _c1_sample(box, seed)
+    for t in range(trials):
+        delta = _scaled_perturbation(ctx.prestratification.ambient, box, sample, eps, seed, t, bumps)
+        yield transversality_margin(ctx, PerturbedTrialMap(base_map, delta), k_points, seed)[0]
 
 
 def calibrate_epsilon(
@@ -446,19 +444,10 @@ def calibrate_epsilon(
     base_margin, _ = transversality_margin(ctx, base_map, k_points, seed)
     lo = 0.0
     hi = max(base_margin / 4.0, 1e-4)
-    m = k_points.shape[1]
-    box = list(zip(k_points.min(0), k_points.max(0)))
 
     def all_pass(eps: float, trials: int) -> bool:
-        # lazy variant of stability_trial: bail at the first failed trial
-        for t in range(trials):
-            delta = _scaled_perturbation(
-                ctx.prestratification.ambient, m, box, eps, seed, t, bumps
-            )
-            margin, _ = transversality_margin(ctx, PerturbedTrialMap(base_map, delta), k_points, seed)
-            if margin < MARGIN_TOL:
-                return False
-        return True
+        margins = _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps)
+        return all(margin >= MARGIN_TOL for margin in margins)
 
     for _ in range(12):
         if not all_pass(hi, probe_trials):
@@ -664,9 +653,10 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
     eps = float(exp.get("eps", 0.05)) if eps is None else eps
     trials = int(exp.get("trials", 50)) if trials is None else trials
     witnesses: list[dict] = []
+    sample = _c1_sample(box, seed)
     for t in range(trials):
         delta = _scaled_perturbation(
-            scene.ambient, g.n, box, eps, seed, t,
+            scene.ambient, box, sample, eps, seed, t,
             bumps=int(exp.get("bumps", 3)), topology="circle" if topology == "circle" else "line",
         )
         h = PerturbedTrialMap(g, delta)

@@ -37,6 +37,7 @@ from .strata import (
     StratifiedMapContext,
     Stratum,
     _gauss_newton,
+    _tangent_frames,
     approach_sequence,
 )
 
@@ -284,8 +285,7 @@ def check_whitney_a_at(
 
 def _stratum_tangents(stratum: Stratum, U) -> tuple[Subspace, ...]:
     """Column spans of the chart Jacobians at chart points U (k, d)."""
-    bases, sv, _ = np.linalg.svd(stratum.chart.jacobian(U), full_matrices=False)
-    return tuple(Subspace(b[:, :r]) for b, r in zip(bases, _ranks(sv)))
+    return tuple(Subspace(b) for b in _tangent_frames(stratum, U, stratum.chart.jacobian(U)))
 
 
 def check_af_pair(

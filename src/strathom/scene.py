@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import jsonschema
@@ -190,16 +190,7 @@ def scene_from_dict(data: dict) -> Scene:
         prestrat = Prestratification(ambient=n, strata=tuple(strata), incidences=incidences)
     except (ValueError, KeyError) as exc:
         raise SceneError(str(exc)) from exc
-    plan = None
-    if "plan" in data:
-        p = data["plan"]
-        plan = ApproachPlan(
-            ratio=p.get("ratio", 0.7),
-            terms=p.get("terms", 60),
-            total_directions=p.get("directions", 8),
-            window=p.get("window", 5),
-            angle_tol=p.get("angle_tol", 1e-6),
-        )
+    plan = _plan_from(ApproachPlan(), data["plan"]) if "plan" in data else None
     return Scene(
         raw=data,
         name=data.get("name", "scene"),
@@ -210,6 +201,24 @@ def scene_from_dict(data: dict) -> Scene:
         witness=data.get("witness"),
         experiments=data.get("experiments"),
     )
+
+
+# the plan keys of a scene, which are also `strathom check` options,
+# and the ApproachPlan fields they set
+_PLAN_FIELDS = {
+    "ratio": "ratio",
+    "terms": "terms",
+    "directions": "total_directions",
+    "window": "window",
+    "angle_tol": "angle_tol",
+}
+
+
+def _plan_from(base: ApproachPlan, values: dict) -> ApproachPlan:
+    """``base`` with a field replaced for every plan key present (and
+    not None) in ``values``."""
+    fields = {f: values[k] for k, f in _PLAN_FIELDS.items() if values.get(k) is not None}
+    return replace(base, **fields)
 
 
 def load_scene(path: str | Path) -> Scene:

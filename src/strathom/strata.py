@@ -20,12 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import SmoothMap
-from .grassmann import Subspace, _ranks, span_of
+from .grassmann import Subspace, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
 APPROACH_TOL = 1e-7  # how close the last arc term must come to y
-IMMERSION_RTOL = 1e-8
 
 __all__ = [
     "Stratum",
@@ -246,13 +245,23 @@ class Stratum:
 
 def tangent_space(stratum: Stratum, u) -> Subspace:
     """Column span of the chart Jacobian; errors if the rank drops below d."""
-    jac = stratum.chart.jacobian(u)
-    space = span_of(list(jac.T), n=stratum.ambient, rtol=IMMERSION_RTOL)
-    if space.dim != stratum.dim:
+    u = np.asarray(u, dtype=float)
+    return Subspace(_tangent_frames(stratum, u[None], stratum.chart.jacobian(u)[None])[0])
+
+
+def _tangent_frames(stratum: Stratum, U: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (k, n, d) from the chart Jacobians
+    (k, n, d) at chart points U (k, d), cut at the ``_ranks`` cutoff;
+    :class:`ImmersionError` names the first point of rank below d."""
+    frames, sv, _ = np.linalg.svd(jacs, full_matrices=False)
+    ranks = _ranks(sv)
+    bad = ranks < stratum.dim
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise ImmersionError(
-            f"chart of {stratum.name!r} has rank {space.dim} < {stratum.dim} at {np.asarray(u).tolist()}"
+            f"chart of {stratum.name!r} has rank {ranks[i]} < {stratum.dim} at {U[i].tolist()}"
         )
-    return space
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +425,7 @@ class StratifiedMapContext:
         if len(U) == 0:
             return np.zeros((0, n, leaf_dim))
         points, chart_jacs = s.chart.value_and_jacobian(U)
-        tangents, t_sv, _ = np.linalg.svd(chart_jacs, full_matrices=False)
-        bad = _ranks(t_sv, IMMERSION_RTOL) != d
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ImmersionError(f"chart of {s.name!r} loses rank at {U[i].tolist()}")
+        tangents = _tangent_frames(s, U, chart_jacs)
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))
         _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)
@@ -619,13 +624,7 @@ def validate_prestratification(
         rng = rng_for(seed, "validate", s.name)
         pts = s.sample_chart_points(samples, rng)
         sampled[s.name] = pts
-        jacs = s.chart.jacobian(pts)
-        ranks = _ranks(np.linalg.svd(jacs, compute_uv=False))
-        if not np.all(ranks == s.dim):
-            bad = int(np.argmax(ranks != s.dim))
-            raise ImmersionError(
-                f"chart of {s.name!r} has rank {ranks[bad]} < {s.dim} at {pts[bad].tolist()}"
-            )
+        _tangent_frames(s, pts, s.chart.jacobian(pts))
 
     # overlap: a sampled point of one stratum claimed by another
     for a in P.strata:

@@ -102,6 +102,18 @@ class TestCheck:
                    "--seed", "1", "--ratio", "0.5", "--terms", "40"])
         assert rc == EXIT_FAULT
 
+    def test_plan_flags_replace_only_the_fields_given(self):
+        from argparse import Namespace
+
+        from strathom.cli import _plan_from_args
+        from strathom.gallery import gallery_entry
+        from strathom.scene import scene_from_dict
+        from strathom.strata import ApproachPlan
+
+        scene = scene_from_dict(dict(gallery_entry("parallel-planes").scene_dict, plan={"terms": 40}))
+        args = Namespace(ratio=None, terms=None, directions=3, window=None, angle_tol=None)
+        assert _plan_from_args(scene, args) == ApproachPlan(terms=40, total_directions=3)
+
     def test_inconclusive_exit_code(self, scene_path_factory, monkeypatch):
         import strathom.cli as cli_mod
         from strathom.regularity import RegularityVerdict, Status

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import strathom.experiments as experiments
 from strathom.dsl import parse_map
 from strathom.experiments import (
     PerturbedTrialMap,
+    _c1_sample,
     _fold_on_circle_witness,
     _scaled_perturbation,
     calibrate_epsilon,
@@ -19,6 +21,9 @@ from strathom.experiments import (
 )
 from strathom.regularity import PreconditionError
 from strathom.seeds import rng_for
+
+CUBE = [[-1, 1]] * 3
+CIRCLE = [[-np.pi, np.pi]]
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +59,7 @@ class TestPerturbationField:
         # the line topology's displacement Jacobian is the identity; the
         # direct contraction must agree bit for bit with the explicit
         # product through a broadcast identity
-        delta = _scaled_perturbation(3, 3, [[-1, 1]] * 3, 0.25, 0, 0, 4)
+        delta = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 0), 0.25, 0, 0, 4)
         w = grid_points([[-1.0, 1.0]] * 3, [6, 6, 6])
         val, dval, disp, _ = delta._humps(w)
         payload = delta.offsets[None, :, :] + np.einsum("bnm,kbm->kbn", delta.linears, disp)
@@ -71,7 +76,7 @@ class TestPerturbationField:
         ],
     )
     def test_value_and_jacobian_equal_separate_calls(self, topology, base, box):
-        delta = _scaled_perturbation(base.m, len(box), box, 0.2, 3, 1, 4, topology=topology)
+        delta = _scaled_perturbation(base.m, box, _c1_sample(box, 3), 0.2, 3, 1, 4, topology=topology)
         lo, hi = np.asarray(box, dtype=float).T
         w = rng_for(3, "vj-test").uniform(lo, hi, size=(40, len(box)))
         for fn in (delta, PerturbedTrialMap(base, delta)):
@@ -81,19 +86,19 @@ class TestPerturbationField:
                 assert np.array_equal(jac, fn.jacobian(pts))
 
     def test_circle_field_is_periodic(self):
-        delta = _scaled_perturbation(2, 1, [[-np.pi, np.pi]], 0.1, 0, 0, 3, topology="circle")
+        delta = _scaled_perturbation(2, CIRCLE, _c1_sample(CIRCLE, 0), 0.1, 0, 0, 3, topology="circle")
         left = delta(np.array([-np.pi]))
         right = delta(np.array([np.pi]))
         assert np.max(np.abs(left - right)) < 1e-12
 
     def test_scaling_hits_the_requested_size(self):
-        delta = _scaled_perturbation(3, 3, [[-1, 1]] * 3, 0.25, 0, 0, 4)
+        delta = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 0), 0.25, 0, 0, 4)
         sample = rng_for(0, "c1-sample").uniform(-1, 1, size=(1000, 3))
         assert delta.sampled_c1_norm(sample) == pytest.approx(0.25, rel=1e-9)
 
     def test_replayable_from_seed(self):
-        a = _scaled_perturbation(3, 3, [[-1, 1]] * 3, 0.25, 7, 3, 4)
-        b = _scaled_perturbation(3, 3, [[-1, 1]] * 3, 0.25, 7, 3, 4)
+        a = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 7), 0.25, 7, 3, 4)
+        b = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 7), 0.25, 7, 3, 4)
         pts = rng_for(1, "probe").uniform(-1, 1, size=(8, 3))
         assert a(pts).tobytes() == b(pts).tobytes()
 
@@ -145,6 +150,19 @@ class TestStability:
         assert eps > 0
         report = stability_trial(ctx, base, k_points, eps, trials=20, seed=0)
         assert report.fraction == 1.0
+
+    def test_calibration_stops_at_the_first_failed_trial(self, planes_setup, monkeypatch):
+        ctx, k_points, base = planes_setup
+        calls = []
+
+        def margin(ctx, h, k_points, seed):  # the base map passes, every trial fails
+            calls.append(h)
+            return (1.0 if h is base else 0.0), None
+
+        monkeypatch.setattr(experiments, "transversality_margin", margin)
+        with pytest.raises(RuntimeError, match="no positive perturbation size"):
+            calibrate_epsilon(ctx, base, k_points, probe_trials=10, rounds=3)
+        assert len(calls) == 1 + 1 + 3  # the base map, then one trial per probe batch
 
     def test_report_replays_bit_identically(self, planes_setup):
         ctx, k_points, base = planes_setup

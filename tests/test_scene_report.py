@@ -12,6 +12,7 @@ from strathom.regularity import (
 )
 from strathom.report import Report, replay_witness, verdict_to_json, write_csv
 from strathom.scene import SceneError, canonical_json, load_scene, scene_from_dict, scene_hash
+from strathom.strata import ApproachPlan
 
 MINIMAL = {
     "ambient_dim": 2,
@@ -25,6 +26,11 @@ class TestSceneSchema:
         scene = scene_from_dict(MINIMAL)
         assert scene.ambient == 2
         assert scene.f.m == 1
+
+    def test_plan_block_sets_only_the_keys_present(self):
+        scene = scene_from_dict(dict(MINIMAL, plan={"directions": 3}))
+        assert scene.plan == ApproachPlan(total_directions=3)
+        assert scene_from_dict(MINIMAL).plan is None
 
     def test_missing_required_field_pinpointed(self):
         bad = {"ambient_dim": 2, "strata": []}

@@ -6,6 +6,7 @@ from strathom.grassmann import grassmann_distance, span_of
 from strathom.strata import (
     ApproachPlan,
     ConstantRankError,
+    ImmersionError,
     Incidence,
     IncidenceError,
     OverlapError,
@@ -96,6 +97,30 @@ class TestTangentSpace:
         assert (
             grassmann_distance(tangent_space(s, 2 * u), tangent_space(doubled, u)) < 1e-8
         )
+
+
+def flat():
+    """A 2-dimensional chart of rank 1 everywhere."""
+    return Stratum(name="F", chart=parse_map("x1, x1, x1", 2))
+
+
+class TestImmersion:
+    def test_tangent_space_refuses_lost_rank(self):
+        with pytest.raises(ImmersionError, match=r"'F' has rank 1 < 2 at \[0.3, -0.2\]"):
+            tangent_space(flat(), [0.3, -0.2])
+
+    def test_validate_refuses_lost_rank(self):
+        with pytest.raises(ImmersionError, match="'F' has rank 1 < 2"):
+            validate_prestratification(Prestratification(ambient=3, strata=(flat(),)))
+
+    def test_leaf_tangents_name_the_first_bad_row(self):
+        # x1, x2^3, x2^2 loses rank along x2 = 0
+        cusp = Stratum(name="C", chart=parse_map("x1, x2^3, x2^2", 2))
+        ctx = StratifiedMapContext.build(parse_map("x1", 3), Prestratification(3, (cusp,)))
+        rows = np.array([[0.1, 0.5], [0.2, 0.0], [0.3, 0.0]])
+        assert ctx.leaf_tangents("C", rows[:1]).shape == (1, 3, 1)
+        with pytest.raises(ImmersionError, match=r"'C' has rank 1 < 2 at \[0.2, 0.0\]$"):
+            ctx.leaf_tangents("C", rows)
 
 
 class TestConstantRank:
