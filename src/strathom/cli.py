@@ -117,7 +117,10 @@ def _load(path: str) -> Scene:
 
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
-    return _plan_from(scene.plan or ApproachPlan(), vars(args))
+    try:
+        return _plan_from(scene.plan or ApproachPlan(), vars(args))
+    except SceneError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:

@@ -443,9 +443,15 @@ def destabilizing_sequence(
 
 def _sampled_c1_size(vals: np.ndarray, jacs: np.ndarray) -> float:
     """Sampled C^1 size of a map from its values (k, m) and Jacobians
-    (k, m, n) on a sample: max |value| + max largest singular value."""
+    (k, m, n) on a sample: max |value| + max largest singular value.
+
+    The largest singular value of J is the square root of the largest
+    eigenvalue of its Gram matrix, built on the smaller side (J J^T or
+    J^T J)."""
     sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
-    sup_jac = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
+    jt = np.swapaxes(jacs, 1, 2)
+    gram = jacs @ jt if jacs.shape[1] <= jacs.shape[2] else jt @ jacs
+    sup_jac = float(np.sqrt(np.max(np.linalg.eigvalsh(gram)[:, -1])))
     return sup_val + sup_jac
 
 

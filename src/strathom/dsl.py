@@ -632,23 +632,27 @@ class _Tape:
             checks[ready].append(j)
         self.steps = [step + (tuple(f), tuple(c)) for step, f, c in zip(steps, free, checks)]
 
-    def run(self, x: np.ndarray, partials: bool = False, check: str | None = None):
+    def run(self, x: np.ndarray, partials: bool = False, check: str | None = None,
+            floor: float = 0.0):
         """Root values (k, #roots) at the points x (k, n) and, with
         ``partials``, their Jacobians (k, #roots, n), else None.
 
         With ``check`` the roots are domain predicates, each checked
-        ``> 0`` in order, before any node that only later roots need
+        ``> floor`` in order, before any node that only later roots need
         runs.  ``check="raise"`` raises :class:`DomainError` at the first
-        failure.  ``check="mask"`` drops a failing point from the rest of
-        the run and returns the mask (k,) of the points that pass all;
-        it runs values only."""
+        failure.  ``check="mask"`` and ``check="values"`` drop a failing
+        point from the rest of the run; "mask" returns the mask (k,) of
+        the points that pass all, "values" the root values (k, #roots),
+        where a point reads ``-inf`` on the roots after the first one it
+        fails.  Both run values only."""
         k, n = x.shape
         rows = np.arange(k)  # the points still in the run
-        passed = None  # which of them pass every check so far
+        passed = None  # which of them pass every check so far, None for all
         vals: list = [None] * len(self.steps)
         ders: list = [None] * len(self.steps)
+        out = np.full((k, len(self.outputs)), -np.inf) if check == "values" else None
         for i, (rule, param, args, free, checks) in enumerate(self.steps):
-            if passed is not None and not passed.all():  # failed points leave the run
+            if passed is not None:  # failed points leave the run
                 vals = [None if v is None else v[passed] for v in vals]
                 rows, x, passed = rows[passed], x[passed], None
             vals[i], ders[i] = rule(
@@ -657,17 +661,25 @@ class _Tape:
             for a in free:
                 vals[a] = ders[a] = None
             for j in checks if check else ():
-                ok = vals[self.outputs[j]] > 0.0
-                if check == "raise" and not ok.all():
+                value = vals[self.outputs[j]]
+                if check == "values":
+                    keep = slice(None) if passed is None else passed
+                    out[rows[keep], j] = value[keep]
+                ok = value > floor
+                if ok.all():
+                    continue
+                if check == "raise":
                     raise DomainError(
                         f"point {x[int(np.argmin(ok))].tolist()} violates domain "
                         f"predicate {to_source(self.roots[j])} > 0"
                     )
                 passed = ok if passed is None else passed & ok
-        if check:
+        if check == "mask":
             mask = np.zeros(k, bool)
             mask[rows if passed is None else rows[passed]] = True
             return mask
+        if check:
+            return out
         out = np.empty((k, len(self.outputs)))
         jac = np.zeros((k, len(self.outputs), n)) if partials else None
         for j, slot in enumerate(self.outputs):
@@ -736,10 +748,15 @@ class SmoothMap:
             raise ValueError(f"expected points of dimension {self.n}, got shape {arr.shape}")
         return arr, single
 
-    def domain_values(self, x) -> np.ndarray:
-        """Values of the domain predicates, (k, #predicates) for a batch."""
+    def domain_values(self, x, floor: float = 0.0) -> np.ndarray:
+        """Values of the domain predicates, (k, #predicates) for a batch.
+
+        Predicates are evaluated in order per point: a point whose value
+        on one is not above ``floor`` is not evaluated on the later
+        ones, which read ``-inf``.  A negative ``floor`` admits points
+        just outside the domain, in the closure."""
         arr, single = self._batch(x)
-        vals = self._domain_tape.run(arr)[0]
+        vals = self._domain_tape.run(arr, check="values", floor=floor)
         return vals[0] if single else vals
 
     def in_domain(self, x) -> np.ndarray | bool:

@@ -25,6 +25,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from .dsl import _bump_value_and_slope, parse_map
 from .regularity import PreconditionError, Status, check_af_at, transverse_at
 from .scene import Scene
 from .seeds import rng_for
-from .strata import StratifiedMapContext, Stratum, _gauss_newton
+from .strata import CLOSURE_MARGIN, StratifiedMapContext, Stratum, _gauss_newton
 
 __all__ = [
     "PerturbationField",
@@ -227,6 +228,33 @@ def _c1_sample(k_box, seed: int) -> np.ndarray:
     return rng_for(seed, "c1-sample").uniform(box[:, 0], box[:, 1], size=(1000, len(box)))
 
 
+def _unit_perturbation(
+    ambient: int,
+    k_box,
+    sample: np.ndarray,
+    seed: int,
+    trial: int,
+    bumps: int,
+    topology: str = "line",
+) -> tuple[PerturbationField, float]:
+    """Trial ``trial``'s perturbation at scale 1 and its C^1 size on ``sample``."""
+    rng = rng_for(seed, "perturbation", str(trial))
+    delta = make_perturbation(ambient, sample.shape[1], k_box, rng, bumps=bumps, topology=topology)
+    raw = delta.sampled_c1_norm(sample)
+    if raw <= 0.0:
+        raise RuntimeError("degenerate perturbation draw")
+    return delta, raw
+
+
+def _at_size(delta: PerturbationField, raw: float, eps: float) -> PerturbationField:
+    """A copy of the unit-scale ``delta`` scaled to C^1 size eps.  The
+    scale multiplies last, so a kept draw rescaled equals a fresh draw
+    bit for bit."""
+    scaled = copy.copy(delta)
+    scaled.scale = eps / raw
+    return scaled
+
+
 def _scaled_perturbation(
     ambient: int,
     k_box,
@@ -238,13 +266,7 @@ def _scaled_perturbation(
     topology: str = "line",
 ) -> PerturbationField:
     """Trial ``trial``'s perturbation, scaled to C^1 size eps on ``sample``."""
-    rng = rng_for(seed, "perturbation", str(trial))
-    delta = make_perturbation(ambient, sample.shape[1], k_box, rng, bumps=bumps, topology=topology)
-    raw = delta.sampled_c1_norm(sample)
-    if raw <= 0.0:
-        raise RuntimeError("degenerate perturbation draw")
-    delta.scale = eps / raw
-    return delta
+    return _at_size(*_unit_perturbation(ambient, k_box, sample, seed, trial, bumps, topology), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +303,7 @@ def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tu
 
     u = _gauss_newton(residual, np.concatenate(starts), lo, hi, tol=1e-12, max_iter=40).u
     vals = stratum.chart(u, check_domain=False)
-    admissible = np.all(stratum.domain_margins(u) >= -1e-8, axis=1)
+    admissible = np.all(stratum.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
     d = np.where(admissible, np.linalg.norm(vals - points[np.arange(len(u)) % k], axis=1), np.inf)
     (best_u, *later_u), (best_d, *later_d) = np.split(u, len(starts)), np.split(d, len(starts))
     for u_s, d_s in zip(later_u, later_d):
@@ -414,13 +436,21 @@ def stability_trial(
     )
 
 
-def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps):
+def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn=None):
     """Transversality margins of the perturbed trial maps, lazily and in
-    trial order, so a caller can stop at the first failure."""
+    trial order, so a caller can stop at the first failure.
+
+    ``drawn`` (a list) keeps each trial's unit-scale field and its C^1
+    size across calls, so a caller that probes several eps draws and
+    measures each trial's field once; the margins are those of fresh
+    draws."""
     box = list(zip(k_points.min(0), k_points.max(0)))
     sample = _c1_sample(box, seed)
+    drawn = [] if drawn is None else drawn
     for t in range(trials):
-        delta = _scaled_perturbation(ctx.prestratification.ambient, box, sample, eps, seed, t, bumps)
+        if t == len(drawn):
+            drawn.append(_unit_perturbation(ctx.prestratification.ambient, box, sample, seed, t, bumps))
+        delta = _at_size(*drawn[t], eps)
         yield transversality_margin(ctx, PerturbedTrialMap(base_map, delta), k_points, seed)[0]
 
 
@@ -444,9 +474,10 @@ def calibrate_epsilon(
     base_margin, _ = transversality_margin(ctx, base_map, k_points, seed)
     lo = 0.0
     hi = max(base_margin / 4.0, 1e-4)
+    drawn: list = []  # each trial's field, drawn once for every eps probed
 
     def all_pass(eps: float, trials: int) -> bool:
-        margins = _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps)
+        margins = _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn)
         return all(margin >= MARGIN_TOL for margin in margins)
 
     for _ in range(12):

@@ -44,7 +44,7 @@ def _ranks(sv: np.ndarray, rtol: float = RTOL) -> np.ndarray:
     if sv.shape[-1] == 0:
         return np.zeros(sv.shape[:-1], dtype=int)
     cut = np.maximum(rtol * sv[..., :1], ATOL)
-    return np.count_nonzero(sv > cut, axis=-1)
+    return (sv > cut).sum(axis=-1)
 
 
 def _rank(sv: np.ndarray, rtol: float = RTOL) -> int:

@@ -216,9 +216,12 @@ _PLAN_FIELDS = {
 
 def _plan_from(base: ApproachPlan, values: dict) -> ApproachPlan:
     """``base`` with a field replaced for every plan key present (and
-    not None) in ``values``."""
+    not None) in ``values``; an out-of-range value is a SceneError."""
     fields = {f: values[k] for k, f in _PLAN_FIELDS.items() if values.get(k) is not None}
-    return replace(base, **fields)
+    try:
+        return replace(base, **fields)
+    except ValueError as exc:
+        raise SceneError(f"approach plan: {exc}") from exc
 
 
 def load_scene(path: str | Path) -> Scene:

@@ -24,6 +24,7 @@ from .grassmann import Subspace, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
+CLOSURE_MARGIN = -1e-8  # domain values above this admit a chart point to the closure
 APPROACH_TOL = 1e-7  # how close the last arc term must come to y
 
 __all__ = [
@@ -86,16 +87,53 @@ class _GaussNewtonResult(NamedTuple):
     converged: np.ndarray  # (k,) clipped movement fell below tol
 
 
+def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Least-squares steps (k, d) solving J s ~ r for Jacobians (k, r, d).
+
+    One QR factorisation of the augmented [J | r] gives R and Q^T r;
+    a row whose sorted |diag R| has full rank under the ``_ranks``
+    cutoff takes ``R^-1 Q^T r`` by back-substitution.  Rank-deficient
+    rows, and every row of a wide J, keep the minimum-norm step
+    ``pinv(J) r``.
+    """
+    k, m, d = jacs.shape
+    if m < d:
+        return (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+    # the raw factorisation skips forming Q and zeroing below the
+    # diagonal; R of [J | r] is its upper triangle, and R[:, :d, d] is Q^T r
+    raw, _ = np.linalg.qr(np.concatenate([jacs, res[:, :, None]], axis=2), mode="raw")
+    tri = np.swapaxes(raw, 1, 2)
+    diag = np.abs(tri.diagonal(0, 1, 2)[:, :d])
+    full = _ranks(np.sort(diag, axis=1)[:, ::-1]) == d
+    steps = np.empty((k, d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        steps[:, d - 1] = tri[:, d - 1, d] / tri[:, d - 1, d - 1]
+        for i in range(d - 2, -1, -1):  # back-substitution
+            known = (tri[:, i, i + 1 : d] * steps[:, i + 1 :]).sum(axis=1)
+            steps[:, i] = (tri[:, i, d] - known) / tri[:, i, i]
+    if not full.all():
+        steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
+    return steps
+
+
 def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewtonResult:
     """Batched Gauss-Newton with a per-point exit.
 
     ``residual(u, idx)`` returns the residuals (k, r) and their Jacobians
     (k, r, d) at the iterates ``u`` of the rows ``idx``; only rows still
-    active are evaluated.  Each step is ``u <- clip(u - pinv(J) r, lo, hi)``.
-    A residual may return a third array, upper-triangular factors R
-    (k, d, d), when its Jacobians are taken in the coordinates v = R u
-    (the Q of a chart Jacobian QR): the step is then
-    ``R^-1 pinv(J) r``, the minimum-norm step in v pulled back to u.
+    active are evaluated.  Each step is ``u <- clip(u - s, lo, hi)``:
+
+    * two arrays (residuals, Jacobians): s is the least-squares step of
+      :func:`_least_squares_steps`, ``R^-1 Q^T r`` from a QR of J where
+      J has full column rank under the ``_ranks`` cutoff on its sorted
+      |diag R|, and the minimum-norm ``pinv(J) r`` on rank-deficient
+      rows (a singular fold-search Jacobian, say);
+    * three arrays, the third upper-triangular factors R (k, d, d): the
+      Jacobians are taken in the coordinates v = R u (the Q of a chart
+      Jacobian QR), and s = ``R^-1 pinv(J) r`` is the minimum-norm step
+      in v pulled back to u.  The tf intersection search uses this form;
+      its projected Jacobian is rank-deficient by construction.
+
     A point freezes once its clipped movement (max-abs) falls below
     ``tol``, so a point pinned to the box edge stops even though its
     unclipped step never shrinks.  Points still moving after ``max_iter``
@@ -111,10 +149,11 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
             break
         ua = u[active]
         res, jacs, *r_factor = residual(ua, active)
-        step = np.linalg.pinv(jacs) @ res[:, :, None]
         if r_factor:
-            step = np.linalg.solve(r_factor[0], step)
-        new = np.clip(ua - step[:, :, 0], lo, hi)
+            step = np.linalg.solve(r_factor[0], np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+        else:
+            step = _least_squares_steps(jacs, res)
+        new = np.clip(ua - step, lo, hi)
         u[active] = new
         iterations[active] += 1
         done = np.max(np.abs(new - ua), axis=1) < tol
@@ -182,9 +221,10 @@ class Stratum:
 
     # -- point location ------------------------------------------------------
 
-    def domain_margins(self, u: np.ndarray) -> np.ndarray:
-        """Values of the domain predicates at chart points (k, #preds)."""
-        return self.chart.domain_values(np.atleast_2d(np.asarray(u, dtype=float)))
+    def domain_margins(self, u: np.ndarray, floor: float = 0.0) -> np.ndarray:
+        """Values of the domain predicates at chart points (k, #preds),
+        in order up to the first one not above ``floor``."""
+        return self.chart.domain_values(np.atleast_2d(np.asarray(u, dtype=float)), floor)
 
     def locate(
         self,
@@ -223,14 +263,13 @@ class Stratum:
         ).u
         vals = self.chart(u, check_domain=False)
         dists = np.linalg.norm(vals - p, axis=1)
-        margins = self.domain_margins(u)
         if closure:
-            ok = np.all(margins >= -1e-8, axis=1)
+            ok = np.all(self.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
         else:
             # strict interior with a small margin: a point that is only a
             # *limit* of the stratum drives the solve onto the boundary
             # and must not count as lying on it
-            ok = np.all(margins > 1e-9, axis=1)
+            ok = np.all(self.domain_margins(u) > 1e-9, axis=1)
         if not np.any(ok):
             raise LocateError(
                 f"no admissible chart point found on {self.name!r} near {p.tolist()}"

@@ -114,6 +114,22 @@ class TestCheck:
         args = Namespace(ratio=None, terms=None, directions=3, window=None, angle_tol=None)
         assert _plan_from_args(scene, args) == ApproachPlan(terms=40, total_directions=3)
 
+    @pytest.mark.parametrize("flag", [["--terms", "3"], ["--ratio", "1.5"]])
+    def test_out_of_range_plan_flag_is_usage_error(self, scene_path_factory, flag, tmp_path, capsys):
+        rc = main(["check", scene_path_factory("parallel-planes"), "--condition", "a",
+                   "--json", str(tmp_path / "r.json"), *flag])
+        assert rc == EXIT_USAGE
+        assert "approach plan" in capsys.readouterr().err
+
+    def test_out_of_range_scene_plan_is_scene_error(self, tmp_path, capsys):
+        from strathom.gallery import gallery_entry
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(dict(gallery_entry("parallel-planes").scene_dict, plan={"terms": 3})))
+        rc = main(["validate", str(path)])
+        assert rc == EXIT_VIOLATION
+        assert "term count must be at least the Cauchy window" in capsys.readouterr().err
+
     def test_inconclusive_exit_code(self, scene_path_factory, monkeypatch):
         import strathom.cli as cli_mod
         from strathom.regularity import RegularityVerdict, Status

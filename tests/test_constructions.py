@@ -3,6 +3,7 @@ import pytest
 
 from strathom.constructions import (
     ConstructionError,
+    _sampled_c1_size,
     bump,
     bump_slope,
     choose_complement_H,
@@ -15,6 +16,7 @@ from strathom.constructions import (
 from strathom.dsl import parse_map
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
 from strathom.regularity import Status, check_af_at, transverse_at
+from strathom.seeds import rng_for
 from strathom.strata import NumericalInconsistencyError, StratifiedMapContext
 
 ORIGIN = (0.0, 0.0, 0.0)
@@ -248,6 +250,24 @@ class TestDestabilizer:
         a = destabilizing_sequence(base, witness, count=4, seed=9, c1_samples=500)
         b = destabilizing_sequence(base, witness, count=4, seed=9, c1_samples=500)
         assert [e.c1_distance for e in a.entries] == [e.c1_distance for e in b.entries]
+
+
+class TestSampledC1Size:
+    # tall and wide Jacobians, square ones, and the (10000, 3, 3) ball of
+    # destabilizing_sequence
+    @pytest.mark.parametrize(
+        "shape", [(1000, 3, 2), (1000, 3, 1), (1000, 2, 3), (1000, 1, 2), (1000, 2, 2), (10000, 3, 3)]
+    )
+    def test_matches_the_svd_reference(self, shape):
+        rng = rng_for(0, "c1-size", str(shape))
+        jacs = rng.standard_normal(shape)
+        vals = rng.standard_normal(shape[:2])
+        sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
+        sup_jac = float(np.max(np.linalg.svd(jacs, compute_uv=False)[:, 0]))
+        assert _sampled_c1_size(vals, jacs) == pytest.approx(sup_val + sup_jac, rel=1e-14, abs=0.0)
+        # the Jacobian term alone, without the value term to hide behind
+        size = _sampled_c1_size(np.zeros_like(vals), jacs)
+        assert size == pytest.approx(sup_jac, rel=1e-14, abs=0.0)
 
 
 class TestWitnessSheet:

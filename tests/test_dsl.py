@@ -191,6 +191,17 @@ class TestEval:
         assert f.in_domain([[0.5], [-1.0], [2.0]]).tolist() == [False, False, True]
         assert f.in_domain([-1.0]) is False
 
+    def test_domain_values_stop_at_the_first_failed_predicate(self):
+        # x1 = -1 fails the first predicate, so the log is not evaluated
+        # there and its entry reads -inf
+        f = parse_map("x1", 1, domain=("x1", "log(x1)"))
+        vals = f.domain_values([[-1.0], [2.0], [0.5]])
+        assert vals[0].tolist() == [-1.0, -np.inf]
+        assert vals[1].tolist() == [2.0, np.log(2.0)]
+        assert vals[2].tolist() == [0.5, np.log(0.5)]
+        assert f.domain_values([-1.0]).tolist() == [-1.0, -np.inf]
+        assert np.all(vals > 0.0, axis=1).tolist() == f.in_domain([[-1.0], [2.0], [0.5]]).tolist()
+
     def test_log_of_negative(self):
         f = parse_map("log(x1)", 1)
         with pytest.raises(EvaluationError):

@@ -19,8 +19,9 @@ from strathom.experiments import (
     sweep_csv_rows,
     transversality_margin,
 )
+from strathom.gallery import gallery_entry
 from strathom.regularity import PreconditionError
-from strathom.seeds import rng_for
+from strathom.seeds import derive_seed, rng_for
 
 CUBE = [[-1, 1]] * 3
 CIRCLE = [[-np.pi, np.pi]]
@@ -150,6 +151,33 @@ class TestStability:
         assert eps > 0
         report = stability_trial(ctx, base, k_points, eps, trials=20, seed=0)
         assert report.fraction == 1.0
+
+    def test_calibration_draws_each_trial_field_once(self, monkeypatch):
+        # the benchmark's stability-planes calibration at seed 1; its eps
+        # is pinned so that any change to it is seen
+        entry_scene = gallery_entry("parallel-planes").scene()
+        exp = entry_scene.experiments
+        ctx = entry_scene.build_context(seed=derive_seed(1, "context"))
+        k_points = grid_points(exp["k_box"], exp["grid"])
+        base = seeded_full_rank_map(entry_scene.ambient, seed=derive_seed(0, "base"))
+        draws, margins = [], []
+        draw, margin = experiments.make_perturbation, experiments.transversality_margin
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        def counting_margin(*args, **kwargs):
+            margins.append(args)
+            return margin(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_perturbation", counting_draw)
+        monkeypatch.setattr(experiments, "transversality_margin", counting_margin)
+        eps = calibrate_epsilon(ctx, base, k_points, seed=derive_seed(1, "stability"),
+                                probe_trials=10, rounds=6, certify_trials=50)
+        assert eps.hex() == "0x1.ace92f6c929d6p+0"
+        assert len(draws) == 50  # one per distinct trial index
+        assert len(margins) > 1 + 50  # while every probed eps measures its trials
 
     def test_calibration_stops_at_the_first_failed_trial(self, planes_setup, monkeypatch):
         ctx, k_points, base = planes_setup

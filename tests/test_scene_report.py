@@ -32,6 +32,10 @@ class TestSceneSchema:
         assert scene.plan == ApproachPlan(total_directions=3)
         assert scene_from_dict(MINIMAL).plan is None
 
+    def test_out_of_range_plan_is_a_scene_error(self):
+        with pytest.raises(SceneError, match="approach plan: term count"):
+            scene_from_dict(dict(MINIMAL, plan={"terms": 3}))
+
     def test_missing_required_field_pinpointed(self):
         bad = {"ambient_dim": 2, "strata": []}
         with pytest.raises(SceneError, match="schema violation"):

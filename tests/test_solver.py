@@ -24,7 +24,7 @@ from strathom.regularity import (
     random_test_surface,
 )
 from strathom.seeds import derive_seed, rng_for
-from strathom.strata import Stratum, _gauss_newton
+from strathom.strata import Stratum, _gauss_newton, _least_squares_steps
 
 
 def _chart_residual(chart, targets, calls=None):
@@ -91,6 +91,58 @@ class TestNonConvergence:
         assert iterations.tolist() == [1, 1, 1]
         _, _, converged = _gauss_newton(residual, np.zeros((3, 1)), -2.0, 2.0, tol=1e-13, max_iter=50)
         assert np.all(converged)
+
+
+class TestLeastSquaresSteps:
+    @pytest.mark.parametrize("shape", [(200, 3, 2), (200, 2, 2), (200, 5, 3), (200, 3, 1)])
+    def test_full_rank_rows_match_the_pinv_step(self, shape):
+        rng = rng_for(0, "lsq-test", str(shape))
+        jacs = rng.standard_normal(shape) + 3.0 * np.eye(*shape[1:])
+        res = rng.standard_normal(shape[:2])
+        expected = (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+        steps = _least_squares_steps(jacs, res)
+        np.testing.assert_allclose(steps, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_singular_row_takes_the_minimum_norm_step(self):
+        # [[1, 1], [1, 1]] s = (2, 0) has the least-squares solutions
+        # s1 + s2 = 1; the shortest is (1/2, 1/2)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        regular = np.array([[2.0, 1.0], [0.0, 3.0]])
+        res = np.array([[2.0, 0.0], [1.0, 3.0], [2.0, 0.0]])
+        jacs = np.stack([singular, regular, singular])
+        steps = _least_squares_steps(jacs, res)
+        np.testing.assert_allclose(steps[0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(steps[2], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(steps[1], np.linalg.solve(regular, res[1]), atol=1e-15)
+        np.testing.assert_array_equal(_least_squares_steps(jacs[:1], res[:1]), steps[:1])
+
+    def test_wide_jacobians_take_the_minimum_norm_step(self):
+        rng = rng_for(0, "lsq-wide")
+        jacs, res = rng.standard_normal((20, 2, 3)), rng.standard_normal((20, 2))
+        np.testing.assert_array_equal(
+            _least_squares_steps(jacs, res), (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+        )
+
+    def test_r_factor_form_keeps_the_pinv_step(self):
+        # a residual in the coordinates v = R u, with rank-deficient rows
+        # as in the tf intersection search, and full-rank ones
+        rng = rng_for(0, "lsq-r-factor")
+        mats = rng.standard_normal((30, 3, 2))
+        mats[::3, :, 1] = 0.0
+        targets = rng.standard_normal((30, 3))
+        tri = np.tile(np.array([[2.0, 0.5], [0.0, 1.5]]), (30, 1, 1))
+
+        def residual(u, idx):
+            jacs = mats[idx] + 0.1 * np.sin(u)[:, None, :]
+            return np.einsum("kij,kj->ki", jacs, u) - targets[idx], jacs, tri[idx]
+
+        u0 = np.zeros((30, 2))
+        u = _gauss_newton(residual, u0, -1.0, 1.0, tol=0.0, max_iter=5).u
+        ref = u0.copy()
+        for _ in range(5):  # the step rule of this form, applied to every row
+            res, jacs, r = residual(ref, np.arange(30))
+            ref = np.clip(ref - np.linalg.solve(r, np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0], -1.0, 1.0)
+        np.testing.assert_array_equal(u, ref)
 
 
 class TestReferenceValues:

@@ -262,3 +262,13 @@ class TestLocate:
         u, dist = s.locate(ORIGIN, closure=True)
         assert dist < 1e-9
         assert u == pytest.approx([0.0, 0.0], abs=1e-7)
+
+    @pytest.mark.parametrize("point", [(-1e-9, 0.5, 0.0), (0.5, -1e-9, 0.0)])
+    def test_closure_admits_either_boundary_of_a_two_predicate_domain(self, point):
+        # just outside x1 > 0 or just outside x2 > 0, inside the closure
+        # tolerance: whichever predicate the point misses, it is admitted
+        s = Stratum(name="Q", chart=parse_map("x1, x2, 0", 2, domain=("x1", "x2")),
+                    sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        u, dist = s.locate(point, closure=True)
+        assert dist < 1e-12
+        assert u.tolist() == list(point[:2])
