@@ -496,6 +496,12 @@ class SampledSheet:
     ts: np.ndarray = field(repr=False)  # (K,) signed arc parameters
     extent: float
     containment_angles: np.ndarray = field(repr=False)  # per positive sample
+    # (K, n, 2) orthonormal complements of the patch planes
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        full, _, _ = np.linalg.svd(self.frames)
+        object.__setattr__(self, "normals", full[:, :, self.frames.shape[2] :])
 
     @property
     def n(self) -> int:
@@ -521,11 +527,11 @@ class SampledSheet:
         return q[np.arange(len(pts)), best], best
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sheet points (k, n) and the plane frames (k, n, n-2) of
-        their patches: the local tangent of the sampled point set, without
-        the arc direction that :meth:`project` adds."""
+        """Nearest sheet points (k, n) and the normal frames (k, n, 2) of
+        their patches: the complements of the patch planes, which leave
+        out the arc direction that :meth:`project` adds to the tangent."""
         out, best = self._nearest_patch(points)
-        return out, self.frames[best]
+        return out, self.normals[best]
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
         out, best = self._nearest_patch(points)
@@ -574,7 +580,7 @@ def tf_witness(
     center = np.asarray(point, dtype=float)
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    uy, _ = sy.locate(center, closure=False)
+    uy = sy.locate(center, closure=False).u
     leaf_y = ctx.leaf_tangent(sy, uy)
     if not leaf_y.contains(span_of([v], n=n), tol=1e-6).ok:
         raise ConstructionError("witness vector is not tangent to the base leaf")

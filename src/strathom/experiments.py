@@ -273,9 +273,12 @@ def _scaled_perturbation(
 # Sampled transversality
 
 
-def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_chart_points(
+    stratum: Stratum, points: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Batched point location: chart coordinates and distances of the
-    nearest stratum point for each query (closure sense).
+    nearest stratum point for each query (closure sense), and the number
+    of starts whose solve had not converged.
 
     Every query runs from 2 starts (inverse hint, box center) or, without
     a hint, 4 (box center and 3 seeded box points).  All starts of all
@@ -301,7 +304,8 @@ def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tu
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
         return vals - points[idx % k], jacs
 
-    u = _gauss_newton(residual, np.concatenate(starts), lo, hi, tol=1e-12, max_iter=40).u
+    solved = _gauss_newton(residual, np.concatenate(starts), lo, hi, tol=1e-12, max_iter=40)
+    u = solved.u
     vals = stratum.chart(u, check_domain=False)
     admissible = np.all(stratum.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
     d = np.where(admissible, np.linalg.norm(vals - points[np.arange(len(u)) % k], axis=1), np.inf)
@@ -310,7 +314,7 @@ def _nearest_chart_points(stratum: Stratum, points: np.ndarray, seed: int) -> tu
         better = d_s < best_d
         best_u[better] = u_s[better]
         best_d[better] = d_s[better]
-    return best_u, best_d
+    return best_u, best_d, int(np.count_nonzero(~solved.converged))
 
 
 def _leaf_bases_batch(ctx: StratifiedMapContext, stratum: Stratum, chart_points: np.ndarray) -> np.ndarray:
@@ -351,7 +355,7 @@ def transversality_margin(
     worst = np.inf
     worst_point = k_points[0]
     for stratum in ctx.prestratification.strata:
-        u, d = _nearest_chart_points(stratum, images, seed)
+        u, d, _ = _nearest_chart_points(stratum, images, seed)
         near = np.nonzero(d < PROXIMITY)[0]
         if near.size == 0:
             continue

@@ -231,7 +231,7 @@ def _limit_verdict(
 
 def _base_chart_point(ctx: StratifiedMapContext, y: str, point, seed: int) -> np.ndarray:
     stratum = ctx.stratum(y)
-    u, dist = stratum.locate(np.asarray(point, dtype=float), closure=False, seed=seed)
+    u, dist, _ = stratum.locate(np.asarray(point, dtype=float), closure=False, seed=seed)
     if dist > 1e-8:
         raise PreconditionError(
             f"point {np.asarray(point).tolist()} does not lie on stratum {y!r} "
@@ -319,9 +319,11 @@ class AffineSurface:
 
     base: np.ndarray
     space: Subspace
+    normal: np.ndarray = field(init=False, repr=False, compare=False)  # (n, n - s)
 
     def __post_init__(self):
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
+        object.__setattr__(self, "normal", self.space.orthogonal_complement().basis)
 
     @property
     def n(self) -> int:
@@ -331,10 +333,11 @@ class AffineSurface:
         return self.space
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest surface points (k, n) and tangent frames there (k, n, s)."""
+        """Nearest surface points (k, n) and orthonormal normal frames
+        there (k, n, n - s): one constant matrix."""
         pts = np.atleast_2d(points)
         q = self.base + self.space.project(pts - self.base)
-        return q, np.broadcast_to(self.space.basis, (len(q),) + self.space.basis.shape)
+        return q, np.broadcast_to(self.normal, (len(q),) + self.normal.shape)
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
         q, _ = self.nearest(points)
@@ -362,9 +365,10 @@ class ChartSurface:
         jac = self.chart.jacobian(self.center_preimage, check_domain=False)
         return span_of(list(jac.T), n=self.n)
 
-    def _preimages(self, points: np.ndarray) -> np.ndarray:
+    def _preimages(self, points: np.ndarray) -> tuple[np.ndarray, int]:
         """Chart points of the nearest sheet points, by Gauss-Newton
-        from the center preimage inside ``box``."""
+        from the center preimage inside ``box``, and the number of them
+        whose solve had not converged."""
         pts = np.atleast_2d(points)
         box = np.asarray(self.box)
 
@@ -373,20 +377,27 @@ class ChartSurface:
             return vals - pts[idx], jacs
 
         w0 = np.tile(self.center_preimage, (len(pts), 1))
-        return _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50).u
+        solved = _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50)
+        return solved.u, int(np.count_nonzero(~solved.converged))
 
     def _frames(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest sheet points, the left singular vectors of the chart
-        Jacobians there and their numerical ranks."""
-        vals, jacs = self.chart.value_and_jacobian(self._preimages(points), check_domain=False)
-        frames, sv, _ = np.linalg.svd(jacs, full_matrices=False)
+        Jacobians there (a full SVD: tangent columns first, normal
+        columns after) and their numerical ranks."""
+        w, _ = self._preimages(points)
+        vals, jacs = self.chart.value_and_jacobian(w, check_domain=False)
+        frames, sv, _ = np.linalg.svd(jacs)
         return vals, frames, _ranks(sv)
 
     def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sheet points (k, n) and tangent frames there (k, n, s):
-        orthonormal columns up to the rank of the chart, zero beyond it."""
+        """Nearest sheet points (k, n) and orthonormal normal frames there
+        (k, n, n - r), r the smallest rank of the chart in the batch: the
+        trailing columns of a full SVD, with the columns that are tangent
+        at points of higher rank set to zero."""
         vals, frames, ranks = self._frames(points)
-        return vals, frames * (np.arange(frames.shape[2]) < ranks[:, None])[:, None, :]
+        low = int(ranks.min()) if len(ranks) else self.chart.n
+        normal = frames[:, :, low:]
+        return vals, normal * (np.arange(low, self.n) >= ranks[:, None])[:, None, :]
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
         vals, frames, ranks = self._frames(points)
@@ -468,14 +479,27 @@ def _find_intersections(
     """Gauss-Newton from chart seeds onto surface-stratum intersection
     points inside the balls of the given radii, one result per radius.
 
-    With ``q, F = surface.nearest(psi(u))`` (nearest surface point and
-    its orthonormal tangent frame) and the chart Jacobian J = QR, each
-    step is the shortest move along the stratum, measured in the ambient
-    space, that cancels the linearized normal residual: the least-norm
-    v with (I - F F^T) Q v = (I - F F^T)(psi(u) - q), pulled back as
-    u <- u - R^-1 v.  The ambient move Q v does not depend on the chart,
-    and the iteration converges quadratically where the surface meets
-    the stratum transversally.
+    With ``q, N = surface.nearest(psi(u))`` (nearest surface point and an
+    orthonormal frame of the surface normal there) and the chart Jacobian
+    J = QR, the residual is the normal offset N^T (psi(u) - q), in n - s
+    coordinates for a surface of dimension s, and its Jacobian in the
+    coordinates v = R u is N^T Q, of full rank n - s wherever the surface
+    meets the stratum transversally.  Each step is the shortest move along
+    the stratum, measured in the ambient space, that cancels the
+    linearized offset: the least-norm v with N^T Q v = N^T (psi(u) - q),
+    from a QR of (N^T Q)^T when there are fewer rows than chart
+    coordinates, pulled back as u <- u - R^-1 v.  The ambient move Q v
+    does not depend on the chart, and the iteration converges
+    quadratically at transverse intersections.  Rows of lower rank, such
+    as the zero columns of a chart surface's normal frames where its
+    rank drops, take the ``pinv`` step.
+
+    Iterates stay in the stratum's sample box.  A coordinate on the box
+    edge whose step leaves the box is held there while the others solve
+    the reduced problem (:func:`strata._box_steps`), and is released
+    once its step points back inside, so a seed whose nearest
+    intersection lies outside the box stops at a fixed point on the
+    edge instead of creeping along it.
 
     The seeds of all radii run in one solve; each seed's iterates do not
     depend on the others in the batch, so the result is the same as one
@@ -483,7 +507,7 @@ def _find_intersections(
     own seeds within 1e-9 of the surface, strictly inside the domain,
     inside its ball and not at the center, with numerically identical
     ones collapsed; their surface tangents come from
-    ``surface.project``.  Seeds that stall at positive distance witness
+    ``surface.project``.  Seeds that stop at positive distance witness
     no intersection; ``stalled`` counts the radius's seeds whose solve
     was still moving after 60 steps.
     """
@@ -491,10 +515,10 @@ def _find_intersections(
 
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        q, frames = surface.nearest(vals)
+        q, normals = surface.nearest(vals)
         basis, tri = np.linalg.qr(jacs)
-        normal = basis - frames @ (np.swapaxes(frames, 1, 2) @ basis)
-        return vals - q, normal, tri
+        normals_t = np.swapaxes(normals, 1, 2)
+        return (normals_t @ (vals - q)[:, :, None])[:, :, 0], normals_t @ basis, tri
 
     solved = _gauss_newton(
         residual, np.concatenate(seeds), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
@@ -543,22 +567,28 @@ def _radial_verdict(
     ``rng_for(seed, condition, x, y, j)`` for the j-th radius.  Then
     ``probe(radii, samples)`` runs once over all radii (tf solves the
     seeds of every radius together) and returns, per radius, the extra
-    entries of its detail row and its first bad point, or None.  The
-    first radius without a bad point is the clean radius and the
-    condition holds; a bad point at every radius is a fault whose
-    witness arc lists them in radius order and sits at the last.  A
-    radius that found nothing to test counts as clean.  The witness is
-    a placeholder: no limit, vector or angle backs it.  ``detail``
-    entries follow the radius rows and the clean radius in the verdict.
+    entries of its detail row and its first bad point, or None.
+
+    A row marked ``"empty"`` found nothing to test; with ``"stalled"``
+    seeds as well it is unresolved, since those seeds may have missed
+    what is there.  The first radius with neither a bad point nor an
+    unresolved row is the clean radius and the condition holds; if that
+    row is empty, the hold is vacuous and the detail says
+    ``"vacuous": true``.  A bad point at every radius is a fault whose
+    witness arc lists them in radius order and sits at the last.  Bad
+    points at some radii and unresolved rows at the others leave the
+    verdict inconclusive.  The witness is a placeholder: no limit, vector
+    or angle backs it.  ``detail`` entries follow the radius rows, the
+    clean radius and the vacuous flag in the verdict.
     """
     plan = plan or RadialPlan()
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
-    u0, _ = sx.locate(center, closure=True, seed=seed)
+    u0 = sx.locate(center, closure=True, seed=seed).u
     rows: list[dict] = []
     bad_points: list[np.ndarray] = []
-    clean_radius: float | None = None
+    clean: dict | None = None
     radii = [float(r) for r in plan.radii()]
     samples = [
         _samples_in_ball(sx, u0, center, r, plan.samples, rng_for(seed, condition, x, y, str(j)))
@@ -568,10 +598,15 @@ def _radial_verdict(
         rows.append({"radius": r, "samples": int(len(samples_u)), **extra})
         if bad is not None:
             bad_points.append(bad)
-        elif clean_radius is None:
-            clean_radius = r
+        elif clean is None and not (extra.get("empty") and extra.get("stalled")):
+            clean = rows[-1]
     witness = None
-    if clean_radius is None:
+    if clean is not None:
+        status = Status.HOLDS
+    elif len(bad_points) < len(radii):
+        status = Status.INCONCLUSIVE
+    else:
+        status = Status.FAILS
         witness = FaultWitness(
             point=tuple(bad_points[-1]),
             vector=tuple(np.zeros(n)),
@@ -591,15 +626,21 @@ def _radial_verdict(
                 worst_angle=None,
             ),
         )
+    vacuous = {"vacuous": True} if clean is not None and clean.get("empty") else {}
     return RegularityVerdict(
         condition=condition,
         x=x,
         y=y,
         point=tuple(center),
-        status=Status.FAILS if witness is not None else Status.HOLDS,
+        status=status,
         required=required,
         witness=witness,
-        detail={"radii": rows, "clean_radius": clean_radius, **detail},
+        detail={
+            "radii": rows,
+            "clean_radius": clean["radius"] if clean is not None else None,
+            **vacuous,
+            **detail,
+        },
     )
 
 
@@ -620,8 +661,9 @@ def check_tf_at(
     over the seeds of all radii; at each radius, those inside its ball
     are tested for transversality to the X-leaves.
     A detail row adds the number of intersections, whether one of them
-    is non-transverse and the number of stalled seeds.  Verdict and
-    witness follow :func:`_radial_verdict`.
+    is non-transverse and the number of stalled seeds, and is marked
+    ``"empty"`` when it keeps no intersection.  Verdict and witness
+    follow :func:`_radial_verdict`.
     """
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
@@ -648,6 +690,8 @@ def check_tf_at(
                 "nontransverse": bad is not None,
                 "stalled": hits.stalled,
             }
+            if not len(hits.u):
+                row["empty"] = True
             out.append((row, bad))
         return out
 
@@ -681,14 +725,16 @@ def orthogonal_retraction(point, space: Subspace) -> SmoothMap:
 
 def _sample_leaf_points(
     ctx: StratifiedMapContext, y: str, uy: np.ndarray, count: int, scale: float, seed: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Points on the actual leaf through psi(uy): stay on the stratum and
-    on the fiber of f, nudged along the leaf-tangent directions."""
+    on the fiber of f, nudged along the leaf-tangent directions.  Returns
+    the points that reach the fiber and the number of solves that had
+    not converged."""
     sy = ctx.stratum(y)
     base_point = np.asarray(sy.chart(uy), dtype=float)
     leaf = ctx.leaf_tangent(y, uy)
     if leaf.dim == 0:
-        return np.tile(base_point, (count, 1))
+        return np.tile(base_point, (count, 1)), 0
     rng = rng_for(seed, "leaf-samples", y)
     offsets = rng.standard_normal((count, leaf.dim))
     offsets *= scale / np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), 1e-300)
@@ -703,13 +749,13 @@ def _sample_leaf_points(
         jac = np.concatenate([kappa * (fjacs @ cjacs), cjacs], axis=1)
         return res, jac
 
-    u = _gauss_newton(
+    solved = _gauss_newton(
         residual, np.tile(uy, (count, 1)), -np.inf, np.inf, tol=1e-13, max_iter=60
-    ).u
-    pts = sy.chart(u, check_domain=False)
+    )
+    pts = sy.chart(solved.u, check_domain=False)
     fvals = ctx.f(pts, check_domain=False)
     ok = np.linalg.norm(fvals - f_ref, axis=1) < 1e-9
-    return pts[ok]
+    return pts[ok], int(np.count_nonzero(~solved.converged))
 
 
 def _validate_retraction(
@@ -724,7 +770,7 @@ def _validate_retraction(
     twice = retraction(once, check_domain=False)
     if np.max(np.linalg.norm(twice - once, axis=1)) > 1e-8:
         raise PreconditionError("retraction is not idempotent near the point")
-    leaf_pts = _sample_leaf_points(ctx, y, uy, count=8, scale=1e-5, seed=seed)
+    leaf_pts, _ = _sample_leaf_points(ctx, y, uy, count=8, scale=1e-5, seed=seed)
     if len(leaf_pts):
         fixed = retraction(leaf_pts, check_domain=False)
         drift = np.max(np.linalg.norm(fixed - leaf_pts, axis=1))

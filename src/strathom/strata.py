@@ -34,6 +34,7 @@ __all__ = [
     "StratifiedMapContext",
     "ApproachPlan",
     "Arc",
+    "Location",
     "RankCertificate",
     "ValidationError",
     "ImmersionError",
@@ -81,6 +82,12 @@ class NumericalInconsistencyError(ValidationError):
 # Per-point Gauss-Newton
 
 
+class Location(NamedTuple):
+    u: np.ndarray  # chart coordinates of the nearest admissible chart image
+    distance: float
+    unconverged: int  # starts whose solve was still moving after the last step
+
+
 class _GaussNewtonResult(NamedTuple):
     u: np.ndarray  # (k, d) final iterates
     iterations: np.ndarray  # (k,) steps taken by each point
@@ -88,31 +95,77 @@ class _GaussNewtonResult(NamedTuple):
 
 
 def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Least-squares steps (k, d) solving J s ~ r for Jacobians (k, r, d).
+    """Least-squares steps (k, d) solving J s ~ r for Jacobians (k, m, d).
 
-    One QR factorisation of the augmented [J | r] gives R and Q^T r;
-    a row whose sorted |diag R| has full rank under the ``_ranks``
-    cutoff takes ``R^-1 Q^T r`` by back-substitution.  Rank-deficient
-    rows, and every row of a wide J, keep the minimum-norm step
-    ``pinv(J) r``.
+    Rank is decided by the ``_ranks`` cutoff on the sorted |diag R| of a
+    QR factorisation:
+
+    * tall and square J (m >= d): one QR of the augmented [J | r] gives R
+      and Q^T r; a row of rank d takes ``R^-1 Q^T r`` by back-substitution;
+    * wide J (m < d): a QR of J^T = Q' R' gives the minimum-norm step
+      ``Q' R'^-T r``; a row of rank m takes it by forward substitution.
+
+    Rank-deficient rows keep the minimum-norm step ``pinv(J) r``.
     """
     k, m, d = jacs.shape
     if m < d:
-        return (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
-    # the raw factorisation skips forming Q and zeroing below the
-    # diagonal; R of [J | r] is its upper triangle, and R[:, :d, d] is Q^T r
-    raw, _ = np.linalg.qr(np.concatenate([jacs, res[:, :, None]], axis=2), mode="raw")
-    tri = np.swapaxes(raw, 1, 2)
-    diag = np.abs(tri.diagonal(0, 1, 2)[:, :d])
-    full = _ranks(np.sort(diag, axis=1)[:, ::-1]) == d
-    steps = np.empty((k, d))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        steps[:, d - 1] = tri[:, d - 1, d] / tri[:, d - 1, d - 1]
-        for i in range(d - 2, -1, -1):  # back-substitution
-            known = (tri[:, i, i + 1 : d] * steps[:, i + 1 :]).sum(axis=1)
-            steps[:, i] = (tri[:, i, d] - known) / tri[:, i, i]
+        basis, tri = np.linalg.qr(np.swapaxes(jacs, 1, 2))
+        rank = m
+        coef = np.empty((k, m))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(m):  # forward substitution: R'^T coef = r
+                known = (tri[:, :i, i] * coef[:, :i]).sum(axis=1)
+                coef[:, i] = (res[:, i] - known) / tri[:, i, i]
+            steps = (basis @ coef[:, :, None])[:, :, 0]
+    else:
+        # the raw factorisation skips forming Q and zeroing below the
+        # diagonal; R of [J | r] is its upper triangle, and R[:, :d, d] is Q^T r
+        raw, _ = np.linalg.qr(np.concatenate([jacs, res[:, :, None]], axis=2), mode="raw")
+        tri = np.swapaxes(raw, 1, 2)
+        rank = d
+        steps = np.empty((k, d))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            steps[:, d - 1] = tri[:, d - 1, d] / tri[:, d - 1, d - 1]
+            for i in range(d - 2, -1, -1):  # back-substitution
+                known = (tri[:, i, i + 1 : d] * steps[:, i + 1 :]).sum(axis=1)
+                steps[:, i] = (tri[:, i, d] - known) / tri[:, i, i]
+    diag = np.abs(tri.diagonal(0, 1, 2)[:, :rank])
+    full = _ranks(np.sort(diag, axis=1)[:, ::-1]) == rank
     if not full.all():
         steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
+    return steps
+
+
+def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
+    """Steps (k, d) for residuals (k, m) and Jacobians (k, m, d) taken in
+    the coordinates v = R u, R (k, d, d) upper-triangular, with a box
+    active set on u.
+
+    The full step is ``R^-1 s(J, r)``, the least-squares step of
+    :func:`_least_squares_steps` in v pulled back to u.  A coordinate
+    that sits on a bound of [lo, hi] and whose full step leaves the box
+    is fixed; the free coordinates F take the same kind of step for the
+    reduced problem: with R[:, F] = Q'' R'', the step is
+    ``R''^-1 s(J Q'', r)``, shortest in the metric of v.  The set is
+    chosen afresh at every step, so a coordinate whose full step points
+    back inside is released (projected Newton; Bertsekas, SIAM J.
+    Control Optim. 20(2), 1982).
+    """
+    steps = np.linalg.solve(tri, _least_squares_steps(jacs, res)[:, :, None])[:, :, 0]
+    new = u - steps
+    fixed = ((u <= lo) & (new < lo)) | ((u >= hi) & (new > hi))
+    rows = np.flatnonzero(fixed.any(axis=1))
+    if rows.size == 0:
+        return steps
+    codes = fixed[rows] @ (1 << np.arange(u.shape[1]))
+    for code in np.unique(codes):
+        idx = rows[codes == code]
+        free = np.flatnonzero(~fixed[idx[0]])
+        steps[idx] = 0.0
+        if free.size:
+            basis, sub = np.linalg.qr(tri[idx][:, :, free])
+            reduced = _least_squares_steps(jacs[idx] @ basis, res[idx])
+            steps[idx[:, None], free] = np.linalg.solve(sub, reduced[:, :, None])[:, :, 0]
     return steps
 
 
@@ -125,19 +178,22 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
 
     * two arrays (residuals, Jacobians): s is the least-squares step of
       :func:`_least_squares_steps`, ``R^-1 Q^T r`` from a QR of J where
-      J has full column rank under the ``_ranks`` cutoff on its sorted
-      |diag R|, and the minimum-norm ``pinv(J) r`` on rank-deficient
-      rows (a singular fold-search Jacobian, say);
+      J has full column rank, the minimum-norm step from a QR of J^T
+      where J is wide of full row rank, and ``pinv(J) r`` on
+      rank-deficient rows (a singular fold-search Jacobian, say);
     * three arrays, the third upper-triangular factors R (k, d, d): the
       Jacobians are taken in the coordinates v = R u (the Q of a chart
-      Jacobian QR), and s = ``R^-1 pinv(J) r`` is the minimum-norm step
-      in v pulled back to u.  The tf intersection search uses this form;
-      its projected Jacobian is rank-deficient by construction.
+      Jacobian QR), and s is the same least-squares step in v pulled
+      back to u, with coordinates on the box edge whose step leaves the
+      box held fixed (:func:`_box_steps`).  The tf intersection search
+      uses this form, in the normal coordinates of its test surface.
 
     A point freezes once its clipped movement (max-abs) falls below
     ``tol``, so a point pinned to the box edge stops even though its
-    unclipped step never shrinks.  Points still moving after ``max_iter``
-    steps keep their last iterate and report ``converged=False``.
+    unclipped step never shrinks, and a point held at a box-edge fixed
+    point of the three-array form stops at once.  Points still moving
+    after ``max_iter`` steps keep their last iterate and report
+    ``converged=False``.
     """
     u = np.clip(np.asarray(u0, dtype=float), lo, hi)
     k = len(u)
@@ -150,7 +206,7 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
         ua = u[active]
         res, jacs, *r_factor = residual(ua, active)
         if r_factor:
-            step = np.linalg.solve(r_factor[0], np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+            step = _box_steps(res, jacs, r_factor[0], ua, lo, hi)
         else:
             step = _least_squares_steps(jacs, res)
         new = np.clip(ua - step, lo, hi)
@@ -231,10 +287,11 @@ class Stratum:
         point,
         closure: bool = False,
         seed: int = 0,
-    ) -> tuple[np.ndarray, float]:
+    ) -> Location:
         """Chart coordinates of the nearest chart image to ``point``.
 
-        Returns (u, distance).  With ``closure=True`` the domain
+        Returns (u, distance, unconverged), the last the number of starts
+        whose solve had not converged.  With ``closure=True`` the domain
         predicates may sit at zero (boundary points are eligible);
         otherwise the result must lie strictly inside the domain.  The
         solve starts from the inverse hint, the box center and 8 seeded
@@ -257,10 +314,11 @@ class Stratum:
         # the sample box is the declared working region of the chart; an
         # inward nudge keeps iterates evaluable when the chart formula is
         # singular on an open boundary (log, sqrt)
-        u = _gauss_newton(
+        solved = _gauss_newton(
             residual, np.array(seeds_list), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
             tol=1e-13, max_iter=80,
-        ).u
+        )
+        u = solved.u
         vals = self.chart(u, check_domain=False)
         dists = np.linalg.norm(vals - p, axis=1)
         if closure:
@@ -276,7 +334,7 @@ class Stratum:
             )
         dists = np.where(ok, dists, np.inf)
         best = int(np.argmin(dists))
-        return u[best], float(dists[best])
+        return Location(u[best], float(dists[best]), int(np.count_nonzero(~solved.converged)))
 
     def __str__(self) -> str:
         return f"{self.name}: R^{self.dim} -> R^{self.ambient}, chart {self.chart.to_source()}"
@@ -587,7 +645,7 @@ def approach_sequence(
     s = prestratification.stratum(stratum) if isinstance(stratum, str) else stratum
     plan = plan or ApproachPlan()
     y = np.asarray(y, dtype=float)
-    u0, dist = s.locate(y, closure=True, seed=seed)
+    u0, dist, _ = s.locate(y, closure=True, seed=seed)
     if dist > 1e-7:
         raise IncidenceError(
             f"{np.asarray(y).tolist()} is not on the closure of {s.name!r} (distance {dist:.2e})"
@@ -673,7 +731,7 @@ def validate_prestratification(
                 continue
             for p in images[: min(len(images), 20)]:
                 try:
-                    _, dist = b.locate(p, closure=False, seed=seed)
+                    dist = b.locate(p, closure=False, seed=seed).distance
                 except LocateError:
                     continue
                 if dist < ON_STRATUM_TOL:
@@ -684,7 +742,7 @@ def validate_prestratification(
     confirmed = 0
     for inc in P.incidences:
         y_stratum = P.stratum(inc.y)
-        _, dist = y_stratum.locate(np.asarray(inc.point), closure=False, seed=seed)
+        dist = y_stratum.locate(np.asarray(inc.point), closure=False, seed=seed).distance
         if dist > ON_STRATUM_TOL:
             raise IncidenceError(
                 f"declared incidence point {list(inc.point)} is not on {inc.y!r} "
@@ -743,7 +801,7 @@ def _probe_frontier(
             if other.name == s.name:
                 continue
             try:
-                _, dist = other.locate(p_star, closure=False, seed=seed)
+                dist = other.locate(p_star, closure=False, seed=seed).distance
             except LocateError:
                 continue
             if dist < 1e-6:

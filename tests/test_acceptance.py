@@ -134,7 +134,7 @@ def test_criterion_4_limit_condition_implies_surface_condition(gallery_ctx):
             if check_af_at(ctx, inc.x, inc.y, inc.point, seed=0).status is not Status.HOLDS:
                 continue
             n = scene.ambient
-            uy, _ = ctx.stratum(inc.y).locate(np.asarray(inc.point))
+            uy = ctx.stratum(inc.y).locate(np.asarray(inc.point)).u
             s_y = ctx.leaf_tangent(inc.y, uy).dim
             for k in range(20):
                 dim = (n - s_y) + (k % max(1, s_y))
@@ -157,7 +157,7 @@ def test_criterion_5_witness_sheet(gallery_ctx):
         ctx, "S1", "S2", ORIGIN, arc, np.array(fault.witness.vector),
         t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
     )
-    uy, _ = ctx.stratum("S2").locate(np.zeros(3))
+    uy = ctx.stratum("S2").locate(np.zeros(3)).u
     leaf_y = ctx.leaf_tangent("S2", uy)
     pre = transverse_at(sheet.tangent_at_center(), leaf_y, 3)
     assert pre.transverse, "sheet not transverse to the base leaf at the point"

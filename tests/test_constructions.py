@@ -305,7 +305,7 @@ class TestWitnessSheet:
         # tangent to the approaching foliation along the arc...
         assert np.max(sheet.containment_angles) < 1e-6
         # ...but transverse to the base leaf at the point
-        uy, _ = ctx.stratum("S2").locate(np.zeros(3))
+        uy = ctx.stratum("S2").locate(np.zeros(3)).u
         leaf_y = ctx.leaf_tangent("S2", uy)
         assert transverse_at(sheet.tangent_at_center(), leaf_y, 3).transverse
 
@@ -343,6 +343,25 @@ class TestWitnessSheet:
         q, tangents = sheet.project(sheet.centers[:4])
         assert np.max(np.linalg.norm(q - sheet.centers[:4], axis=1)) < 1e-12
         assert all(t.dim == 2 for t in tangents)
+
+    def test_nearest_returns_patch_normals(self, shelf_fault):
+        scene, ctx, witness = shelf_fault
+        wit = scene.raw["witness"]
+        arc = parse_map(wit["arc"], 1)
+        sheet = tf_witness(
+            ctx, "S1", "S2", ORIGIN, arc, np.array(witness.vector),
+            t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
+        )
+        points = sheet.centers + 0.01 * rng_for(0, "sheet-normals").standard_normal(sheet.centers.shape)
+        q, normals = sheet.nearest(points)
+        _, best = sheet._nearest_patch(points)
+        assert normals.shape == (len(points), 3, 2)
+        for k, normal, p, foot in zip(best, normals, points, q):
+            # the patch plane and its normal frame make an orthonormal basis
+            frame = np.hstack([sheet.frames[k], normal])
+            np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
+            # the offset to the nearest point lies in the normal
+            np.testing.assert_allclose(normal @ (normal.T @ (p - foot)), p - foot, atol=1e-15)
 
     def test_serializes_to_frames(self, shelf_fault):
         scene, ctx, witness = shelf_fault

@@ -7,6 +7,7 @@ from strathom.regularity import (
     PreconditionError,
     RadialPlan,
     Status,
+    _radial_verdict,
     check_af_at,
     check_af_pair,
     check_afs_at,
@@ -228,6 +229,76 @@ class TestTestSubmanifoldCondition:
             assert np.max(np.abs(tan.basis.T @ (p - qq))) < 1e-8
         v = check_tf_at(ctx, "S1", "S2", ORIGIN, surf, seed=0)
         assert v.status is Status.HOLDS
+
+
+class TestEmptyRadii:
+    """The radius rules of tf and afs, on detail rows made up for the test."""
+
+    BAD = np.array([0.1, 0.2, 0.0])
+
+    def _verdict(self, ctx, rows):
+        def probe(radii, samples):
+            assert len(radii) == len(rows)
+            return [(dict(extra), self.BAD if bad else None) for extra, bad in rows]
+
+        plan = RadialPlan(count=len(rows), samples=5)
+        return _radial_verdict(ctx, "tf", "S1", "S2", ORIGIN, plan, 0, Subspace.zero(3), probe)
+
+    @staticmethod
+    def _row(hits, stalled, bad=False):
+        extra = {"intersections": hits, "nontransverse": bad, "stalled": stalled}
+        return ({**extra, "empty": True} if hits == 0 else extra), bad
+
+    def test_empty_radius_with_stalled_seeds_is_not_clean(self, gallery_ctx):
+        _, _, ctx = gallery_ctx("parallel-planes")
+        v = self._verdict(ctx, [self._row(0, 3), self._row(4, 0), self._row(0, 0)])
+        assert v.status is Status.HOLDS
+        assert v.detail["clean_radius"] == 0.25
+        assert "vacuous" not in v.detail
+
+    def test_clean_radius_without_intersections_holds_vacuously(self, gallery_ctx):
+        _, _, ctx = gallery_ctx("parallel-planes")
+        v = self._verdict(ctx, [self._row(0, 3), self._row(0, 0), self._row(4, 0)])
+        assert v.status is Status.HOLDS
+        assert v.detail["clean_radius"] == 0.25
+        assert v.detail["vacuous"] is True
+        assert [r.get("empty", False) for r in v.detail["radii"]] == [True, True, False]
+
+    def test_bad_points_beside_unresolved_radii_are_inconclusive(self, gallery_ctx):
+        _, _, ctx = gallery_ctx("parallel-planes")
+        rows = [self._row(3, 0, bad=True), self._row(0, 2), self._row(5, 1, bad=True)]
+        v = self._verdict(ctx, rows)
+        assert v.status is Status.INCONCLUSIVE
+        assert v.witness is None and v.detail["clean_radius"] is None
+        v = self._verdict(ctx, [self._row(0, 2), self._row(0, 1)])
+        assert v.status is Status.INCONCLUSIVE
+        v = self._verdict(ctx, [self._row(3, 0, bad=True), self._row(5, 1, bad=True)])
+        assert v.status is Status.FAILS
+        assert len(v.witness.arc.points) == 2
+
+    def test_rows_without_the_empty_mark_keep_the_old_rule(self, gallery_ctx):
+        # afs rows carry no intersection count: a clean radius is clean
+        _, _, ctx = gallery_ctx("parallel-planes")
+
+        def probe(radii, samples):
+            return [({"rank_drop": False}, None) for _ in radii]
+
+        v = _radial_verdict(
+            ctx, "afs", "S1", "S2", ORIGIN, RadialPlan(count=2, samples=5), 0,
+            Subspace.zero(3), probe, required_rank=1,
+        )
+        assert v.status is Status.HOLDS
+        assert list(v.detail) == ["radii", "clean_radius", "required_rank"]
+
+    def test_random_lines_miss_the_shelf(self, gallery_ctx):
+        # a line through the point meets the shelf y = z^2 once, mostly
+        # outside the balls: every radius is empty and no seed stalls
+        _, _, ctx = gallery_ctx("parabola-shelf-constant")
+        surf = random_test_surface(ctx, "S2", ORIGIN, seed=1)
+        v = check_tf_at(ctx, "S1", "S2", ORIGIN, surf, seed=1)
+        assert v.status is Status.HOLDS
+        assert v.detail["vacuous"] is True
+        assert all(r["empty"] and r["stalled"] == 0 for r in v.detail["radii"])
 
 
 class TestRetractionCondition:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from strathom import experiments, regularity
+from strathom import experiments, regularity, strata
 from strathom.dsl import parse_map
 from strathom.experiments import (
     _nearest_chart_points,
@@ -92,6 +92,44 @@ class TestNonConvergence:
         _, _, converged = _gauss_newton(residual, np.zeros((3, 1)), -2.0, 2.0, tol=1e-13, max_iter=50)
         assert np.all(converged)
 
+    def test_callers_count_points_still_moving(self, gallery_ctx, monkeypatch):
+        # point location (9 starts), batched location (4 starts for each
+        # of 60 queries), chart-surface preimages (60) and leaf samples
+        # (8): with their own step budgets, and with one step, where every
+        # point is still moving.  75 batched starts creep along the edge
+        # of the sample box for all 40 steps.
+        surface = Stratum("P", parse_map("x1, x1^2 + x2^2, x2", 2))
+        sheet = Stratum(
+            "S",
+            parse_map("x1, x2, x1^2 - x2^2", 2, domain=("x2",)),
+            sample_box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        rng = rng_for(0, "nearest-test")
+        points = np.column_stack([
+            rng.uniform(-1.2, 1.2, 60), rng.uniform(-0.6, 1.2, 60), rng.uniform(-1.5, 1.5, 60),
+        ])
+        _, _, ctx = gallery_ctx("parallel-planes")
+        uy = ctx.stratum("S2").locate(np.zeros(3)).u
+
+        def counts():
+            leaf_points, leaf_moving = regularity._sample_leaf_points(ctx, "S2", uy, 8, 1e-5, 0)
+            assert len(leaf_points) == 8
+            return [
+                surface.locate([0.3, 0.25, 0.4]).unconverged,
+                _nearest_chart_points(sheet, points, seed=3)[2],
+                PARABOLIC_SHEET._preimages(points)[1],
+                leaf_moving,
+            ]
+
+        assert counts() == [0, 75, 1, 0]
+
+        def one_step(*args, **kwargs):
+            return _gauss_newton(*args, **{**kwargs, "max_iter": 1})
+
+        for module in (strata, experiments, regularity):
+            monkeypatch.setattr(module, "_gauss_newton", one_step)
+        assert counts() == [9, 240, 60, 8]
+
 
 class TestLeastSquaresSteps:
     @pytest.mark.parametrize("shape", [(200, 3, 2), (200, 2, 2), (200, 5, 3), (200, 3, 1)])
@@ -117,32 +155,57 @@ class TestLeastSquaresSteps:
         np.testing.assert_array_equal(_least_squares_steps(jacs[:1], res[:1]), steps[:1])
 
     def test_wide_jacobians_take_the_minimum_norm_step(self):
-        rng = rng_for(0, "lsq-wide")
-        jacs, res = rng.standard_normal((20, 2, 3)), rng.standard_normal((20, 2))
-        np.testing.assert_array_equal(
-            _least_squares_steps(jacs, res), (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
-        )
+        # J^T (J J^T)^-1 r, formed apart from the QR kernel; in each shape
+        # row 7 has a zero row and row 0 a repeated row (or, with one row,
+        # a norm under the 1e-12 floor), and those rows, of lower rank,
+        # take the pinv step
+        for shape in [(20, 2, 3), (20, 1, 2), (20, 1, 3)]:
+            rng = rng_for(0, "lsq-wide", str(shape))
+            jacs, res = rng.standard_normal(shape), rng.standard_normal(shape[:2])
+            if shape[1] > 1:
+                jacs[0, -1] = jacs[0, 0]
+            else:
+                jacs[0] *= 1e-13
+            jacs[7, -1] = 0.0
+            low = np.zeros(len(jacs), dtype=bool)
+            low[[0, 7]] = True
+            steps = _least_squares_steps(jacs, res)
+            full = jacs[~low]
+            gram = full @ np.swapaxes(full, 1, 2)
+            expected = np.einsum("kji,kj->ki", full, np.linalg.solve(gram, res[~low][:, :, None])[:, :, 0])
+            np.testing.assert_allclose(
+                steps[~low], expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
+            )
+            np.testing.assert_array_equal(
+                steps[low], (np.linalg.pinv(jacs[low]) @ res[low][:, :, None])[:, :, 0]
+            )
 
     def test_r_factor_form_keeps_the_pinv_step(self):
-        # a residual in the coordinates v = R u, with rank-deficient rows
-        # as in the tf intersection search, and full-rank ones
+        # residuals in the coordinates v = R u with fewer rows than chart
+        # coordinates, as in the tf intersection search, every third row
+        # of rank 1 (a repeated row); the box is never reached, so each
+        # step is the minimum-norm step in v pulled back to u, by QR on
+        # the rows of full rank and by pinv on the others
         rng = rng_for(0, "lsq-r-factor")
-        mats = rng.standard_normal((30, 3, 2))
-        mats[::3, :, 1] = 0.0
-        targets = rng.standard_normal((30, 3))
-        tri = np.tile(np.array([[2.0, 0.5], [0.0, 1.5]]), (30, 1, 1))
+        mats = rng.standard_normal((30, 2, 3))
+        mats[::3, 1] = mats[::3, 0]
+        targets = rng.standard_normal((30, 2))
+        tri = np.tile(np.array([[2.0, 0.5, 0.1], [0.0, 1.5, 0.3], [0.0, 0.0, 1.2]]), (30, 1, 1))
 
         def residual(u, idx):
             jacs = mats[idx] + 0.1 * np.sin(u)[:, None, :]
             return np.einsum("kij,kj->ki", jacs, u) - targets[idx], jacs, tri[idx]
 
-        u0 = np.zeros((30, 2))
-        u = _gauss_newton(residual, u0, -1.0, 1.0, tol=0.0, max_iter=5).u
+        u0 = np.zeros((30, 3))
+        u = _gauss_newton(residual, u0, -1e3, 1e3, tol=0.0, max_iter=5).u
         ref = u0.copy()
-        for _ in range(5):  # the step rule of this form, applied to every row
+        for _ in range(5):  # the minimum-norm step in v, applied to every row
             res, jacs, r = residual(ref, np.arange(30))
-            ref = np.clip(ref - np.linalg.solve(r, np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0], -1.0, 1.0)
-        np.testing.assert_array_equal(u, ref)
+            ref = ref - np.linalg.solve(r, np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+        assert np.max(np.abs(ref)) < 1e3
+        low = np.arange(30) % 3 == 0
+        np.testing.assert_array_equal(u[low], ref[low])
+        np.testing.assert_allclose(u[~low], ref[~low], rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestReferenceValues:
@@ -178,7 +241,7 @@ class TestReferenceValues:
             box=((-2.0, 2.0), (-2.0, 2.0)),
         )
         center = np.zeros(3)
-        u0, _ = halfplane.locate(center, closure=True, seed=0)
+        u0 = halfplane.locate(center, closure=True, seed=0).u
         seeds_u = _samples_in_ball(
             halfplane, u0, center, 0.5, 200, rng_for(0, "tf", "S1", "S2", "0")
         )[:10]
@@ -240,37 +303,100 @@ class TestIntersectionSearch:
 
     def test_chart_surface_frames_drop_lost_rank(self):
         # x1, x2^3, x2^2 loses rank along x2 = 0: the tangent there is the
-        # x1 axis, at the hit as at the center
+        # x1 axis, at the hit as at the center, and the normal is the
+        # plane of the other two axes
         cusp = ChartSurface(
             chart=parse_map("x1, x2^3, x2^2", 2),
             center_preimage=np.zeros(2),
             box=((-1.0, 1.0), (-1.0, 1.0)),
         )
         point = np.array([[0.3, 0.0, -1.0]])
-        q, frames = cusp.nearest(point)
+        q, normals = cusp.nearest(point)
         _, (tangent,) = cusp.project(point)
         assert np.array_equal(q, [[0.3, 0.0, 0.0]])
-        assert np.array_equal(np.abs(frames[0]), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert normals.shape == (1, 3, 2)
+        np.testing.assert_allclose(normals[0] @ normals[0].T, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
         assert tangent.dim == cusp.tangent_at_center().dim == 1
         assert np.array_equal(np.abs(tangent.basis), [[1.0], [0.0], [0.0]])
+
+        # x1, x1 x2, x2^2 loses rank at the origin only; in a batch with a
+        # point of full rank, that point's column that is tangent at the
+        # origin is zero and its other column is its unit normal
+        pinch = ChartSurface(
+            chart=parse_map("x1, x1*x2, x2^2", 2),
+            center_preimage=np.zeros(2),
+            box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        q, both = pinch.nearest(np.array([[0.0, 0.0, -1.0], [0.3, 0.06, 0.04]]))
+        np.testing.assert_allclose(q, [[0.0, 0.0, 0.0], [0.3, 0.06, 0.04]], atol=1e-15)
+        np.testing.assert_allclose(both[0] @ both[0].T, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
+        assert np.array_equal(both[1, :, 0], np.zeros(3))
+        normal = both[1, :, 1]
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-15
+        assert np.max(np.abs(normal @ pinch.chart.jacobian(np.array([0.3, 0.2])))) < 1e-15
+
+    def test_affine_surface_normals_complete_the_tangent(self):
+        surface = AffineSurface(
+            base=np.array([0.5, 0.0, 0.0]), space=span_of([[1, 2, 0], [0, 1, 1]], n=3)
+        )
+        q, normals = surface.nearest(rng_for(0, "affine-normals").standard_normal((7, 3)))
+        assert normals.shape == (7, 3, 1)
+        frame = np.hstack([surface.space.basis, normals[0]])
+        np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
+        assert all(np.array_equal(normals[i], normals[0]) for i in range(7))
+        np.testing.assert_allclose((q - surface.base) @ normals[0], 0.0, atol=1e-15)
+
+    def test_box_edge_intersection_converges_within_three_steps(self, monkeypatch):
+        # the plane x1 + 0.1 x2 = 1.05 meets P along a line that leaves the
+        # box through the edge x1 = 1 at x2 = 0.5; a seed whose nearest
+        # point of the line lies beyond that edge is held on it, and the
+        # step along the edge lands on the line at once.  Clipped steps
+        # alone would creep along the edge by a factor 1 - 1/101 a step.
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(_gauss_newton(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(regularity, "_gauss_newton", recording)
+        plane = Stratum("P", parse_map("x1, x2, 0", 2), sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        surface = AffineSurface(
+            base=np.array([1.05, 0.0, 0.0]), space=span_of([[-0.1, 1, 0], [0, 0, 1]], n=3)
+        )
+        seeds_u = rng_for(0, "box-edge").uniform(-0.9, 0.9, size=(50, 2))
+        (hits,) = _find_intersections(plane, surface, np.zeros(3), [5.0], [seeds_u])
+        (solved,) = solves
+        edge = solved.u[:, 0] > 1.0 - 1e-11
+        assert np.count_nonzero(edge) >= 10
+        assert np.all(solved.converged) and hits.stalled == 0
+        assert np.all(solved.iterations <= 3)
+        np.testing.assert_allclose(solved.u[edge, 1], 0.5, rtol=0.0, atol=1e-10)
+        # the seeds held on the edge end on one point, kept once
+        assert len(hits.u) == 50 - np.count_nonzero(edge) + 1
+        np.testing.assert_allclose(hits.points @ [1.0, 0.1, 0.0], 1.05, rtol=0.0, atol=1e-12)
 
     def test_blowup_cli_surface_fails_at_every_radius(self):
         # `strathom check --condition all --seed 20261017` on blowup: the
         # alternating projection found no intersection with test surface
-        # 1 at any radius, so tf held vacuously where af fails
+        # 1 at any radius, and the step through pinv of the projected
+        # Jacobian, which inverted rounding noise, stalled surface 0's
+        # seeds on the box edge and left five radii empty, so tf held
+        # where af fails
         from strathom.gallery import gallery_entry
 
         seed = 20261017
         scene = gallery_entry("blowup").scene()
         ctx = scene.build_context(seed=derive_seed(seed, "context"))
         (inc,) = scene.prestratification.incidences
-        surface_seed = derive_seed(derive_seed(seed, "check", "tf", inc.x, inc.y), "1")
-        surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
-        verdict = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed)
-        rows = verdict.detail["radii"]
-        assert all(r["intersections"] > 0 for r in rows), rows
-        assert all(r["nontransverse"] for r in rows)
-        assert verdict.status is Status.FAILS
+        for k in (0, 1):
+            surface_seed = derive_seed(derive_seed(seed, "check", "tf", inc.x, inc.y), str(k))
+            surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
+            verdict = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed)
+            rows = verdict.detail["radii"]
+            assert all(r["intersections"] > 0 for r in rows), rows
+            assert all(r["nontransverse"] for r in rows)
+            assert not any(r.get("empty") and r["stalled"] for r in rows)
+            assert verdict.status is Status.FAILS
 
 
 def _cli_tf_case(name: str, seed: int, k: int):
@@ -286,22 +412,33 @@ def _cli_tf_case(name: str, seed: int, k: int):
 class TestStackedRadii:
     @pytest.mark.parametrize(
         "name, seed, k",
-        # blowup: 58-91 hits and 22-45 stalled seeds per radius;
-        # parallel-planes: 131-147 hits and 20-66 stalled seeds per radius
+        # blowup: 58-78 hits per radius, 230 of 1046 seeds held on the box
+        # edge; parallel-planes: 131-147 hits per radius, 487 of 1981
+        # seeds on the box edge
         [("blowup", 20261017, 1), ("parallel-planes", 1, 4)],
     )
-    def test_one_solve_matches_one_solve_per_radius(self, name, seed, k):
+    def test_one_solve_matches_one_solve_per_radius(self, name, seed, k, monkeypatch):
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(_gauss_newton(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(regularity, "_gauss_newton", recording)
         ctx, inc, surface, surface_seed = _cli_tf_case(name, seed, k)
         sx = ctx.stratum(inc.x)
         center = np.asarray(inc.point, dtype=float)
-        u0, _ = sx.locate(center, closure=True, seed=surface_seed)
+        u0 = sx.locate(center, closure=True, seed=surface_seed).u
         radii = [float(r) for r in RadialPlan().radii()]
         streams = [rng_for(surface_seed, "tf", inc.x, inc.y, str(j)) for j in range(len(radii))]
         seeds = [_samples_in_ball(sx, u0, center, r, 200, rng) for r, rng in zip(radii, streams)]
         stacked = _find_intersections(sx, surface, center, radii, seeds)
         assert len(stacked) == len(radii)
         assert sum(len(h.u) for h in stacked) > 0
-        assert sum(h.stalled for h in stacked) > 0
+        # seeds held on the box edge by the active set are in the batch
+        box = np.asarray(sx.sample_box)
+        (solved,) = solves
+        assert np.any((solved.u == box[:, 0] + 1e-12) | (solved.u == box[:, 1] - 1e-12))
         for r, seeds_u, hits in zip(radii, seeds, stacked):
             (alone,) = _find_intersections(sx, surface, center, [r], [seeds_u])
             assert np.array_equal(hits.u, alone.u)
@@ -358,7 +495,7 @@ class TestNearestChartPoints:
             return _gauss_newton(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "_gauss_newton", counting)
-        u, d = _nearest_chart_points(sheet, points, seed=3)
+        u, d, _ = _nearest_chart_points(sheet, points, seed=3)
         assert calls == [4 * len(points)]
 
         box = np.asarray(sheet.sample_box)

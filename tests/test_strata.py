@@ -253,13 +253,13 @@ class TestValidatePrestratification:
 class TestLocate:
     def test_hint_free_location(self):
         s = Stratum(name="P", chart=parse_map("x1, x1^2 + x2^2, x2", 2))
-        u, dist = s.locate([0.3, 0.25, 0.4])
+        u, dist, _ = s.locate([0.3, 0.25, 0.4])
         assert dist < 1e-9
         assert u == pytest.approx([0.3, 0.4], abs=1e-7)
 
     def test_closure_location_on_boundary(self):
         s = parabola_shelf()
-        u, dist = s.locate(ORIGIN, closure=True)
+        u, dist, _ = s.locate(ORIGIN, closure=True)
         assert dist < 1e-9
         assert u == pytest.approx([0.0, 0.0], abs=1e-7)
 
@@ -269,6 +269,6 @@ class TestLocate:
         # tolerance: whichever predicate the point misses, it is admitted
         s = Stratum(name="Q", chart=parse_map("x1, x2, 0", 2, domain=("x1", "x2")),
                     sample_box=((-1.0, 1.0), (-1.0, 1.0)))
-        u, dist = s.locate(point, closure=True)
+        u, dist, _ = s.locate(point, closure=True)
         assert dist < 1e-12
         assert u.tolist() == list(point[:2])
