@@ -12,6 +12,13 @@ foliation along an arc.
 Each construction verifies its own defining identities numerically
 after building; a failed verification is an error, never a silent
 degradation.
+
+A perturbed map, here and in the experiments, is one type:
+``PerturbedMap(base, delta)``, the base map plus a correction field.  The
+destabilizer's delta is a :class:`LocalizedCorrection`; a stability or
+non-genericity trial's is a seeded perturbation field.  Every such
+numeric map evaluates through one ``value_and_jacobian``, and
+:class:`NumericMap` derives ``__call__`` and ``jacobian`` from it.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ __all__ = [
     "frame_for_image",
     "choose_complement_H",
     "least_rotation",
+    "NumericMap",
     "PerturbedMap",
+    "LocalizedCorrection",
     "DestabilizerEntry",
     "DestabilizerSequence",
     "destabilizing_sequence",
@@ -280,66 +289,62 @@ def least_rotation(w_from: np.ndarray, w_to: np.ndarray) -> np.ndarray:
     )
 
 
-class PerturbedMap:
-    """Numeric map g_i: the base map plus a localized correction that
-    moves the center value to a fault sample and rotates the center
-    differential image.
+class NumericMap:
+    """A numeric map whose one evaluation is ``value_and_jacobian``;
+    ``__call__`` and ``jacobian`` read its two halves."""
 
-    g_i(z) = g(z) + cut(|z-y|/rho) * [(x_i - g(y)) + (R - I) Dg_y (z-y)]
-    with cut a smooth cutoff that is 1 near 0 and 0 beyond rho.
+    def __call__(self, z, check_domain: bool = False) -> np.ndarray:
+        return self.value_and_jacobian(z)[0]
+
+    def jacobian(self, z, check_domain: bool = False) -> np.ndarray:
+        return self.value_and_jacobian(z)[1]
+
+
+class PerturbedMap(NumericMap):
+    """The base map plus a correction field: z -> base(z) + delta(z)."""
+
+    def __init__(self, base, delta):
+        self.base = base
+        self.delta = delta
+        self.m = delta.m
+        self.n = delta.n
+
+    def value_and_jacobian(self, z, check_domain: bool = False):
+        base_val, base_jac = self.base.value_and_jacobian(z, check_domain=False)
+        val, jac = self.delta.value_and_jacobian(z)
+        return base_val + val, base_jac + jac
+
+
+class LocalizedCorrection(NumericMap):
+    """The destabilizer's correction g_i - g: it moves the center value
+    to a fault sample and rotates the center differential image.
+
+    z -> cut(|z-y|/rho) * [shift + lin (z-y)], with cut a smooth cutoff
+    that is 1 for |z-y| <= rho/2 and 0 for |z-y| >= rho, where the
+    correction vanishes in value and Jacobian.
     """
 
-    def __init__(self, base, y: np.ndarray, radius: float, shift: np.ndarray, rot: np.ndarray):
-        self.base = base
+    def __init__(self, y: np.ndarray, radius: float, shift: np.ndarray, lin: np.ndarray):
         self.y = np.asarray(y, dtype=float)
         self.radius = float(radius)
         self.shift = np.asarray(shift, dtype=float)
-        self.rot = np.asarray(rot, dtype=float)
+        self.lin = np.asarray(lin, dtype=float)
         self.n = self.y.size
-        self.m = self.n
-        self._dgy = np.asarray(base.jacobian(self.y), dtype=float)
-        self._lin = (self.rot - np.eye(self.n)) @ self._dgy
+        self.m = self.shift.size
 
-    def _cut(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # 1 for t <= 1/2, 0 for t >= 1
-        val, slope = _bump_value_and_slope(2.0 * (1.0 - t))
-        return val, -2.0 * slope
-
-    def correction(self, z) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(z, dtype=float))
-        d = pts - self.y
-        t = np.linalg.norm(d, axis=1) / self.radius
-        beta, _ = self._cut(t)
-        return beta[:, None] * (self.shift + d @ self._lin.T)
-
-    def __call__(self, z, check_domain: bool = False) -> np.ndarray:
+    def value_and_jacobian(self, z, check_domain: bool = False):
         arr = np.asarray(z, dtype=float)
-        single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        out = self.base(pts, check_domain=False) + self.correction(pts)
-        return out[0] if single else out
-
-    def jacobian(self, z, check_domain: bool = False) -> np.ndarray:
-        arr = np.asarray(z, dtype=float)
-        single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        base_jac = self.base.jacobian(pts, check_domain=False)
-        if base_jac.ndim == 2:
-            base_jac = base_jac[None, :, :]
-        d = pts - self.y
+        d = np.atleast_2d(arr) - self.y
         norms = np.linalg.norm(d, axis=1)
-        t = norms / self.radius
-        beta, dbeta = self._cut(t)
-        inner = self.shift + d @ self._lin.T
-        grad_t = np.zeros_like(d)
+        beta, slope = _bump_value_and_slope(2.0 * (1.0 - norms / self.radius))
+        inner = self.shift + d @ self.lin.T
+        grad_t = np.zeros_like(d)  # gradient of |z-y|/rho, 0 at the center
         pos = norms > 1e-300
         grad_t[pos] = d[pos] / (norms[pos, None] * self.radius)
-        jac = (
-            base_jac
-            + beta[:, None, None] * self._lin[None, :, :]
-            + (dbeta[:, None] * inner)[:, :, None] * grad_t[:, None, :]
-        )
-        return jac[0] if single else jac
+        val = beta[:, None] * inner
+        dbeta = -2.0 * slope
+        jac = beta[:, None, None] * self.lin + (dbeta[:, None] * inner)[:, :, None] * grad_t[:, None, :]
+        return (val[0], jac[0]) if arr.ndim == 1 else (val, jac)
 
 
 @dataclass(frozen=True)
@@ -374,8 +379,12 @@ def destabilizing_sequence(
 
     The i-th map sends the fault point to the i-th arc sample x_i and
     rotates the center image onto a complement H_i that fails to span
-    with the leaf at x_i (verified per entry).  The C^1 distance to the
-    base on the localization ball is measured as a sampled sup and must
+    with the leaf at x_i (verified per entry).  g_i is
+    ``PerturbedMap(base, delta)`` with a :class:`LocalizedCorrection`
+    delta, and the C^1 distance of g_i to the base is the sampled C^1
+    size of delta alone, taken on ``c1_samples`` uniform points of the
+    cube y + radius * [-1, 1]^n.  delta vanishes off the ball of that
+    radius, so the sup is the one over the ball.  The distances must
     decrease strictly along the sequence.
     """
     y = np.asarray(witness.point, dtype=float)
@@ -396,8 +405,7 @@ def destabilizing_sequence(
     rng = rng_for(seed, "c1-samples")
     ball = y + radius * rng.uniform(-1.0, 1.0, size=(c1_samples, n))
     entries: list[DestabilizerEntry] = []
-    base_vals = base(ball)
-    base_jacs = base.jacobian(ball)
+    base_y, base_jac_y = base.value_and_jacobian(y)
     for i in range(count):
         x_i = np.asarray(arc.points[i], dtype=float)
         if np.linalg.norm(x_i - y) < 1e-12:
@@ -416,14 +424,15 @@ def destabilizing_sequence(
         res = transverse_at(h_i, leaf, n)
         if res.transverse:
             h_i, res = _search_nonspanning(h_i, leaf, n, seed, i)
-        gmap = PerturbedMap(base, y, radius, x_i - base(y), rot)
+        correction = LocalizedCorrection(y, radius, x_i - base_y, (rot - np.eye(n)) @ base_jac_y)
+        gmap = PerturbedMap(base, correction)
         # center value and center image must land exactly on the fault data
         if np.linalg.norm(gmap(y) - x_i) > 1e-10:
             raise ConstructionError(f"g_{i} misses its fault sample")
         img = span_of(list((rot @ base.jacobian_at_center()).T), n=n)
         if grassmann_distance(img, h_i) > 1e-8:
             raise ConstructionError(f"center image of g_{i} is not H_{i}")
-        c1_distance = _sampled_c1_size(gmap(ball) - base_vals, gmap.jacobian(ball) - base_jacs)
+        c1_distance = _sampled_c1_size(*correction.value_and_jacobian(ball))
         entries.append(
             DestabilizerEntry(
                 index=i + 1,

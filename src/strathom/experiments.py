@@ -14,6 +14,10 @@ The non-genericity scenes run a third kind of trial: perturbed maps are
 searched for an unavoidable tangency witness (a zero of the vertical
 slope, or a fold point landing on the foliated circle).
 
+Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
+map plus a seeded :class:`PerturbationField` delta, the same type that
+carries the destabilizer's localized correction.
+
 Transversality on samples is decided with an explicit margin (the
 smallest singular value of the stacked differential-plus-leaf matrix).
 Exact rank at finitely many sample points would almost surely call
@@ -32,6 +36,8 @@ import numpy as np
 
 from .constructions import (
     DestabilizerSequence,
+    NumericMap,
+    PerturbedMap,
     _sampled_c1_size,
     choose_complement_H,
     destabilizing_sequence,
@@ -46,7 +52,6 @@ from .strata import CLOSURE_MARGIN, StratifiedMapContext, Stratum, _gauss_newton
 
 __all__ = [
     "PerturbationField",
-    "PerturbedTrialMap",
     "StabilityReport",
     "InstabilityReport",
     "NongenericityReport",
@@ -76,7 +81,7 @@ def grid_points(box, dims) -> np.ndarray:
 # Maps and perturbation fields
 
 
-class AffineMap:
+class AffineMap(NumericMap):
     """Numeric affine map w -> A w + b (the seeded transverse base map)."""
 
     def __init__(self, matrix: np.ndarray, offset: np.ndarray):
@@ -84,20 +89,12 @@ class AffineMap:
         self.offset = np.asarray(offset, dtype=float)
         self.m, self.n = self.matrix.shape[0], self.matrix.shape[1]
 
-    def __call__(self, w, check_domain: bool = False) -> np.ndarray:
-        arr = np.asarray(w, dtype=float)
-        single = arr.ndim == 1
-        out = np.atleast_2d(arr) @ self.matrix.T + self.offset
-        return out[0] if single else out
-
-    def jacobian(self, w, check_domain: bool = False) -> np.ndarray:
-        arr = np.asarray(w, dtype=float)
-        if arr.ndim == 1:
-            return self.matrix.copy()
-        return np.broadcast_to(self.matrix, (arr.shape[0],) + self.matrix.shape).copy()
-
     def value_and_jacobian(self, w, check_domain: bool = False):
-        return self(w), self.jacobian(w)
+        arr = np.asarray(w, dtype=float)
+        out = np.atleast_2d(arr) @ self.matrix.T + self.offset
+        if arr.ndim == 1:
+            return out[0], self.matrix.copy()
+        return out, np.broadcast_to(self.matrix, (arr.shape[0],) + self.matrix.shape).copy()
 
 
 def seeded_full_rank_map(n: int, seed: int) -> AffineMap:
@@ -111,7 +108,7 @@ def seeded_full_rank_map(n: int, seed: int) -> AffineMap:
     raise RuntimeError("could not draw a well-conditioned base map")
 
 
-class PerturbationField:
+class PerturbationField(NumericMap):
     """Finite sum of smooth localized humps with random offsets and
     linear parts; C^1 size is controlled by a single scale factor.
 
@@ -148,60 +145,25 @@ class PerturbationField:
         dval = -slope[:, :, None] * grad  # (k, B, m)
         return val, dval, disp, disp_jac
 
-    def __call__(self, w, check_domain: bool = False) -> np.ndarray:
-        return self._evaluate(w, value=True, jacobian=False)[0]
-
-    def jacobian(self, w, check_domain: bool = False) -> np.ndarray:
-        return self._evaluate(w, value=False, jacobian=True)[1]
-
     def value_and_jacobian(self, w, check_domain: bool = False):
-        return self._evaluate(w, value=True, jacobian=True)
-
-    def _evaluate(self, w, value: bool, jacobian: bool):
-        """Values and Jacobians, as asked, from one pass over the humps."""
+        """Values and Jacobians from one pass over the humps."""
         arr = np.asarray(w, dtype=float)
         val, dval, disp, disp_jac = self._humps(np.atleast_2d(arr))
         payload = self.offsets[None, :, :] + np.einsum(
             "bnm,kbm->kbn", self.linears, disp
         )
-        out = jac = None
-        if value:
-            out = self.scale * np.sum(val[:, :, None] * payload, axis=1)
-        if jacobian:
-            # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
-            term1 = np.einsum("kbn,kbm->knm", payload, dval)
-            if disp_jac is None:
-                term2 = np.einsum("kb,bnm->knm", val, self.linears)
-            else:
-                term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
-            jac = self.scale * (term1 + term2)
-        if arr.ndim == 1:
-            return (None if out is None else out[0]), (None if jac is None else jac[0])
-        return out, jac
+        out = self.scale * np.sum(val[:, :, None] * payload, axis=1)
+        # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
+        term1 = np.einsum("kbn,kbm->knm", payload, dval)
+        if disp_jac is None:
+            term2 = np.einsum("kb,bnm->knm", val, self.linears)
+        else:
+            term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
+        jac = self.scale * (term1 + term2)
+        return (out[0], jac[0]) if arr.ndim == 1 else (out, jac)
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
         return _sampled_c1_size(*self.value_and_jacobian(sample))
-
-
-class PerturbedTrialMap:
-    """Base map plus perturbation field, exposing values and Jacobians."""
-
-    def __init__(self, base, delta: PerturbationField):
-        self.base = base
-        self.delta = delta
-        self.m = delta.m
-        self.n = delta.n
-
-    def __call__(self, w, check_domain: bool = False) -> np.ndarray:
-        return self.base(w, check_domain=False) + self.delta(w)
-
-    def jacobian(self, w, check_domain: bool = False) -> np.ndarray:
-        return self.base.jacobian(w, check_domain=False) + self.delta.jacobian(w)
-
-    def value_and_jacobian(self, w, check_domain: bool = False):
-        base_val, base_jac = self.base.value_and_jacobian(w, check_domain=False)
-        val, jac = self.delta.value_and_jacobian(w)
-        return base_val + val, base_jac + jac
 
 
 def make_perturbation(
@@ -455,7 +417,7 @@ def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn=None
         if t == len(drawn):
             drawn.append(_unit_perturbation(ctx.prestratification.ambient, box, sample, seed, t, bumps))
         delta = _at_size(*drawn[t], eps)
-        yield transversality_margin(ctx, PerturbedTrialMap(base_map, delta), k_points, seed)[0]
+        yield transversality_margin(ctx, PerturbedMap(base_map, delta), k_points, seed)[0]
 
 
 def calibrate_epsilon(
@@ -643,7 +605,7 @@ def _slope_zero_witness(h, box, grid: int, wrap: bool) -> dict | None:
     return None
 
 
-def _fold_on_circle_witness(h, box, grid_dims, seed: int) -> dict | None:
+def _fold_on_circle_witness(h, box, grid_dims) -> dict | None:
     """Gauss-Newton solve for det Dh = 0 on the unit circle image, from
     the 8 best grid seeds; the residual's Jacobian is a central
     difference."""
@@ -694,11 +656,11 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
             scene.ambient, box, sample, eps, seed, t,
             bumps=int(exp.get("bumps", 3)), topology="circle" if topology == "circle" else "line",
         )
-        h = PerturbedTrialMap(g, delta)
+        h = PerturbedMap(g, delta)
         if topology in ("line", "circle"):
             w = _slope_zero_witness(h, box, int(exp["grid"][0]), wrap=(topology == "circle"))
         else:
-            w = _fold_on_circle_witness(h, box, exp["grid"], seed)
+            w = _fold_on_circle_witness(h, box, exp["grid"])
         if w is not None:
             w["trial"] = t
             witnesses.append(w)

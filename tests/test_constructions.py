@@ -3,6 +3,7 @@ import pytest
 
 from strathom.constructions import (
     ConstructionError,
+    RankDropMap,
     _sampled_c1_size,
     bump,
     bump_slope,
@@ -235,6 +236,40 @@ class TestDestabilizer:
                 [(gmap(z + 1e-6 * e) - gmap(z - 1e-6 * e)) / 2e-6 for e in np.eye(3)], axis=1
             )
             assert np.max(np.abs(jac - fd)) < 1e-7
+
+    def test_distances_come_from_the_correction_alone(self, shelf_fault, monkeypatch):
+        scene, ctx, witness = shelf_fault
+        h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
+        base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
+        sizes = []
+        for attr in ("__call__", "jacobian", "value_and_jacobian"):
+            def counted(self, z, *args, _original=getattr(RankDropMap, attr), **kwargs):
+                sizes.append(len(np.atleast_2d(z)))
+                return _original(self, z, *args, **kwargs)
+
+            monkeypatch.setattr(RankDropMap, attr, counted)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0, c1_samples=777)
+        # the base is read at the fault point only, never on the C^1 sample
+        assert sizes and set(sizes) == {1}
+        monkeypatch.undo()
+
+        y = np.asarray(witness.point, dtype=float)
+        rng = rng_for(0, "correction-test")
+        dirs = rng.standard_normal((300, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        outside = y + seq.radius * rng.uniform(1.0, 1.5, size=(300, 1)) * dirs
+        outside[0] = y + seq.radius * np.eye(3)[0]  # on the sphere |z - y| = radius
+        cube = y + seq.radius * rng.uniform(-1.0, 1.0, size=(300, 3))
+        for e in seq.entries:
+            assert e.map.base is base
+            val, jac = e.map.delta.value_and_jacobian(outside)
+            assert np.all(val == 0.0) and np.all(jac == 0.0)
+            # g_i - g is the correction
+            gval, gjac = e.map.value_and_jacobian(cube)
+            val, jac = e.map.delta.value_and_jacobian(cube)
+            assert np.max(np.abs(gval - base(cube) - val)) < 1e-12
+            assert np.max(np.abs(gjac - base.jacobian(cube) - jac)) < 1e-12
+            assert np.max(np.abs(val)) > 0.0
 
     def test_degenerate_arc_sample_rejected(self, shelf_fault):
         scene, ctx, witness = shelf_fault

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import strathom.experiments as experiments
+from strathom.constructions import PerturbedMap
 from strathom.dsl import parse_map
 from strathom.experiments import (
-    PerturbedTrialMap,
     _c1_sample,
     _fold_on_circle_witness,
     _scaled_perturbation,
@@ -44,6 +44,14 @@ class TestGrid:
         assert pts.max(0) == pytest.approx([1, 2])
 
 
+@pytest.fixture(scope="module")
+def shelf_destabilizer(gallery_ctx):
+    """The first destabilizer map g_1 at the parabola-shelf fault."""
+    _, scene, ctx = gallery_ctx("parabola-shelf")
+    inc = scene.prestratification.incidences[0]
+    return instability_demo(ctx, inc.x, inc.y, inc.point, count=2, seed=0).sequence.entries[0].map
+
+
 class TestPerturbationField:
     def test_jacobian_matches_finite_differences(self):
         rng = rng_for(0, "fd-test")
@@ -76,11 +84,16 @@ class TestPerturbationField:
             ("circle", parse_map("cos(x1), sin(x1)", 1), [[-np.pi, np.pi]]),
         ],
     )
-    def test_value_and_jacobian_equal_separate_calls(self, topology, base, box):
+    def test_value_and_jacobian_equal_separate_calls(self, topology, base, box, shelf_destabilizer):
         delta = _scaled_perturbation(base.m, box, _c1_sample(box, 3), 0.2, 3, 1, 4, topology=topology)
         lo, hi = np.asarray(box, dtype=float).T
         w = rng_for(3, "vj-test").uniform(lo, hi, size=(40, len(box)))
-        for fn in (delta, PerturbedTrialMap(base, delta)):
+        maps = [delta, PerturbedMap(base, delta)]
+        if topology == "line":
+            # the affine base, a destabilizer map g_i and its localized
+            # correction, on a cube around the fault point at the origin
+            maps += [base, shelf_destabilizer, shelf_destabilizer.delta]
+        for fn in maps:
             for pts in (w, w[0]):
                 val, jac = fn.value_and_jacobian(pts)
                 assert np.array_equal(val, fn(pts))
@@ -239,7 +252,7 @@ class TestNongenericity:
         # (+-1, 0); the seeds on x1 = 0, among the 8 best of the grid, have
         # a singular residual Jacobian, which must not sink the others
         h = parse_map("x1, x2^2", 2)
-        w = _fold_on_circle_witness(h, [[-2.0, 2.0], [-2.0, 2.0]], [5, 5], seed=0)
+        w = _fold_on_circle_witness(h, [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
         assert w is not None and w["residual"] < 1e-9
         assert abs(abs(w["w"][0]) - 1.0) < 1e-9 and abs(w["w"][1]) < 1e-9
 
