@@ -217,14 +217,33 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return _stable_angles(b.basis, a.basis)[:k]
 
 
+def _largest_angles(a_bases: np.ndarray, b_bases: np.ndarray) -> np.ndarray:
+    """Largest principal angle of each pair of bases (k, n, d), (k, n, d).
+
+    The stacked form of :func:`_stable_angles`' last entry: arccos of the
+    smallest singular value of A^T B, recomputed from the largest
+    singular value of the residual (I - P_A) B on the pairs below pi/4.
+    Once any pair is below pi/4 the residual is taken for the whole
+    stack, which costs less than gathering the rows that need it.
+    """
+    if a_bases.shape[2] == 0:
+        return np.zeros(len(a_bases))
+    cross = np.swapaxes(a_bases, 1, 2) @ b_bases
+    cos = np.linalg.svd(cross, compute_uv=False)[:, -1]
+    angles = np.arccos(np.clip(cos, 0.0, 1.0))
+    small = angles < np.pi / 4
+    if np.any(small):
+        sin = np.linalg.svd(b_bases - a_bases @ cross, compute_uv=False)[:, 0]
+        angles = np.where(small, np.arcsin(np.clip(sin, 0.0, 1.0)), angles)
+    return angles
+
+
 def grassmann_distance(a: Subspace, b: Subspace) -> float:
     """Largest principal angle, padded to pi/2 on dimension mismatch."""
     _check_ambient(a, b)
     if a.dim != b.dim:
         return np.pi / 2
-    if a.dim == 0:
-        return 0.0
-    return float(principal_angles(a, b)[-1])
+    return float(_largest_angles(a.basis[None], b.basis[None])[0])
 
 
 def subspace_sum(a: Subspace, b: Subspace, rtol: float = RTOL) -> Subspace:
@@ -305,17 +324,20 @@ def grassmann_limit(
     together with the observed residual; otherwise the full residual
     history is returned for diagnosis.  No extrapolation is attempted:
     checkers need evidence, not acceleration.
+
+    All distances come from one stacked kernel call: the consecutive
+    pairs, then the non-adjacent pairs of the trailing window.
     """
     entries = seq.entries
-    history = tuple(
-        grassmann_distance(entries[i], entries[i + 1]) for i in range(len(entries) - 1)
-    )
-    w = min(window, len(entries))
-    tail = entries[-w:]
-    residual = 0.0
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            residual = max(residual, grassmann_distance(tail[i], tail[j]))
+    k = len(entries)
+    w = min(window, k)
+    i, j = np.triu_indices(w, 2)
+    first = np.concatenate([np.arange(k - 1), i + k - w])
+    second = np.concatenate([np.arange(1, k), j + k - w])
+    bases = np.stack([e.basis for e in entries])
+    dists = _largest_angles(bases[first], bases[second]).tolist()
+    history = tuple(dists[: k - 1])
+    residual = max([0.0] + dists[k - w :])  # the window's pairs
     if residual < tol:
         return GrassmannLimit(True, entries[-1], residual, history)
     return GrassmannLimit(False, None, residual, history)

@@ -183,8 +183,7 @@ def _limit_verdict(
     witness: FaultWitness | None = None
     for arc in arcs:
         tangents = tangents_of(arc.chart_points)
-        tags = tuple(str(np.round(u, 12).tolist()) for u in arc.chart_points)
-        lim = grassmann_limit(SubspaceSequence(tangents, tags), plan.window, plan.angle_tol)
+        lim = grassmann_limit(SubspaceSequence(tangents), plan.window, plan.angle_tol)
         if not lim.converged:
             evidence.append(
                 ArcEvidence(

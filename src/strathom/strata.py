@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import SmoothMap
-from .grassmann import Subspace, _ranks
+from .grassmann import Subspace, _largest_angles, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
@@ -288,39 +288,63 @@ class Stratum:
         closure: bool = False,
         seed: int = 0,
     ) -> Location:
-        """Chart coordinates of the nearest chart image to ``point``.
-
-        Returns (u, distance, unconverged), the last the number of starts
-        whose solve had not converged.  With ``closure=True`` the domain
-        predicates may sit at zero (boundary points are eligible);
-        otherwise the result must lie strictly inside the domain.  The
-        solve starts from the inverse hint, the box center and 8 seeded
-        points of the sample box, for at most 80 steps each.
-        """
+        """Chart coordinates of the nearest chart image to ``point``: one
+        row of :meth:`locate_many`, which raises :class:`LocateError` if
+        no start ends admissible."""
         p = np.asarray(point, dtype=float)
-        box = np.asarray(self.sample_box)
-        seeds_list: list[np.ndarray] = []
-        if self.inverse_hint is not None:
-            seeds_list.append(np.asarray(self.inverse_hint(p, check_domain=False), dtype=float))
-        seeds_list.append(box.mean(axis=1))
-        rng = rng_for(seed, "locate", self.name)
-        for _ in range(8):
-            seeds_list.append(rng.uniform(box[:, 0], box[:, 1]))
+        u, dist, unconverged = self.locate_many(p[None], closure, seed)
+        if dist[0] == np.inf:
+            raise LocateError(
+                f"no admissible chart point found on {self.name!r} near {p.tolist()}"
+            )
+        return Location(u[0], float(dist[0]), int(unconverged[0]))
 
-        def residual(u, _idx):
+    def locate_many(
+        self,
+        points,
+        closure: bool = False,
+        seed: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Chart coordinates of the nearest chart image to each of the
+        points (m, n), in one Gauss-Newton solve over all their starts.
+
+        Returns u (m, d), the distances (m,) and, per point, the number
+        of starts whose solve had not converged (m,).  With
+        ``closure=True`` the domain predicates may sit at zero (boundary
+        points are eligible); otherwise the result must lie strictly
+        inside the domain.  A point with no admissible start gets
+        distance ``inf``.  Each point's solve starts from the inverse
+        hint, the box center and 8 seeded points of the sample box (the
+        same 8 for every point), for at most 80 steps each; every start
+        exits on its own, so a row does not depend on the other points.
+        """
+        p = np.asarray(points, dtype=float)
+        m = len(p)
+        box = np.asarray(self.sample_box)
+        hints = 0 if self.inverse_hint is None else 1
+        per_point = hints + 9
+        starts = np.empty((m, per_point, self.dim))
+        if hints:
+            starts[:, 0] = self.inverse_hint(p, check_domain=False)
+        starts[:, hints] = box.mean(axis=1)
+        starts[:, hints + 1 :] = rng_for(seed, "locate", self.name).uniform(
+            box[:, 0], box[:, 1], size=(8, self.dim)
+        )
+        targets = np.repeat(p, per_point, axis=0)
+
+        def residual(u, idx):
             vals, jacs = self.chart.value_and_jacobian(u, check_domain=False)
-            return vals - p, jacs
+            return vals - targets[idx], jacs
 
         # the sample box is the declared working region of the chart; an
         # inward nudge keeps iterates evaluable when the chart formula is
         # singular on an open boundary (log, sqrt)
         solved = _gauss_newton(
-            residual, np.array(seeds_list), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+            residual, starts.reshape(-1, self.dim), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
             tol=1e-13, max_iter=80,
         )
         u = solved.u
-        vals = self.chart(u, check_domain=False)
-        dists = np.linalg.norm(vals - p, axis=1)
+        dists = np.linalg.norm(self.chart(u, check_domain=False) - targets, axis=1)
         if closure:
             ok = np.all(self.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
         else:
@@ -328,13 +352,10 @@ class Stratum:
             # *limit* of the stratum drives the solve onto the boundary
             # and must not count as lying on it
             ok = np.all(self.domain_margins(u) > 1e-9, axis=1)
-        if not np.any(ok):
-            raise LocateError(
-                f"no admissible chart point found on {self.name!r} near {p.tolist()}"
-            )
-        dists = np.where(ok, dists, np.inf)
-        best = int(np.argmin(dists))
-        return Location(u[best], float(dists[best]), int(np.count_nonzero(~solved.converged)))
+        dists = np.where(ok, dists, np.inf).reshape(m, per_point)
+        best = np.arange(m) * per_point + np.argmin(dists, axis=1)
+        unconverged = np.count_nonzero(~solved.converged.reshape(m, per_point), axis=1)
+        return u[best], dists.ravel()[best], unconverged
 
     def __str__(self) -> str:
         return f"{self.name}: R^{self.dim} -> R^{self.ambient}, chart {self.chart.to_source()}"
@@ -556,14 +577,7 @@ class StratifiedMapContext:
                 f"{c_ranks[i]}, expected {leaf_dim}"
             )
 
-        # largest principal angle between the routes: arccos of the
-        # smallest cosine, recomputed from the residual's largest sine
-        # below pi/4 where arccos loses half the precision
-        cross = np.swapaxes(ambient_route, 1, 2) @ chart_route
-        angle = np.arccos(np.clip(np.linalg.svd(cross, compute_uv=False)[:, -1], 0.0, 1.0))
-        resid = chart_route - ambient_route @ cross
-        sin = np.clip(np.linalg.svd(resid, compute_uv=False)[:, 0], 0.0, 1.0)
-        angle = np.where(angle < np.pi / 4, np.arcsin(sin), angle)
+        angle = _largest_angles(ambient_route, chart_route)
         bad = angle > 1e-6
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -725,19 +739,17 @@ def validate_prestratification(
 
     # overlap: a sampled point of one stratum claimed by another
     for a in P.strata:
-        images = a.chart(sampled[a.name])
+        images = a.chart(sampled[a.name][:20])
         for b in P.strata:
             if b.name == a.name:
                 continue
-            for p in images[: min(len(images), 20)]:
-                try:
-                    dist = b.locate(p, closure=False, seed=seed).distance
-                except LocateError:
-                    continue
-                if dist < ON_STRATUM_TOL:
-                    raise OverlapError(
-                        f"point {p.tolist()} of stratum {a.name!r} also lies on {b.name!r}"
-                    )
+            _, dists, _ = b.locate_many(images, closure=False, seed=seed)
+            claimed = np.flatnonzero(dists < ON_STRATUM_TOL)
+            if claimed.size:
+                raise OverlapError(
+                    f"point {images[claimed[0]].tolist()} of stratum {a.name!r} "
+                    f"also lies on {b.name!r}"
+                )
 
     confirmed = 0
     for inc in P.incidences:
@@ -782,69 +794,65 @@ def _probe_frontier(
     """
     if not s.chart.domain:
         return FrontierProbe(s.name, "undetermined", "no domain predicates to probe")
-    pred_maps = [
-        SmoothMap(n=s.dim, components=(pred,)) for pred in s.chart.domain
+    hits = [
+        _walk_to_boundary(SmoothMap(n=s.dim, components=(pred,)), interior[:8])
+        for pred in s.chart.domain
     ]
-    candidates: list[np.ndarray] = []
-    for pred in pred_maps:
-        for u in interior[:8]:
-            hit = _walk_to_boundary(pred, u)
-            if hit is not None:
-                candidates.append(hit)
-    if not candidates:
+    candidates = np.concatenate(hits)
+    if len(candidates) == 0:
         return FrontierProbe(s.name, "undetermined", "no reachable predicate boundary")
-    claimants: set[str] = set()
-    for u_star in candidates:
-        p_star = np.asarray(s.chart(u_star, check_domain=False), dtype=float)
-        claimed = None
-        for other in P.strata:
-            if other.name == s.name:
-                continue
-            try:
-                dist = other.locate(p_star, closure=False, seed=seed).distance
-            except LocateError:
-                continue
-            if dist < 1e-6:
-                claimed = other.name
-                break
-        if claimed is None:
-            return FrontierProbe(
-                s.name,
-                "violated",
-                f"frontier point {np.round(p_star, 9).tolist()} lies on no other stratum",
-            )
-        claimants.add(claimed)
+    p_star = np.asarray(s.chart(candidates, check_domain=False), dtype=float)
+    others = [o for o in P.strata if o.name != s.name]
+    on = np.array(
+        [o.locate_many(p_star, closure=False, seed=seed)[1] < 1e-6 for o in others]
+    ).reshape(len(others), len(candidates))
+    unclaimed = np.flatnonzero(~on.any(axis=0))
+    if unclaimed.size:
+        return FrontierProbe(
+            s.name,
+            "violated",
+            f"frontier point {np.round(p_star[unclaimed[0]], 9).tolist()} lies on no other stratum",
+        )
+    # each frontier point is claimed by the first stratum it lies on
+    claimants = {others[i].name for i in np.argmax(on, axis=0)}
     return FrontierProbe(
         s.name, "satisfied", f"frontier samples matched by {sorted(claimants)}"
     )
 
 
-def _walk_to_boundary(pred: SmoothMap, u: np.ndarray) -> np.ndarray | None:
-    """March from an interior point against the predicate gradient, in
-    doubling steps up to 8 chart units, until the predicate crosses zero;
-    bisect the crossing."""
-    val, jac = pred.value_and_jacobian(u)
-    grad = jac[0]
-    norm = np.linalg.norm(grad)
-    if norm < 1e-12:
-        return None
-    direction = -grad / norm
-    lo, hi = 0.0, None
-    t = min(1.0, float(val[0]) / norm + 1e-3)
-    while t <= 8.0:
-        if pred(u + t * direction)[0] <= 0.0:
-            hi = t
-            break
-        lo = t
-        t *= 2.0
-    if hi is None:
-        return None
+def _walk_to_boundary(pred: SmoothMap, U: np.ndarray) -> np.ndarray:
+    """Boundary points (h, d) reached from the interior points U (k, d),
+    in row order: each marches against the predicate gradient, in
+    doubling steps up to 8 chart units, until the predicate crosses
+    zero, and the crossing is bisected.  Points with a vanishing
+    gradient or no crossing within reach are dropped.  All points walk
+    in lockstep, one predicate evaluation per step."""
+    vals, jacs = pred.value_and_jacobian(U)
+    grads = jacs[:, 0, :]
+    # g^T g as a matrix product sums as np.linalg.norm of one vector does
+    norms = np.sqrt(grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
+    keep = norms >= 1e-12
+    U, vals, grads, norms = U[keep], vals[keep, 0], grads[keep], norms[keep]
+    direction = -grads / norms[:, None]
+    lo = np.zeros(len(U))
+    hi = np.full(len(U), np.inf)
+    t = np.minimum(1.0, vals / norms + 1e-3)
+    walking = np.flatnonzero(t <= 8.0)
+    while walking.size:
+        tw = t[walking]
+        crossed = pred(U[walking] + tw[:, None] * direction[walking])[:, 0] <= 0.0
+        hi[walking[crossed]] = tw[crossed]
+        lo[walking[~crossed]] = tw[~crossed]
+        t[walking[~crossed]] = 2.0 * tw[~crossed]
+        walking = walking[~crossed]
+        walking = walking[t[walking] <= 8.0]  # the rest gave up beyond 8 chart units
+    found = hi < np.inf
+    U, direction, lo, hi = U[found], direction[found], lo[found], hi[found]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if pred(u + mid * direction)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # return the inside endpoint: the chart stays evaluable there and the
+        inside = pred(U + mid[:, None] * direction)[:, 0] > 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    # return the inside endpoints: the chart stays evaluable there and the
     # bracket is far tighter than any matching tolerance downstream
-    return u + lo * direction
+    return U + lo[:, None] * direction

@@ -222,6 +222,78 @@ class TestGrassmannLimit:
         assert grassmann_distance(r1.limit, r2.limit) < 1e-10
 
 
+def reference_limit(entries, window):
+    """The pairwise loop: consecutive distances, then every pair of the
+    trailing window."""
+    history = tuple(grassmann_distance(a, b) for a, b in zip(entries, entries[1:]))
+    tail = entries[-min(window, len(entries)) :]
+    residual = 0.0
+    for i in range(len(tail)):
+        for j in range(i + 1, len(tail)):
+            residual = max(residual, grassmann_distance(tail[i], tail[j]))
+    return history, residual
+
+
+def drifting_sequence(rng, n, d, length, spread):
+    """Subspaces near one random d-plane, moving by about ``spread``
+    radians and settling geometrically."""
+    base = rng.standard_normal((n, d))
+    out = []
+    for i in range(length):
+        m = base + spread * 0.5**i * rng.standard_normal((n, d))
+        out.append(Subspace(np.linalg.svd(m, full_matrices=False)[0]))
+    return tuple(out)
+
+
+class TestStackedLimit:
+    """grassmann_limit's one stacked kernel call against the pairwise loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        d_frac=st.floats(0.0, 1.0),
+        length=st.integers(1, 12),
+        window=st.integers(2, 14),
+        spread=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.3, 10.0]),
+    )
+    def test_matches_pairwise_loop(self, seed, n, d_frac, length, window, spread):
+        d = round(d_frac * n)
+        entries = drifting_sequence(np.random.default_rng(seed), n, d, length, spread)
+        res = grassmann_limit(SubspaceSequence(entries), window)
+        history, residual = reference_limit(entries, window)
+        assert res.history == history
+        assert res.residual == residual
+        assert all(type(h) is float for h in res.history)
+
+    @pytest.mark.parametrize("n, d", [(3, 0), (1, 1), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("length, window", [(1, 5), (4, 5), (5, 5), (9, 3), (6, 2)])
+    def test_edge_shapes(self, n, d, length, window):
+        entries = drifting_sequence(np.random.default_rng(n + d + length), n, d, length, 0.3)
+        res = grassmann_limit(SubspaceSequence(entries), window)
+        assert (res.history, res.residual) == reference_limit(entries, window)
+        assert len(res.history) == length - 1
+
+    def test_angles_on_both_sides_of_pi_over_4(self):
+        # lines at angles 0.1, 0.7, 0.9, 1.5 from the x axis: consecutive
+        # gaps below pi/4 take the sine route, the wide window pairs arccos
+        angles = [0.0, 0.1, 0.7, 0.9, 1.5]
+        entries = tuple(span_of([[np.cos(t), np.sin(t)]]) for t in angles)
+        res = grassmann_limit(SubspaceSequence(entries), window=5)
+        assert (res.history, res.residual) == reference_limit(entries, 5)
+        assert res.history == pytest.approx([0.1, 0.6, 0.2, 0.6], abs=1e-12)
+        assert res.residual == pytest.approx(1.5, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d_frac=st.floats(0.0, 1.0),
+           spread=st.sampled_from([1e-9, 1e-3, 0.5, 10.0]))
+    def test_distance_is_the_largest_principal_angle(self, seed, n, d_frac, spread):
+        d = round(d_frac * n)
+        a, b = drifting_sequence(np.random.default_rng(seed), n, d, 2, spread)
+        want = float(principal_angles(a, b)[-1]) if d else 0.0
+        assert grassmann_distance(a, b) == want
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rng = np.random.default_rng(13)

@@ -3,16 +3,20 @@ import pytest
 
 from strathom.dsl import parse_map
 from strathom.grassmann import grassmann_distance, span_of
+from strathom.seeds import rng_for
 from strathom.strata import (
     ApproachPlan,
     ConstantRankError,
     ImmersionError,
     Incidence,
     IncidenceError,
+    LocateError,
     OverlapError,
     Prestratification,
     StratifiedMapContext,
     Stratum,
+    _gauss_newton,
+    _walk_to_boundary,
     approach_sequence,
     tangent_space,
     validate_constant_rank,
@@ -272,3 +276,136 @@ class TestLocate:
         u, dist, _ = s.locate(point, closure=True)
         assert dist < 1e-12
         assert u.tolist() == list(point[:2])
+
+
+def scalar_locate(stratum, point, closure, seed):
+    """One point's multistart solve on its own: hint, box centre, then
+    the 8 seeded box points, as (u, distance, unconverged)."""
+    p = np.asarray(point, dtype=float)
+    box = np.asarray(stratum.sample_box)
+    starts = [] if stratum.inverse_hint is None else [stratum.inverse_hint(p, check_domain=False)]
+    starts.append(box.mean(axis=1))
+    rng = rng_for(seed, "locate", stratum.name)
+    starts += [rng.uniform(box[:, 0], box[:, 1]) for _ in range(8)]
+
+    def residual(u, _idx):
+        vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
+        return vals - p, jacs
+
+    solved = _gauss_newton(residual, np.array(starts), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+                           tol=1e-13, max_iter=80)
+    dists = np.linalg.norm(stratum.chart(solved.u, check_domain=False) - p, axis=1)
+    if closure:
+        ok = np.all(stratum.domain_margins(solved.u, -1e-8) > -1e-8, axis=1)
+    else:
+        ok = np.all(stratum.domain_margins(solved.u) > 1e-9, axis=1)
+    dists = np.where(ok, dists, np.inf)
+    best = int(np.argmin(dists))
+    return solved.u[best], dists[best], np.count_nonzero(~solved.converged)
+
+
+def hint_free_shelf():
+    return Stratum(name="H", chart=parse_map("x1, x2^2, x2", 2, domain=("-x2",)),
+                   sample_box=((-1.0, 1.0), (-1.0, 0.0)))
+
+
+def saddle_sheet():
+    """Hint-free, with a box reaching past the domain x2 > 0: some starts
+    end outside it and some creep along the box edge unconverged."""
+    return Stratum(name="W", chart=parse_map("x1, x2, x1^2 - x2^2", 2, domain=("x2",)),
+                   sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+class TestLocateMany:
+    @pytest.mark.parametrize("make", [parabola_shelf, hint_free_shelf, halfplane_z0, saddle_sheet])
+    @pytest.mark.parametrize("closure", [False, True])
+    def test_rows_equal_the_scalar_solve(self, make, closure):
+        s = make()
+        rng = np.random.default_rng(21)
+        on = s.chart(s.sample_chart_points(6, rng))
+        far = np.random.default_rng(21).uniform(-1.5, 1.5, (12, 3))
+        points = np.concatenate([on, on + 0.2 * rng.standard_normal(on.shape), far, [ORIGIN]])
+        u, dist, unconverged = s.locate_many(points, closure=closure, seed=5)
+        assert u.shape == (len(points), s.dim)
+        assert dist.shape == unconverged.shape == (len(points),)
+        for i, p in enumerate(points):
+            ref_u, ref_dist, ref_unconverged = scalar_locate(s, p, closure, seed=5)
+            assert dist[i] == ref_dist
+            assert unconverged[i] == ref_unconverged
+            if ref_dist < np.inf:
+                assert u[i].tolist() == ref_u.tolist()
+
+    def test_saddle_sheet_has_unconverged_and_inadmissible_rows(self):
+        far = np.random.default_rng(21).uniform(-1.5, 1.5, (12, 3))
+        _, dist, unconverged = saddle_sheet().locate_many(far, seed=5)
+        assert np.isinf(dist).any() and np.isfinite(dist).any()
+        assert 0 < unconverged.max() < 10 and unconverged.min() == 0
+
+    def test_inadmissible_row_is_inf_and_leaves_neighbours_alone(self):
+        s = halfplane_z0()
+        good = np.array([[0.3, 0.5, 0.0], [-0.2, 0.1, 0.4]])
+        below = [0.0, -0.5, 0.0]  # nearest chart point sits on the open edge y = 0
+        u, dist, _ = s.locate_many(np.insert(good, 1, below, axis=0))
+        assert dist[1] == np.inf
+        alone_u, alone_dist, _ = s.locate_many(good)
+        assert dist[[0, 2]].tolist() == alone_dist.tolist()
+        assert u[[0, 2]].tolist() == alone_u.tolist()
+        with pytest.raises(LocateError, match=r"no admissible chart point found on 'S1' near \[0.0, -0.5, 0.0\]"):
+            s.locate(below)
+
+    def test_locate_is_one_row(self):
+        s = parabola_shelf()
+        p = np.array([0.2, 0.3, -0.5])
+        loc = s.locate(p, closure=True, seed=3)
+        u, dist, unconverged = s.locate_many(p[None], closure=True, seed=3)
+        assert loc.u.tolist() == u[0].tolist()
+        assert (loc.distance, loc.unconverged) == (dist[0], unconverged[0])
+        assert type(loc.distance) is float and type(loc.unconverged) is int
+
+
+def scalar_walk(pred, u):
+    """One point's walk to the predicate boundary: doubling steps along
+    the negative gradient up to 8 chart units, then 60 bisections."""
+    val, jac = pred.value_and_jacobian(u)
+    norm = np.linalg.norm(jac[0])
+    if norm < 1e-12:
+        return None
+    direction = -jac[0] / norm
+    lo, hi = 0.0, None
+    t = min(1.0, float(val[0]) / norm + 1e-3)
+    while t <= 8.0:
+        if pred(u + t * direction)[0] <= 0.0:
+            hi = t
+            break
+        lo = t
+        t *= 2.0
+    if hi is None:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if pred(u + mid * direction)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return u + lo * direction
+
+
+class TestWalkToBoundary:
+    @pytest.mark.parametrize("source", ["1 - x1^2 - x2^2", "x2", "x1 + 0.5*x2^3 + 0.2", "3 - x1"])
+    def test_batch_equals_the_scalar_walk(self, source):
+        pred = parse_map(source, 2)
+        U = np.random.default_rng(2).uniform(-0.6, 0.6, (12, 2))
+        U = U[pred(U)[:, 0] > 0.0]
+        want = [h for h in (scalar_walk(pred, u) for u in U) if h is not None]
+        got = _walk_to_boundary(pred, U)
+        assert got.shape == (len(want), 2)
+        assert got.tolist() == np.array(want).reshape(-1, 2).tolist()
+
+    def test_drops_flat_and_unreachable_points(self):
+        # 1 - x^2 is flat at 0; 20 - x is not crossed within 8 chart units
+        bump = parse_map("1 - x1^2", 1)
+        hits = _walk_to_boundary(bump, np.array([[0.0], [0.5], [-0.25]]))
+        assert hits[:, 0] == pytest.approx([1.0, -1.0], abs=1e-12)
+        far = parse_map("20 - x1", 1)
+        assert _walk_to_boundary(far, np.array([[0.0], [13.0]]))[:, 0] == pytest.approx([20.0])
+        assert _walk_to_boundary(far, np.array([[0.0]])).shape == (0, 1)
