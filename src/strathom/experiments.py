@@ -279,26 +279,6 @@ def _nearest_chart_points(
     return best_u, best_d, int(np.count_nonzero(~solved.converged))
 
 
-def _leaf_bases_batch(ctx: StratifiedMapContext, stratum: Stratum, chart_points: np.ndarray) -> np.ndarray:
-    """Leaf-tangent bases at many chart points in one batched pass.
-
-    Chart-kernel route with the corank pinned by the stratum's rank
-    certificate (the checkers run the slower cross-checked version; the
-    experiment loop takes the certified shortcut).
-    """
-    leaf_dim = stratum.dim - ctx.rank(stratum.name)
-    k = len(chart_points)
-    if leaf_dim == 0:
-        return np.zeros((k, stratum.ambient, 0))
-    vals, cjacs = stratum.chart.value_and_jacobian(chart_points, check_domain=False)
-    _, fjacs = ctx.f.value_and_jacobian(vals, check_domain=False)
-    _, _, vt = np.linalg.svd(fjacs @ cjacs)
-    kernel_cols = np.swapaxes(vt[:, stratum.dim - leaf_dim :, :], 1, 2)
-    pushed = cjacs @ kernel_cols  # (k, n, leaf_dim)
-    q, _ = np.linalg.qr(pushed)
-    return q
-
-
 def transversality_margin(
     ctx: StratifiedMapContext, trial_map, k_points: np.ndarray, seed: int
 ) -> tuple[float, np.ndarray]:
@@ -310,7 +290,9 @@ def transversality_margin(
     value (scale-invariant: exact rank at finitely many sample points is
     almost surely full, so nearness to degeneracy is what gets
     measured).  Points whose images stay clear of every stratum impose
-    nothing.
+    nothing.  The leaf bases at the nearest chart points, which may lie
+    on the closure of the domain, come from the cross-checked
+    :meth:`StratifiedMapContext.leaf_tangents`.
     """
     n = ctx.prestratification.ambient
     images, jacs = trial_map.value_and_jacobian(k_points)
@@ -321,7 +303,7 @@ def transversality_margin(
         near = np.nonzero(d < PROXIMITY)[0]
         if near.size == 0:
             continue
-        leaf_bases = _leaf_bases_batch(ctx, stratum, u[near])
+        leaf_bases = ctx.leaf_tangents(stratum, u[near])
         stacked = np.concatenate([jacs[near], leaf_bases], axis=2)
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv.shape[1] < n:

@@ -811,16 +811,19 @@ def check_afs_at(
     sx = ctx.stratum(x)
 
     def probe(radii: list[float], samples: list[np.ndarray]):
+        # the samples of every radius in one batch, split back by radius
+        every_u = np.concatenate(samples)
+        low = np.zeros(len(every_u), dtype=bool)
+        if s_req and len(every_u):  # a rank-0 requirement is vacuous
+            leaves_x = ctx.leaf_tangents(sx, every_u)
+            pts = np.asarray(sx.chart(every_u), dtype=float)
+            pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
+            low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
+        bounds = np.cumsum([0] + [len(u) for u in samples])
         out = []
-        for samples_u in samples:
-            bad = None
-            if s_req and len(samples_u):  # a rank-0 requirement is vacuous
-                leaves_x = ctx.leaf_tangents(sx, samples_u)
-                pts = np.asarray(sx.chart(samples_u), dtype=float)
-                pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
-                low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
-                if np.any(low):
-                    bad = pts[int(np.argmax(low))]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            hit = lo + np.flatnonzero(low[lo:hi])
+            bad = pts[hit[0]] if hit.size else None
             out.append(({"rank_drop": bad is not None}, bad))
         return out
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsl import SmoothMap
+from .dsl import DomainError, SmoothMap, to_source
 from .grassmann import Subspace, _largest_angles, _ranks
 from .seeds import rng_for
 
@@ -475,12 +475,11 @@ class StratifiedMapContext:
 
     Immutable after construction; owner of induced-foliation queries.
     Leaf tangents come from one batched kernel, :meth:`leaf_tangents`,
-    which the checkers call once per arc, per sample set and per set of
-    intersection points.  It always runs both computations (ambient
-    kernel intersection, pushed-forward chart kernel) and cross-checks
-    them at every point.  The one uncross-checked leaf-tangent path left
-    is ``experiments._leaf_bases_batch``, the stability experiments'
-    chart-route shortcut.
+    which the checkers call once per arc, per set of intersection points
+    and per afs verdict (its samples at every radius), and the stability
+    experiments once per stratum and transversality margin.  It always
+    runs both computations (ambient kernel intersection, pushed-forward
+    chart kernel) and cross-checks them at every point.
     """
 
     f: SmoothMap
@@ -533,6 +532,11 @@ class StratifiedMapContext:
         point; each step runs once for the whole batch, and a failing
         check names the first point that fails it.  Route (a) is
         returned.
+
+        The points may lie on the closure of the domain: every domain
+        predicate must read above ``CLOSURE_MARGIN``, the band that
+        ``Stratum.locate(closure=True)`` admits, and a point beyond it
+        raises :class:`DomainError` naming the first such point.
         """
         s = self.stratum(stratum) if isinstance(stratum, str) else stratum
         U = np.asarray(U, dtype=float)
@@ -542,7 +546,15 @@ class StratifiedMapContext:
         leaf_dim = d - self.rank(s.name)
         if len(U) == 0:
             return np.zeros((0, n, leaf_dim))
-        points, chart_jacs = s.chart.value_and_jacobian(U)
+        margins = s.domain_margins(U, CLOSURE_MARGIN)
+        beyond = ~(margins > CLOSURE_MARGIN)
+        if np.any(beyond):
+            i, j = np.argwhere(beyond)[0]
+            raise DomainError(
+                f"point {U[i].tolist()} lies beyond the closure of the domain of {s.name!r}: "
+                f"predicate {to_source(s.chart.domain[j])} > 0 reads {margins[i, j]:.2e}"
+            )
+        points, chart_jacs = s.chart.value_and_jacobian(U, check_domain=False)
         tangents = _tangent_frames(s, U, chart_jacs)
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))

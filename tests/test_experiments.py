@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import strathom.experiments as experiments
 from strathom.constructions import PerturbedMap
-from strathom.dsl import parse_map
+from strathom.dsl import DomainError, parse_map
 from strathom.experiments import (
     _c1_sample,
     _fold_on_circle_witness,
@@ -22,6 +24,7 @@ from strathom.experiments import (
 from strathom.gallery import gallery_entry
 from strathom.regularity import PreconditionError
 from strathom.seeds import derive_seed, rng_for
+from strathom.strata import NumericalInconsistencyError
 
 CUBE = [[-1, 1]] * 3
 CIRCLE = [[-np.pi, np.pi]]
@@ -165,12 +168,22 @@ class TestStability:
         report = stability_trial(ctx, base, k_points, eps, trials=20, seed=0)
         assert report.fraction == 1.0
 
-    def test_calibration_draws_each_trial_field_once(self, monkeypatch):
-        # the benchmark's stability-planes calibration at seed 1; its eps
-        # is pinned so that any change to it is seen
+    @pytest.mark.parametrize(
+        "seed, eps_hex",
+        [
+            (1, "0x1.ace92f6c929d6p+0"),
+            (2, "0x1.24d06caf0b7a4p-1"),
+            (3, "0x1.18711529738e4p+1"),
+            (20261017, "0x1.4e0e3b1705e20p+0"),
+        ],
+        ids=["1", "2", "3", "20261017"],
+    )
+    def test_calibration_draws_each_trial_field_once(self, seed, eps_hex, monkeypatch):
+        # the benchmark's stability-planes calibration at its seeds; the
+        # eps is pinned so that any change to it is seen
         entry_scene = gallery_entry("parallel-planes").scene()
         exp = entry_scene.experiments
-        ctx = entry_scene.build_context(seed=derive_seed(1, "context"))
+        ctx = entry_scene.build_context(seed=derive_seed(seed, "context"))
         k_points = grid_points(exp["k_box"], exp["grid"])
         base = seeded_full_rank_map(entry_scene.ambient, seed=derive_seed(0, "base"))
         draws, margins = [], []
@@ -186,11 +199,38 @@ class TestStability:
 
         monkeypatch.setattr(experiments, "make_perturbation", counting_draw)
         monkeypatch.setattr(experiments, "transversality_margin", counting_margin)
-        eps = calibrate_epsilon(ctx, base, k_points, seed=derive_seed(1, "stability"),
+        eps = calibrate_epsilon(ctx, base, k_points, seed=derive_seed(seed, "stability"),
                                 probe_trials=10, rounds=6, certify_trials=50)
-        assert eps.hex() == "0x1.ace92f6c929d6p+0"
+        assert eps.hex() == eps_hex
         assert len(draws) == 50  # one per distinct trial index
         assert len(margins) > 1 + 50  # while every probed eps measures its trials
+
+    def test_margin_cross_checks_the_leaf_tangents(self, planes_setup):
+        # a map that contradicts the rank certificate of S1: the leaf
+        # bases come from the cross-checked kernel, which refuses them
+        ctx, k_points, base = planes_setup
+        bad_ctx = dataclasses.replace(ctx, f=parse_map("x2 + x3, x1^3", 3))
+        with pytest.raises(NumericalInconsistencyError, match="leaf tangent routes disagree"):
+            transversality_margin(bad_ctx, base, k_points, 0)
+
+    def test_margin_at_a_closure_point(self, planes_setup):
+        # S1's sample box crosses its domain boundary x2 = 0, and the
+        # grid image lies nearest to a chart point just outside it
+        ctx, _, base = planes_setup
+        strata = ctx.prestratification.strata
+        s1 = dataclasses.replace(strata[0], sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        wide = dataclasses.replace(
+            ctx, prestratification=dataclasses.replace(ctx.prestratification, strata=(s1, *strata[1:]))
+        )
+        image = np.array([0.3, -5e-9, 0.02])
+        k_points = np.linalg.solve(base.matrix, image - base.offset)[None]
+        u, d, _ = experiments._nearest_chart_points(s1, base(k_points), 0)
+        assert s1.domain_margins(u)[0, 0] == pytest.approx(-5e-9, rel=1e-6)
+        assert d[0] == pytest.approx(0.02)
+        margin, _ = transversality_margin(wide, base, k_points, 0)
+        assert margin == pytest.approx(0.4023252006707616, rel=1e-12)
+        with pytest.raises(DomainError, match=r"\[0\.3, -1e-06\]"):
+            wide.leaf_tangents(s1, np.array([[0.3, -5e-9], [0.3, -1e-6]]))
 
     def test_calibration_stops_at_the_first_failed_trial(self, planes_setup, monkeypatch):
         ctx, k_points, base = planes_setup
