@@ -29,7 +29,7 @@ import numpy as np
 
 from .dsl import Add, Call, Expr, Mul, Num, SmoothMap, Sub, Var, _bump_value_and_slope
 from .grassmann import Subspace, grassmann_distance, span_of, subspace_sum
-from .regularity import FaultWitness, TransversalityResult, transverse_at
+from .regularity import FaultWitness, TransversalityResult, _base_chart_point, transverse_at
 from .seeds import rng_for
 from .strata import StratifiedMapContext
 
@@ -507,10 +507,19 @@ class SampledSheet:
     containment_angles: np.ndarray = field(repr=False)  # per positive sample
     # (K, n, 2) orthonormal complements of the patch planes
     normals: np.ndarray = field(init=False, repr=False, compare=False)
+    # (K, n, n-1) orthonormal bases of the patch planes plus arc directions
+    tangents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full, _, _ = np.linalg.svd(self.frames)
         object.__setattr__(self, "normals", full[:, :, self.frames.shape[2] :])
+        tangents = [span_of(list(f.T) + [a], n=self.n) for f, a in zip(self.frames, self.arc_dirs)]
+        for k, t in enumerate(tangents):
+            if t.dim != self.n - 1:
+                raise ConstructionError(
+                    f"patch {k} spans a tangent of dimension {t.dim}, expected {self.n - 1}"
+                )
+        object.__setattr__(self, "tangents", np.stack([t.basis for t in tangents]))
 
     @property
     def n(self) -> int:
@@ -519,13 +528,11 @@ class SampledSheet:
     def tangent_at_center(self) -> Subspace:
         return self.center_tangent
 
-    def patch_tangent(self, k: int) -> Subspace:
-        return span_of(
-            list(self.frames[k].T) + [self.arc_dirs[k]], n=self.n
-        )
-
-    def _nearest_patch(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sheet points and the indices of their patches."""
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest sheet points (k, n) with the normal (k, n, 2) and
+        tangent (k, n, n-1) frames of their patches.  The normals are the
+        complements of the patch planes, which leave out the arc direction
+        that the tangents add."""
         pts = np.atleast_2d(points)
         delta = pts[:, None, :] - self.centers[None, :, :]  # (P, K, n)
         coords = np.einsum("pkn,knq->pkq", delta, self.frames)
@@ -533,18 +540,7 @@ class SampledSheet:
         q = self.centers[None, :, :] + np.einsum("pkq,knq->pkn", coords, self.frames)
         dists = np.linalg.norm(pts[:, None, :] - q, axis=2)
         best = np.argmin(dists, axis=1)
-        return q[np.arange(len(pts)), best], best
-
-    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sheet points (k, n) and the normal frames (k, n, 2) of
-        their patches: the complements of the patch planes, which leave
-        out the arc direction that :meth:`project` adds to the tangent."""
-        out, best = self._nearest_patch(points)
-        return out, self.normals[best]
-
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
-        out, best = self._nearest_patch(points)
-        return out, [self.patch_tangent(int(k)) for k in best]
+        return q[np.arange(len(pts)), best], self.normals[best], self.tangents[best]
 
     def to_json(self) -> dict:
         return {
@@ -584,13 +580,12 @@ def tf_witness(
     extended by reflection through the terminal normal hyperplane.
     """
     sx = ctx.stratum(x)
-    sy = ctx.stratum(y)
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    uy = sy.locate(center, closure=False).u
-    leaf_y = ctx.leaf_tangent(sy, uy)
+    uy = _base_chart_point(ctx, y, center, seed=0)
+    leaf_y = ctx.leaf_tangent(ctx.stratum(y), uy)
     if not leaf_y.contains(span_of([v], n=n), tol=1e-6).ok:
         raise ConstructionError("witness vector is not tangent to the base leaf")
     if arc.n != 1 or arc.m != sx.dim:

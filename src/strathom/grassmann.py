@@ -283,7 +283,6 @@ class SubspaceSequence:
     """Subspaces of one Grassmannian, ordered along an approach."""
 
     entries: tuple[Subspace, ...]
-    tags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.entries:
@@ -295,8 +294,6 @@ class SubspaceSequence:
                     f"entry {i} has shape ({s.n}, {s.dim}), sequence started at ({n}, {k}); "
                     "the sequence does not live in one Grassmannian"
                 )
-        if self.tags and len(self.tags) != len(self.entries):
-            raise ValueError("one tag per entry")
 
     def __len__(self) -> int:
         return len(self.entries)

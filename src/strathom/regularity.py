@@ -36,6 +36,7 @@ from .strata import (
     Arc,
     StratifiedMapContext,
     Stratum,
+    _closure_chart_point,
     _gauss_newton,
     _tangent_frames,
     approach_sequence,
@@ -92,18 +93,6 @@ def transverse_at(image: Subspace, leaf: Subspace, n: int) -> TransversalityResu
     rank = _rank(sv)
     margin = float(sv[n - 1]) if sv.size >= n else 0.0
     return TransversalityResult(rank == n, n - rank, margin)
-
-
-def _transverse_ranks(images: list[Subspace], leaves: np.ndarray) -> np.ndarray:
-    """Rank of image_i + leaf_i for each row of leaves (k, n, l), decided
-    as :func:`transverse_at` decides it; images are grouped by dimension."""
-    dims = np.array([t.dim for t in images], dtype=int)
-    ranks = np.empty(len(images), dtype=int)
-    for dim in np.unique(dims):
-        idx = np.nonzero(dims == dim)[0]
-        stacked = np.concatenate([np.stack([images[i].basis for i in idx]), leaves[idx]], axis=2)
-        ranks[idx] = _ranks(np.linalg.svd(stacked, compute_uv=False))
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +320,18 @@ class AffineSurface:
     def tangent_at_center(self) -> Subspace:
         return self.space
 
-    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest surface points (k, n) and orthonormal normal frames
-        there (k, n, n - s): one constant matrix."""
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest surface points (k, n) with the orthonormal normal
+        (k, n, n - s) and tangent (k, n, s) frames there: two constant
+        matrices."""
         pts = np.atleast_2d(points)
         q = self.base + self.space.project(pts - self.base)
-        return q, np.broadcast_to(self.normal, (len(q),) + self.normal.shape)
-
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
-        q, _ = self.nearest(points)
-        return q, [self.space] * len(q)
+        tangent = self.space.basis
+        return (
+            q,
+            np.broadcast_to(self.normal, (len(q),) + self.normal.shape),
+            np.broadcast_to(tangent, (len(q),) + tangent.shape),
+        )
 
 
 @dataclass(frozen=True)
@@ -379,28 +370,23 @@ class ChartSurface:
         solved = _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50)
         return solved.u, int(np.count_nonzero(~solved.converged))
 
-    def _frames(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest sheet points, the left singular vectors of the chart
-        Jacobians there (a full SVD: tangent columns first, normal
-        columns after) and their numerical ranks."""
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest sheet points (k, n) with orthonormal normal frames
+        (k, n, n - r), r the smallest rank of the chart in the batch, and
+        tangent frames (k, n, s) there, from one full SVD of the chart
+        Jacobians: the leading columns are tangent and the trailing ones
+        normal.  Columns beyond a point's own rank are zero in its tangent
+        frame, and columns within it are zero in its normal frame."""
         w, _ = self._preimages(points)
         vals, jacs = self.chart.value_and_jacobian(w, check_domain=False)
         frames, sv, _ = np.linalg.svd(jacs)
-        return vals, frames, _ranks(sv)
-
-    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sheet points (k, n) and orthonormal normal frames there
-        (k, n, n - r), r the smallest rank of the chart in the batch: the
-        trailing columns of a full SVD, with the columns that are tangent
-        at points of higher rank set to zero."""
-        vals, frames, ranks = self._frames(points)
-        low = int(ranks.min()) if len(ranks) else self.chart.n
-        normal = frames[:, :, low:]
-        return vals, normal * (np.arange(low, self.n) >= ranks[:, None])[:, None, :]
-
-    def project(self, points: np.ndarray) -> tuple[np.ndarray, list[Subspace]]:
-        vals, frames, ranks = self._frames(points)
-        return vals, [Subspace(f[:, :r]) for f, r in zip(frames, ranks)]
+        ranks = _ranks(sv)[:, None, None]
+        s = self.chart.n
+        low = int(ranks.min()) if len(ranks) else s
+        cols = np.arange(self.n)
+        normal = frames[:, :, low:] * (cols[low:] >= ranks)
+        tangent = frames[:, :, :s] * (cols[:s] < ranks)
+        return vals, normal, tangent
 
 
 def random_test_surface(
@@ -464,7 +450,7 @@ def _samples_in_ball(
 class _Intersections(NamedTuple):
     u: np.ndarray  # (h, d) chart points of the kept solutions
     points: np.ndarray  # (h, n) their images
-    tangents: list[Subspace]  # surface tangents there
+    tangents: np.ndarray  # (h, n, s) surface tangent frames there
     stalled: int  # seeds still moving after the last step
 
 
@@ -478,8 +464,8 @@ def _find_intersections(
     """Gauss-Newton from chart seeds onto surface-stratum intersection
     points inside the balls of the given radii, one result per radius.
 
-    With ``q, N = surface.nearest(psi(u))`` (nearest surface point and an
-    orthonormal frame of the surface normal there) and the chart Jacobian
+    With ``q, N, _ = surface.project(psi(u))`` (nearest surface point and
+    an orthonormal frame of the surface normal there) and the chart Jacobian
     J = QR, the residual is the normal offset N^T (psi(u) - q), in n - s
     coordinates for a surface of dimension s, and its Jacobian in the
     coordinates v = R u is N^T Q, of full rank n - s wherever the surface
@@ -505,16 +491,17 @@ def _find_intersections(
     solve per radius.  Then, per radius, kept are the solutions of its
     own seeds within 1e-9 of the surface, strictly inside the domain,
     inside its ball and not at the center, with numerically identical
-    ones collapsed; their surface tangents come from
-    ``surface.project``.  Seeds that stop at positive distance witness
-    no intersection; ``stalled`` counts the radius's seeds whose solve
-    was still moving after 60 steps.
+    ones collapsed.  One ``surface.project`` over all solutions gives
+    their distances to the surface and their surface tangent frames.
+    Seeds that stop at positive distance witness no intersection;
+    ``stalled`` counts the radius's seeds whose solve was still moving
+    after 60 steps.
     """
     box = np.asarray(stratum.sample_box)
 
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        q, normals = surface.nearest(vals)
+        q, normals, _ = surface.project(vals)
         basis, tri = np.linalg.qr(jacs)
         normals_t = np.swapaxes(normals, 1, 2)
         return (normals_t @ (vals - q)[:, :, None])[:, :, 0], normals_t @ basis, tri
@@ -524,7 +511,8 @@ def _find_intersections(
         tol=1e-14, max_iter=60,
     )
     vals = stratum.chart(solved.u, check_domain=False)
-    resid = np.linalg.norm(vals - surface.nearest(vals)[0], axis=1)
+    q, _, tangents = surface.project(vals)
+    resid = np.linalg.norm(vals - q, axis=1)
     margins = stratum.domain_margins(solved.u)
     # strict positivity only: intersection points may hug the domain
     # boundary arbitrarily closely (that is what faults look like)
@@ -541,9 +529,8 @@ def _find_intersections(
         # collapse numerically identical solutions
         _, idx = np.unique(np.round(solved.u[kept], 7), axis=0, return_index=True)
         kept = kept[np.sort(idx)]
-        _, tangents = surface.project(vals[kept])
         stalled = int(np.count_nonzero(~solved.converged[lo:hi]))
-        out.append(_Intersections(solved.u[kept], vals[kept], tangents, stalled))
+        out.append(_Intersections(solved.u[kept], vals[kept], tangents[kept], stalled))
     return out
 
 
@@ -561,9 +548,11 @@ def _radial_verdict(
 ) -> RegularityVerdict:
     """Shared shrinking-radius scheme of tf and afs.
 
-    The point is located on the closure of X.  For each radius of the
-    plan, chart points of X inside the ball are drawn from the stream
-    ``rng_for(seed, condition, x, y, j)`` for the j-th radius.  Then
+    The point must lie on the closure of X, within the 1e-7 that
+    :func:`strata.approach_sequence` allows, or IncidenceError is raised.
+    For each radius of the plan, chart points of X inside the ball are
+    drawn from the stream ``rng_for(seed, condition, x, y, j)`` for the
+    j-th radius.  Then
     ``probe(radii, samples)`` runs once over all radii (tf solves the
     seeds of every radius together) and returns, per radius, the extra
     entries of its detail row and its first bad point, or None.
@@ -584,7 +573,7 @@ def _radial_verdict(
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
-    u0 = sx.locate(center, closure=True, seed=seed).u
+    u0 = _closure_chart_point(sx, center, seed)
     rows: list[dict] = []
     bad_points: list[np.ndarray] = []
     clean: dict | None = None
@@ -681,7 +670,8 @@ def check_tf_at(
         for hits in _find_intersections(sx, surface, center, radii, seeds):
             bad = None
             if len(hits.u):
-                short = _transverse_ranks(hits.tangents, ctx.leaf_tangents(sx, hits.u)) < n
+                stacked = np.concatenate([hits.tangents, ctx.leaf_tangents(sx, hits.u)], axis=2)
+                short = _ranks(np.linalg.svd(stacked, compute_uv=False)) < n
                 if np.any(short):
                     bad = hits.points[int(np.argmax(short))]
             row = {
@@ -795,8 +785,9 @@ def check_afs_at(
     leaf on every X-leaf near the point: the differential applied to the
     X-leaf tangents must keep full rank equal to the Y-leaf dimension.
     The retraction is validated first (an invalid one is an error, not
-    a fault).  A detail row adds whether some sample drops rank, and the
-    detail adds the required rank.  Verdict and witness follow
+    a fault).  A detail row adds whether some sample drops rank, and is
+    marked ``"empty"`` when the ball gave no samples; the detail adds
+    the required rank.  Verdict and witness follow
     :func:`_radial_verdict`.
     """
     n = ctx.prestratification.ambient
@@ -824,7 +815,10 @@ def check_afs_at(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             hit = lo + np.flatnonzero(low[lo:hi])
             bad = pts[hit[0]] if hit.size else None
-            out.append(({"rank_drop": bad is not None}, bad))
+            row = {"rank_drop": bad is not None}
+            if hi == lo:
+                row["empty"] = True
+            out.append((row, bad))
         return out
 
     return _radial_verdict(

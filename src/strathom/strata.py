@@ -609,18 +609,17 @@ class ApproachPlan:
     """How to march sample sequences toward an incidence point.
 
     ``ratio`` is the geometric step; arcs run u_i = u0 + ratio^i * dir
-    for i = 1..terms over a direction set made of any explicit
-    directions, the chart-coordinate axis directions, and seeded random
-    unit directions, capped at ``total_directions``.
+    for i = 1..terms over a direction set made of the chart-coordinate
+    axis directions and random unit directions from the fixed
+    ``rng_for(0, "arc-directions")`` stream, capped at
+    ``total_directions``.
     """
 
     ratio: float = 0.7
     terms: int = 60
-    explicit_directions: tuple[tuple[float, ...], ...] = ()
     total_directions: int = 8
     window: int = 5
     angle_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
@@ -631,16 +630,13 @@ class ApproachPlan:
             raise ValueError("window must be >= 2")
 
     def directions(self, dim: int) -> list[np.ndarray]:
-        dirs = [np.asarray(d, dtype=float) for d in self.explicit_directions]
-        for d in dirs:
-            if d.shape != (dim,):
-                raise ValueError(f"explicit direction {d.tolist()} is not {dim}-dimensional")
+        dirs: list[np.ndarray] = []
         for i in range(dim):
             e = np.zeros(dim)
             e[i] = 1.0
             dirs.append(e.copy())
             dirs.append(-e)
-        rng = rng_for(self.seed, "arc-directions")
+        rng = rng_for(0, "arc-directions")
         while len(dirs) < self.total_directions:
             v = rng.standard_normal(dim)
             dirs.append(v / np.linalg.norm(v))
@@ -652,6 +648,17 @@ class Arc:
     direction: tuple[float, ...]
     chart_points: np.ndarray  # (k, d)
     points: np.ndarray  # (k, n)
+
+
+def _closure_chart_point(s: Stratum, y: np.ndarray, seed: int) -> np.ndarray:
+    """Chart point of the nearest point of the closure of ``s`` to y,
+    which must lie on that closure: within 1e-7, or IncidenceError."""
+    u0, dist, _ = s.locate(y, closure=True, seed=seed)
+    if dist > 1e-7:
+        raise IncidenceError(
+            f"{np.asarray(y).tolist()} is not on the closure of {s.name!r} (distance {dist:.2e})"
+        )
+    return u0
 
 
 def approach_sequence(
@@ -671,11 +678,7 @@ def approach_sequence(
     s = prestratification.stratum(stratum) if isinstance(stratum, str) else stratum
     plan = plan or ApproachPlan()
     y = np.asarray(y, dtype=float)
-    u0, dist, _ = s.locate(y, closure=True, seed=seed)
-    if dist > 1e-7:
-        raise IncidenceError(
-            f"{np.asarray(y).tolist()} is not on the closure of {s.name!r} (distance {dist:.2e})"
-        )
+    u0 = _closure_chart_point(s, y, seed)
     arcs: list[Arc] = []
     failures: list[str] = []
     powers = plan.ratio ** np.arange(1, plan.terms + 1)

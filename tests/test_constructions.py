@@ -4,6 +4,7 @@ import pytest
 from strathom.constructions import (
     ConstructionError,
     RankDropMap,
+    SampledSheet,
     _sampled_c1_size,
     bump,
     bump_slope,
@@ -16,7 +17,7 @@ from strathom.constructions import (
 )
 from strathom.dsl import parse_map
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
-from strathom.regularity import Status, check_af_at, transverse_at
+from strathom.regularity import PreconditionError, Status, check_af_at, transverse_at
 from strathom.seeds import rng_for
 from strathom.strata import NumericalInconsistencyError, StratifiedMapContext
 
@@ -351,6 +352,12 @@ class TestWitnessSheet:
         with pytest.raises(ConstructionError):
             tf_witness(ctx, "S1", "S2", ORIGIN, arc, np.array(witness.vector))
 
+    def test_point_off_the_base_stratum_rejected(self, shelf_fault):
+        scene, ctx, witness = shelf_fault
+        arc = parse_map(scene.raw["witness"]["arc"], 1)
+        with pytest.raises(PreconditionError, match="does not lie on stratum 'S2'"):
+            tf_witness(ctx, "S1", "S2", (0.0, 0.3, 0.0), arc, np.array(witness.vector))
+
     def test_vector_outside_leaf_rejected(self, shelf_fault):
         scene, ctx, witness = shelf_fault
         wit = scene.raw["witness"]
@@ -374,12 +381,14 @@ class TestWitnessSheet:
             ctx, "S1", "S2", ORIGIN, arc, np.array(witness.vector),
             t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
         )
-        # patch centers project to themselves
-        q, tangents = sheet.project(sheet.centers[:4])
+        # patch centers project to themselves, with two-dimensional tangents
+        q, _, tangents = sheet.project(sheet.centers[:4])
         assert np.max(np.linalg.norm(q - sheet.centers[:4], axis=1)) < 1e-12
-        assert all(t.dim == 2 for t in tangents)
+        assert tangents.shape == (4, 3, 2)
+        for t in tangents:
+            np.testing.assert_allclose(t.T @ t, np.eye(2), atol=1e-15)
 
-    def test_nearest_returns_patch_normals(self, shelf_fault):
+    def test_projection_returns_patch_normals(self, shelf_fault):
         scene, ctx, witness = shelf_fault
         wit = scene.raw["witness"]
         arc = parse_map(wit["arc"], 1)
@@ -388,15 +397,39 @@ class TestWitnessSheet:
             t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
         )
         points = sheet.centers + 0.01 * rng_for(0, "sheet-normals").standard_normal(sheet.centers.shape)
-        q, normals = sheet.nearest(points)
-        _, best = sheet._nearest_patch(points)
+        q, normals, tangents = sheet.project(points)
         assert normals.shape == (len(points), 3, 2)
-        for k, normal, p, foot in zip(best, normals, points, q):
-            # the patch plane and its normal frame make an orthonormal basis
+        for normal, tangent, p, foot in zip(normals, tangents, points, q):
+            # the foot's patch: its plane and normal frame make an
+            # orthonormal basis, and its tangent is the plane plus the arc
+            # direction
+            # (the center patch repeats the frame of the innermost one)
+            k = np.flatnonzero(np.all(sheet.normals == normal, axis=(1, 2)))[0]
             frame = np.hstack([sheet.frames[k], normal])
             np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
+            assert np.array_equal(tangent, sheet.tangents[k])
+            assert np.max(np.abs(tangent.T @ sheet.arc_dirs[k])) > 1 - 1e-12
             # the offset to the nearest point lies in the normal
             np.testing.assert_allclose(normal @ (normal.T @ (p - foot)), p - foot, atol=1e-15)
+
+    def test_degenerate_patch_tangent_rejected(self, shelf_fault):
+        scene, ctx, witness = shelf_fault
+        wit = scene.raw["witness"]
+        arc = parse_map(wit["arc"], 1)
+        sheet = tf_witness(
+            ctx, "S1", "S2", ORIGIN, arc, np.array(witness.vector),
+            t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
+        )
+        # an arc direction inside its patch plane leaves the patch tangent
+        # one dimension short of a hypersurface
+        arc_dirs = sheet.arc_dirs.copy()
+        arc_dirs[3] = sheet.frames[3][:, 0]
+        with pytest.raises(ConstructionError, match="patch 3"):
+            SampledSheet(
+                center=sheet.center, center_tangent=sheet.center_tangent,
+                centers=sheet.centers, frames=sheet.frames, arc_dirs=arc_dirs,
+                ts=sheet.ts, extent=sheet.extent, containment_angles=sheet.containment_angles,
+            )
 
     def test_serializes_to_frames(self, shelf_fault):
         scene, ctx, witness = shelf_fault

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strathom import regularity
 from strathom.grassmann import Subspace, span_of
 from strathom.regularity import (
     AffineSurface,
@@ -17,7 +18,7 @@ from strathom.regularity import (
     random_test_surface,
     transverse_at,
 )
-from strathom.strata import ApproachPlan
+from strathom.strata import ApproachPlan, IncidenceError
 
 ORIGIN = (0.0, 0.0, 0.0)
 
@@ -222,11 +223,14 @@ class TestTestSubmanifoldCondition:
         t0 = surf.tangent_at_center()
         assert t0.dim == 2
         pts = np.array([[0.0, 0.5, -0.5], [0.125, 0.5, -0.5]])
-        q, tangents = surf.project(pts)
-        for p, qq, tan in zip(pts, q, tangents):
+        q, normals, tangents = surf.project(pts)
+        assert normals.shape == (2, 3, 1) and tangents.shape == (2, 3, 2)
+        for p, qq, normal, tan in zip(pts, q, normals, tangents):
             # projection lands on the sheet with the residual normal to it
             assert abs(qq[0] - (qq[1] ** 2 + qq[2] ** 2) / 4) < 1e-10
-            assert np.max(np.abs(tan.basis.T @ (p - qq))) < 1e-8
+            assert np.max(np.abs(tan.T @ (p - qq))) < 1e-8
+            frame = np.hstack([tan, normal])
+            np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
         v = check_tf_at(ctx, "S1", "S2", ORIGIN, surf, seed=0)
         assert v.status is Status.HOLDS
 
@@ -301,6 +305,24 @@ class TestEmptyRadii:
         assert all(r["empty"] and r["stalled"] == 0 for r in v.detail["radii"])
 
 
+class TestPointOffTheClosure:
+    def test_every_condition_raises(self, gallery_ctx):
+        # (0, 0, 0.5) lies on the plane S2 but 0.5 away from the closure
+        # of the half-plane S1, so no part of S1 approaches it
+        _, _, ctx = gallery_ctx("parallel-planes")
+        point = (0.0, 0.0, 0.5)
+        surface = random_test_surface(ctx, "S2", point, seed=0)
+        message = r"not on the closure of 'S1' \(distance 5\.00e-01\)"
+        with pytest.raises(IncidenceError, match=message):
+            check_whitney_a_at(ctx, "S1", "S2", point, seed=0)
+        with pytest.raises(IncidenceError, match=message):
+            check_af_at(ctx, "S1", "S2", point, seed=0)
+        with pytest.raises(IncidenceError, match=message):
+            check_tf_at(ctx, "S1", "S2", point, surface, seed=0)
+        with pytest.raises(IncidenceError, match=message):
+            check_afs_at(ctx, "S1", "S2", point, seed=0)
+
+
 class TestRetractionCondition:
     def test_projection_onto_line_leaf_holds(self, gallery_ctx):
         _, scene, ctx = gallery_ctx("parallel-planes")
@@ -314,6 +336,24 @@ class TestRetractionCondition:
         assert v.status is Status.FAILS
         assert v.detail["required_rank"] == 2
         assert all(r["rank_drop"] for r in v.detail["radii"])
+
+    def test_radius_without_samples_is_empty(self, gallery_ctx, monkeypatch):
+        # a ball that yields no chart points has nothing to test: its row
+        # is empty, and a hold whose clean radius is empty is vacuous
+        _, _, ctx = gallery_ctx("parallel-planes")
+        draw = regularity._samples_in_ball
+
+        def first_ball_empty(stratum, u0, center, radius, count, rng):
+            found = draw(stratum, u0, center, radius, count, rng)
+            return found[:0] if radius == 0.5 else found
+
+        monkeypatch.setattr(regularity, "_samples_in_ball", first_ball_empty)
+        v = check_afs_at(ctx, "S1", "S2", ORIGIN, seed=0)
+        first, *rest = v.detail["radii"]
+        assert first["samples"] == 0 and first["empty"] is True
+        assert all(r["samples"] > 0 and "empty" not in r for r in rest)
+        assert v.status is Status.HOLDS
+        assert v.detail["clean_radius"] == 0.5 and v.detail["vacuous"] is True
 
     def test_vacuous_for_point_leaves(self, lines_in_r3_ctx):
         v = check_afs_at(lines_in_r3_ctx, "X", "Y", ORIGIN, seed=0)

@@ -249,7 +249,10 @@ class TestReferenceValues:
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(points[:, :2] - expected)) < 1e-12
         assert np.all(points[:, 2] == 0.0)
-        assert all(t.dim == 2 for t in tangents)
+        # every hit has a two-dimensional tangent: two orthonormal columns
+        assert tangents.shape == (len(u), 3, 2)
+        for t in tangents:
+            np.testing.assert_allclose(t.T @ t, np.eye(2), atol=1e-15)
 
 
 PARABOLIC_SHEET = ChartSurface(
@@ -311,13 +314,15 @@ class TestIntersectionSearch:
             box=((-1.0, 1.0), (-1.0, 1.0)),
         )
         point = np.array([[0.3, 0.0, -1.0]])
-        q, normals = cusp.nearest(point)
-        _, (tangent,) = cusp.project(point)
+        q, normals, tangents = cusp.project(point)
         assert np.array_equal(q, [[0.3, 0.0, 0.0]])
         assert normals.shape == (1, 3, 2)
         np.testing.assert_allclose(normals[0] @ normals[0].T, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
-        assert tangent.dim == cusp.tangent_at_center().dim == 1
-        assert np.array_equal(np.abs(tangent.basis), [[1.0], [0.0], [0.0]])
+        # the tangent frame keeps one column, the x1 axis, and zeroes the
+        # column beyond the rank
+        assert tangents.shape == (1, 3, 2)
+        assert cusp.tangent_at_center().dim == 1
+        assert np.array_equal(np.abs(tangents[0]), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
         # x1, x1 x2, x2^2 loses rank at the origin only; in a batch with a
         # point of full rank, that point's column that is tangent at the
@@ -327,23 +332,30 @@ class TestIntersectionSearch:
             center_preimage=np.zeros(2),
             box=((-1.0, 1.0), (-1.0, 1.0)),
         )
-        q, both = pinch.nearest(np.array([[0.0, 0.0, -1.0], [0.3, 0.06, 0.04]]))
+        q, both, tangents = pinch.project(np.array([[0.0, 0.0, -1.0], [0.3, 0.06, 0.04]]))
         np.testing.assert_allclose(q, [[0.0, 0.0, 0.0], [0.3, 0.06, 0.04]], atol=1e-15)
         np.testing.assert_allclose(both[0] @ both[0].T, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
         assert np.array_equal(both[1, :, 0], np.zeros(3))
         normal = both[1, :, 1]
         assert abs(np.linalg.norm(normal) - 1.0) < 1e-15
         assert np.max(np.abs(normal @ pinch.chart.jacobian(np.array([0.3, 0.2])))) < 1e-15
+        # the origin's tangent is the x1 axis, its second column zero; the
+        # point of full rank keeps both columns, orthonormal to its normal
+        assert np.array_equal(np.abs(tangents[0]), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        frame = np.hstack([tangents[1], normal[:, None]])
+        np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
 
     def test_affine_surface_normals_complete_the_tangent(self):
         surface = AffineSurface(
             base=np.array([0.5, 0.0, 0.0]), space=span_of([[1, 2, 0], [0, 1, 1]], n=3)
         )
-        q, normals = surface.nearest(rng_for(0, "affine-normals").standard_normal((7, 3)))
-        assert normals.shape == (7, 3, 1)
-        frame = np.hstack([surface.space.basis, normals[0]])
+        q, normals, tangents = surface.project(rng_for(0, "affine-normals").standard_normal((7, 3)))
+        assert normals.shape == (7, 3, 1) and tangents.shape == (7, 3, 2)
+        frame = np.hstack([tangents[0], normals[0]])
         np.testing.assert_allclose(frame.T @ frame, np.eye(3), atol=1e-15)
+        assert np.array_equal(tangents[0], surface.space.basis)
         assert all(np.array_equal(normals[i], normals[0]) for i in range(7))
+        assert all(np.array_equal(tangents[i], tangents[0]) for i in range(7))
         np.testing.assert_allclose((q - surface.base) @ normals[0], 0.0, atol=1e-15)
 
     def test_box_edge_intersection_converges_within_three_steps(self, monkeypatch):
@@ -455,7 +467,7 @@ class TestStackedRadii:
             [seeds_u[:12], np.zeros((0, 2)), seeds_u[12:]],
         )
         assert empty.u.shape == (0, 2) and len(empty.points) == 0
-        assert empty.tangents == [] and empty.stalled == 0
+        assert empty.tangents.shape == (0, 3, 2) and empty.stalled == 0
         for hits, own in ((first, seeds_u[:12]), (last, seeds_u[12:])):
             assert len(hits.u) == len(own) and hits.stalled == 0
             assert np.max(np.abs(hits.u - np.column_stack([own[:, 0], np.zeros(len(own))]))) < 1e-12
