@@ -315,6 +315,29 @@ class PerturbedMap(NumericMap):
         return base_val + val, base_jac + jac
 
 
+@dataclass(frozen=True)
+class _Cutoff:
+    """The part of a :class:`LocalizedCorrection` at points z that depends
+    only on its center y and radius rho: the offsets d = z - y, the cutoff
+    beta(|d|/rho), its derivative dbeta and the gradient of |d|/rho.
+    Corrections that share y and rho share it."""
+
+    d: np.ndarray
+    beta: np.ndarray
+    dbeta: np.ndarray
+    grad_t: np.ndarray
+
+    @classmethod
+    def at(cls, z: np.ndarray, y: np.ndarray, radius: float) -> _Cutoff:
+        d = z - y
+        norms = np.linalg.norm(d, axis=1)
+        beta, slope = _bump_value_and_slope(2.0 * (1.0 - norms / radius))
+        grad_t = np.zeros_like(d)  # gradient of |z-y|/rho, 0 at the center
+        pos = norms > 1e-300
+        grad_t[pos] = d[pos] / (norms[pos, None] * radius)
+        return cls(d, beta, -2.0 * slope, grad_t)
+
+
 class LocalizedCorrection(NumericMap):
     """The destabilizer's correction g_i - g: it moves the center value
     to a fault sample and rotates the center differential image.
@@ -334,17 +357,19 @@ class LocalizedCorrection(NumericMap):
 
     def value_and_jacobian(self, z, check_domain: bool = False):
         arr = np.asarray(z, dtype=float)
-        d = np.atleast_2d(arr) - self.y
-        norms = np.linalg.norm(d, axis=1)
-        beta, slope = _bump_value_and_slope(2.0 * (1.0 - norms / self.radius))
-        inner = self.shift + d @ self.lin.T
-        grad_t = np.zeros_like(d)  # gradient of |z-y|/rho, 0 at the center
-        pos = norms > 1e-300
-        grad_t[pos] = d[pos] / (norms[pos, None] * self.radius)
-        val = beta[:, None] * inner
-        dbeta = -2.0 * slope
-        jac = beta[:, None, None] * self.lin + (dbeta[:, None] * inner)[:, :, None] * grad_t[:, None, :]
+        val, jac = self.on_cutoff(_Cutoff.at(np.atleast_2d(arr), self.y, self.radius))
         return (val[0], jac[0]) if arr.ndim == 1 else (val, jac)
+
+    def on_cutoff(self, cut: _Cutoff) -> tuple[np.ndarray, np.ndarray]:
+        """Values (k, m) and Jacobians (k, m, n) at the points of a
+        cutoff profile taken with this correction's center and radius."""
+        inner = self.shift + cut.d @ self.lin.T
+        val = cut.beta[:, None] * inner
+        jac = (
+            cut.beta[:, None, None] * self.lin
+            + (cut.dbeta[:, None] * inner)[:, :, None] * cut.grad_t[:, None, :]
+        )
+        return val, jac
 
 
 @dataclass(frozen=True)
@@ -383,9 +408,12 @@ def destabilizing_sequence(
     ``PerturbedMap(base, delta)`` with a :class:`LocalizedCorrection`
     delta, and the C^1 distance of g_i to the base is the sampled C^1
     size of delta alone, taken on ``c1_samples`` uniform points of the
-    cube y + radius * [-1, 1]^n.  delta vanishes off the ball of that
-    radius, so the sup is the one over the ball.  The distances must
-    decrease strictly along the sequence.
+    cube y + radius * [-1, 1]^n.  delta and its Jacobian are exact zeros
+    off the open ball of that radius, so only the cube points inside it
+    are evaluated, and the sup over them is the sup over the cube; the
+    corrections share y and the radius, so the cutoff profile on those
+    points is computed once.  The distances must decrease strictly along
+    the sequence.
     """
     y = np.asarray(witness.point, dtype=float)
     n = y.size
@@ -403,7 +431,8 @@ def destabilizing_sequence(
         raise ConstructionError("base image is not orthogonal to the separating vector")
 
     rng = rng_for(seed, "c1-samples")
-    ball = y + radius * rng.uniform(-1.0, 1.0, size=(c1_samples, n))
+    cube = y + radius * rng.uniform(-1.0, 1.0, size=(c1_samples, n))
+    cut = _Cutoff.at(cube[np.linalg.norm(cube - y, axis=1) < radius], y, radius)
     entries: list[DestabilizerEntry] = []
     base_y, base_jac_y = base.value_and_jacobian(y)
     for i in range(count):
@@ -432,7 +461,8 @@ def destabilizing_sequence(
         img = span_of(list((rot @ base.jacobian_at_center()).T), n=n)
         if grassmann_distance(img, h_i) > 1e-8:
             raise ConstructionError(f"center image of g_{i} is not H_{i}")
-        c1_distance = _sampled_c1_size(*correction.value_and_jacobian(ball))
+        # no cube point in the ball: delta vanishes on the whole sample
+        c1_distance = _sampled_c1_size(*correction.on_cutoff(cut)) if len(cut.d) else 0.0
         entries.append(
             DestabilizerEntry(
                 index=i + 1,
@@ -456,12 +486,36 @@ def _sampled_c1_size(vals: np.ndarray, jacs: np.ndarray) -> float:
 
     The largest singular value of J is the square root of the largest
     eigenvalue of its Gram matrix, built on the smaller side (J J^T or
-    J^T J)."""
+    J^T J).  Only the rows that can attain the max go to ``eigvalsh``:
+    with lam* the computed largest eigenvalue of the row of largest
+    squared Frobenius norm ``fro2``, a row is dropped when
+    ``fro2 * (1 + 1e-10) + tiny < lam*``, tiny the smallest normal
+    float.  The result is the float the unpruned max returns, bit for
+    bit.  sigma_max^2 <= |J|_F^2; ``fro2`` and the Gram matrix are
+    computed with a relative error of a few eps (plus, for entries in
+    the subnormal range, an absolute error far below tiny); and a
+    backward-stable symmetric eigensolver returns eigenvalues within
+    c * eps * |G| of those of the matrix it is given.  So every row's
+    computed eigenvalue is at most ``fro2 * (1 + 1e-10) + tiny``: a
+    dropped row's is below lam*, and the row that attains the max is
+    kept.  A NaN row has the largest ``fro2`` (argmax takes NaN as
+    largest), so lam* is NaN and no row is dropped; rows with an
+    infinite ``fro2`` are never dropped.
+    """
     sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
+    fro2 = np.einsum("kij,kij->k", jacs, jacs)
+    top = int(np.argmax(fro2))
+    lam = _largest_gram_eigenvalues(jacs[top : top + 1])[0]
+    keep = ~(fro2 * (1.0 + 1e-10) + np.finfo(float).tiny < lam)
+    sup_jac = float(np.sqrt(np.max(_largest_gram_eigenvalues(jacs[keep]))))
+    return sup_val + sup_jac
+
+
+def _largest_gram_eigenvalues(jacs: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each Jacobian's Gram matrix on its smaller side."""
     jt = np.swapaxes(jacs, 1, 2)
     gram = jacs @ jt if jacs.shape[1] <= jacs.shape[2] else jt @ jacs
-    sup_jac = float(np.sqrt(np.max(np.linalg.eigvalsh(gram)[:, -1])))
-    return sup_val + sup_jac
+    return np.linalg.eigvalsh(gram)[:, -1]
 
 
 def _search_nonspanning(

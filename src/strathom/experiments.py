@@ -590,7 +590,8 @@ def _slope_zero_witness(h, box, grid: int, wrap: bool) -> dict | None:
 def _fold_on_circle_witness(h, box, grid_dims) -> dict | None:
     """Gauss-Newton solve for det Dh = 0 on the unit circle image, from
     the 8 best grid seeds; the residual's Jacobian is a central
-    difference."""
+    difference, and each step evaluates h once, on w and its four
+    probes stacked."""
 
     def f_of(w: np.ndarray) -> np.ndarray:
         vals, jac = h.value_and_jacobian(w)
@@ -601,8 +602,9 @@ def _fold_on_circle_witness(h, box, grid_dims) -> dict | None:
     probes = step_h * np.eye(2)
 
     def residual(w, idx):
-        jac = np.stack([(f_of(w + dw) - f_of(w - dw)) / (2 * step_h) for dw in probes], axis=2)
-        return f_of(w), jac
+        e1, e2 = probes
+        f0, f1p, f1m, f2p, f2m = np.split(f_of(np.concatenate([w, w + e1, w - e1, w + e2, w - e2])), 5)
+        return f0, np.stack([(f1p - f1m) / (2 * step_h), (f2p - f2m) / (2 * step_h)], axis=2)
 
     seeds = grid_points(box, grid_dims)
     scores = np.linalg.norm(f_of(seeds), axis=1)

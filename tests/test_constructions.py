@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from strathom.constructions import (
     ConstructionError,
@@ -279,6 +282,23 @@ class TestDestabilizer:
         with pytest.raises(ValueError, match="arc"):
             destabilizing_sequence(base, witness, count=10_000, seed=0)
 
+    # 395 of 777 cube points fall inside the ball; at seed 1 the one
+    # point of a 1-point cube falls outside, where delta vanishes
+    @pytest.mark.parametrize("seed, count, samples, inside", [(9, 4, 777, 395), (1, 1, 1, 0)])
+    def test_support_rows_give_the_full_cube_distance(self, shelf_fault, seed, count, samples, inside):
+        # the correction is an exact zero off the ball, so the distances
+        # measured on the cube points inside it equal those of every cube
+        # point through every row of the unpruned formula, bit for bit
+        scene, ctx, witness = shelf_fault
+        h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
+        base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
+        seq = destabilizing_sequence(base, witness, radius=0.8, count=count, seed=seed, c1_samples=samples)
+        cube = seq.y + 0.8 * rng_for(seed, "c1-samples").uniform(-1.0, 1.0, size=(samples, 3))
+        assert np.sum(np.linalg.norm(cube - seq.y, axis=1) < 0.8) == inside
+        for e in seq.entries:
+            full = _unpruned_c1_size(*e.map.delta.value_and_jacobian(cube))
+            assert e.c1_distance.hex() == full.hex()
+
     def test_deterministic_given_seed(self, shelf_fault):
         scene, ctx, witness = shelf_fault
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
@@ -304,6 +324,73 @@ class TestSampledC1Size:
         # the Jacobian term alone, without the value term to hide behind
         size = _sampled_c1_size(np.zeros_like(vals), jacs)
         assert size == pytest.approx(sup_jac, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_prune_keeps_the_unpruned_float(self, data):
+        jacs, vals = data.draw(_c1_stacks())
+        assert _c1_outcome(_sampled_c1_size, vals, jacs) == _c1_outcome(_unpruned_c1_size, vals, jacs)
+
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_nan_row_gives_the_unpruned_outcome(self, at):
+        rng = rng_for(0, "c1-size-nan")
+        jacs = rng.standard_normal((7, 3, 2))
+        jacs[at, 1, 0] = np.nan
+        vals = rng.standard_normal((7, 3))
+        assert _c1_outcome(_sampled_c1_size, vals, jacs) == _c1_outcome(_unpruned_c1_size, vals, jacs)
+
+    def test_subnormal_grams_give_the_unpruned_float(self):
+        # entries near 1e-162 square into the subnormal range, where the
+        # rounding of the Gram matrix and fro2 is absolute, not relative:
+        # without the absolute slack this stack would drop every row
+        jacs = rng_for(0, "c1-size-subnormal", "14").standard_normal((3, 2, 2)) * 1.5e-162
+        vals = np.zeros((3, 2))
+        assert _c1_outcome(_sampled_c1_size, vals, jacs) == _c1_outcome(_unpruned_c1_size, vals, jacs)
+
+
+def _unpruned_c1_size(vals, jacs) -> float:
+    """The sampled C^1 size with every row through eigvalsh."""
+    sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
+    jt = np.swapaxes(jacs, 1, 2)
+    gram = jacs @ jt if jacs.shape[1] <= jacs.shape[2] else jt @ jacs
+    return sup_val + float(np.sqrt(np.max(np.linalg.eigvalsh(gram)[:, -1])))
+
+
+def _c1_outcome(size, vals, jacs):
+    """The float's bits, "nan", or the error's type and message."""
+    try:
+        out = size(vals, jacs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "nan" if np.isnan(out) else out.hex()
+
+
+@st.composite
+def _c1_stacks(draw):
+    """(jacs, vals): tall, wide and square Jacobian stacks, plain, all
+    zero, of identical rows, with copies of one row moved by one ulp, or
+    scaled so their Gram matrices are subnormal, some with a NaN entry."""
+    k = draw(st.integers(1, 40))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.floats(-1e3, 1e3, width=64)
+    jacs = draw(arrays(np.float64, (k, m, n), elements=entries))
+    kind = draw(st.sampled_from(["plain", "zero", "identical", "ulp", "subnormal"]))
+    if kind == "subnormal":
+        jacs = jacs * 1e-165
+    elif kind == "zero":
+        jacs = np.zeros_like(jacs)
+    elif kind == "identical":
+        jacs = np.repeat(jacs[:1], k, axis=0)
+    elif kind == "ulp":
+        row = jacs[int(np.argmax(np.einsum("kij,kij->k", jacs, jacs)))]
+        moved = [row, np.nextafter(row, np.inf), np.nextafter(row, -np.inf), row * np.nextafter(1.0, 2.0),
+                 row * np.nextafter(1.0, 0.0)]
+        jacs = np.concatenate([jacs, np.stack(draw(st.permutations(moved)))])
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.tuples(st.integers(0, len(jacs) - 1), st.integers(0, m - 1), st.integers(0, n - 1)))
+        jacs[at] = np.nan
+    vals = draw(arrays(np.float64, (len(jacs), m), elements=entries))
+    return jacs, vals
 
 
 class TestWitnessSheet:
