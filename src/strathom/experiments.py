@@ -291,8 +291,10 @@ def transversality_margin(
     almost surely full, so nearness to degeneracy is what gets
     measured).  Points whose images stay clear of every stratum impose
     nothing.  The leaf bases at the nearest chart points, which may lie
-    on the closure of the domain, come from the cross-checked
-    :meth:`StratifiedMapContext.leaf_tangents`.
+    on the closure of the domain, come from
+    :meth:`StratifiedMapContext.leaf_tangents`, which raises
+    :class:`NumericalInconsistencyError` where the map has a rank above
+    its certificate.
     """
     n = ctx.prestratification.ambient
     images, jacs = trial_map.value_and_jacobian(k_points)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import DomainError, SmoothMap, to_source
-from .grassmann import Subspace, _largest_angles, _ranks
+from .grassmann import Subspace, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
@@ -75,7 +75,8 @@ class LocateError(ValidationError):
 
 
 class NumericalInconsistencyError(ValidationError):
-    """Two independent computations of the same object disagree."""
+    """A computation contradicts a certificate it relies on, such as a
+    rank of d(f o psi) above the certified constant rank."""
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +478,10 @@ class StratifiedMapContext:
     Leaf tangents come from one batched kernel, :meth:`leaf_tangents`,
     which the checkers call once per arc, per set of intersection points
     and per afs verdict (its samples at every radius), and the stability
-    experiments once per stratum and transversality margin.  It always
-    runs both computations (ambient kernel intersection, pushed-forward
-    chart kernel) and cross-checks them at every point.
+    experiments once per stratum and transversality margin.  It reads
+    every leaf from the kernel of d(f o psi) at the certified corank and
+    checks at every point that the rank of d(f o psi) is not above the
+    certificate.
     """
 
     f: SmoothMap
@@ -520,18 +522,21 @@ class StratifiedMapContext:
         """Orthonormal leaf-tangent bases (k, n, d - rank) at chart points U (k, d).
 
         The constant-rank certificate pins the leaf dimension at
-        d - rank, so both computations are rank-constrained (a
-        tolerance-based cut degenerates arbitrarily close to a fault):
+        d - rank, so the leaf is the kernel of d(f o psi) forced to
+        corank d - rank (a tolerance-based cut degenerates arbitrarily
+        close to a fault), pushed forward through dpsi.  f o psi, and so
+        the singular values sigma that separate the leaf, do not change
+        under a rigid motion of the ambient space; the principal vectors
+        of the tangent space against ker df would separate it only by
+        cosines 1 - O(sigma^2), which rounding erases in rotated
+        coordinates.
 
-        (a) the d - rank directions of the stratum tangent space closest
-            to ker df at the ambient point (principal vectors);
-        (b) the kernel of d(f o psi) forced to corank d - rank, pushed
-            forward through dpsi.
-
-        The two routes are independent and must agree to 1e-6 at every
-        point; each step runs once for the whole batch, and a failing
-        check names the first point that fails it.  Route (a) is
-        returned.
+        The same SVD checks the certificate: d(f o psi) must not have
+        rank above it at any point, and the pushed-forward kernel must
+        have dimension d - rank.  Each step runs once for the whole
+        batch, and a failing check raises
+        :class:`NumericalInconsistencyError` naming the first chart
+        point that fails it.
 
         The points may lie on the closure of the domain: every domain
         predicate must read above ``CLOSURE_MARGIN``, the band that
@@ -542,8 +547,8 @@ class StratifiedMapContext:
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != s.dim:
             raise ValueError(f"expected chart points of shape (k, {s.dim}), got {U.shape}")
-        n, d = s.ambient, s.dim
-        leaf_dim = d - self.rank(s.name)
+        n, d, rank = s.ambient, s.dim, self.rank(s.name)
+        leaf_dim = d - rank
         if len(U) == 0:
             return np.zeros((0, n, leaf_dim))
         margins = s.domain_margins(U, CLOSURE_MARGIN)
@@ -555,49 +560,30 @@ class StratifiedMapContext:
                 f"predicate {to_source(s.chart.domain[j])} > 0 reads {margins[i, j]:.2e}"
             )
         points, chart_jacs = s.chart.value_and_jacobian(U, check_domain=False)
-        tangents = _tangent_frames(s, U, chart_jacs)
+        _tangent_frames(s, U, chart_jacs)  # raises ImmersionError where dpsi drops rank
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))
         _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)
-
-        # (a) principal directions of the tangent space against ker df,
-        # grouped by the rank of df (one group unless df drops rank)
-        _, f_sv, f_vt = np.linalg.svd(f_jacs)
-        f_ranks = _ranks(f_sv)
-        short = n - f_ranks < leaf_dim
-        if np.any(short):
-            i = int(np.argmax(short))
-            raise NumericalInconsistencyError(
-                f"ker df at {points[i].tolist()} has dimension {n - f_ranks[i]} < {leaf_dim}"
-            )
-        ambient_route = np.empty((len(U), n, leaf_dim))
-        for r in np.unique(f_ranks):
-            idx = np.nonzero(f_ranks == r)[0]
-            _, _, vt = np.linalg.svd(f_vt[idx, r:, :] @ tangents[idx])  # ker df^T @ tangents
-            ambient_route[idx] = tangents[idx] @ np.swapaxes(vt, 1, 2)[:, :, :leaf_dim]
-
-        # (b) corank-constrained chart kernel, pushed forward
-        _, _, c_vt = np.linalg.svd(f_jacs @ chart_jacs)
-        pushed = chart_jacs @ np.swapaxes(c_vt, 1, 2)[:, :, d - leaf_dim :]
-        chart_route, c_sv, _ = np.linalg.svd(pushed, full_matrices=False)
+        _, c_sv, c_vt = np.linalg.svd(f_jacs @ chart_jacs)
         c_ranks = _ranks(c_sv)
-        bad = c_ranks != leaf_dim
+        above = c_ranks > rank
+        if np.any(above):
+            i = int(np.argmax(above))
+            raise NumericalInconsistencyError(
+                f"d(f o psi) on {s.name!r} at {U[i].tolist()} has rank {c_ranks[i]}, "
+                f"above the certified rank {rank}"
+            )
+        pushed = chart_jacs @ np.swapaxes(c_vt, 1, 2)[:, :, rank:]
+        leaves, p_sv, _ = np.linalg.svd(pushed, full_matrices=False)
+        p_ranks = _ranks(p_sv)
+        bad = p_ranks != leaf_dim
         if np.any(bad):
             i = int(np.argmax(bad))
             raise NumericalInconsistencyError(
-                f"chart-kernel route on {s.name!r} at {U[i].tolist()} gives dimension "
-                f"{c_ranks[i]}, expected {leaf_dim}"
+                f"pushed-forward chart kernel on {s.name!r} at {U[i].tolist()} has dimension "
+                f"{p_ranks[i]}, expected {leaf_dim}"
             )
-
-        angle = _largest_angles(ambient_route, chart_route)
-        bad = angle > 1e-6
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise NumericalInconsistencyError(
-                f"leaf tangent routes disagree on {s.name!r} at {U[i].tolist()} "
-                f"(angle {angle[i]:.2e})"
-            )
-        return ambient_route
+        return leaves
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,10 @@ class TestStability:
 
     def test_margin_cross_checks_the_leaf_tangents(self, planes_setup):
         # a map that contradicts the rank certificate of S1: the leaf
-        # bases come from the cross-checked kernel, which refuses them
+        # kernel checks the rank of d(f o psi) and refuses it
         ctx, k_points, base = planes_setup
         bad_ctx = dataclasses.replace(ctx, f=parse_map("x2 + x3, x1^3", 3))
-        with pytest.raises(NumericalInconsistencyError, match="leaf tangent routes disagree"):
+        with pytest.raises(NumericalInconsistencyError, match="above the certified rank"):
             transversality_margin(bad_ctx, base, k_points, 0)
 
     def test_margin_at_a_closure_point(self, planes_setup):
