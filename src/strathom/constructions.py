@@ -455,8 +455,10 @@ def destabilizing_sequence(
             h_i, res = _search_nonspanning(h_i, leaf, n, seed, i)
         correction = LocalizedCorrection(y, radius, x_i - base_y, (rot - np.eye(n)) @ base_jac_y)
         gmap = PerturbedMap(base, correction)
-        # center value and center image must land exactly on the fault data
-        if np.linalg.norm(gmap(y) - x_i) > 1e-10:
+        # center value and center image must land exactly on the fault
+        # data; g_i(y) is the sum PerturbedMap forms, from the base value
+        # already taken at y
+        if np.linalg.norm(base_y + correction(y) - x_i) > 1e-10:
             raise ConstructionError(f"g_{i} misses its fault sample")
         img = span_of(list((rot @ base.jacobian_at_center()).T), n=n)
         if grassmann_distance(img, h_i) > 1e-8:

@@ -39,6 +39,7 @@ from .strata import (
     _closure_chart_point,
     _gauss_newton,
     _tangent_frames,
+    _thin_qr,
     approach_sequence,
 )
 
@@ -431,20 +432,31 @@ class RadialPlan:
         return self.r0 * self.ratio ** np.arange(self.count)
 
 
-def _samples_in_ball(
-    stratum: Stratum, u0: np.ndarray, center: np.ndarray, radius: float,
-    count: int, rng: np.random.Generator,
-) -> np.ndarray:
-    """Chart points of the stratum whose images lie within the ball."""
+def _samples_in_balls(
+    stratum: Stratum, u0: np.ndarray, center: np.ndarray, radii: list[float],
+    count: int, rngs: list[np.random.Generator],
+) -> list[np.ndarray]:
+    """Chart points of the stratum whose images lie within each ball, one
+    array per radius: up to ``count`` of 6 * count draws from the j-th
+    stream, uniform in u0 + radius * [-1.5, 1.5]^d.
+
+    The draws of every radius run through one domain test and one chart
+    evaluation, and each row is tested against its own radius; both act
+    row by row, so each radius keeps the rows a draw of its own would.
+    """
     d = stratum.dim
-    draws = rng.uniform(-1.5, 1.5, size=(count * 6, d)) * radius + u0
+    draws = np.concatenate([
+        rng.uniform(-1.5, 1.5, size=(count * 6, d)) * r + u0 for r, rng in zip(radii, rngs)
+    ])
+    which = np.repeat(np.arange(len(radii)), count * 6)
     inside = stratum.chart.in_domain(draws)
-    draws = draws[inside]
-    if len(draws) == 0:
-        return np.zeros((0, d))
-    pts = stratum.chart(draws)
-    near = np.linalg.norm(pts - center, axis=1) <= radius
-    return draws[near][:count]
+    draws, which = draws[inside], which[inside]
+    if len(draws):
+        pts = stratum.chart(draws)
+        near = np.linalg.norm(pts - center, axis=1) <= np.asarray(radii)[which]
+        draws, which = draws[near], which[near]
+    bounds = np.searchsorted(which, np.arange(len(radii) + 1))
+    return [draws[lo:hi][:count] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class _Intersections(NamedTuple):
@@ -488,21 +500,28 @@ def _find_intersections(
 
     The seeds of all radii run in one solve; each seed's iterates do not
     depend on the others in the batch, so the result is the same as one
-    solve per radius.  Then, per radius, kept are the solutions of its
-    own seeds within 1e-9 of the surface, strictly inside the domain,
-    inside its ball and not at the center, with numerically identical
-    ones collapsed.  One ``surface.project`` over all solutions gives
-    their distances to the surface and their surface tangent frames.
-    Seeds that stop at positive distance witness no intersection;
-    ``stalled`` counts the radius's seeds whose solve was still moving
-    after 60 steps.
+    solve per radius.  Each step takes the chart Jacobian's QR from
+    :func:`strata._thin_qr`, Gram-Schmidt elementwise over the batch, and
+    pulls the step back through R by vectorized back-substitution; where
+    the chart Jacobian is rank-deficient, R has a zero diagonal entry
+    and that coordinate is not moved, so a seed at a singular point of
+    the chart takes a finite step instead of stopping the solve.  Kept
+    are the solutions within 1e-9 of the surface, strictly inside the domain,
+    inside the ball of their own seed's radius and not at the center,
+    with numerically identical ones collapsed by one de-duplication over
+    the key (radius index, ``round(u, 7)``), which collapses only
+    solutions of the same radius.  One ``surface.project`` over all
+    solutions gives their distances to the surface and their surface
+    tangent frames.  Seeds that stop at positive distance witness no
+    intersection; ``stalled`` counts the radius's seeds whose solve was
+    still moving after 60 steps.
     """
     box = np.asarray(stratum.sample_box)
 
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
         q, normals, _ = surface.project(vals)
-        basis, tri = np.linalg.qr(jacs)
+        basis, tri = _thin_qr(jacs)
         normals_t = np.swapaxes(normals, 1, 2)
         return (normals_t @ (vals - q)[:, :, None])[:, :, 0], normals_t @ basis, tri
 
@@ -518,19 +537,25 @@ def _find_intersections(
     # boundary arbitrarily closely (that is what faults look like)
     interior = np.all(margins > 0.0, axis=1) if margins.size else np.ones(len(vals), bool)
     dist_center = np.linalg.norm(vals - center, axis=1)
+    seed_bounds = np.cumsum([0] + [len(s) for s in seeds])
+    radius_of = np.repeat(np.arange(len(radii)), np.diff(seed_bounds))
     # the incidence point itself belongs to the base stratum, not to X;
     # solutions indistinguishable from it are boundary-limit artifacts,
     # not intersection points
-    on_surface = (resid < 1e-9) & interior & (dist_center > 1e-7)
+    kept = np.flatnonzero(
+        (resid < 1e-9) & interior & (dist_center > 1e-7)
+        & (dist_center <= np.asarray(radii)[radius_of])
+    )
+    # collapse numerically identical solutions of the same radius
+    keys = np.column_stack([radius_of[kept], np.round(solved.u[kept], 7)])
+    _, first = np.unique(keys, axis=0, return_index=True)
+    kept = kept[np.sort(first)]
+    kept_bounds = np.searchsorted(radius_of[kept], np.arange(len(radii) + 1))
     out: list[_Intersections] = []
-    bounds = np.cumsum([0] + [len(s) for s in seeds])
-    for radius, lo, hi in zip(radii, bounds[:-1], bounds[1:]):
-        kept = lo + np.flatnonzero(on_surface[lo:hi] & (dist_center[lo:hi] <= radius))
-        # collapse numerically identical solutions
-        _, idx = np.unique(np.round(solved.u[kept], 7), axis=0, return_index=True)
-        kept = kept[np.sort(idx)]
-        stalled = int(np.count_nonzero(~solved.converged[lo:hi]))
-        out.append(_Intersections(solved.u[kept], vals[kept], tangents[kept], stalled))
+    for j in range(len(radii)):
+        own = kept[kept_bounds[j] : kept_bounds[j + 1]]
+        stalled = int(np.count_nonzero(~solved.converged[seed_bounds[j] : seed_bounds[j + 1]]))
+        out.append(_Intersections(solved.u[own], vals[own], tangents[own], stalled))
     return out
 
 
@@ -552,10 +577,13 @@ def _radial_verdict(
     :func:`strata.approach_sequence` allows, or IncidenceError is raised.
     For each radius of the plan, chart points of X inside the ball are
     drawn from the stream ``rng_for(seed, condition, x, y, j)`` for the
-    j-th radius.  Then
-    ``probe(radii, samples)`` runs once over all radii (tf solves the
-    seeds of every radius together) and returns, per radius, the extra
-    entries of its detail row and its first bad point, or None.
+    j-th radius; the draws of all radii share one domain test and one
+    chart evaluation (:func:`_samples_in_balls`) and are split back by
+    radius.  Then ``probe(radii, samples)`` runs once over all radii and
+    returns, per radius, the extra entries of its detail row and its
+    first bad point, or None: tf solves the seeds of every radius
+    together and tests all their hits with one leaf-tangent call and one
+    rank SVD, afs tests all samples the same way.
 
     A row marked ``"empty"`` found nothing to test; with ``"stalled"``
     seeds as well it is unresolved, since those seeds may have missed
@@ -578,10 +606,8 @@ def _radial_verdict(
     bad_points: list[np.ndarray] = []
     clean: dict | None = None
     radii = [float(r) for r in plan.radii()]
-    samples = [
-        _samples_in_ball(sx, u0, center, r, plan.samples, rng_for(seed, condition, x, y, str(j)))
-        for j, r in enumerate(radii)
-    ]
+    streams = [rng_for(seed, condition, x, y, str(j)) for j in range(len(radii))]
+    samples = _samples_in_balls(sx, u0, center, radii, plan.samples, streams)
     for r, samples_u, (extra, bad) in zip(radii, samples, probe(radii, samples)):
         rows.append({"radius": r, "samples": int(len(samples_u)), **extra})
         if bad is not None:
@@ -646,8 +672,10 @@ def check_tf_at(
     The surface must be transverse to the Y-leaf through the point (the
     hypothesis of the condition; violating it is an error, not a fault).
     Intersection points of the surface with X are found by one solve
-    over the seeds of all radii; at each radius, those inside its ball
-    are tested for transversality to the X-leaves.
+    over the seeds of all radii, and the hits of all radii are tested for
+    transversality to the X-leaves in one batch (one leaf-tangent call,
+    one rank SVD of [surface tangent | leaf]); each radius reports on the
+    hits inside its own ball.
     A detail row adds the number of intersections, whether one of them
     is non-transverse and the number of stalled seeds, and is marked
     ``"empty"`` when it keeps no intersection.  Verdict and witness
@@ -666,20 +694,25 @@ def check_tf_at(
     sx = ctx.stratum(x)
 
     def probe(radii: list[float], seeds: list[np.ndarray]):
+        # the hits of every radius in one batch, split back by radius
+        found = _find_intersections(sx, surface, center, radii, seeds)
+        every_u = np.concatenate([hits.u for hits in found])
+        short = np.zeros(len(every_u), dtype=bool)
+        if len(every_u):
+            tangents = np.concatenate([hits.tangents for hits in found])
+            stacked = np.concatenate([tangents, ctx.leaf_tangents(sx, every_u)], axis=2)
+            short = _ranks(np.linalg.svd(stacked, compute_uv=False)) < n
+        bounds = np.cumsum([0] + [len(hits.u) for hits in found])
         out = []
-        for hits in _find_intersections(sx, surface, center, radii, seeds):
-            bad = None
-            if len(hits.u):
-                stacked = np.concatenate([hits.tangents, ctx.leaf_tangents(sx, hits.u)], axis=2)
-                short = _ranks(np.linalg.svd(stacked, compute_uv=False)) < n
-                if np.any(short):
-                    bad = hits.points[int(np.argmax(short))]
+        for hits, lo, hi in zip(found, bounds[:-1], bounds[1:]):
+            bad_at = np.flatnonzero(short[lo:hi])
+            bad = hits.points[bad_at[0]] if bad_at.size else None
             row = {
-                "intersections": int(len(hits.u)),
+                "intersections": int(hi - lo),
                 "nontransverse": bad is not None,
                 "stalled": hits.stalled,
             }
-            if not len(hits.u):
+            if hi == lo:
                 row["empty"] = True
             out.append((row, bad))
         return out

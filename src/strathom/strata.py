@@ -137,22 +137,69 @@ def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
     return steps
 
 
+def _thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors Q (k, m, d) and R (k, d, d) of matrices A (k, m, d),
+    d <= m, with diag R >= 0.
+
+    Classical Gram-Schmidt with one reorthogonalization pass, column by
+    column, each step elementwise over the batch: column j loses its
+    components along the earlier columns of Q twice, and what is left,
+    normalized, is the j-th column of Q.  Two passes keep Q orthonormal
+    to working precision whenever A is not numerically rank-deficient
+    (Giraud, Langou, Rozloznik and van den Eshof, Numer. Math. 101, 2005).
+    A column that nothing is left of, such as a zero column, gets a zero
+    column of Q and a zero diagonal entry of R, so QR = A still holds;
+    so does a remainder whose squares underflow (norm below about
+    1e-154), far under the ``ATOL`` floor of every rank decision.
+    """
+    k, m, d = a.shape
+    cols = np.ascontiguousarray(np.transpose(a, (2, 1, 0)))  # (d, m, k): one (k,) row per entry
+    q = np.zeros((d, m, k))
+    r = np.zeros((d, d, k))
+    for j in range(d):
+        v = cols[j]
+        for _ in range(2 if j else 0):  # Gram-Schmidt, then the reorthogonalization pass
+            coef = (q[:j] * v).sum(axis=1)  # (j, k), all from the same v
+            v = v - (q[:j] * coef[:, None, :]).sum(axis=0)
+            r[:j, j] += coef
+        norm = np.sqrt((v * v).sum(axis=0))
+        np.divide(v, norm, out=q[j], where=norm > 0.0)
+        r[j, j] = norm
+    return np.transpose(q, (2, 1, 0)), np.transpose(r, (2, 0, 1))
+
+
+def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions x (k, d) of R x = b for upper-triangular R (k, d, d) and
+    b (k, d), by back-substitution vectorized over the batch.  A
+    coordinate whose diagonal entry is zero (a column :func:`_thin_qr`
+    found nothing left of, whose row of R is zero) is set to 0."""
+    k, d = rhs.shape
+    x = np.zeros((k, d))
+    for i in range(d - 1, -1, -1):
+        known = (tri[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
+        pivot = tri[:, i, i]
+        x[:, i] = np.divide(rhs[:, i] - known, pivot, out=np.zeros(k), where=pivot != 0.0)
+    return x
+
+
 def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
     """Steps (k, d) for residuals (k, m) and Jacobians (k, m, d) taken in
     the coordinates v = R u, R (k, d, d) upper-triangular, with a box
     active set on u.
 
     The full step is ``R^-1 s(J, r)``, the least-squares step of
-    :func:`_least_squares_steps` in v pulled back to u.  A coordinate
-    that sits on a bound of [lo, hi] and whose full step leaves the box
-    is fixed; the free coordinates F take the same kind of step for the
-    reduced problem: with R[:, F] = Q'' R'', the step is
+    :func:`_least_squares_steps` in v pulled back to u by
+    :func:`_back_substitute`.  A coordinate that sits on a bound of
+    [lo, hi] and whose full step leaves the box is fixed; the free
+    coordinates F take the same kind of step for the reduced problem:
+    with the thin QR R[:, F] = Q'' R'' of :func:`_thin_qr`, the step is
     ``R''^-1 s(J Q'', r)``, shortest in the metric of v.  The set is
     chosen afresh at every step, so a coordinate whose full step points
     back inside is released (projected Newton; Bertsekas, SIAM J.
-    Control Optim. 20(2), 1982).
+    Control Optim. 20(2), 1982).  No step calls a per-matrix LAPACK
+    factorization or solve except the least-squares step's own QR.
     """
-    steps = np.linalg.solve(tri, _least_squares_steps(jacs, res)[:, :, None])[:, :, 0]
+    steps = _back_substitute(tri, _least_squares_steps(jacs, res))
     new = u - steps
     fixed = ((u <= lo) & (new < lo)) | ((u >= hi) & (new > hi))
     rows = np.flatnonzero(fixed.any(axis=1))
@@ -164,9 +211,9 @@ def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
         free = np.flatnonzero(~fixed[idx[0]])
         steps[idx] = 0.0
         if free.size:
-            basis, sub = np.linalg.qr(tri[idx][:, :, free])
+            basis, sub = _thin_qr(tri[idx][:, :, free])
             reduced = _least_squares_steps(jacs[idx] @ basis, res[idx])
-            steps[idx[:, None], free] = np.linalg.solve(sub, reduced[:, :, None])[:, :, 0]
+            steps[idx[:, None], free] = _back_substitute(sub, reduced)
     return steps
 
 
@@ -185,9 +232,12 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
     * three arrays, the third upper-triangular factors R (k, d, d): the
       Jacobians are taken in the coordinates v = R u (the Q of a chart
       Jacobian QR), and s is the same least-squares step in v pulled
-      back to u, with coordinates on the box edge whose step leaves the
-      box held fixed (:func:`_box_steps`).  The tf intersection search
-      uses this form, in the normal coordinates of its test surface.
+      back to u by back-substitution, with coordinates on the box edge
+      whose step leaves the box held fixed (:func:`_box_steps`).  The
+      tf intersection search uses this form, in the normal coordinates
+      of its test surface, with the chart Jacobian's thin QR from
+      :func:`_thin_qr`; a zero diagonal entry of R, where that Jacobian
+      is rank-deficient, leaves its coordinate unmoved.
 
     A point freezes once its clipped movement (max-abs) falls below
     ``tol``, so a point pinned to the box edge stops even though its
@@ -373,6 +423,14 @@ def _tangent_frames(stratum: Stratum, U: np.ndarray, jacs: np.ndarray) -> np.nda
     (k, n, d) at chart points U (k, d), cut at the ``_ranks`` cutoff;
     :class:`ImmersionError` names the first point of rank below d."""
     frames, sv, _ = np.linalg.svd(jacs, full_matrices=False)
+    _require_immersion(stratum, U, sv)
+    return frames
+
+
+def _require_immersion(stratum: Stratum, U: np.ndarray, sv: np.ndarray) -> None:
+    """:class:`ImmersionError` naming the first chart point of U (k, d)
+    whose chart Jacobian, of singular values sv (k, d), has rank below d
+    at the ``_ranks`` cutoff."""
     ranks = _ranks(sv)
     bad = ranks < stratum.dim
     if np.any(bad):
@@ -380,7 +438,6 @@ def _tangent_frames(stratum: Stratum, U: np.ndarray, jacs: np.ndarray) -> np.nda
         raise ImmersionError(
             f"chart of {stratum.name!r} has rank {ranks[i]} < {stratum.dim} at {U[i].tolist()}"
         )
-    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +533,9 @@ class StratifiedMapContext:
 
     Immutable after construction; owner of induced-foliation queries.
     Leaf tangents come from one batched kernel, :meth:`leaf_tangents`,
-    which the checkers call once per arc, per set of intersection points
-    and per afs verdict (its samples at every radius), and the stability
-    experiments once per stratum and transversality margin.  It reads
+    which the checkers call once per arc, per tf verdict (its hits at
+    every radius) and per afs verdict (its samples at every radius), and
+    the stability experiments once per stratum and transversality margin.  It reads
     every leaf from the kernel of d(f o psi) at the certified corank and
     checks at every point that the rank of d(f o psi) is not above the
     certificate.
@@ -560,7 +617,8 @@ class StratifiedMapContext:
                 f"predicate {to_source(s.chart.domain[j])} > 0 reads {margins[i, j]:.2e}"
             )
         points, chart_jacs = s.chart.value_and_jacobian(U, check_domain=False)
-        _tangent_frames(s, U, chart_jacs)  # raises ImmersionError where dpsi drops rank
+        # raises ImmersionError where dpsi drops rank
+        _require_immersion(s, U, np.linalg.svd(chart_jacs, compute_uv=False))
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))
         _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)

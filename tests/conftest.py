@@ -1,8 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from strathom.dsl import parse_map
 from strathom.gallery import gallery_entry
 from strathom.strata import Incidence, Prestratification, StratifiedMapContext, Stratum
+
+# HYPOTHESIS_PROFILE=ci (the Tier-1 CI step) derandomizes the property
+# tests: each run draws the same examples, as many as each test asks for
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _CACHE: dict = {}
 

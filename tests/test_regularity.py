@@ -341,13 +341,13 @@ class TestRetractionCondition:
         # a ball that yields no chart points has nothing to test: its row
         # is empty, and a hold whose clean radius is empty is vacuous
         _, _, ctx = gallery_ctx("parallel-planes")
-        draw = regularity._samples_in_ball
+        draw = regularity._samples_in_balls
 
-        def first_ball_empty(stratum, u0, center, radius, count, rng):
-            found = draw(stratum, u0, center, radius, count, rng)
-            return found[:0] if radius == 0.5 else found
+        def first_ball_empty(stratum, u0, center, radii, count, rngs):
+            found = draw(stratum, u0, center, radii, count, rngs)
+            return [u[:0] if radius == 0.5 else u for radius, u in zip(radii, found)]
 
-        monkeypatch.setattr(regularity, "_samples_in_ball", first_ball_empty)
+        monkeypatch.setattr(regularity, "_samples_in_balls", first_ball_empty)
         v = check_afs_at(ctx, "S1", "S2", ORIGIN, seed=0)
         first, *rest = v.detail["radii"]
         assert first["samples"] == 0 and first["empty"] is True

@@ -1,7 +1,12 @@
 """The shared per-point Gauss-Newton solver and the point location built on it."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from strathom import experiments, regularity, strata
 from strathom.dsl import parse_map
@@ -19,12 +24,18 @@ from strathom.regularity import (
     RadialPlan,
     Status,
     _find_intersections,
-    _samples_in_ball,
+    _samples_in_balls,
     check_tf_at,
     random_test_surface,
 )
 from strathom.seeds import derive_seed, rng_for
-from strathom.strata import Stratum, _gauss_newton, _least_squares_steps
+from strathom.strata import (
+    Stratum,
+    _back_substitute,
+    _gauss_newton,
+    _least_squares_steps,
+    _thin_qr,
+)
 
 
 def _chart_residual(chart, targets, calls=None):
@@ -196,16 +207,89 @@ class TestLeastSquaresSteps:
             jacs = mats[idx] + 0.1 * np.sin(u)[:, None, :]
             return np.einsum("kij,kj->ki", jacs, u) - targets[idx], jacs, tri[idx]
 
+        def back_substitute(r, b):  # R x = b, last coordinate first
+            x = np.zeros_like(b)
+            for i in (2, 1, 0):
+                x[:, i] = (b[:, i] - (r[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)) / r[:, i, i]
+            return x
+
         u0 = np.zeros((30, 3))
         u = _gauss_newton(residual, u0, -1e3, 1e3, tol=0.0, max_iter=5).u
         ref = u0.copy()
         for _ in range(5):  # the minimum-norm step in v, applied to every row
             res, jacs, r = residual(ref, np.arange(30))
-            ref = ref - np.linalg.solve(r, np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0]
+            ref = ref - back_substitute(r, (np.linalg.pinv(jacs) @ res[:, :, None])[:, :, 0])
         assert np.max(np.abs(ref)) < 1e3
         low = np.arange(30) % 3 == 0
         np.testing.assert_array_equal(u[low], ref[low])
         np.testing.assert_allclose(u[~low], ref[~low], rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@st.composite
+def _column_scaled_stacks(draw):
+    """Stacks A (k, m, d), d <= m <= 4, of matrices B D: B of condition
+    below 100 with largest entry 1, and D a diagonal column scaling
+    spanning up to 1e6.  (Matrices far below the package's absolute
+    rank floor, 1e-12, are rank-deficient to every rank decision in it.)"""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, m))
+    base = draw(arrays(np.float64, (k, m, d), elements=st.floats(-1.0, 1.0)))
+    peak = np.max(np.abs(base), axis=(1, 2))
+    assume(np.all(peak > 0.0))
+    base = base / peak[:, None, None]
+    assume(np.all(np.linalg.cond(base) < 100.0))
+    exponents = draw(arrays(np.float64, (d,), elements=st.floats(0.0, 6.0)))
+    return base * 10.0 ** exponents
+
+
+class TestThinQR:
+    @settings(max_examples=200, deadline=None)
+    @given(_column_scaled_stacks())
+    def test_factors_match_lapack(self, a):
+        q, r = _thin_qr(a)
+        k, m, d = a.shape
+        assert q.shape == (k, m, d) and r.shape == (k, d, d)
+        np.testing.assert_allclose(np.swapaxes(q, 1, 2) @ q, np.broadcast_to(np.eye(d), (k, d, d)),
+                                   rtol=0.0, atol=1e-13)
+        scale = np.max(np.abs(a), axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(q @ r - a) <= 1e-13 * scale)
+        rows, cols = np.tril_indices(d, -1)
+        assert np.all(r[:, rows, cols] == 0.0)
+        diag = np.abs(r.diagonal(0, 1, 2))
+        lapack = np.abs(np.linalg.qr(a)[1].diagonal(0, 1, 2))
+        np.testing.assert_allclose(diag, lapack, rtol=1e-12, atol=0.0)
+
+    def test_zero_column_keeps_qr_equal_to_a(self):
+        # nothing is left of a zero column: its column of Q and its
+        # diagonal entry of R are zero, and no division warns
+        a = np.array([[[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, r = _thin_qr(a)
+        assert np.all(q[0, :, 1] == 0.0) and r[0, 1, 1] == 0.0
+        np.testing.assert_allclose(q @ r, a, rtol=0.0, atol=1e-15)
+        kept = q[0][:, [0, 2]]
+        np.testing.assert_allclose(kept.T @ kept, np.eye(2), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_back_substitution_matches_solve(self, d):
+        rng = rng_for(0, "back-substitution", str(d))
+        tri = np.triu(rng.standard_normal((50, d, d))) + 2.0 * np.eye(d)
+        rhs = rng.standard_normal((50, d))
+        expected = np.linalg.solve(tri, rhs[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(
+            _back_substitute(tri, rhs), expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))
+        )
+
+    def test_zero_pivot_leaves_its_coordinate_at_zero(self):
+        # a zero row of R, as a zero column of the factored matrix leaves
+        # it: that coordinate is 0, and the others solve their own rows
+        tri = np.array([[[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 4.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _back_substitute(tri, np.array([[3.0, 0.0, 4.0]]))
+        assert x.tolist() == [[1.0, 0.0, 1.0]]
 
 
 class TestReferenceValues:
@@ -242,9 +326,10 @@ class TestReferenceValues:
         )
         center = np.zeros(3)
         u0 = halfplane.locate(center, closure=True, seed=0).u
-        seeds_u = _samples_in_ball(
-            halfplane, u0, center, 0.5, 200, rng_for(0, "tf", "S1", "S2", "0")
-        )[:10]
+        (seeds_u,) = _samples_in_balls(
+            halfplane, u0, center, [0.5], 200, [rng_for(0, "tf", "S1", "S2", "0")]
+        )
+        seeds_u = seeds_u[:10]
         u, points, tangents, _ = _find_intersections(halfplane, surface, center, [0.5], [seeds_u])[0]
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(points[:, :2] - expected)) < 1e-12
@@ -387,6 +472,35 @@ class TestIntersectionSearch:
         assert len(hits.u) == 50 - np.count_nonzero(edge) + 1
         np.testing.assert_allclose(hits.points @ [1.0, 0.1, 0.0], 1.05, rtol=0.0, atol=1e-12)
 
+    def test_rank_deficient_chart_jacobian_stays_put(self, monkeypatch):
+        # x1, x2^2, x2^3 has the Jacobian columns e1 and 0 along x2 = 0: the
+        # seed there has R with a zero diagonal entry and a residual whose
+        # Jacobian N^T Q is zero, so its step is zero and it stops at once,
+        # off the surface x2 = 1/4 and not counted; the others reach it.
+        # (The LAPACK step raised LinAlgError "Singular matrix" here and
+        # took the whole tf verdict down.)
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(_gauss_newton(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(regularity, "_gauss_newton", recording)
+        cusp = Stratum("C", parse_map("x1, x2^2, x2^3", 2), sample_box=((-1.0, 1.0), (-1.0, 1.0)))
+        surface = AffineSurface(
+            base=np.array([0.0, 0.25, 0.0]), space=span_of([[1, 0, 0], [0, 0, 1]], n=3)
+        )
+        seeds_u = np.array([[0.3, 0.0], [0.2, 0.4], [-0.5, -0.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (hits,) = _find_intersections(cusp, surface, np.zeros(3), [2.0], [seeds_u])
+        (solved,) = solves
+        assert np.all(np.isfinite(solved.u))
+        assert np.array_equal(solved.u[0], seeds_u[0]) and solved.iterations[0] == 1
+        assert np.all(solved.converged) and hits.stalled == 0
+        np.testing.assert_allclose(hits.u, [[0.2, 0.5], [-0.5, -0.5]], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(hits.points[:, 1], 0.25, rtol=0.0, atol=1e-12)
+
     def test_blowup_cli_surface_fails_at_every_radius(self):
         # `strathom check --condition all --seed 20261017` on blowup: the
         # alternating projection found no intersection with test surface
@@ -443,7 +557,7 @@ class TestStackedRadii:
         u0 = sx.locate(center, closure=True, seed=surface_seed).u
         radii = [float(r) for r in RadialPlan().radii()]
         streams = [rng_for(surface_seed, "tf", inc.x, inc.y, str(j)) for j in range(len(radii))]
-        seeds = [_samples_in_ball(sx, u0, center, r, 200, rng) for r, rng in zip(radii, streams)]
+        seeds = [_samples_in_balls(sx, u0, center, [r], 200, [rng])[0] for r, rng in zip(radii, streams)]
         stacked = _find_intersections(sx, surface, center, radii, seeds)
         assert len(stacked) == len(radii)
         assert sum(len(h.u) for h in stacked) > 0
@@ -456,6 +570,32 @@ class TestStackedRadii:
             assert np.array_equal(hits.u, alone.u)
             assert np.array_equal(hits.points, alone.points)
             assert hits.stalled == alone.stalled
+
+    @pytest.mark.parametrize(
+        "name, seed, condition", [("blowup", 20261017, "tf"), ("parabola-shelf", 1, "afs")]
+    )
+    def test_one_sampling_batch_matches_one_draw_per_radius(self, name, seed, condition):
+        # both scenes have domain predicates that reject some draws; each
+        # radius's rows are those its own stream gives drawn alone
+        ctx, inc, _, surface_seed = _cli_tf_case(name, seed, 0)
+        sx = ctx.stratum(inc.x)
+        center = np.asarray(inc.point, dtype=float)
+        u0 = sx.locate(center, closure=True, seed=surface_seed).u
+        radii = [float(r) for r in RadialPlan().radii()]
+
+        def streams():
+            return [rng_for(surface_seed, condition, inc.x, inc.y, str(j)) for j in range(len(radii))]
+
+        batch = _samples_in_balls(sx, u0, center, radii, 200, streams())
+        assert len(batch) == len(radii) and all(0 < len(u) <= 200 for u in batch)
+        for r, rng, rows in zip(radii, streams(), batch):
+            draws = rng.uniform(-1.5, 1.5, size=(1200, sx.dim)) * r + u0
+            draws = draws[sx.chart.in_domain(draws)]
+            alone = draws[np.linalg.norm(sx.chart(draws) - center, axis=1) <= r][:200]
+            assert rows.tobytes() == alone.tobytes()
+        for j, (r, rng) in enumerate(zip(radii, streams())):
+            (one,) = _samples_in_balls(sx, u0, center, [r], 200, [rng])
+            assert one.tobytes() == batch[j].tobytes()
 
     def test_a_radius_without_seeds_keeps_its_row(self):
         plane = Stratum("P", parse_map("x1, x2, 0", 2), sample_box=((-1.0, 1.0), (-1.0, 1.0)))
