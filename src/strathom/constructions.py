@@ -23,7 +23,7 @@ numeric map evaluates through one ``value_and_jacobian``, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -560,13 +560,16 @@ class SampledSheet:
     arc_dirs: np.ndarray = field(repr=False)  # (K, n) unit arc tangents
     ts: np.ndarray = field(repr=False)  # (K,) signed arc parameters
     extent: float
-    containment_angles: np.ndarray = field(repr=False)  # per positive sample
+    # leaf tangents at the positive arc samples, which are patches 0, 1, ...
+    leaves: InitVar[tuple[Subspace, ...]] = ()
+    # worst angle of each of those leaves against its patch tangent
+    containment_angles: np.ndarray = field(init=False, repr=False)
     # (K, n, 2) orthonormal complements of the patch planes
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     # (K, n, n-1) orthonormal bases of the patch planes plus arc directions
     tangents: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, leaves):
         full, _, _ = np.linalg.svd(self.frames)
         object.__setattr__(self, "normals", full[:, :, self.frames.shape[2] :])
         tangents = [span_of(list(f.T) + [a], n=self.n) for f, a in zip(self.frames, self.arc_dirs)]
@@ -576,6 +579,8 @@ class SampledSheet:
                     f"patch {k} spans a tangent of dimension {t.dim}, expected {self.n - 1}"
                 )
         object.__setattr__(self, "tangents", np.stack([t.basis for t in tangents]))
+        angles = [t.contains(leaf, tol=np.pi).worst_angle for t, leaf in zip(tangents, leaves)]
+        object.__setattr__(self, "containment_angles", np.array(angles))
 
     @property
     def n(self) -> int:
@@ -712,20 +717,6 @@ def tf_witness(
             "no fault to exploit"
         )
 
-    containment = np.array(
-        [
-            span_of(list(frames[k].T) + [arc_dirs[k]], n=n)
-            .contains(leafs[k], tol=np.pi)
-            .worst_angle
-            for k in range(count)
-        ]
-    )
-    if np.max(containment) > tol:
-        raise ConstructionError(
-            f"leaf tangents escape the sheet (worst angle {np.max(containment):.2e}); "
-            "the arc does not hug the foliation"
-        )
-
     # reflect through the terminal normal hyperplane to cross the point
     a0 = arc_dirs[-1]
     refl = np.eye(n) - 2.0 * np.outer(a0, a0)
@@ -749,8 +740,14 @@ def tf_witness(
         arc_dirs=all_dirs[order],
         ts=all_ts[order],
         extent=extent,
-        containment_angles=containment,
+        leaves=tuple(leafs),
     )
+    worst = np.max(sheet.containment_angles)
+    if worst > tol:
+        raise ConstructionError(
+            f"leaf tangents escape the sheet (worst angle {worst:.2e}); "
+            "the arc does not hug the foliation"
+        )
     pre = transverse_at(center_tangent, leaf_y, n)
     # a sliver of margin at the finite smallest t means the configuration
     # degenerates in the limit (the witness vector drifts into the arc

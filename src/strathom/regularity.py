@@ -484,7 +484,7 @@ def _find_intersections(
     meets the stratum transversally.  Each step is the shortest move along
     the stratum, measured in the ambient space, that cancels the
     linearized offset: the least-norm v with N^T Q v = N^T (psi(u) - q),
-    from a QR of (N^T Q)^T when there are fewer rows than chart
+    from the thin QR of (N^T Q)^T when there are fewer rows than chart
     coordinates, pulled back as u <- u - R^-1 v.  The ambient move Q v
     does not depend on the chart, and the iteration converges
     quadratically at transverse intersections.  Rows of lower rank, such
@@ -500,9 +500,10 @@ def _find_intersections(
 
     The seeds of all radii run in one solve; each seed's iterates do not
     depend on the others in the batch, so the result is the same as one
-    solve per radius.  Each step takes the chart Jacobian's QR from
-    :func:`strata._thin_qr`, Gram-Schmidt elementwise over the batch, and
-    pulls the step back through R by vectorized back-substitution; where
+    solve per radius.  Every QR of a step, the chart Jacobian's and the
+    one of the least-norm step, is :func:`strata._thin_qr`, Gram-Schmidt
+    elementwise over the batch, and every triangular solve, R^-1 included,
+    is the vectorized back-substitution :func:`strata._back_substitute`; where
     the chart Jacobian is rank-deficient, R has a zero diagonal entry
     and that coordinate is not moved, so a seed at a singular point of
     the chart takes a finite step instead of stopping the solve.  Kept

@@ -95,48 +95,6 @@ class _GaussNewtonResult(NamedTuple):
     converged: np.ndarray  # (k,) clipped movement fell below tol
 
 
-def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Least-squares steps (k, d) solving J s ~ r for Jacobians (k, m, d).
-
-    Rank is decided by the ``_ranks`` cutoff on the sorted |diag R| of a
-    QR factorisation:
-
-    * tall and square J (m >= d): one QR of the augmented [J | r] gives R
-      and Q^T r; a row of rank d takes ``R^-1 Q^T r`` by back-substitution;
-    * wide J (m < d): a QR of J^T = Q' R' gives the minimum-norm step
-      ``Q' R'^-T r``; a row of rank m takes it by forward substitution.
-
-    Rank-deficient rows keep the minimum-norm step ``pinv(J) r``.
-    """
-    k, m, d = jacs.shape
-    if m < d:
-        basis, tri = np.linalg.qr(np.swapaxes(jacs, 1, 2))
-        rank = m
-        coef = np.empty((k, m))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(m):  # forward substitution: R'^T coef = r
-                known = (tri[:, :i, i] * coef[:, :i]).sum(axis=1)
-                coef[:, i] = (res[:, i] - known) / tri[:, i, i]
-            steps = (basis @ coef[:, :, None])[:, :, 0]
-    else:
-        # the raw factorisation skips forming Q and zeroing below the
-        # diagonal; R of [J | r] is its upper triangle, and R[:, :d, d] is Q^T r
-        raw, _ = np.linalg.qr(np.concatenate([jacs, res[:, :, None]], axis=2), mode="raw")
-        tri = np.swapaxes(raw, 1, 2)
-        rank = d
-        steps = np.empty((k, d))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            steps[:, d - 1] = tri[:, d - 1, d] / tri[:, d - 1, d - 1]
-            for i in range(d - 2, -1, -1):  # back-substitution
-                known = (tri[:, i, i + 1 : d] * steps[:, i + 1 :]).sum(axis=1)
-                steps[:, i] = (tri[:, i, d] - known) / tri[:, i, i]
-    diag = np.abs(tri.diagonal(0, 1, 2)[:, :rank])
-    full = _ranks(np.sort(diag, axis=1)[:, ::-1]) == rank
-    if not full.all():
-        steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
-    return steps
-
-
 def _thin_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factors Q (k, m, d) and R (k, d, d) of matrices A (k, m, d),
     d <= m, with diag R >= 0.
@@ -173,13 +131,44 @@ def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     b (k, d), by back-substitution vectorized over the batch.  A
     coordinate whose diagonal entry is zero (a column :func:`_thin_qr`
     found nothing left of, whose row of R is zero) is set to 0."""
-    k, d = rhs.shape
-    x = np.zeros((k, d))
+    d = rhs.shape[1]
+    x = np.zeros(rhs.shape)
     for i in range(d - 1, -1, -1):
         known = (tri[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)
         pivot = tri[:, i, i]
-        x[:, i] = np.divide(rhs[:, i] - known, pivot, out=np.zeros(k), where=pivot != 0.0)
+        np.divide(rhs[:, i] - known, pivot, out=x[:, i], where=pivot != 0.0)
     return x
+
+
+def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Least-squares steps (k, d) solving J s ~ r for Jacobians (k, m, d).
+
+    Every step factors with :func:`_thin_qr` and solves with
+    :func:`_back_substitute`:
+
+    * tall and square J (m >= d): J = QR, and a row of rank d takes
+      ``R^-1 Q^T r``;
+    * wide J (m < d): J^T = Q' R', and a row of rank m takes the
+      minimum-norm step ``Q' c`` with R'^T c = r, a lower-triangular
+      system solved as the back-substitution of its index reversal.
+
+    Rank is decided by the ``_ranks`` cutoff on the sorted diag R;
+    rank-deficient rows keep the minimum-norm step ``pinv(J) r``.  Both
+    kernels work elementwise over the batch, so each row's step is the
+    one it would take alone.
+    """
+    _, m, d = jacs.shape
+    if m < d:
+        basis, tri = _thin_qr(np.swapaxes(jacs, 1, 2))
+        coef = _back_substitute(np.swapaxes(tri, 1, 2)[:, ::-1, ::-1], res[:, ::-1])[:, ::-1]
+        steps = (basis * coef[:, None, :]).sum(axis=2)
+    else:
+        basis, tri = _thin_qr(jacs)
+        steps = _back_substitute(tri, (basis * res[:, :, None]).sum(axis=1))
+    full = _ranks(np.sort(tri.diagonal(0, 1, 2), axis=1)[:, ::-1]) == min(m, d)
+    if not full.all():
+        steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
+    return steps
 
 
 def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
@@ -196,8 +185,9 @@ def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
     ``R''^-1 s(J Q'', r)``, shortest in the metric of v.  The set is
     chosen afresh at every step, so a coordinate whose full step points
     back inside is released (projected Newton; Bertsekas, SIAM J.
-    Control Optim. 20(2), 1982).  No step calls a per-matrix LAPACK
-    factorization or solve except the least-squares step's own QR.
+    Control Optim. 20(2), 1982).  Every factorization is a :func:`_thin_qr`
+    and every solve a :func:`_back_substitute`, but for the ``pinv`` step
+    of rank-deficient rows.
     """
     steps = _back_substitute(tri, _least_squares_steps(jacs, res))
     new = u - steps
@@ -225,9 +215,9 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
     active are evaluated.  Each step is ``u <- clip(u - s, lo, hi)``:
 
     * two arrays (residuals, Jacobians): s is the least-squares step of
-      :func:`_least_squares_steps`, ``R^-1 Q^T r`` from a QR of J where
-      J has full column rank, the minimum-norm step from a QR of J^T
-      where J is wide of full row rank, and ``pinv(J) r`` on
+      :func:`_least_squares_steps`, ``R^-1 Q^T r`` from the thin QR of J
+      where J has full column rank, the minimum-norm step from the thin
+      QR of J^T where J is wide of full row rank, and ``pinv(J) r`` on
       rank-deficient rows (a singular fold-search Jacobian, say);
     * three arrays, the third upper-triangular factors R (k, d, d): the
       Jacobians are taken in the coordinates v = R u (the Q of a chart
@@ -656,7 +646,8 @@ class ApproachPlan:
     for i = 1..terms over a direction set made of the chart-coordinate
     axis directions and random unit directions from the fixed
     ``rng_for(0, "arc-directions")`` stream, capped at
-    ``total_directions``.
+    ``total_directions`` (at least 1).  ``angle_tol``, positive, is the
+    angle tolerance of the Cauchy window and of the limit's containment.
     """
 
     ratio: float = 0.7
@@ -672,6 +663,10 @@ class ApproachPlan:
             raise ValueError("term count must be at least the Cauchy window")
         if self.window < 2:
             raise ValueError("window must be >= 2")
+        if not self.total_directions >= 1:
+            raise ValueError("direction count must be at least 1")
+        if not self.angle_tol > 0.0:
+            raise ValueError("angle tolerance must be positive")
 
     def directions(self, dim: int) -> list[np.ndarray]:
         dirs: list[np.ndarray] = []
@@ -684,7 +679,7 @@ class ApproachPlan:
         while len(dirs) < self.total_directions:
             v = rng.standard_normal(dim)
             dirs.append(v / np.linalg.norm(v))
-        return [d / max(np.linalg.norm(d), 1e-300) for d in dirs[: max(self.total_directions, 1)]]
+        return [d / max(np.linalg.norm(d), 1e-300) for d in dirs[: self.total_directions]]
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,10 @@ class TestCheck:
         args = Namespace(ratio=None, terms=None, directions=3, window=None, angle_tol=None)
         assert _plan_from_args(scene, args) == ApproachPlan(terms=40, total_directions=3)
 
-    @pytest.mark.parametrize("flag", [["--terms", "3"], ["--ratio", "1.5"]])
+    @pytest.mark.parametrize("flag", [
+        ["--terms", "3"], ["--ratio", "1.5"], ["--directions", "0"],
+        ["--angle-tol", "0"], ["--angle-tol", "-1"], ["--angle-tol", "nan"],
+    ])
     def test_out_of_range_plan_flag_is_usage_error(self, scene_path_factory, flag, tmp_path, capsys):
         rc = main(["check", scene_path_factory("parallel-planes"), "--condition", "a",
                    "--json", str(tmp_path / "r.json"), *flag])
@@ -129,6 +132,20 @@ class TestCheck:
         rc = main(["validate", str(path)])
         assert rc == EXIT_VIOLATION
         assert "term count must be at least the Cauchy window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"directions": 0}, "direction count must be at least 1"),
+        ({"angle_tol": 0.0}, "angle tolerance must be positive"),
+        ({"angle_tol": float("nan")}, "angle tolerance must be positive"),
+    ])
+    def test_out_of_range_scene_plan_field_is_scene_error(self, plan, message):
+        # no arc at all would let every check hold vacuously, and no
+        # Cauchy window meets a tolerance of 0 or less
+        from strathom.gallery import gallery_entry
+        from strathom.scene import SceneError, scene_from_dict
+
+        with pytest.raises(SceneError, match=f"approach plan: {message}"):
+            scene_from_dict(dict(gallery_entry("parallel-planes").scene_dict, plan=plan))
 
     def test_inconclusive_exit_code(self, scene_path_factory, monkeypatch):
         import strathom.cli as cli_mod

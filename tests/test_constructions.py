@@ -515,7 +515,7 @@ class TestWitnessSheet:
             SampledSheet(
                 center=sheet.center, center_tangent=sheet.center_tangent,
                 centers=sheet.centers, frames=sheet.frames, arc_dirs=arc_dirs,
-                ts=sheet.ts, extent=sheet.extent, containment_angles=sheet.containment_angles,
+                ts=sheet.ts, extent=sheet.extent,
             )
 
     def test_serializes_to_frames(self, shelf_fault):

@@ -208,16 +208,16 @@ INSTABILITY = {
 NONGENERICITY = {
     (1, 'circle-into-plane'): (0.05, 50, '387601507d36a43d760690d4f876a7cfbec250681eab07dda309beb20d1dfc4a'),
     (1, 'cubic-graph'): (0.05, 50, '8c23d9338a86a86afcfdcd41ec33cf2491c438dccffd66242e100fc56a2cdb20'),
-    (1, 'sphere-disc'): (0.02, 50, '52ed9b6c4281936dac47ccffda07395c50c950c1990b7218dca6406ee8ce03c5'),
+    (1, 'sphere-disc'): (0.02, 50, 'bf479bc6e45f5e2da692faec6e2bb92857f9f9654ca421616b43c95f1f6bbf45'),
     (2, 'circle-into-plane'): (0.05, 50, '6ebcf6cb1c702078f92ed5a773750949a1ca9c2d0f7db4a455981ebc3979d2b0'),
     (2, 'cubic-graph'): (0.05, 50, '5de887c05f37219b203132169f2c50adca2169fc7a7462c73df82f43b2ae9a88'),
-    (2, 'sphere-disc'): (0.02, 50, 'd4f58ebceff23117357294ff7c96212a771c2c3bd0937f05e9d85d4a19c25df1'),
+    (2, 'sphere-disc'): (0.02, 50, '552b1cada5de14eb17c32b0374f209223290d673965569da5258664fe33cd083'),
     (3, 'circle-into-plane'): (0.05, 50, '1a337b768c4eb94e51f70e42efc05535e35e4e9d81dbdce4374bc1d2d5e3bab5'),
     (3, 'cubic-graph'): (0.05, 50, '213b843fdec86e6ebcdec028b29660a8c74830b3c0bcd234b07f347de8dd2127'),
-    (3, 'sphere-disc'): (0.02, 50, '60a67a31924e6448b57274f1df6fd3438dbcbecff0b1f9a28d0162eedb0ae4f8'),
+    (3, 'sphere-disc'): (0.02, 50, 'c56682d15587f36335455f04c23bbe5721aa962553fb4af2df6f2afa197c25c8'),
     (20261017, 'circle-into-plane'): (0.05, 50, '23c6daf681a7b14927fc99d89bfe6ad416215fc051ef8cb3bfe4fb1701353c3b'),
     (20261017, 'cubic-graph'): (0.05, 50, '9238884dabe9f0255593656a9d0edbc1fa871a679eaf1a171aaa8c64111e68b8'),
-    (20261017, 'sphere-disc'): (0.02, 50, '3c0989647e3937ed0553e401d27cd217aba7de1c9d2df467d0df98403a3d789d'),
+    (20261017, 'sphere-disc'): (0.02, 50, 'b6e95a0018bf2b1053ff6614882049a7740983a877a8de5b22cdc689f598fbfc'),
 }
 
 

@@ -142,6 +142,26 @@ class TestNonConvergence:
         assert counts() == [9, 240, 60, 8]
 
 
+@st.composite
+def _least_squares_problems(draw):
+    """Jacobians (k, m, d), m, d <= 4 (tall, square or wide), residuals
+    (k, m) and a mask of the rank-deficient rows.  Each row is U S V^T
+    with random orthogonal U, V and p = min(m, d) singular values spaced
+    geometrically from 1 down to 1/cond, cond up to 1e6; a masked row has
+    its smallest singular value set to 0."""
+    k, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    low = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    exponents = draw(arrays(np.float64, (k, 1), elements=st.floats(0.0, 6.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = min(m, d)
+    sv = 10.0 ** (-exponents * np.linspace(0.0, 1.0, p))
+    sv[low, -1] = 0.0
+    left = np.linalg.qr(rng.standard_normal((k, m, m)))[0][:, :, :p]
+    right = np.linalg.qr(rng.standard_normal((k, d, d)))[0][:, :, :p]
+    jacs = (left * sv[:, None, :]) @ np.swapaxes(right, 1, 2)
+    return jacs, rng.standard_normal((k, m)), low
+
+
 class TestLeastSquaresSteps:
     @pytest.mark.parametrize("shape", [(200, 3, 2), (200, 2, 2), (200, 5, 3), (200, 3, 1)])
     def test_full_rank_rows_match_the_pinv_step(self, shape):
@@ -223,6 +243,30 @@ class TestLeastSquaresSteps:
         low = np.arange(30) % 3 == 0
         np.testing.assert_array_equal(u[low], ref[low])
         np.testing.assert_allclose(u[~low], ref[~low], rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_least_squares_problems())
+    def test_steps_match_lstsq_pinv_and_their_own_rows(self, problem):
+        jacs, res, low = problem
+        steps = _least_squares_steps(jacs, res)
+        eps = np.finfo(float).eps
+        for i in np.flatnonzero(~low):
+            # the perturbation bound of a least-squares solution (Wedin),
+            # eps (cond / cos + cond^2 tan) for the angle theta between r
+            # and the range of J: eps cond where r lies in the range
+            x = np.linalg.lstsq(jacs[i], res[i], rcond=None)[0]
+            cond = float(np.linalg.cond(jacs[i]))
+            r_norm = float(np.linalg.norm(res[i]))
+            sin = float(np.linalg.norm(res[i] - jacs[i] @ x)) / r_norm
+            cos = float(np.linalg.norm(jacs[i] @ x)) / r_norm
+            bound = 200.0 * eps * cond * (1.0 + cond * sin) / cos
+            assert np.linalg.norm(steps[i] - x) <= bound * np.linalg.norm(x)
+        if low.any():
+            np.testing.assert_array_equal(
+                steps[low], (np.linalg.pinv(jacs[low]) @ res[low][:, :, None])[:, :, 0]
+            )
+        for i in range(len(jacs)):
+            np.testing.assert_array_equal(_least_squares_steps(jacs[i : i + 1], res[i : i + 1])[0], steps[i])
 
 
 @st.composite
