@@ -33,6 +33,7 @@ from .grassmann import (
     SubspaceSequence,
     grassmann_distance,
     grassmann_limit,
+    grassmann_limits,
     kernel,
     principal_angles,
     span_of,
@@ -71,6 +72,7 @@ __all__ = [
     "SubspaceSequence",
     "grassmann_distance",
     "grassmann_limit",
+    "grassmann_limits",
     "kernel",
     "principal_angles",
     "span_of",

@@ -439,7 +439,7 @@ def destabilizing_sequence(
         x_i = np.asarray(arc.points[i], dtype=float)
         if np.linalg.norm(x_i - y) < 1e-12:
             raise ValueError(f"arc sample {i} coincides with the fault point")
-        leaf = arc.tangents[i]
+        leaf = Subspace(arc.tangents[i])
         w_i_raw = w - leaf.project(w)
         w_i_norm = np.linalg.norm(w_i_raw)
         if w_i_norm < 0.1:
@@ -639,6 +639,14 @@ def tf_witness(
     orthogonal to both that part and the projected witness vector.
     Frames are carried along the arc by projection and the sheet is
     extended by reflection through the terminal normal hyperplane.
+
+    The arc samples are evaluated and tested against the chart domain at
+    once, and the chart values and leaf bases of the samples before the
+    first domain exit come from one call each.  So an evaluation or
+    leaf-tangent failure at any of those samples is reported before the
+    domain exit and before the per-sample construction errors (vanishing
+    velocity, slice dimension, swallowed witness vector); among
+    themselves, errors come in arc order.
     """
     sx = ctx.stratum(x)
     n = ctx.prestratification.ambient
@@ -653,22 +661,25 @@ def tf_witness(
         raise ConstructionError("arc must be a curve into the chart of the approaching stratum")
 
     ts = t0 * ratio ** np.arange(count)
+    us, dus = arc.value_and_jacobian(ts[:, None])
+    inside = sx.chart.in_domain(us)
+    exit_at = count if inside.all() else int(np.argmin(inside))
+    alphas, chart_jacs = sx.chart.value_and_jacobian(us[:exit_at])
+    leaf_bases = ctx.leaf_tangents(sx, us[:exit_at])
     leafs: list[Subspace] = []
     p_dims: list[int] = []
     centers: list[np.ndarray] = []
     arc_dirs: list[np.ndarray] = []
     sigma_bases: list[np.ndarray] = []
     for k, t in enumerate(ts):
-        u, du = arc.value_and_jacobian(np.array([t]))
-        if not sx.chart.in_domain(u):
+        if k == exit_at:
             raise ConstructionError(f"arc leaves the chart domain at t={t}")
-        alpha, chart_jac = sx.chart.value_and_jacobian(u)
-        vel = chart_jac @ du[:, 0]
+        vel = chart_jacs[k] @ dus[k, :, 0]
         speed = np.linalg.norm(vel)
         if speed < 1e-14:
             raise ConstructionError(f"arc velocity vanishes at t={t}")
         a_hat = vel / speed
-        leaf = ctx.leaf_tangent(sx, u)
+        leaf = Subspace(leaf_bases[k])
         leafs.append(leaf)
         # P_t: the part of the leaf tangent inside the normal slice of the arc
         align = a_hat @ leaf.basis
@@ -698,7 +709,7 @@ def tf_witness(
             raise ConstructionError(
                 f"sheet plane at t={t} has dimension {sigma.shape[1]}, expected {n - 2}"
             )
-        centers.append(np.asarray(alpha, dtype=float))
+        centers.append(alphas[k])
         arc_dirs.append(a_hat)
         sigma_bases.append(sigma)
 

@@ -34,6 +34,7 @@ __all__ = [
     "subspace_intersection",
     "kernel",
     "grassmann_limit",
+    "grassmann_limits",
 ]
 
 
@@ -314,27 +315,55 @@ class GrassmannLimit:
 def grassmann_limit(
     seq: SubspaceSequence, window: int = 5, tol: float = CONTAIN_TOL
 ) -> GrassmannLimit:
-    """Detect convergence by a trailing Cauchy window.
+    """Detect convergence by a trailing Cauchy window: the one-sequence
+    form of :func:`grassmann_limits`."""
+    bases = np.stack([e.basis for e in seq.entries])
+    return grassmann_limits(bases, [0, len(bases)], window, tol)[0]
 
-    If every pair inside the last ``window`` entries is within ``tol``
-    (largest principal angle), the final entry is reported as the limit
-    together with the observed residual; otherwise the full residual
-    history is returned for diagnosis.  No extrapolation is attempted:
-    checkers need evidence, not acceleration.
 
-    All distances come from one stacked kernel call: the consecutive
-    pairs, then the non-adjacent pairs of the trailing window.
+def grassmann_limits(
+    bases: np.ndarray, bounds, window: int = 5, tol: float = CONTAIN_TOL
+) -> list[GrassmannLimit]:
+    """Cauchy-window limits of the sequences ``bases[bounds[i]:bounds[i + 1]]``.
+
+    ``bases`` (K, n, d) stacks orthonormal bases of one Grassmannian and
+    ``bounds`` holds the K sequence offsets, from 0 to K, strictly
+    increasing.  If every pair inside the last ``window`` entries of a
+    sequence is within ``tol`` (largest principal angle), its final entry
+    is reported as the limit together with the observed residual;
+    otherwise the full residual history is returned for diagnosis.  No
+    extrapolation is attempted: checkers need evidence, not acceleration.
+
+    All distances of all sequences come from one stacked kernel call:
+    per sequence, the consecutive pairs, then the non-adjacent pairs of
+    the trailing window.  The kernel acts pair by pair, so each sequence
+    gets the floats a call of its own would.
     """
-    entries = seq.entries
-    k = len(entries)
-    w = min(window, k)
-    i, j = np.triu_indices(w, 2)
-    first = np.concatenate([np.arange(k - 1), i + k - w])
-    second = np.concatenate([np.arange(1, k), j + k - w])
-    bases = np.stack([e.basis for e in entries])
-    dists = _largest_angles(bases[first], bases[second]).tolist()
-    history = tuple(dists[: k - 1])
-    residual = max([0.0] + dists[k - w :])  # the window's pairs
-    if residual < tol:
-        return GrassmannLimit(True, entries[-1], residual, history)
-    return GrassmannLimit(False, None, residual, history)
+    bases = np.asarray(bases, dtype=float)
+    bounds = np.asarray(bounds, dtype=int)
+    if bounds[0] != 0 or bounds[-1] != len(bases):
+        raise ValueError(f"sequence bounds must run from 0 to {len(bases)}")
+    if np.any(np.diff(bounds) < 1):
+        raise ValueError("empty subspace sequence")
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    first, second, counts = [], [], []
+    for lo, hi in spans:
+        w = min(window, hi - lo)
+        i, j = np.triu_indices(w, 2)
+        first += [np.arange(lo, hi - 1), i + hi - w]
+        second += [np.arange(lo + 1, hi), j + hi - w]
+        counts.append(hi - lo - 1 + len(i))
+    dists = _largest_angles(bases[np.concatenate(first)], bases[np.concatenate(second)]).tolist()
+    limits = []
+    start = 0
+    for (lo, hi), count in zip(spans, counts):
+        k, w = hi - lo, min(window, hi - lo)
+        own = dists[start : start + count]
+        start += count
+        history = tuple(own[: k - 1])
+        residual = max([0.0] + own[k - w :])  # the window's pairs
+        if residual < tol:
+            limits.append(GrassmannLimit(True, Subspace(bases[hi - 1]), residual, history))
+        else:
+            limits.append(GrassmannLimit(False, None, residual, history))
+    return limits

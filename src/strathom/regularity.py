@@ -24,10 +24,9 @@ import numpy as np
 from .dsl import Add, Expr, Mul, Num, SmoothMap, Sub, Var
 from .grassmann import (
     Subspace,
-    SubspaceSequence,
     _rank,
     _ranks,
-    grassmann_limit,
+    grassmann_limits,
     span_of,
 )
 from .seeds import rng_for
@@ -41,6 +40,7 @@ from .strata import (
     _tangent_frames,
     _thin_qr,
     approach_sequence,
+    tangent_space,
 )
 
 __all__ = [
@@ -105,7 +105,7 @@ class ArcEvidence:
     direction: tuple[float, ...]
     chart_points: np.ndarray = field(repr=False)
     points: np.ndarray = field(repr=False)
-    tangents: tuple[Subspace, ...] = field(repr=False)
+    tangents: np.ndarray = field(repr=False)  # (k, n, dim) orthonormal bases
     converged: bool
     limit: Subspace | None
     residual: float
@@ -165,19 +165,25 @@ def _limit_verdict(
     """Shared arc pipeline: march arcs, take Grassmann limits, test
     containment of the required subspace in each limit.
 
-    ``tangents_of(chart_points)`` returns one subspace per row of an
-    arc's chart points (k, d).
+    ``tangents_of(chart_points)`` returns orthonormal tangent bases
+    (k, n, dim) at chart points (k, d).  It is called once per a/af
+    verdict, on the chart points of every arc in arc order, and the
+    Grassmann limits of all arcs come from one
+    :func:`grassmann.grassmann_limits` call; both act row by row, so
+    each arc's evidence is the one a call of its own would give, and an
+    error names the first bad point in arc order.
     """
     arcs = approach_sequence(ctx.prestratification, x, point, plan, seed=seed)
+    bounds = np.cumsum([0] + [len(arc.chart_points) for arc in arcs])
+    tangents = tangents_of(np.concatenate([arc.chart_points for arc in arcs]))
+    limits = grassmann_limits(tangents, bounds, plan.window, plan.angle_tol)
     evidence: list[ArcEvidence] = []
     witness: FaultWitness | None = None
-    for arc in arcs:
-        tangents = tangents_of(arc.chart_points)
-        lim = grassmann_limit(SubspaceSequence(tangents), plan.window, plan.angle_tol)
+    for arc, lim, lo, hi in zip(arcs, limits, bounds[:-1], bounds[1:]):
         if not lim.converged:
             evidence.append(
                 ArcEvidence(
-                    arc.direction, arc.chart_points, arc.points, tangents,
+                    arc.direction, arc.chart_points, arc.points, tangents[lo:hi],
                     False, None, lim.residual, lim.history, None, None,
                 )
             )
@@ -185,7 +191,7 @@ def _limit_verdict(
         containment = lim.limit.contains(required, plan.angle_tol)
         evidence.append(
             ArcEvidence(
-                arc.direction, arc.chart_points, arc.points, tangents,
+                arc.direction, arc.chart_points, arc.points, tangents[lo:hi],
                 True, lim.limit, lim.residual, lim.history,
                 containment.ok, containment.worst_angle,
             )
@@ -248,7 +254,7 @@ def check_af_at(
     sx = ctx.stratum(x)
     return _limit_verdict(
         ctx, x, y, point, plan, "af",
-        lambda U: tuple(Subspace(b) for b in ctx.leaf_tangents(sx, U)), required, seed,
+        lambda U: ctx.leaf_tangents(sx, U), required, seed,
     )
 
 
@@ -263,18 +269,12 @@ def check_whitney_a_at(
     """Whitney condition: same pipeline on full stratum tangent spaces."""
     plan = plan or ApproachPlan()
     uy = _base_chart_point(ctx, y, point, seed)
-    sy = ctx.stratum(y)
     sx = ctx.stratum(x)
-    required = _stratum_tangents(sy, uy[None])[0]
+    required = tangent_space(ctx.stratum(y), uy)
     return _limit_verdict(
         ctx, x, y, point, plan, "a",
-        lambda U: _stratum_tangents(sx, U), required, seed,
+        lambda U: _tangent_frames(sx, U, sx.chart.jacobian(U)), required, seed,
     )
-
-
-def _stratum_tangents(stratum: Stratum, U) -> tuple[Subspace, ...]:
-    """Column spans of the chart Jacobians at chart points U (k, d)."""
-    return tuple(Subspace(b) for b in _tangent_frames(stratum, U, stratum.chart.jacobian(U)))
 
 
 def check_af_pair(

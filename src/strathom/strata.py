@@ -523,9 +523,10 @@ class StratifiedMapContext:
 
     Immutable after construction; owner of induced-foliation queries.
     Leaf tangents come from one batched kernel, :meth:`leaf_tangents`,
-    which the checkers call once per arc, per tf verdict (its hits at
-    every radius) and per afs verdict (its samples at every radius), and
-    the stability experiments once per stratum and transversality margin.  It reads
+    which the checkers call once per a/af verdict (every arc), per tf
+    verdict (its hits at every radius) and per afs verdict (its samples
+    at every radius), the witness sheet once, and the stability
+    experiments once per stratum and transversality margin.  It reads
     every leaf from the kernel of d(f o psi) at the certified corank and
     checks at every point that the rank of d(f o psi) is not above the
     certificate.
@@ -713,22 +714,33 @@ def approach_sequence(
     domain; every surviving arc has strictly decreasing distances to y
     ending below APPROACH_TOL.  Directions whose arcs leave the domain
     or fail to approach are dropped; losing all of them is an error.
+
+    The arc points of every direction go through one domain test and one
+    chart evaluation, of the rows of the directions that keep enough of
+    them; both act row by row, so each arc keeps the rows and images a
+    test of its own would.  Arcs and failure messages come in direction
+    order.
     """
     s = prestratification.stratum(stratum) if isinstance(stratum, str) else stratum
     plan = plan or ApproachPlan()
     y = np.asarray(y, dtype=float)
     u0 = _closure_chart_point(s, y, seed)
+    dirs = np.array(plan.directions(s.dim))
+    powers = plan.ratio ** np.arange(1, plan.terms + 1)
+    chart_pts = (u0[None, None, :] + powers[None, :, None] * dirs[:, None, :]).reshape(-1, s.dim)
+    inside = s.chart.in_domain(chart_pts).reshape(len(dirs), plan.terms)
+    enough = inside.sum(axis=1) >= max(plan.window, 2)
+    inside &= enough[:, None]
+    kept = chart_pts[inside.ravel()]
+    images = s.chart(kept)
+    bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
     arcs: list[Arc] = []
     failures: list[str] = []
-    powers = plan.ratio ** np.arange(1, plan.terms + 1)
-    for dvec in plan.directions(s.dim):
-        chart_pts = u0[None, :] + powers[:, None] * dvec[None, :]
-        inside = s.chart.in_domain(chart_pts)
-        kept = chart_pts[inside]
-        if len(kept) < max(plan.window, 2):
+    for dvec, ok, lo, hi in zip(dirs, enough, bounds[:-1], bounds[1:]):
+        if not ok:
             failures.append(f"direction {np.round(dvec, 6).tolist()}: leaves the domain")
             continue
-        pts = s.chart(kept)
+        pts = images[lo:hi]
         dists = np.linalg.norm(pts - y, axis=1)
         if not (np.all(np.diff(dists) < 0.0) and dists[-1] < APPROACH_TOL):
             failures.append(
@@ -736,7 +748,7 @@ def approach_sequence(
                 f"(final distance {dists[-1]:.2e})"
             )
             continue
-        arcs.append(Arc(direction=tuple(dvec), chart_points=kept, points=pts))
+        arcs.append(Arc(direction=tuple(dvec), chart_points=kept[lo:hi], points=pts))
     if not arcs:
         raise IncidenceError(
             f"no approach arc toward {y.tolist()} on {s.name!r}: " + "; ".join(failures)

@@ -8,6 +8,7 @@ from strathom.grassmann import (
     SubspaceSequence,
     grassmann_distance,
     grassmann_limit,
+    grassmann_limits,
     kernel,
     principal_angles,
     span_of,
@@ -292,6 +293,57 @@ class TestStackedLimit:
         a, b = drifting_sequence(np.random.default_rng(seed), n, d, 2, spread)
         want = float(principal_angles(a, b)[-1]) if d else 0.0
         assert grassmann_distance(a, b) == want
+
+
+def oscillating_sequence(rng, n, d, length):
+    """Subspaces alternating between two random d-planes."""
+    a, b = drifting_sequence(rng, n, d, 2, 10.0)
+    return tuple(b if i % 2 else a for i in range(length))
+
+
+class TestBatchedLimits:
+    """grassmann_limits on a stack of sequences against grassmann_limit on
+    each sequence alone and against the pairwise loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        d=st.integers(0, 2),
+        shapes=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=5),
+        window=st.integers(2, 8),
+        spread=st.sampled_from([0.0, 1e-9, 1e-3, 0.3]),
+        tol=st.sampled_from([1e-6, 1e-2]),
+    )
+    def test_matches_one_sequence_at_a_time(self, seed, n, d, shapes, window, spread, tol):
+        rng = np.random.default_rng(seed)
+        seqs = [
+            oscillating_sequence(rng, n, d, length) if oscillating
+            else drifting_sequence(rng, n, d, length, spread)
+            for length, oscillating in shapes
+        ]
+        bases = np.concatenate([np.stack([e.basis for e in seq]) for seq in seqs])
+        bounds = np.cumsum([0] + [len(seq) for seq in seqs])
+        limits = grassmann_limits(bases, bounds, window, tol)
+        assert len(limits) == len(seqs)
+        for got, seq in zip(limits, seqs):
+            want = grassmann_limit(SubspaceSequence(seq), window, tol)
+            assert got.converged == want.converged
+            assert got.residual == want.residual
+            assert got.history == want.history
+            assert (got.history, got.residual) == reference_limit(seq, window)
+            if want.limit is None:
+                assert got.limit is None
+            else:
+                assert np.array_equal(got.limit.basis, want.limit.basis)
+                assert np.array_equal(got.limit.basis, seq[-1].basis)
+
+    def test_bounds_must_cover_the_stack(self):
+        bases = np.stack([span_of([[1.0, 0.0]]).basis] * 4)
+        with pytest.raises(ValueError, match="from 0 to 4"):
+            grassmann_limits(bases, [0, 3])
+        with pytest.raises(ValueError, match="empty subspace sequence"):
+            grassmann_limits(bases, [0, 2, 2, 4])
 
 
 class TestSerialization:

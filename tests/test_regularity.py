@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from strathom import regularity
+from strathom import grassmann, regularity
+from strathom.dsl import parse_map
 from strathom.grassmann import Subspace, span_of
 from strathom.regularity import (
     AffineSurface,
@@ -18,7 +19,17 @@ from strathom.regularity import (
     random_test_surface,
     transverse_at,
 )
-from strathom.strata import ApproachPlan, IncidenceError
+from strathom.strata import (
+    ApproachPlan,
+    ImmersionError,
+    Incidence,
+    IncidenceError,
+    NumericalInconsistencyError,
+    Prestratification,
+    StratifiedMapContext,
+    Stratum,
+    approach_sequence,
+)
 
 ORIGIN = (0.0, 0.0, 0.0)
 
@@ -151,11 +162,96 @@ class TestOscillatingTangents:
 
         v = R._limit_verdict(
             ctx, "S1", "S2", ORIGIN, ApproachPlan(), "af",
-            lambda U: tuple(oscillating_tangent(u) for u in U), span3([1, 0, 0]), 0,
+            lambda U: np.stack([oscillating_tangent(u).basis for u in U]), span3([1, 0, 0]), 0,
         )
         assert v.status is Status.INCONCLUSIVE
         assert all(not a.converged for a in v.arcs)
         assert all(a.limit is None for a in v.arcs)
+
+
+def folded_half_plane_ctx():
+    """A half-plane over a line whose chart (u, v) -> (u, p(v), 0),
+    p(v) = ((v - 0.49)^3 + 0.49^3) / 3, loses rank where v = 0.49: on the
+    second term of the arc in direction +e2, and on no term of the first
+    arc (+e1).  The map is constant, so every leaf is a whole tangent
+    plane."""
+    x = Stratum(
+        name="X",
+        chart=parse_map("x1, ((x2 - 0.49)^3 + 0.49^3)/3, 0", 2, domain=("x1",)),
+        inverse_hint=parse_map("x1, x2/0.2401", 3),
+        sample_box=((0.0, 1.0), (-1.0, 1.0)),
+    )
+    y = Stratum(
+        name="Y",
+        chart=parse_map("0, x1, 0", 1),
+        inverse_hint=parse_map("x2", 3),
+        sample_box=((-1.0, 1.0),),
+    )
+    prestrat = Prestratification(ambient=3, strata=(x, y), incidences=(Incidence("X", "Y", ORIGIN),))
+    return StratifiedMapContext.build(parse_map("0", 3), prestrat, seed=0)
+
+
+class TestBatchedLimitVerdict:
+    """One tangents call and one Grassmann-limit kernel call per a/af
+    verdict, with errors still in arc order."""
+
+    def test_one_tangents_call_and_one_angles_call(self, gallery_ctx, monkeypatch):
+        _, _, ctx = gallery_ctx("parabola-shelf")
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(grassmann, "_largest_angles", counted("angles", grassmann._largest_angles))
+        monkeypatch.setattr(regularity, "_tangent_frames", counted("frames", regularity._tangent_frames))
+
+        class Counting(StratifiedMapContext):
+            def leaf_tangents(self, stratum, U):
+                if getattr(stratum, "name", stratum) == "S1":
+                    calls.append("leaves")
+                return super().leaf_tangents(stratum, U)
+
+        counting = Counting(f=ctx.f, prestratification=ctx.prestratification, ranks=ctx.ranks)
+        for check, tangents in ((check_whitney_a_at, "frames"), (check_af_at, "leaves")):
+            calls.clear()
+            verdict = check(counting, "S1", "S2", ORIGIN, seed=0)
+            assert len(verdict.arcs) > 1
+            assert sorted(calls) == sorted(["angles", tangents])
+
+    def test_leaf_failure_on_a_later_arc_names_its_first_bad_point(self, gallery_ctx):
+        _, _, ctx = gallery_ctx("parabola-shelf")
+        arcs = approach_sequence(ctx.prestratification, "S1", ORIGIN, ApproachPlan(), seed=0)
+        later = arcs[2].chart_points
+
+        class Failing(StratifiedMapContext):
+            def leaf_tangents(self, stratum, U):
+                U = np.asarray(U, dtype=float)
+                bad = (U[:, None, :] == later[None, :, :]).all(axis=2).any(axis=1)
+                if getattr(stratum, "name", stratum) == "S1" and np.any(bad):
+                    raise NumericalInconsistencyError(f"leaf fails at {U[np.argmax(bad)].tolist()}")
+                return super().leaf_tangents(stratum, U)
+
+        failing = Failing(f=ctx.f, prestratification=ctx.prestratification, ranks=ctx.ranks)
+        with pytest.raises(NumericalInconsistencyError) as err:
+            check_af_at(failing, "S1", "S2", ORIGIN, seed=0)
+        assert str(err.value) == f"leaf fails at {later[0].tolist()}"
+
+    @pytest.mark.parametrize("check", [check_whitney_a_at, check_af_at], ids=["a", "af"])
+    def test_first_immersion_error_in_arc_order(self, check):
+        ctx = folded_half_plane_ctx()
+        sx = ctx.stratum("X")
+        arcs = approach_sequence(ctx.prestratification, "X", ORIGIN, ApproachPlan(), seed=0)
+        ranks = [np.linalg.matrix_rank(sx.chart.jacobian(arc.chart_points)) for arc in arcs]
+        first = next(k for k, r in enumerate(ranks) if np.any(r < 2))
+        assert first > 0 and arcs[first].direction == (0.0, 1.0)
+        point = arcs[first].chart_points[int(np.argmax(ranks[first] < 2))]
+        with pytest.raises(ImmersionError) as err:
+            check(ctx, "X", "Y", ORIGIN, seed=0)
+        assert str(err.value) == f"chart of 'X' has rank 1 < 2 at {point.tolist()}"
 
 
 class TestPairCheck:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from strathom.dsl import parse_map
+from strathom.dsl import SmoothMap, parse_map
+from strathom.gallery import gallery_entry
 from strathom.grassmann import grassmann_distance, span_of
 from strathom.seeds import rng_for
+from strathom import strata
 from strathom.strata import (
+    APPROACH_TOL,
     ApproachPlan,
     ConstantRankError,
     ImmersionError,
@@ -15,6 +18,7 @@ from strathom.strata import (
     Prestratification,
     StratifiedMapContext,
     Stratum,
+    _closure_chart_point,
     _gauss_newton,
     _walk_to_boundary,
     approach_sequence,
@@ -211,6 +215,93 @@ class TestApproachSequence:
     def test_point_off_closure_rejected(self):
         with pytest.raises(IncidenceError):
             approach_sequence(parallel_planes(), "S1", (0.0, 0.0, 5.0))
+
+
+def per_direction_arcs(prestrat, name, y, plan, seed=0):
+    """The per-direction loop: a domain test and a chart evaluation of
+    each direction's own.  Returns the kept arcs as (direction, chart
+    points, points) and the failure messages, in direction order."""
+    s = prestrat.stratum(name)
+    y = np.asarray(y, dtype=float)
+    u0 = _closure_chart_point(s, y, seed)
+    powers = plan.ratio ** np.arange(1, plan.terms + 1)
+    arcs, failures = [], []
+    for dvec in plan.directions(s.dim):
+        chart_pts = u0[None, :] + powers[:, None] * dvec[None, :]
+        kept = chart_pts[s.chart.in_domain(chart_pts)]
+        if len(kept) < max(plan.window, 2):
+            failures.append(f"direction {np.round(dvec, 6).tolist()}: leaves the domain")
+            continue
+        pts = s.chart(kept)
+        dists = np.linalg.norm(pts - y, axis=1)
+        if not (np.all(np.diff(dists) < 0.0) and dists[-1] < APPROACH_TOL):
+            failures.append(
+                f"direction {np.round(dvec, 6).tolist()}: does not approach y "
+                f"(final distance {dists[-1]:.2e})"
+            )
+            continue
+        arcs.append((tuple(dvec), kept, pts))
+    return arcs, failures
+
+
+# case -> (y, plan, number of directions dropped for leaving the domain)
+SHELF_CASES = {
+    "default": ((0.0, 0.0, 0.0), ApproachPlan(), 3),
+    # every direction is dropped: the error lists them all, in order
+    "more-directions": ((0.0, 0.0, 0.0), ApproachPlan(total_directions=13, terms=45), 5),
+    "too-short": ((0.0, 0.0, 0.0), ApproachPlan(terms=10), 3),
+    # the base chart point sits 1e-12 inside the domain, so the arcs
+    # pointing out of it keep their last terms
+    "off-center": ((0.3, 0.0, 0.0), ApproachPlan(ratio=0.6, window=3), 0),
+}
+
+
+class TestBatchedApproachSequence:
+    """approach_sequence on parabola-shelf, whose chart domain is the
+    half-plane x2 < 0, against the per-direction loop."""
+
+    @pytest.mark.parametrize("case", sorted(SHELF_CASES))
+    def test_matches_per_direction_loop(self, case):
+        y, plan, leaving = SHELF_CASES[case]
+        prestrat = gallery_entry("parabola-shelf").scene().prestratification
+        want, failures = per_direction_arcs(prestrat, "S1", y, plan)
+        assert sum("leaves the domain" in f for f in failures) == leaving
+        if not want:
+            with pytest.raises(IncidenceError) as err:
+                approach_sequence(prestrat, "S1", y, plan)
+            assert str(err.value) == (
+                f"no approach arc toward {list(y)} on 'S1': " + "; ".join(failures)
+            )
+            return
+        assert failures
+        got = approach_sequence(prestrat, "S1", y, plan)
+        assert [a.direction for a in got] == [w[0] for w in want]
+        for arc, (_, kept, pts) in zip(got, want):
+            assert np.array_equal(arc.chart_points, kept)
+            assert np.array_equal(arc.points, pts)
+
+    def test_one_domain_test_and_one_chart_call(self, monkeypatch):
+        prestrat = gallery_entry("parabola-shelf").scene().prestratification
+        calls = []
+        for attr in ("__call__", "in_domain", "jacobian", "value_and_jacobian"):
+            original = getattr(SmoothMap, attr)
+
+            def counted(self, *args, _attr=attr, _original=original, **kwargs):
+                calls.append(_attr)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SmoothMap, attr, counted)
+        located = strata._closure_chart_point
+
+        def locate_then_count(*args):
+            u0 = located(*args)
+            calls.clear()  # count only the calls after the base point is found
+            return u0
+
+        monkeypatch.setattr(strata, "_closure_chart_point", locate_then_count)
+        arcs = approach_sequence(prestrat, "S1", ORIGIN, ApproachPlan(total_directions=12))
+        assert len(arcs) > 1
+        assert sorted(calls) == ["__call__", "in_domain"]
 
 
 class TestValidatePrestratification:
