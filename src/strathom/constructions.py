@@ -29,7 +29,7 @@ import numpy as np
 
 from .dsl import Add, Call, Expr, Mul, Num, SmoothMap, Sub, Var, _bump_value_and_slope
 from .grassmann import Subspace, grassmann_distance, span_of, subspace_sum
-from .regularity import FaultWitness, TransversalityResult, _base_chart_point, transverse_at
+from .regularity import FaultWitness, TransversalityResult, _on_base, transverse_at
 from .seeds import rng_for
 from .strata import StratifiedMapContext
 
@@ -653,8 +653,8 @@ def tf_witness(
     center = np.asarray(point, dtype=float)
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    uy = _base_chart_point(ctx, y, center, seed=0)
-    leaf_y = ctx.leaf_tangent(ctx.stratum(y), uy)
+    _on_base(ctx, y, center)
+    leaf_y = ctx.base_leaf(y, center)
     if not leaf_y.contains(span_of([v], n=n), tol=1e-6).ok:
         raise ConstructionError("witness vector is not tangent to the base leaf")
     if arc.n != 1 or arc.m != sx.dim:

@@ -31,12 +31,13 @@ from .grassmann import (
 )
 from .seeds import rng_for
 from .strata import (
+    ON_BASE_TOL,
     ApproachPlan,
     Arc,
     StratifiedMapContext,
     Stratum,
-    _closure_chart_point,
     _gauss_newton,
+    _on_closure,
     _tangent_frames,
     _thin_qr,
     approach_sequence,
@@ -160,7 +161,6 @@ def _limit_verdict(
     condition: str,
     tangents_of,
     required: Subspace,
-    seed: int,
 ) -> RegularityVerdict:
     """Shared arc pipeline: march arcs, take Grassmann limits, test
     containment of the required subspace in each limit.
@@ -173,7 +173,7 @@ def _limit_verdict(
     each arc's evidence is the one a call of its own would give, and an
     error names the first bad point in arc order.
     """
-    arcs = approach_sequence(ctx.prestratification, x, point, plan, seed=seed)
+    arcs = approach_sequence(ctx.prestratification, x, point, plan)
     bounds = np.cumsum([0] + [len(arc.chart_points) for arc in arcs])
     tangents = tangents_of(np.concatenate([arc.chart_points for arc in arcs]))
     limits = grassmann_limits(tangents, bounds, plan.window, plan.angle_tol)
@@ -224,10 +224,12 @@ def _limit_verdict(
     )
 
 
-def _base_chart_point(ctx: StratifiedMapContext, y: str, point, seed: int) -> np.ndarray:
-    stratum = ctx.stratum(y)
-    u, dist, _ = stratum.locate(np.asarray(point, dtype=float), closure=False, seed=seed)
-    if dist > 1e-8:
+def _on_base(ctx: StratifiedMapContext, y: str, point) -> np.ndarray:
+    """Chart point of :meth:`Prestratification.location` of the point on
+    Y, which the point must lie on: within ON_BASE_TOL, or
+    PreconditionError."""
+    u, dist, _ = ctx.prestratification.location(y, point)
+    if dist > ON_BASE_TOL:
         raise PreconditionError(
             f"point {np.asarray(point).tolist()} does not lie on stratum {y!r} "
             f"(distance {dist:.2e})"
@@ -246,15 +248,16 @@ def check_af_at(
     """Foliated regularity of X over Y at a declared incidence point.
 
     Along every approach arc the leaf tangents of X must settle to a
-    limit containing the leaf tangent of Y at the point.
+    limit containing the leaf tangent of Y at the point.  The point's
+    locations and the Y-leaf are the ones the prestratification and the
+    context keep, so ``seed`` does not change the verdict.
     """
     plan = plan or ApproachPlan()
-    uy = _base_chart_point(ctx, y, point, seed)
-    required = ctx.leaf_tangent(y, uy)
+    _on_base(ctx, y, point)
+    required = ctx.base_leaf(y, point)
     sx = ctx.stratum(x)
     return _limit_verdict(
-        ctx, x, y, point, plan, "af",
-        lambda U: ctx.leaf_tangents(sx, U), required, seed,
+        ctx, x, y, point, plan, "af", lambda U: ctx.leaf_tangents(sx, U), required,
     )
 
 
@@ -266,14 +269,15 @@ def check_whitney_a_at(
     plan: ApproachPlan | None = None,
     seed: int = 0,
 ) -> RegularityVerdict:
-    """Whitney condition: same pipeline on full stratum tangent spaces."""
+    """Whitney condition: same pipeline on full stratum tangent spaces;
+    like af, it does not depend on ``seed``."""
     plan = plan or ApproachPlan()
-    uy = _base_chart_point(ctx, y, point, seed)
+    uy = _on_base(ctx, y, point)
     sx = ctx.stratum(x)
     required = tangent_space(ctx.stratum(y), uy)
     return _limit_verdict(
         ctx, x, y, point, plan, "a",
-        lambda U: _tangent_frames(sx, U, sx.chart.jacobian(U)), required, seed,
+        lambda U: _tangent_frames(sx, U, sx.chart.jacobian(U)), required,
     )
 
 
@@ -395,8 +399,8 @@ def random_test_surface(
 ) -> AffineSurface:
     """Seeded affine submanifold through the point, transverse to the
     Y-leaf there (the hypothesis every tf test surface must satisfy)."""
-    uy = _base_chart_point(ctx, y, point, seed)
-    leaf = ctx.leaf_tangent(y, uy)
+    _on_base(ctx, y, point)
+    leaf = ctx.base_leaf(y, point)
     n = ctx.prestratification.ambient
     want = dim if dim is not None else n - leaf.dim
     if want < n - leaf.dim:
@@ -574,8 +578,9 @@ def _radial_verdict(
 ) -> RegularityVerdict:
     """Shared shrinking-radius scheme of tf and afs.
 
-    The point must lie on the closure of X, within the 1e-7 that
-    :func:`strata.approach_sequence` allows, or IncidenceError is raised.
+    The point must lie on the closure of X, within the APPROACH_TOL that
+    :func:`strata.approach_sequence` allows, or IncidenceError is raised;
+    both read the prestratification's location of the point.
     For each radius of the plan, chart points of X inside the ball are
     drawn from the stream ``rng_for(seed, condition, x, y, j)`` for the
     j-th radius; the draws of all radii share one domain test and one
@@ -602,7 +607,7 @@ def _radial_verdict(
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
-    u0 = _closure_chart_point(sx, center, seed)
+    u0 = _on_closure(ctx.prestratification, x, center)
     rows: list[dict] = []
     bad_points: list[np.ndarray] = []
     clean: dict | None = None
@@ -684,8 +689,8 @@ def check_tf_at(
     """
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
-    uy = _base_chart_point(ctx, y, point, seed)
-    leaf_y = ctx.leaf_tangent(y, uy)
+    _on_base(ctx, y, point)
+    leaf_y = ctx.base_leaf(y, point)
     pre = transverse_at(surface.tangent_at_center(), leaf_y, n)
     if not pre.transverse:
         raise PreconditionError(
@@ -747,15 +752,17 @@ def orthogonal_retraction(point, space: Subspace) -> SmoothMap:
 
 
 def _sample_leaf_points(
-    ctx: StratifiedMapContext, y: str, uy: np.ndarray, count: int, scale: float, seed: int
+    ctx: StratifiedMapContext, y: str, point, count: int, scale: float, seed: int
 ) -> tuple[np.ndarray, int]:
-    """Points on the actual leaf through psi(uy): stay on the stratum and
-    on the fiber of f, nudged along the leaf-tangent directions.  Returns
-    the points that reach the fiber and the number of solves that had
-    not converged."""
+    """Points on the actual leaf through psi(uy), uy the located chart
+    point of ``point`` on Y: stay on the stratum and on the fiber of f,
+    nudged along the directions of the base leaf.  Returns the points
+    that reach the fiber and the number of solves that had not
+    converged."""
     sy = ctx.stratum(y)
+    uy = ctx.prestratification.location(y, point).u
     base_point = np.asarray(sy.chart(uy), dtype=float)
-    leaf = ctx.leaf_tangent(y, uy)
+    leaf = ctx.base_leaf(y, point)
     if leaf.dim == 0:
         return np.tile(base_point, (count, 1)), 0
     rng = rng_for(seed, "leaf-samples", y)
@@ -782,10 +789,10 @@ def _sample_leaf_points(
 
 
 def _validate_retraction(
-    ctx: StratifiedMapContext, y: str, uy: np.ndarray, retraction: SmoothMap, seed: int
+    ctx: StratifiedMapContext, y: str, point, retraction: SmoothMap, seed: int
 ) -> None:
     sy = ctx.stratum(y)
-    base_point = np.asarray(sy.chart(uy), dtype=float)
+    base_point = np.asarray(sy.chart(ctx.prestratification.location(y, point).u), dtype=float)
     n = retraction.n
     rng = rng_for(seed, "retraction", y)
     nearby = base_point + 0.3 * rng.standard_normal((12, n))
@@ -793,7 +800,7 @@ def _validate_retraction(
     twice = retraction(once, check_domain=False)
     if np.max(np.linalg.norm(twice - once, axis=1)) > 1e-8:
         raise PreconditionError("retraction is not idempotent near the point")
-    leaf_pts, _ = _sample_leaf_points(ctx, y, uy, count=8, scale=1e-5, seed=seed)
+    leaf_pts, _ = _sample_leaf_points(ctx, y, point, count=8, scale=1e-5, seed=seed)
     if len(leaf_pts):
         fixed = retraction(leaf_pts, check_domain=False)
         drift = np.max(np.linalg.norm(fixed - leaf_pts, axis=1))
@@ -825,14 +832,14 @@ def check_afs_at(
     :func:`_radial_verdict`.
     """
     n = ctx.prestratification.ambient
-    uy = _base_chart_point(ctx, y, point, seed)
-    leaf_y = ctx.leaf_tangent(y, uy)
+    _on_base(ctx, y, point)
+    leaf_y = ctx.base_leaf(y, point)
     s_req = leaf_y.dim
     if retraction is None:
         retraction = orthogonal_retraction(point, leaf_y)
     if retraction.n != n or retraction.m != n:
         raise PreconditionError("retraction must map the ambient space to itself")
-    _validate_retraction(ctx, y, uy, retraction, seed)
+    _validate_retraction(ctx, y, point, retraction, seed)
     sx = ctx.stratum(x)
 
     def probe(radii: list[float], samples: list[np.ndarray]):

@@ -124,10 +124,10 @@ class Report:
         return canonical_json(payload)
 
     def write(self, path) -> None:
-        payload = self.finish()
+        """Write the report as indented, key-sorted JSON in one call."""
+        text = json.dumps(self.finish(), indent=2, sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def write_csv(path, header: tuple[str, ...], rows) -> None:

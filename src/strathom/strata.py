@@ -24,8 +24,9 @@ from .grassmann import Subspace, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
+ON_BASE_TOL = 1e-8  # how far a checked point may lie from its base stratum Y
 CLOSURE_MARGIN = -1e-8  # domain values above this admit a chart point to the closure
-APPROACH_TOL = 1e-7  # how close the last arc term must come to y
+APPROACH_TOL = 1e-7  # how close the last arc term, and the closure of X, must come to y
 
 __all__ = [
     "Stratum",
@@ -443,9 +444,17 @@ class Incidence:
 
 @dataclass(frozen=True)
 class Prestratification:
+    """Pairwise disjoint strata and their declared incidences.
+
+    Incidence points are located once: :meth:`location` keeps every
+    location it computes, so the validation and every checker at the
+    same point share one solve per stratum.
+    """
+
     ambient: int
     strata: tuple[Stratum, ...]
     incidences: tuple[Incidence, ...] = ()
+    _locations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [s.name for s in self.strata]
@@ -465,6 +474,24 @@ class Prestratification:
             if s.name == name:
                 return s
         raise KeyError(f"no stratum named {name!r}")
+
+    def location(self, name: str, point, closure: bool = False) -> Location:
+        """:meth:`Stratum.locate` of ``point`` on the stratum ``name``,
+        computed on the first call for (name, point, closure) and kept,
+        with a read-only ``u``.
+
+        Every location uses the fixed start set of seed 0, so it does not
+        depend on the caller.  Callers test the distance themselves; a
+        :class:`LocateError` propagates and nothing is kept.
+        """
+        p = np.asarray(point, dtype=float)
+        key = (name, p.tobytes(), closure)
+        loc = self._locations.get(key)
+        if loc is None:
+            loc = self.stratum(name).locate(p, closure=closure)
+            loc.u.flags.writeable = False
+            self._locations[key] = loc
+        return loc
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +557,17 @@ class StratifiedMapContext:
     every leaf from the kernel of d(f o psi) at the certified corank and
     checks at every point that the rank of d(f o psi) is not above the
     certificate.
+
+    The base leaf, the Y-leaf tangent at the located chart point of an
+    incidence point, is computed once per (y, point) by
+    :meth:`base_leaf` and kept; af, tf, afs, their test surfaces and the
+    tf witness sheet all read it.
     """
 
     f: SmoothMap
     prestratification: Prestratification
     ranks: dict[str, RankCertificate]
+    _base_leaves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(
@@ -560,6 +593,17 @@ class StratifiedMapContext:
     def leaf_dim(self, name: str) -> int:
         s = self.stratum(name)
         return s.dim - self.rank(name)
+
+    def base_leaf(self, y: str, point) -> Subspace:
+        """Leaf tangent of Y at :meth:`Prestratification.location` of
+        ``point`` on Y, computed on the first call for (y, point) and
+        kept.  The caller tests the location's distance first."""
+        key = (y, np.asarray(point, dtype=float).tobytes())
+        leaf = self._base_leaves.get(key)
+        if leaf is None:
+            leaf = self.leaf_tangent(self.stratum(y), self.prestratification.location(y, point).u)
+            self._base_leaves[key] = leaf
+        return leaf
 
     def leaf_tangent(self, stratum: Stratum | str, u) -> Subspace:
         """Tangent space of the induced-foliation leaf through psi(u): one
@@ -690,13 +734,14 @@ class Arc:
     points: np.ndarray  # (k, n)
 
 
-def _closure_chart_point(s: Stratum, y: np.ndarray, seed: int) -> np.ndarray:
-    """Chart point of the nearest point of the closure of ``s`` to y,
-    which must lie on that closure: within 1e-7, or IncidenceError."""
-    u0, dist, _ = s.locate(y, closure=True, seed=seed)
-    if dist > 1e-7:
+def _on_closure(prestratification: Prestratification, name: str, y) -> np.ndarray:
+    """Chart point of :meth:`Prestratification.location` of y on the
+    closure of the stratum ``name``, which y must lie on: within
+    APPROACH_TOL, or IncidenceError."""
+    u0, dist, _ = prestratification.location(name, y, closure=True)
+    if dist > APPROACH_TOL:
         raise IncidenceError(
-            f"{np.asarray(y).tolist()} is not on the closure of {s.name!r} (distance {dist:.2e})"
+            f"{np.asarray(y).tolist()} is not on the closure of {name!r} (distance {dist:.2e})"
         )
     return u0
 
@@ -710,8 +755,9 @@ def approach_sequence(
 ) -> list[Arc]:
     """Geometric arcs in ``stratum`` whose images converge to y.
 
-    The base chart point u0 is located on the closure of the chart
-    domain; every surviving arc has strictly decreasing distances to y
+    The base chart point u0 is the prestratification's location of y on
+    the closure of the chart domain, so ``seed`` does not change the
+    arcs; every surviving arc has strictly decreasing distances to y
     ending below APPROACH_TOL.  Directions whose arcs leave the domain
     or fail to approach are dropped; losing all of them is an error.
 
@@ -724,7 +770,7 @@ def approach_sequence(
     s = prestratification.stratum(stratum) if isinstance(stratum, str) else stratum
     plan = plan or ApproachPlan()
     y = np.asarray(y, dtype=float)
-    u0 = _closure_chart_point(s, y, seed)
+    u0 = _on_closure(prestratification, s.name, y)
     dirs = np.array(plan.directions(s.dim))
     powers = plan.ratio ** np.arange(1, plan.terms + 1)
     chart_pts = (u0[None, None, :] + powers[None, :, None] * dirs[:, None, :]).reshape(-1, s.dim)
@@ -819,14 +865,13 @@ def validate_prestratification(
 
     confirmed = 0
     for inc in P.incidences:
-        y_stratum = P.stratum(inc.y)
-        dist = y_stratum.locate(np.asarray(inc.point), closure=False, seed=seed).distance
+        dist = P.location(inc.y, inc.point).distance
         if dist > ON_STRATUM_TOL:
             raise IncidenceError(
                 f"declared incidence point {list(inc.point)} is not on {inc.y!r} "
                 f"(distance {dist:.2e})"
             )
-        approach_sequence(P, inc.x, inc.point, seed=seed)  # raises if unreachable
+        approach_sequence(P, inc.x, inc.point)  # raises if unreachable
         confirmed += 1
 
     probes = [_probe_frontier(P, s, sampled[s.name], seed) for s in P.strata]

@@ -3,6 +3,7 @@ import pytest
 
 from strathom import grassmann, regularity
 from strathom.dsl import parse_map
+from strathom.gallery import gallery_entry
 from strathom.grassmann import Subspace, span_of
 from strathom.regularity import (
     AffineSurface,
@@ -162,7 +163,7 @@ class TestOscillatingTangents:
 
         v = R._limit_verdict(
             ctx, "S1", "S2", ORIGIN, ApproachPlan(), "af",
-            lambda U: np.stack([oscillating_tangent(u).basis for u in U]), span3([1, 0, 0]), 0,
+            lambda U: np.stack([oscillating_tangent(u).basis for u in U]), span3([1, 0, 0]),
         )
         assert v.status is Status.INCONCLUSIVE
         assert all(not a.converged for a in v.arcs)
@@ -417,6 +418,82 @@ class TestPointOffTheClosure:
             check_tf_at(ctx, "S1", "S2", point, surface, seed=0)
         with pytest.raises(IncidenceError, match=message):
             check_afs_at(ctx, "S1", "S2", point, seed=0)
+
+
+def fresh_ctx(name):
+    """A context of its own, so no other test has filled its memos."""
+    return gallery_entry(name).scene().build_context(seed=0)
+
+
+class TestIncidenceLocations:
+    """Each incidence point is located once per stratum, by the
+    prestratification, and its Y-leaf computed once, by the context."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (stratum name, closure, seed) of every locate_many call
+        and the chart point of every leaf_tangent call."""
+        located, leaves = [], []
+        locate_many = Stratum.locate_many
+        leaf_tangent = StratifiedMapContext.leaf_tangent
+
+        def counted_locate(self, points, closure=False, seed=0):
+            located.append((self.name, closure, seed))
+            return locate_many(self, points, closure, seed)
+
+        def counted_leaf(self, stratum, u):
+            leaves.append(np.array(u))
+            return leaf_tangent(self, stratum, u)
+
+        monkeypatch.setattr(Stratum, "locate_many", counted_locate)
+        monkeypatch.setattr(StratifiedMapContext, "leaf_tangent", counted_leaf)
+        return located, leaves
+
+    def test_every_condition_shares_two_locations(self, monkeypatch):
+        ctx = fresh_ctx("parallel-planes")
+        located, leaves = self.spy(monkeypatch)
+
+        def every_condition():
+            check_whitney_a_at(ctx, "S1", "S2", ORIGIN, seed=1)
+            check_af_at(ctx, "S1", "S2", ORIGIN, seed=2)
+            for k in range(5):
+                surface = random_test_surface(ctx, "S2", ORIGIN, seed=k)
+                check_tf_at(ctx, "S1", "S2", ORIGIN, surface, seed=k)
+            check_afs_at(ctx, "S1", "S2", ORIGIN, seed=3)
+
+        every_condition()
+        assert located == [("S2", False, 0), ("S1", True, 0)]
+        assert len(leaves) == 1
+        located.clear()
+        leaves.clear()
+        every_condition()
+        assert located == [] and leaves == []
+
+    def test_failed_locations_raise_on_every_call(self):
+        ctx = fresh_ctx("parallel-planes")
+        off_y = (0.0, 0.3, 0.0)  # 0.3 from the plane S2
+        off_closure = (0.0, 0.0, 0.5)  # on S2, 0.5 from the closure of S1
+        surface = random_test_surface(ctx, "S2", off_closure, seed=0)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=r"distance 3\.00e-01"):
+                check_af_at(ctx, "S1", "S2", off_y)
+            with pytest.raises(PreconditionError, match=r"distance 3\.00e-01"):
+                random_test_surface(ctx, "S2", off_y, seed=0)
+            with pytest.raises(IncidenceError, match=r"distance 5\.00e-01"):
+                check_af_at(ctx, "S1", "S2", off_closure)
+            with pytest.raises(IncidenceError, match=r"distance 5\.00e-01"):
+                check_tf_at(ctx, "S1", "S2", off_closure, surface)
+            with pytest.raises(IncidenceError, match=r"distance 5\.00e-01"):
+                approach_sequence(ctx.prestratification, "S1", off_closure)
+
+    def test_af_does_not_depend_on_the_task_seed(self, monkeypatch):
+        _, leaves = self.spy(monkeypatch)
+        first, second = (
+            check_af_at(fresh_ctx("parabola-shelf"), "S1", "S2", ORIGIN, seed=seed)
+            for seed in (1, 20261017)
+        )
+        assert len(leaves) == 2 and np.array_equal(leaves[0], leaves[1])
+        assert np.array_equal(first.required.basis, second.required.basis)
 
 
 class TestRetractionCondition:

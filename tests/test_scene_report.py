@@ -160,6 +160,15 @@ class TestReportDeterminism:
         assert "timing" in data and "wall_s" in data["timing"]
         assert "timing" not in json.loads(report.deterministic_json())
 
+    def test_written_file_is_indented_sorted_json(self, gallery_ctx, tmp_path):
+        _, scene, ctx = gallery_ctx("parabola-shelf")
+        report = Report(scene_name=scene.name, scene_data=scene.raw, seed=3)
+        report.body["verdicts"] = [verdict_to_json(check_af_at(ctx, "S1", "S2", (0.0, 0.0, 0.0)))]
+        path = tmp_path / "r.json"
+        report.write(path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
 
 class TestCsv:
     def test_rfc4180_line_endings(self, tmp_path):

@@ -120,10 +120,11 @@ class TestNonConvergence:
             rng.uniform(-1.2, 1.2, 60), rng.uniform(-0.6, 1.2, 60), rng.uniform(-1.5, 1.5, 60),
         ])
         _, _, ctx = gallery_ctx("parallel-planes")
-        uy = ctx.stratum("S2").locate(np.zeros(3)).u
 
         def counts():
-            leaf_points, leaf_moving = regularity._sample_leaf_points(ctx, "S2", uy, 8, 1e-5, 0)
+            leaf_points, leaf_moving = regularity._sample_leaf_points(
+                ctx, "S2", np.zeros(3), 8, 1e-5, 0
+            )
             assert len(leaf_points) == 8
             return [
                 surface.locate([0.3, 0.25, 0.4]).unconverged,

@@ -18,8 +18,8 @@ from strathom.strata import (
     Prestratification,
     StratifiedMapContext,
     Stratum,
-    _closure_chart_point,
     _gauss_newton,
+    _on_closure,
     _walk_to_boundary,
     approach_sequence,
     tangent_space,
@@ -217,13 +217,13 @@ class TestApproachSequence:
             approach_sequence(parallel_planes(), "S1", (0.0, 0.0, 5.0))
 
 
-def per_direction_arcs(prestrat, name, y, plan, seed=0):
+def per_direction_arcs(prestrat, name, y, plan):
     """The per-direction loop: a domain test and a chart evaluation of
     each direction's own.  Returns the kept arcs as (direction, chart
     points, points) and the failure messages, in direction order."""
     s = prestrat.stratum(name)
     y = np.asarray(y, dtype=float)
-    u0 = _closure_chart_point(s, y, seed)
+    u0 = _on_closure(prestrat, name, y)
     powers = plan.ratio ** np.arange(1, plan.terms + 1)
     arcs, failures = [], []
     for dvec in plan.directions(s.dim):
@@ -291,14 +291,14 @@ class TestBatchedApproachSequence:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(SmoothMap, attr, counted)
-        located = strata._closure_chart_point
+        located = strata._on_closure
 
         def locate_then_count(*args):
             u0 = located(*args)
             calls.clear()  # count only the calls after the base point is found
             return u0
 
-        monkeypatch.setattr(strata, "_closure_chart_point", locate_then_count)
+        monkeypatch.setattr(strata, "_on_closure", locate_then_count)
         arcs = approach_sequence(prestrat, "S1", ORIGIN, ApproachPlan(total_directions=12))
         assert len(arcs) > 1
         assert sorted(calls) == ["__call__", "in_domain"]
