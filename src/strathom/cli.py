@@ -110,6 +110,21 @@ class _UsageError(Exception):
     pass
 
 
+# the least value of each count flag: below it a run checks nothing,
+# validates on no samples or draws no maps, and exits 0
+_COUNT_FLOORS = {"samples": 1, "tf_surfaces": 1, "count": 1, "trials": 0}
+
+
+def _check_flags(args) -> None:
+    for name, floor in _COUNT_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise _UsageError(f"--{name.replace('_', '-')} must be at least {floor}, got {value}")
+    eps = getattr(args, "eps", None)
+    if eps is not None and not 0.0 < eps < float("inf"):
+        raise _UsageError(f"--eps must be positive and finite, got {eps}")
+
+
 def _load(path: str) -> Scene:
     if not Path(path).exists():
         raise _UsageError(f"no such file: {path}")
@@ -324,6 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         if args.command == "validate":
             return cmd_validate(args)
         if args.command == "check":

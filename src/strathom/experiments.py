@@ -235,48 +235,17 @@ def _scaled_perturbation(
 # Sampled transversality
 
 
-def _nearest_chart_points(
-    stratum: Stratum, points: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Batched point location: chart coordinates and distances of the
-    nearest stratum point for each query (closure sense), and the number
-    of starts whose solve had not converged.
-
-    Every query runs from 2 starts (inverse hint, box center) or, without
-    a hint, 4 (box center and 3 seeded box points).  All starts of all
-    queries run in one solve; then, per query, the starts are folded in
-    order and a later one replaces the best only if strictly nearer, so
-    ties keep the earlier start.
-    """
+def _margin_starts(stratum: Stratum, images: np.ndarray, seed: int) -> np.ndarray:
+    """A margin's location starts (k, s, d) for the images: the inverse
+    hint and the box center, or, without a hint, the center and 3 seeded
+    box points per image."""
     box = np.asarray(stratum.sample_box)
-    k = len(points)
-    starts: list[np.ndarray] = []
+    starts = [np.broadcast_to(box.mean(axis=1), (len(images), stratum.dim))]
     if stratum.inverse_hint is not None:
-        starts.append(np.asarray(stratum.inverse_hint(points, check_domain=False), dtype=float))
-        starts.append(np.tile(box.mean(axis=1), (k, 1)))
-    else:
-        starts.append(np.tile(box.mean(axis=1), (k, 1)))
-        rng = rng_for(seed, "nearest", stratum.name)
-        for _ in range(3):
-            starts.append(rng.uniform(box[:, 0], box[:, 1], size=(k, stratum.dim)))
-    lo = box[:, 0] + 1e-12
-    hi = box[:, 1] - 1e-12
-
-    def residual(u, idx):
-        vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
-        return vals - points[idx % k], jacs
-
-    solved = _gauss_newton(residual, np.concatenate(starts), lo, hi, tol=1e-12, max_iter=40)
-    u = solved.u
-    vals = stratum.chart(u, check_domain=False)
-    admissible = np.all(stratum.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
-    d = np.where(admissible, np.linalg.norm(vals - points[np.arange(len(u)) % k], axis=1), np.inf)
-    (best_u, *later_u), (best_d, *later_d) = np.split(u, len(starts)), np.split(d, len(starts))
-    for u_s, d_s in zip(later_u, later_d):
-        better = d_s < best_d
-        best_u[better] = u_s[better]
-        best_d[better] = d_s[better]
-    return best_u, best_d, int(np.count_nonzero(~solved.converged))
+        return np.stack([stratum.inverse_hint(images, check_domain=False), *starts], axis=1)
+    rng = rng_for(seed, "nearest", stratum.name)
+    starts += [rng.uniform(box[:, 0], box[:, 1], size=(len(images), stratum.dim)) for _ in range(3)]
+    return np.stack(starts, axis=1)
 
 
 def transversality_margin(
@@ -290,8 +259,11 @@ def transversality_margin(
     value (scale-invariant: exact rank at finitely many sample points is
     almost surely full, so nearness to degeneracy is what gets
     measured).  Points whose images stay clear of every stratum impose
-    nothing.  The leaf bases at the nearest chart points, which may lie
-    on the closure of the domain, come from
+    nothing.  Each image's nearest chart point on a stratum, which may
+    lie on the closure of the domain, is located by
+    :meth:`Stratum._nearest`, the kernel of :meth:`Stratum.locate_many`,
+    from the starts of :func:`_margin_starts`.  The leaf bases there
+    come from
     :meth:`StratifiedMapContext.leaf_tangents`, which raises
     :class:`NumericalInconsistencyError` where the map has a rank above
     its certificate.
@@ -301,7 +273,12 @@ def transversality_margin(
     worst = np.inf
     worst_point = k_points[0]
     for stratum in ctx.prestratification.strata:
-        u, d, _ = _nearest_chart_points(stratum, images, seed)
+        # fewer starts and a shorter budget than locate_many's: the pinned
+        # eps and margins rest on them, and with locate_many's budget most
+        # nearest points on a hint-free saddle sheet move, by up to 0.02 in u
+        u, d, _ = stratum._nearest(
+            images, _margin_starts(stratum, images, seed), CLOSURE_MARGIN, tol=1e-12, max_iter=40
+        )
         near = np.nonzero(d < PROXIMITY)[0]
         if near.size == 0:
             continue

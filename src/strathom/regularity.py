@@ -405,6 +405,8 @@ def random_test_surface(
     want = dim if dim is not None else n - leaf.dim
     if want < n - leaf.dim:
         raise ValueError("surface dimension too small to be transverse to the leaf")
+    if want > n:
+        raise ValueError(f"surface dimension {want} exceeds the ambient dimension {n}")
     rng = rng_for(seed, "test-surface", y)
     for _ in range(50):
         space = span_of(list(rng.standard_normal((want, n))), n=n)
@@ -427,6 +429,8 @@ class RadialPlan:
     samples: int = 200
 
     def __post_init__(self):
+        if not 0.0 < self.r0 < np.inf:
+            raise ValueError("r0 must be positive and finite")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must lie strictly inside (0, 1)")
         if self.count < 1 or self.samples < 1:

@@ -342,58 +342,58 @@ class Stratum:
         return Location(u[0], float(dist[0]), int(unconverged[0]))
 
     def locate_many(
-        self,
-        points,
-        closure: bool = False,
-        seed: int = 0,
+        self, points, closure: bool = False, seed: int = 0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chart coordinates of the nearest chart image to each of the
-        points (m, n), in one Gauss-Newton solve over all their starts.
-
-        Returns u (m, d), the distances (m,) and, per point, the number
-        of starts whose solve had not converged (m,).  With
-        ``closure=True`` the domain predicates may sit at zero (boundary
-        points are eligible); otherwise the result must lie strictly
-        inside the domain.  A point with no admissible start gets
-        distance ``inf``.  Each point's solve starts from the inverse
-        hint, the box center and 8 seeded points of the sample box (the
-        same 8 for every point), for at most 80 steps each; every start
-        exits on its own, so a row does not depend on the other points.
-        """
+        """:meth:`_nearest` for the points (m, n), each started from the
+        inverse hint, the box center and 8 seeded points of the sample
+        box (the same 8 for every point).  With ``closure=True`` the
+        domain predicates may sit at zero (boundary points are eligible);
+        otherwise the result must lie strictly inside the domain."""
         p = np.asarray(points, dtype=float)
-        m = len(p)
         box = np.asarray(self.sample_box)
         hints = 0 if self.inverse_hint is None else 1
-        per_point = hints + 9
-        starts = np.empty((m, per_point, self.dim))
+        starts = np.empty((len(p), hints + 9, self.dim))
         if hints:
             starts[:, 0] = self.inverse_hint(p, check_domain=False)
         starts[:, hints] = box.mean(axis=1)
         starts[:, hints + 1 :] = rng_for(seed, "locate", self.name).uniform(
             box[:, 0], box[:, 1], size=(8, self.dim)
         )
-        targets = np.repeat(p, per_point, axis=0)
+        # strict interior with a small margin: a point that is only a
+        # *limit* of the stratum drives the solve onto the boundary and
+        # must not count as lying on it
+        return self._nearest(p, starts, CLOSURE_MARGIN if closure else 1e-9)
+
+    def _nearest(self, points, starts, floor: float, tol: float = 1e-13, max_iter: int = 80):
+        """Nearest admissible chart point to each of the points (m, n) from
+        its starts (m, s, d), in one Gauss-Newton solve over all starts.
+
+        A solved start is admissible where every domain predicate reads
+        above ``floor``; each point keeps its nearest admissible start,
+        the first of equal ones, and gets distance ``inf`` with none.
+        Every start exits on its own, so a row does not depend on the
+        other points.  Returns u (m, d), the distances (m,) and, per
+        point, the number of starts still moving after ``max_iter``
+        steps (m,).
+        """
+        m, per_point, d = starts.shape
+        targets = np.repeat(points, per_point, axis=0)
 
         def residual(u, idx):
             vals, jacs = self.chart.value_and_jacobian(u, check_domain=False)
             return vals - targets[idx], jacs
 
+        box = np.asarray(self.sample_box)
         # the sample box is the declared working region of the chart; an
         # inward nudge keeps iterates evaluable when the chart formula is
         # singular on an open boundary (log, sqrt)
         solved = _gauss_newton(
-            residual, starts.reshape(-1, self.dim), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
-            tol=1e-13, max_iter=80,
+            residual, starts.reshape(-1, d), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
+            tol=tol, max_iter=max_iter,
         )
         u = solved.u
+        ok = np.all(self.domain_margins(u, floor) > floor, axis=1)
         dists = np.linalg.norm(self.chart(u, check_domain=False) - targets, axis=1)
-        if closure:
-            ok = np.all(self.domain_margins(u, CLOSURE_MARGIN) > CLOSURE_MARGIN, axis=1)
-        else:
-            # strict interior with a small margin: a point that is only a
-            # *limit* of the stratum drives the solve onto the boundary
-            # and must not count as lying on it
-            ok = np.all(self.domain_margins(u) > 1e-9, axis=1)
         dists = np.where(ok, dists, np.inf).reshape(m, per_point)
         best = np.arange(m) * per_point + np.argmin(dists, axis=1)
         unconverged = np.count_nonzero(~solved.converged.reshape(m, per_point), axis=1)
@@ -841,6 +841,8 @@ def validate_prestratification(
     is only probed (a prestratification need not satisfy it) and its
     status is reported as satisfied / violated / undetermined.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     P = prestratification
     sampled: dict[str, np.ndarray] = {}
     for s in P.strata:

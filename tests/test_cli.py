@@ -124,6 +124,28 @@ class TestCheck:
         assert rc == EXIT_USAGE
         assert "approach plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["check", "--tf-surfaces", "0"], "--tf-surfaces must be at least 1, got 0"),
+        (["check", "--tf-surfaces", "-3"], "--tf-surfaces must be at least 1, got -3"),
+        (["validate", "--samples", "0"], "--samples must be at least 1, got 0"),
+        (["validate", "--samples", "-4"], "--samples must be at least 1, got -4"),
+        (["experiment", "--instability", "--count", "0"], "--count must be at least 1, got 0"),
+        (["experiment", "--stability", "--eps", "-1"], "--eps must be positive and finite, got -1.0"),
+        (["experiment", "--stability", "--eps", "nan"], "--eps must be positive and finite, got nan"),
+        (["experiment", "--stability", "--eps", "0.05", "--trials", "-1"],
+         "--trials must be at least 0, got -1"),
+    ])
+    def test_out_of_range_count_flag_is_usage_error(self, scene_path_factory, args, message,
+                                                     tmp_path, capsys):
+        # each would otherwise run a vacuous task and exit 0: no tf
+        # surfaces, no validation samples, no maps, or no perturbation
+        command, *flags = args
+        rc = main([command, scene_path_factory("parallel-planes"), *flags,
+                   "--json", str(tmp_path / "r.json")])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_out_of_range_scene_plan_is_scene_error(self, tmp_path, capsys):
         from strathom.gallery import gallery_entry
 

@@ -24,7 +24,7 @@ from strathom.experiments import (
 from strathom.gallery import gallery_entry
 from strathom.regularity import PreconditionError
 from strathom.seeds import derive_seed, rng_for
-from strathom.strata import NumericalInconsistencyError
+from strathom.strata import CLOSURE_MARGIN, NumericalInconsistencyError
 
 CUBE = [[-1, 1]] * 3
 CIRCLE = [[-np.pi, np.pi]]
@@ -224,7 +224,10 @@ class TestStability:
         )
         image = np.array([0.3, -5e-9, 0.02])
         k_points = np.linalg.solve(base.matrix, image - base.offset)[None]
-        u, d, _ = experiments._nearest_chart_points(s1, base(k_points), 0)
+        images = base(k_points)
+        u, d, _ = s1._nearest(
+            images, experiments._margin_starts(s1, images, 0), CLOSURE_MARGIN, tol=1e-12, max_iter=40
+        )
         assert s1.domain_margins(u)[0, 0] == pytest.approx(-5e-9, rel=1e-6)
         assert d[0] == pytest.approx(0.02)
         margin, _ = transversality_margin(wide, base, k_points, 0)

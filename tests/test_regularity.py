@@ -297,6 +297,11 @@ class TestTestSubmanifoldCondition:
         with pytest.raises(PreconditionError):
             check_tf_at(ctx, "S1", "S2", ORIGIN, surf, seed=0)
 
+    def test_surface_above_the_ambient_dimension_rejected(self, gallery_ctx):
+        _, scene, ctx = gallery_ctx("parallel-planes")
+        with pytest.raises(ValueError, match="surface dimension 4 exceeds the ambient dimension 3"):
+            random_test_surface(ctx, "S2", ORIGIN, seed=0, dim=4)
+
     def test_seeded_surfaces_on_holding_scenes(self, gallery_ctx):
         for name in ("parallel-planes", "parabola-shelf-constant"):
             _, scene, ctx = gallery_ctx(name)
@@ -584,3 +589,10 @@ class TestRadialPlan:
     def test_degenerate_ratio_rejected(self):
         with pytest.raises(ValueError):
             RadialPlan(ratio=1.0)
+
+    @pytest.mark.parametrize("r0", [0.0, -0.5, float("nan"), float("inf")])
+    def test_radius_must_be_positive_and_finite(self, r0):
+        # radii of 0, below 0 or nan hold no sample, so tf and afs would
+        # hold vacuously
+        with pytest.raises(ValueError, match="r0 must be positive and finite"):
+            RadialPlan(r0=r0)

@@ -1,5 +1,6 @@
 """The shared per-point Gauss-Newton solver and the point location built on it."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from strathom import experiments, regularity, strata
 from strathom.dsl import parse_map
 from strathom.experiments import (
-    _nearest_chart_points,
+    _margin_starts,
     grid_points,
     seeded_full_rank_map,
     transversality_margin,
@@ -46,6 +47,13 @@ def _chart_residual(chart, targets, calls=None):
         return vals - targets[idx], jacs
 
     return residual
+
+
+def _margin_location(stratum, points, seed):
+    """The location a transversality margin runs for the points."""
+    return stratum._nearest(
+        points, _margin_starts(stratum, points, seed), strata.CLOSURE_MARGIN, tol=1e-12, max_iter=40
+    )
 
 
 class TestClippedExit:
@@ -104,7 +112,7 @@ class TestNonConvergence:
         assert np.all(converged)
 
     def test_callers_count_points_still_moving(self, gallery_ctx, monkeypatch):
-        # point location (9 starts), batched location (4 starts for each
+        # point location (9 starts), a margin's location (4 starts for each
         # of 60 queries), chart-surface preimages (60) and leaf samples
         # (8): with their own step budgets, and with one step, where every
         # point is still moving.  75 batched starts creep along the edge
@@ -128,7 +136,7 @@ class TestNonConvergence:
             assert len(leaf_points) == 8
             return [
                 surface.locate([0.3, 0.25, 0.4]).unconverged,
-                _nearest_chart_points(sheet, points, seed=3)[2],
+                int(_margin_location(sheet, points, seed=3)[2].sum()),
                 PARABOLIC_SHEET._preimages(points)[1],
                 leaf_moving,
             ]
@@ -673,6 +681,31 @@ class TestStackedRadii:
 
 
 class TestNearestChartPoints:
+    def test_margin_locates_from_its_own_starts_and_budget(self, gallery_ctx, monkeypatch):
+        # the calibrated eps and the pinned margins rest on this start set
+        # and step budget; with the planes' exact inverse hints no pin
+        # sees a change to either, so the hints are dropped here
+        _, scene, ctx = gallery_ctx("parallel-planes")
+        hint_free = tuple(dataclasses.replace(s, inverse_hint=None) for s in ctx.prestratification.strata)
+        ctx = dataclasses.replace(
+            ctx, prestratification=dataclasses.replace(ctx.prestratification, strata=hint_free)
+        )
+        calls = []
+        nearest = Stratum._nearest
+
+        def recording(self, points, starts, floor, **budget):
+            calls.append((self, points, starts, floor, budget))
+            return nearest(self, points, starts, floor, **budget)
+
+        monkeypatch.setattr(Stratum, "_nearest", recording)
+        k_points = grid_points(scene.experiments["k_box"], scene.experiments["grid"])
+        transversality_margin(ctx, seeded_full_rank_map(3, seed=0), k_points, 7)
+        assert [c[0].name for c in calls] == ["S1", "S2"]
+        for stratum, images, starts, floor, budget in calls:
+            assert starts.shape == (len(k_points), 4, stratum.dim)
+            assert np.array_equal(starts, _margin_starts(stratum, images, 7))
+            assert (floor, budget) == (strata.CLOSURE_MARGIN, {"tol": 1e-12, "max_iter": 40})
+
     def test_one_solve_matches_the_per_start_fold(self, monkeypatch):
         # no inverse hint: the box center and three seeded starts; the
         # domain x2 > 0 makes starts that end on its edge inadmissible
@@ -691,8 +724,8 @@ class TestNearestChartPoints:
             calls.append(len(args[1]))
             return _gauss_newton(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_gauss_newton", counting)
-        u, d, _ = _nearest_chart_points(sheet, points, seed=3)
+        monkeypatch.setattr(strata, "_gauss_newton", counting)
+        u, d, _ = _margin_location(sheet, points, seed=3)
         assert calls == [4 * len(points)]
 
         box = np.asarray(sheet.sample_box)

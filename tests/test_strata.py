@@ -335,6 +335,11 @@ class TestValidatePrestratification:
         assert report.valid  # still a prestratification
         assert report.frontier_status == "violated"
 
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            validate_prestratification(parallel_planes(), samples=samples, seed=4)
+
     def test_misdeclared_incidence_point_rejected(self):
         P = Prestratification(
             ambient=3,
