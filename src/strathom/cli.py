@@ -180,6 +180,23 @@ _STATUS_MARK = {
 }
 
 
+def _verdicts(ctx, inc, cond: str, plan: ApproachPlan, tf_surfaces: int, task_seed: int) -> list:
+    """The verdicts of one condition at one incidence: one, or one per
+    seeded test surface for tf."""
+    if cond == "a":
+        return [check_whitney_a_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
+    if cond == "af":
+        return [check_af_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
+    if cond == "afs":
+        return [check_afs_at(ctx, inc.x, inc.y, inc.point, plan=RadialPlan(), seed=task_seed)]
+    verdicts = []
+    for k in range(tf_surfaces):
+        surface_seed = derive_seed(task_seed, str(k))
+        surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
+        verdicts.append(check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed))
+    return verdicts
+
+
 def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     scene = _load(args.scene)
@@ -188,28 +205,21 @@ def cmd_check(args) -> int:
     ctx = scene.build_context(seed=derive_seed(seed, "context"))
     report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
     verdicts = []
-    rows = []
-    for inc in scene.prestratification.incidences:
-        for cond in conditions:
-            task_seed = derive_seed(seed, "check", cond, inc.x, inc.y)
-            if cond == "a":
-                vs = [check_whitney_a_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
-            elif cond == "af":
-                vs = [check_af_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
-            elif cond == "afs":
-                vs = [check_afs_at(ctx, inc.x, inc.y, inc.point, plan=RadialPlan(), seed=task_seed)]
-            else:
-                vs = []
-                for k in range(args.tf_surfaces):
-                    surf = random_test_surface(ctx, inc.y, inc.point, seed=derive_seed(task_seed, str(k)))
-                    vs.append(
-                        check_tf_at(ctx, inc.x, inc.y, inc.point, surf, seed=derive_seed(task_seed, str(k)))
-                    )
-            for v in vs:
-                verdicts.append(v)
-                rows.append(
-                    (v.condition, v.x, v.y, json.dumps(list(v.point)), _STATUS_MARK[v.status])
-                )
+    try:
+        for inc in scene.prestratification.incidences:
+            for cond in conditions:
+                task_seed = derive_seed(seed, "check", cond, inc.x, inc.y)
+                verdicts += _verdicts(ctx, inc, cond, plan, args.tf_surfaces, task_seed)
+    except PreconditionError as exc:
+        print(f"precondition violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ValidationError as exc:
+        print(f"validation violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    rows = [
+        (v.condition, v.x, v.y, json.dumps(list(v.point)), _STATUS_MARK[v.status])
+        for v in verdicts
+    ]
     if not rows:
         print("no incidences declared; nothing to check")
     else:
@@ -250,7 +260,7 @@ def cmd_experiment(args) -> int:
                     print("error: scene has no stability experiment block (k_box)", file=sys.stderr)
                     return EXIT_VIOLATION
                 ctx = scene.build_context(seed=derive_seed(seed, "context"))
-                k_points = grid_points(exp["k_box"], exp.get("grid", [5] * scene.ambient))
+                k_points = grid_points(exp["k_box"], exp.get("grid", [5] * len(exp["k_box"])))
                 if "g" in exp:
                     base = parse_map(exp["g"], exp.get("g_dim", scene.ambient))
                 else:

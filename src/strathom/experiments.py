@@ -536,7 +536,7 @@ class NongenericityReport:
     trials: int
     seed: int
     witnesses: tuple[dict, ...]  # one per trial that stayed non-transverse
-    transverse_fraction: float
+    transverse_fraction: float | None  # None when no trial ran
 
     def to_json(self) -> dict:
         return {
@@ -627,7 +627,7 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
         if w is not None:
             w["trial"] = t
             witnesses.append(w)
-    fraction = (trials - len(witnesses)) / trials if trials else 0.0
+    fraction = (trials - len(witnesses)) / trials if trials else None
     return NongenericityReport(
         eps=eps, trials=trials, seed=seed,
         witnesses=tuple(witnesses), transverse_fraction=fraction,

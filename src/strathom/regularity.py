@@ -180,27 +180,20 @@ def _limit_verdict(
     evidence: list[ArcEvidence] = []
     witness: FaultWitness | None = None
     for arc, lim, lo, hi in zip(arcs, limits, bounds[:-1], bounds[1:]):
-        if not lim.converged:
-            evidence.append(
-                ArcEvidence(
-                    arc.direction, arc.chart_points, arc.points, tangents[lo:hi],
-                    False, None, lim.residual, lim.history, None, None,
-                )
-            )
-            continue
-        containment = lim.limit.contains(required, plan.angle_tol)
+        contains = lim.limit.contains(required, plan.angle_tol) if lim.converged else None
         evidence.append(
             ArcEvidence(
                 arc.direction, arc.chart_points, arc.points, tangents[lo:hi],
-                True, lim.limit, lim.residual, lim.history,
-                containment.ok, containment.worst_angle,
+                lim.converged, lim.limit, lim.residual, lim.history,
+                None if contains is None else contains.ok,
+                None if contains is None else contains.worst_angle,
             )
         )
-        if not containment.ok and witness is None:
+        if contains is not None and not contains.ok and witness is None:
             witness = FaultWitness(
                 point=tuple(np.asarray(point, dtype=float)),
-                vector=tuple(containment.worst_vector),
-                angle=containment.worst_angle,
+                vector=tuple(contains.worst_vector),
+                angle=contains.worst_angle,
                 limit=lim.limit,
                 required=required,
                 arc=evidence[-1],
@@ -441,48 +434,54 @@ class RadialPlan:
 
 
 def _samples_in_balls(
-    stratum: Stratum, u0: np.ndarray, center: np.ndarray, radii: list[float],
+    stratum: Stratum, u0: np.ndarray, center: np.ndarray, radii: np.ndarray,
     count: int, rngs: list[np.random.Generator],
-) -> list[np.ndarray]:
-    """Chart points of the stratum whose images lie within each ball, one
-    array per radius: up to ``count`` of 6 * count draws from the j-th
-    stream, uniform in u0 + radius * [-1.5, 1.5]^d.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chart points of the stratum whose images lie within the balls, and
+    the nondecreasing index ``which`` of the radius each belongs to: for
+    the j-th radius, up to ``count`` of 6 * count draws from the j-th
+    stream, uniform in u0 + radii[j] * [-1.5, 1.5]^d.
 
     The draws of every radius run through one domain test and one chart
     evaluation, and each row is tested against its own radius; both act
     row by row, so each radius keeps the rows a draw of its own would.
     """
-    d = stratum.dim
+    radii = np.asarray(radii)
     draws = np.concatenate([
-        rng.uniform(-1.5, 1.5, size=(count * 6, d)) * r + u0 for r, rng in zip(radii, rngs)
+        rng.uniform(-1.5, 1.5, size=(count * 6, stratum.dim)) * r + u0
+        for r, rng in zip(radii, rngs)
     ])
     which = np.repeat(np.arange(len(radii)), count * 6)
     inside = stratum.chart.in_domain(draws)
     draws, which = draws[inside], which[inside]
     if len(draws):
         pts = stratum.chart(draws)
-        near = np.linalg.norm(pts - center, axis=1) <= np.asarray(radii)[which]
+        near = np.linalg.norm(pts - center, axis=1) <= radii[which]
         draws, which = draws[near], which[near]
-    bounds = np.searchsorted(which, np.arange(len(radii) + 1))
-    return [draws[lo:hi][:count] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # the first ``count`` rows of each radius
+    first = np.arange(len(which)) - np.searchsorted(which, which) < count
+    return draws[first], which[first]
 
 
 class _Intersections(NamedTuple):
     u: np.ndarray  # (h, d) chart points of the kept solutions
     points: np.ndarray  # (h, n) their images
     tangents: np.ndarray  # (h, n, s) surface tangent frames there
-    stalled: int  # seeds still moving after the last step
+    which: np.ndarray  # (h,) radius index of each, nondecreasing
+    stalled: np.ndarray  # (len(radii),) seeds still moving after the last step
 
 
 def _find_intersections(
     stratum: Stratum,
     surface,
     center: np.ndarray,
-    radii: list[float],
-    seeds: list[np.ndarray],
-) -> list[_Intersections]:
+    radii: np.ndarray,
+    seeds: np.ndarray,
+    which: np.ndarray,
+) -> _Intersections:
     """Gauss-Newton from chart seeds onto surface-stratum intersection
-    points inside the balls of the given radii, one result per radius.
+    points inside the balls of the given radii; ``which`` is the
+    nondecreasing radius index of each seed.
 
     With ``q, N, _ = surface.project(psi(u))`` (nearest surface point and
     an orthonormal frame of the surface normal there) and the chart Jacobian
@@ -521,9 +520,10 @@ def _find_intersections(
     the key (radius index, ``round(u, 7)``), which collapses only
     solutions of the same radius.  One ``surface.project`` over all
     solutions gives their distances to the surface and their surface
-    tangent frames.  Seeds that stop at positive distance witness no
-    intersection; ``stalled`` counts the radius's seeds whose solve was
-    still moving after 60 steps.
+    tangent frames.  Each kept solution carries its seed's ``which``.
+    Seeds that stop at positive distance witness no intersection;
+    ``stalled`` counts, per radius, the seeds whose solve was still
+    moving after 60 steps.
     """
     box = np.asarray(stratum.sample_box)
 
@@ -535,8 +535,7 @@ def _find_intersections(
         return (normals_t @ (vals - q)[:, :, None])[:, :, 0], normals_t @ basis, tri
 
     solved = _gauss_newton(
-        residual, np.concatenate(seeds), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
-        tol=1e-14, max_iter=60,
+        residual, seeds, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=60,
     )
     vals = stratum.chart(solved.u, check_domain=False)
     q, _, tangents = surface.project(vals)
@@ -546,26 +545,19 @@ def _find_intersections(
     # boundary arbitrarily closely (that is what faults look like)
     interior = np.all(margins > 0.0, axis=1) if margins.size else np.ones(len(vals), bool)
     dist_center = np.linalg.norm(vals - center, axis=1)
-    seed_bounds = np.cumsum([0] + [len(s) for s in seeds])
-    radius_of = np.repeat(np.arange(len(radii)), np.diff(seed_bounds))
     # the incidence point itself belongs to the base stratum, not to X;
     # solutions indistinguishable from it are boundary-limit artifacts,
     # not intersection points
     kept = np.flatnonzero(
         (resid < 1e-9) & interior & (dist_center > 1e-7)
-        & (dist_center <= np.asarray(radii)[radius_of])
+        & (dist_center <= np.asarray(radii)[which])
     )
     # collapse numerically identical solutions of the same radius
-    keys = np.column_stack([radius_of[kept], np.round(solved.u[kept], 7)])
+    keys = np.column_stack([which[kept], np.round(solved.u[kept], 7)])
     _, first = np.unique(keys, axis=0, return_index=True)
     kept = kept[np.sort(first)]
-    kept_bounds = np.searchsorted(radius_of[kept], np.arange(len(radii) + 1))
-    out: list[_Intersections] = []
-    for j in range(len(radii)):
-        own = kept[kept_bounds[j] : kept_bounds[j + 1]]
-        stalled = int(np.count_nonzero(~solved.converged[seed_bounds[j] : seed_bounds[j + 1]]))
-        out.append(_Intersections(solved.u[own], vals[own], tangents[own], stalled))
-    return out
+    stalled = np.bincount(which[~solved.converged], minlength=len(radii))
+    return _Intersections(solved.u[kept], vals[kept], tangents[kept], which[kept], stalled)
 
 
 def _radial_verdict(
@@ -578,6 +570,7 @@ def _radial_verdict(
     seed: int,
     required: Subspace,
     probe,
+    flag: str,
     **detail,
 ) -> RegularityVerdict:
     """Shared shrinking-radius scheme of tf and afs.
@@ -588,42 +581,59 @@ def _radial_verdict(
     For each radius of the plan, chart points of X inside the ball are
     drawn from the stream ``rng_for(seed, condition, x, y, j)`` for the
     j-th radius; the draws of all radii share one domain test and one
-    chart evaluation (:func:`_samples_in_balls`) and are split back by
-    radius.  Then ``probe(radii, samples)`` runs once over all radii and
-    returns, per radius, the extra entries of its detail row and its
-    first bad point, or None: tf solves the seeds of every radius
-    together and tests all their hits with one leaf-tangent call and one
-    rank SVD, afs tests all samples the same way.
+    chart evaluation (:func:`_samples_in_balls`) and stay one flat batch,
+    each chart point tagged with the nondecreasing index ``which`` of its
+    radius.  Then ``probe(radii, samples, which)`` runs once over the
+    batch and returns the ambient points it tested, their ``which``
+    (nondecreasing), a bad flag per point and a dict of per-radius count
+    columns: tf solves the seeds of every radius together and tests all
+    their hits with one leaf-tangent call and one rank SVD, afs tests all
+    samples the same way.
 
-    A row marked ``"empty"`` found nothing to test; with ``"stalled"``
-    seeds as well it is unresolved, since those seeds may have missed
-    what is there.  The first radius with neither a bad point nor an
-    unresolved row is the clean radius and the condition holds; if that
-    row is empty, the hold is vacuous and the detail says
-    ``"vacuous": true``.  A bad point at every radius is a fault whose
-    witness arc lists them in radius order and sits at the last.  Bad
-    points at some radii and unresolved rows at the others leave the
-    verdict inconclusive.  The witness is a placeholder: no limit, vector
-    or angle backs it.  ``detail`` entries follow the radius rows, the
-    clean radius and the vacuous flag in the verdict.
+    Each radius's row holds its radius, its number of samples, whether
+    one of its tested points is bad (under the key ``flag``) and its
+    entry of every count column, and is marked ``"empty"`` when the probe
+    tested none of its points; with ``"stalled"`` seeds as well it is
+    unresolved, since those seeds may have missed what is there.  The
+    first radius with neither a bad point nor an unresolved row is the
+    clean radius and the condition holds; if that row is empty, the hold
+    is vacuous and the detail says ``"vacuous": true``.  A bad point at
+    every radius is a fault whose witness arc lists the first bad point
+    of each radius in radius order and sits at the last.  Bad points at
+    some radii and unresolved rows at the others leave the verdict
+    inconclusive.  The witness is a placeholder: no limit, vector or
+    angle backs it.  ``detail`` entries follow the radius rows, the clean
+    radius and the vacuous flag in the verdict.
     """
     plan = plan or RadialPlan()
     n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
     u0 = _on_closure(ctx.prestratification, x, center)
+    radii = plan.radii()
+    streams = [rng_for(seed, condition, x, y, str(j)) for j in range(len(radii))]
+    samples, which = _samples_in_balls(sx, u0, center, radii, plan.samples, streams)
+    points, tested, bad, columns = probe(radii, samples, which)
+    sampled = np.bincount(which, minlength=len(radii))
+    found = np.bincount(tested, minlength=len(radii))
+    # ``tested`` is nondecreasing, so a radius's first flagged point is
+    # the first of its radius index among the flagged ones
+    flagged = np.flatnonzero(bad)
+    _, first = np.unique(tested[flagged], return_index=True)
+    first_bad = dict(zip(tested[flagged[first]].tolist(), points[flagged[first]]))
     rows: list[dict] = []
     bad_points: list[np.ndarray] = []
     clean: dict | None = None
-    radii = [float(r) for r in plan.radii()]
-    streams = [rng_for(seed, condition, x, y, str(j)) for j in range(len(radii))]
-    samples = _samples_in_balls(sx, u0, center, radii, plan.samples, streams)
-    for r, samples_u, (extra, bad) in zip(radii, samples, probe(radii, samples)):
-        rows.append({"radius": r, "samples": int(len(samples_u)), **extra})
-        if bad is not None:
-            bad_points.append(bad)
-        elif clean is None and not (extra.get("empty") and extra.get("stalled")):
-            clean = rows[-1]
+    for j, r in enumerate(radii):
+        row = {"radius": float(r), "samples": int(sampled[j]), flag: j in first_bad}
+        row.update((name, int(column[j])) for name, column in columns.items())
+        if not found[j]:
+            row["empty"] = True
+        rows.append(row)
+        if j in first_bad:
+            bad_points.append(first_bad[j])
+        elif clean is None and not (row.get("empty") and row.get("stalled")):
+            clean = row
     witness = None
     if clean is not None:
         status = Status.HOLDS
@@ -703,31 +713,16 @@ def check_tf_at(
         )
     sx = ctx.stratum(x)
 
-    def probe(radii: list[float], seeds: list[np.ndarray]):
-        # the hits of every radius in one batch, split back by radius
-        found = _find_intersections(sx, surface, center, radii, seeds)
-        every_u = np.concatenate([hits.u for hits in found])
-        short = np.zeros(len(every_u), dtype=bool)
-        if len(every_u):
-            tangents = np.concatenate([hits.tangents for hits in found])
-            stacked = np.concatenate([tangents, ctx.leaf_tangents(sx, every_u)], axis=2)
+    def probe(radii: np.ndarray, seeds: np.ndarray, which: np.ndarray):
+        hits = _find_intersections(sx, surface, center, radii, seeds, which)
+        short = np.zeros(len(hits.u), dtype=bool)
+        if len(hits.u):
+            stacked = np.concatenate([hits.tangents, ctx.leaf_tangents(sx, hits.u)], axis=2)
             short = _ranks(np.linalg.svd(stacked, compute_uv=False)) < n
-        bounds = np.cumsum([0] + [len(hits.u) for hits in found])
-        out = []
-        for hits, lo, hi in zip(found, bounds[:-1], bounds[1:]):
-            bad_at = np.flatnonzero(short[lo:hi])
-            bad = hits.points[bad_at[0]] if bad_at.size else None
-            row = {
-                "intersections": int(hi - lo),
-                "nontransverse": bad is not None,
-                "stalled": hits.stalled,
-            }
-            if hi == lo:
-                row["empty"] = True
-            out.append((row, bad))
-        return out
+        counts = np.bincount(hits.which, minlength=len(radii))
+        return hits.points, hits.which, short, {"intersections": counts, "stalled": hits.stalled}
 
-    return _radial_verdict(ctx, "tf", x, y, point, plan, seed, leaf_y, probe)
+    return _radial_verdict(ctx, "tf", x, y, point, plan, seed, leaf_y, probe, "nontransverse")
 
 
 # ---------------------------------------------------------------------------
@@ -846,26 +841,17 @@ def check_afs_at(
     _validate_retraction(ctx, y, point, retraction, seed)
     sx = ctx.stratum(x)
 
-    def probe(radii: list[float], samples: list[np.ndarray]):
-        # the samples of every radius in one batch, split back by radius
-        every_u = np.concatenate(samples)
-        low = np.zeros(len(every_u), dtype=bool)
-        if s_req and len(every_u):  # a rank-0 requirement is vacuous
-            leaves_x = ctx.leaf_tangents(sx, every_u)
-            pts = np.asarray(sx.chart(every_u), dtype=float)
+    def probe(radii: np.ndarray, samples: np.ndarray, which: np.ndarray):
+        low = np.zeros(len(samples), dtype=bool)
+        pts = np.zeros((len(samples), n))  # only the points that drop rank are read
+        if s_req and len(samples):  # a rank-0 requirement is vacuous
+            leaves_x = ctx.leaf_tangents(sx, samples)
+            pts = np.asarray(sx.chart(samples), dtype=float)
             pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
             low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
-        bounds = np.cumsum([0] + [len(u) for u in samples])
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            hit = lo + np.flatnonzero(low[lo:hi])
-            bad = pts[hit[0]] if hit.size else None
-            row = {"rank_drop": bad is not None}
-            if hi == lo:
-                row["empty"] = True
-            out.append((row, bad))
-        return out
+        return pts, which, low, {}
 
     return _radial_verdict(
-        ctx, "afs", x, y, point, plan, seed, leaf_y, probe, required_rank=s_req
+        ctx, "afs", x, y, point, plan, seed, leaf_y, probe, "rank_drop",
+        required_rank=s_req,
     )

@@ -174,14 +174,10 @@ def scene_from_dict(data: dict) -> Scene:
             if inverse.m != spec["dim"]:
                 raise SceneError(f"inverse hint of {spec['name']!r} has wrong output dimension")
         box = tuple(tuple(float(b) for b in pair) for pair in spec.get("sample_box", ()))
-        strata.append(
-            Stratum(
-                name=spec["name"],
-                chart=chart,
-                inverse_hint=inverse,
-                sample_box=box,
-            )
-        )
+        try:
+            strata.append(Stratum(name=spec["name"], chart=chart, inverse_hint=inverse, sample_box=box))
+        except ValueError as exc:
+            raise SceneError(f"stratum {spec['name']!r}: {exc}") from exc
     incidences = tuple(
         Incidence(x=i["x"], y=i["y"], point=tuple(float(c) for c in i["point"]))
         for i in data.get("incidences", ())
@@ -191,6 +187,7 @@ def scene_from_dict(data: dict) -> Scene:
     except (ValueError, KeyError) as exc:
         raise SceneError(str(exc)) from exc
     plan = _plan_from(ApproachPlan(), data["plan"]) if "plan" in data else None
+    _check_experiments(data.get("experiments", {}), n)
     return Scene(
         raw=data,
         name=data.get("name", "scene"),
@@ -201,6 +198,28 @@ def scene_from_dict(data: dict) -> Scene:
         witness=data.get("witness"),
         experiments=data.get("experiments"),
     )
+
+
+def _check_experiments(exp: dict, n: int) -> None:
+    """SceneError unless the experiment block's grid, box and map agree
+    in dimension, and a non-genericity block has every key it reads."""
+    if exp.get("mode") == "nongeneric":
+        missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in exp]
+        if missing:
+            raise SceneError(f"the nongeneric experiment block has no {', '.join(missing)}")
+    if "k_box" not in exp:
+        return
+    box_dim = len(exp["k_box"])
+    if "grid" in exp and len(exp["grid"]) != box_dim:
+        raise SceneError(
+            f"experiment grid has {len(exp['grid'])} entries, k_box has {box_dim} intervals"
+        )
+    map_dim, source = (exp.get("g_dim", n), "g") if "g" in exp else (n, "the ambient space")
+    if box_dim != map_dim:
+        raise SceneError(
+            f"experiment k_box has {box_dim} intervals, but the input dimension "
+            f"of {source} is {map_dim}"
+        )
 
 
 # the plan keys of a scene, which are also `strathom check` options,

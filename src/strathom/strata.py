@@ -283,7 +283,15 @@ class Stratum:
         if not self.sample_box:
             object.__setattr__(self, "sample_box", ((-1.0, 1.0),) * self.dim)
         if len(self.sample_box) != self.dim:
-            raise ValueError(f"sample_box must have {self.dim} intervals")
+            raise ValueError(
+                f"sample_box has {len(self.sample_box)} intervals, "
+                f"the chart has {self.dim} coordinates"
+            )
+        for lo, hi in self.sample_box:
+            if lo > hi:
+                raise ValueError(
+                    f"sample_box interval [{lo}, {hi}] has its low end above its high end"
+                )
         if self.inverse_hint is not None and (
             self.inverse_hint.n != self.ambient or self.inverse_hint.m != self.dim
         ):

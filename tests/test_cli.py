@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -66,6 +67,28 @@ class TestValidate:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("point, message", [
+        # on the plane S2, at distance 0.5 from the half-plane S1
+        ([0.0, 0.0, 0.5], "is not on the closure of 'S1'"),
+        # on S1, off S2
+        ([0.0, 0.5, 0.0], "does not lie on stratum 'S2'"),
+    ])
+    def test_bad_incidence_exits_2(self, tmp_path, capsys, point, message):
+        # the IncidenceError and the PreconditionError escaped as
+        # tracebacks, exit 1, where validate exits 2
+        from strathom.gallery import gallery_entry
+
+        data = copy.deepcopy(gallery_entry("parallel-planes").scene_dict)
+        data["incidences"][0]["point"] = point
+        path = tmp_path / "incidence.json"
+        path.write_text(json.dumps(data))
+        rc = main(["check", str(path), "--condition", "all", "--seed", "1",
+                   "--json", str(tmp_path / "r.json")])
+        assert rc == EXIT_VIOLATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert main(["validate", str(path), "--seed", "1"]) == EXIT_VIOLATION
+
     def test_fault_scene_exits_3(self, scene_path_factory, capsys):
         rc = main(["check", scene_path_factory("parabola-shelf"), "--condition", "af", "--seed", "1"])
         out = capsys.readouterr().out
@@ -242,6 +265,32 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "fraction made transverse: 0.0" in out
+
+    def test_nongeneric_run_without_trials_reports_no_fraction(self, scene_path_factory, tmp_path, capsys):
+        # zero trials measured nothing: the fraction was 0.0, the gallery's
+        # expected result
+        report = tmp_path / "n.json"
+        rc = main(["experiment", scene_path_factory("sphere-disc"), "--stability", "--trials", "0",
+                   "--seed", "1", "--json", str(report), "--csv", str(tmp_path / "n.csv")])
+        assert rc == EXIT_OK
+        assert "fraction made transverse: None" in capsys.readouterr().out
+        assert json.loads(report.read_text())["report"]["nongenericity"]["transverse_fraction"] is None
+
+    def test_default_grid_has_one_entry_per_k_box_interval(self, tmp_path, capsys):
+        # g on R^4 into R^3 without a grid: the default [5] * ambient_dim
+        # gave 3-dimensional grid points and a ValueError, exit 1
+        from strathom.gallery import gallery_entry
+
+        data = copy.deepcopy(gallery_entry("parallel-planes").scene_dict)
+        data["experiments"] = {
+            "mode": "stability", "g": "x1, x2, x3 + x4", "g_dim": 4, "k_box": [[-1.0, 1.0]] * 4,
+        }
+        path = tmp_path / "g4.json"
+        path.write_text(json.dumps(data))
+        rc = main(["experiment", str(path), "--stability", "--eps", "0.01", "--trials", "2",
+                   "--seed", "1", "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK
+        assert "on 625 grid points" in capsys.readouterr().out
 
 
 class TestSeedEnvironment:

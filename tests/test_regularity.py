@@ -343,17 +343,24 @@ class TestEmptyRadii:
     BAD = np.array([0.1, 0.2, 0.0])
 
     def _verdict(self, ctx, rows):
-        def probe(radii, samples):
+        # each radius tests its hits at BAD, every one of them bad where
+        # its row is
+        hits, stalled, bad = (np.array(column) for column in zip(*rows))
+
+        def probe(radii, samples, which):
             assert len(radii) == len(rows)
-            return [(dict(extra), self.BAD if bad else None) for extra, bad in rows]
+            tested = np.repeat(np.arange(len(rows)), hits)
+            columns = {"intersections": hits, "stalled": stalled}
+            return np.tile(self.BAD, (len(tested), 1)), tested, np.repeat(bad, hits), columns
 
         plan = RadialPlan(count=len(rows), samples=5)
-        return _radial_verdict(ctx, "tf", "S1", "S2", ORIGIN, plan, 0, Subspace.zero(3), probe)
+        return _radial_verdict(
+            ctx, "tf", "S1", "S2", ORIGIN, plan, 0, Subspace.zero(3), probe, "nontransverse"
+        )
 
     @staticmethod
     def _row(hits, stalled, bad=False):
-        extra = {"intersections": hits, "nontransverse": bad, "stalled": stalled}
-        return ({**extra, "empty": True} if hits == 0 else extra), bad
+        return hits, stalled, bad
 
     def test_empty_radius_with_stalled_seeds_is_not_clean(self, gallery_ctx):
         _, _, ctx = gallery_ctx("parallel-planes")
@@ -386,12 +393,12 @@ class TestEmptyRadii:
         # afs rows carry no intersection count: a clean radius is clean
         _, _, ctx = gallery_ctx("parallel-planes")
 
-        def probe(radii, samples):
-            return [({"rank_drop": False}, None) for _ in radii]
+        def probe(radii, samples, which):
+            return np.zeros((len(samples), 3)), which, np.zeros(len(samples), dtype=bool), {}
 
         v = _radial_verdict(
             ctx, "afs", "S1", "S2", ORIGIN, RadialPlan(count=2, samples=5), 0,
-            Subspace.zero(3), probe, required_rank=1,
+            Subspace.zero(3), probe, "rank_drop", required_rank=1,
         )
         assert v.status is Status.HOLDS
         assert list(v.detail) == ["radii", "clean_radius", "required_rank"]
@@ -522,8 +529,9 @@ class TestRetractionCondition:
         draw = regularity._samples_in_balls
 
         def first_ball_empty(stratum, u0, center, radii, count, rngs):
-            found = draw(stratum, u0, center, radii, count, rngs)
-            return [u[:0] if radius == 0.5 else u for radius, u in zip(radii, found)]
+            u, which = draw(stratum, u0, center, radii, count, rngs)
+            keep = np.asarray(radii)[which] != 0.5
+            return u[keep], which[keep]
 
         monkeypatch.setattr(regularity, "_samples_in_balls", first_ball_empty)
         v = check_afs_at(ctx, "S1", "S2", ORIGIN, seed=0)

@@ -61,6 +61,32 @@ class TestSceneSchema:
         with pytest.raises(SceneError, match="no stratum"):
             scene_from_dict(bad)
 
+    @pytest.mark.parametrize("box, message", [
+        # Stratum's ValueError escaped scene loading
+        ([[-1, 1]] * 3, "'plane': sample_box has 3 intervals, the chart has 2 coordinates"),
+        # the first draw failed with "high - low < 0"
+        ([[-1, 1], [1, 0]], r"'plane': sample_box interval \[1.0, 0.0\] has its low end above"),
+    ])
+    def test_bad_sample_box(self, box, message):
+        bad = dict(MINIMAL, strata=[dict(MINIMAL["strata"][0], sample_box=box)])
+        with pytest.raises(SceneError, match=message):
+            scene_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "experiments, message",
+        [
+            ({"k_box": [[-1, 1]] * 2, "grid": [4, 4, 4]}, "grid has 3 entries, k_box has 2 intervals"),
+            ({"k_box": [[-1, 1]] * 3}, "k_box has 3 intervals, but the input dimension of the ambient space is 2"),
+            ({"g": "x1, x1", "g_dim": 1, "k_box": [[-1, 1]] * 2},
+             "k_box has 2 intervals, but the input dimension of g is 1"),
+            ({"g": "x1, x1", "k_box": [[-1, 1]]}, "the input dimension of g is 2"),
+            ({"mode": "nongeneric", "g": "x1, x1", "g_dim": 1, "k_box": [[-1, 1]]}, "block has no grid"),
+        ],
+    )
+    def test_experiment_block_of_the_wrong_shape(self, experiments, message):
+        with pytest.raises(SceneError, match=message):
+            scene_from_dict(dict(MINIMAL, experiments=experiments))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(MINIMAL))

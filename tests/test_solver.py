@@ -379,11 +379,11 @@ class TestReferenceValues:
         )
         center = np.zeros(3)
         u0 = halfplane.locate(center, closure=True, seed=0).u
-        (seeds_u,) = _samples_in_balls(
+        seeds_u, _ = _samples_in_balls(
             halfplane, u0, center, [0.5], 200, [rng_for(0, "tf", "S1", "S2", "0")]
         )
         seeds_u = seeds_u[:10]
-        u, points, tangents, _ = _find_intersections(halfplane, surface, center, [0.5], [seeds_u])[0]
+        u, points, tangents, _, _ = _one_ball(halfplane, surface, center, 0.5, seeds_u)
         assert np.max(np.abs(u - expected)) < 1e-12
         assert np.max(np.abs(points[:, :2] - expected)) < 1e-12
         assert np.all(points[:, 2] == 0.0)
@@ -391,6 +391,25 @@ class TestReferenceValues:
         assert tangents.shape == (len(u), 3, 2)
         for t in tangents:
             np.testing.assert_allclose(t.T @ t, np.eye(2), atol=1e-15)
+
+
+def _by_radius(hits, count):
+    """The flat intersection batch split into one result per radius,
+    each with its own ``stalled`` count."""
+    out = []
+    for j in range(count):
+        own = hits.which == j
+        out.append(regularity._Intersections(
+            hits.u[own], hits.points[own], hits.tangents[own], hits.which[own], hits.stalled[j]
+        ))
+    return out
+
+
+def _one_ball(stratum, surface, center, radius, seeds_u):
+    """Intersections from seeds that all belong to one ball."""
+    which = np.zeros(len(seeds_u), dtype=int)
+    (hits,) = _by_radius(_find_intersections(stratum, surface, center, [radius], seeds_u, which), 1)
+    return hits
 
 
 PARABOLIC_SHEET = ChartSurface(
@@ -417,7 +436,7 @@ class TestIntersectionSearch:
             base=np.zeros(3), space=span_of([[1, 0, 0], [0, np.cos(angle), np.sin(angle)]], n=3)
         )
         seeds_u = rng_for(0, "one-degree").uniform(-0.9, 0.9, size=(50, 2))
-        (hits,) = _find_intersections(plane, surface, np.zeros(3), [2.0], [seeds_u])
+        hits = _one_ball(plane, surface, np.zeros(3), 2.0, seeds_u)
         (solved,) = solves
         assert np.all(solved.converged)
         assert np.all(solved.iterations <= 2)
@@ -434,8 +453,8 @@ class TestIntersectionSearch:
         seeds_u = rng_for(0, "chart-invariance").uniform(-1.0, 1.0, size=(40, 2))
         seeds_y = np.column_stack([seeds_u[:, 0] / 10, seeds_u[:, 1] - seeds_u[:, 0] / 10])
         center = np.array([0.0, 0.0, 1.0])
-        (hits,) = _find_intersections(plane, PARABOLIC_SHEET, center, [3.0], [seeds_u])
-        (hits_y,) = _find_intersections(stretched, PARABOLIC_SHEET, center, [3.0], [seeds_y])
+        hits = _one_ball(plane, PARABOLIC_SHEET, center, 3.0, seeds_u)
+        hits_y = _one_ball(stretched, PARABOLIC_SHEET, center, 3.0, seeds_y)
         assert len(hits.u) == len(hits_y.u) == 40
         assert hits.stalled == hits_y.stalled == 0
         assert np.max(np.abs(hits.points - hits_y.points)) < 1e-12
@@ -514,7 +533,7 @@ class TestIntersectionSearch:
             base=np.array([1.05, 0.0, 0.0]), space=span_of([[-0.1, 1, 0], [0, 0, 1]], n=3)
         )
         seeds_u = rng_for(0, "box-edge").uniform(-0.9, 0.9, size=(50, 2))
-        (hits,) = _find_intersections(plane, surface, np.zeros(3), [5.0], [seeds_u])
+        hits = _one_ball(plane, surface, np.zeros(3), 5.0, seeds_u)
         (solved,) = solves
         edge = solved.u[:, 0] > 1.0 - 1e-11
         assert np.count_nonzero(edge) >= 10
@@ -546,7 +565,7 @@ class TestIntersectionSearch:
         seeds_u = np.array([[0.3, 0.0], [0.2, 0.4], [-0.5, -0.7]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (hits,) = _find_intersections(cusp, surface, np.zeros(3), [2.0], [seeds_u])
+            hits = _one_ball(cusp, surface, np.zeros(3), 2.0, seeds_u)
         (solved,) = solves
         assert np.all(np.isfinite(solved.u))
         assert np.array_equal(solved.u[0], seeds_u[0]) and solved.iterations[0] == 1
@@ -611,7 +630,10 @@ class TestStackedRadii:
         radii = [float(r) for r in RadialPlan().radii()]
         streams = [rng_for(surface_seed, "tf", inc.x, inc.y, str(j)) for j in range(len(radii))]
         seeds = [_samples_in_balls(sx, u0, center, [r], 200, [rng])[0] for r, rng in zip(radii, streams)]
-        stacked = _find_intersections(sx, surface, center, radii, seeds)
+        which = np.repeat(np.arange(len(radii)), [len(u) for u in seeds])
+        found = _find_intersections(sx, surface, center, radii, np.concatenate(seeds), which)
+        assert np.all(np.diff(found.which) >= 0)
+        stacked = _by_radius(found, len(radii))
         assert len(stacked) == len(radii)
         assert sum(len(h.u) for h in stacked) > 0
         # seeds held on the box edge by the active set are in the batch
@@ -619,7 +641,7 @@ class TestStackedRadii:
         (solved,) = solves
         assert np.any((solved.u == box[:, 0] + 1e-12) | (solved.u == box[:, 1] - 1e-12))
         for r, seeds_u, hits in zip(radii, seeds, stacked):
-            (alone,) = _find_intersections(sx, surface, center, [r], [seeds_u])
+            alone = _one_ball(sx, surface, center, r, seeds_u)
             assert np.array_equal(hits.u, alone.u)
             assert np.array_equal(hits.points, alone.points)
             assert hits.stalled == alone.stalled
@@ -639,7 +661,9 @@ class TestStackedRadii:
         def streams():
             return [rng_for(surface_seed, condition, inc.x, inc.y, str(j)) for j in range(len(radii))]
 
-        batch = _samples_in_balls(sx, u0, center, radii, 200, streams())
+        u, which = _samples_in_balls(sx, u0, center, radii, 200, streams())
+        assert np.all(np.diff(which) >= 0)
+        batch = [u[which == j] for j in range(len(radii))]
         assert len(batch) == len(radii) and all(0 < len(u) <= 200 for u in batch)
         for r, rng, rows in zip(radii, streams(), batch):
             draws = rng.uniform(-1.5, 1.5, size=(1200, sx.dim)) * r + u0
@@ -647,7 +671,7 @@ class TestStackedRadii:
             alone = draws[np.linalg.norm(sx.chart(draws) - center, axis=1) <= r][:200]
             assert rows.tobytes() == alone.tobytes()
         for j, (r, rng) in enumerate(zip(radii, streams())):
-            (one,) = _samples_in_balls(sx, u0, center, [r], 200, [rng])
+            one, _ = _samples_in_balls(sx, u0, center, [r], 200, [rng])
             assert one.tobytes() == batch[j].tobytes()
 
     def test_a_radius_without_seeds_keeps_its_row(self):
@@ -655,10 +679,10 @@ class TestStackedRadii:
         surface = AffineSurface(base=np.zeros(3), space=span_of([[1, 0, 0], [0, 0, 1]], n=3))
         # the plane meets the surface along the x1 axis
         seeds_u = rng_for(0, "empty-radius").uniform(-0.9, 0.9, size=(20, 2))
-        first, empty, last = _find_intersections(
-            plane, surface, np.zeros(3), [2.0, 1.0, 2.0],
-            [seeds_u[:12], np.zeros((0, 2)), seeds_u[12:]],
+        found = _find_intersections(
+            plane, surface, np.zeros(3), [2.0, 1.0, 2.0], seeds_u, np.repeat([0, 2], [12, 8]),
         )
+        first, empty, last = _by_radius(found, 3)
         assert empty.u.shape == (0, 2) and len(empty.points) == 0
         assert empty.tangents.shape == (0, 3, 2) and empty.stalled == 0
         for hits, own in ((first, seeds_u[:12]), (last, seeds_u[12:])):
