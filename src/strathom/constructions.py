@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .dsl import Add, Call, Expr, Mul, Num, SmoothMap, Sub, Var, _bump_value_and_slope
-from .grassmann import Subspace, grassmann_distance, span_of, subspace_sum
+from .grassmann import Subspace, _angles, _largest, grassmann_distance, span_of, subspace_sum
 from .regularity import FaultWitness, TransversalityResult, _on_base, transverse_at
 from .seeds import rng_for
 from .strata import StratifiedMapContext
@@ -579,8 +579,11 @@ class SampledSheet:
                     f"patch {k} spans a tangent of dimension {t.dim}, expected {self.n - 1}"
                 )
         object.__setattr__(self, "tangents", np.stack([t.basis for t in tangents]))
-        angles = [t.contains(leaf, tol=np.pi).worst_angle for t, leaf in zip(tangents, leaves)]
-        object.__setattr__(self, "containment_angles", np.array(angles))
+        angles = np.zeros(0)
+        if leaves:
+            stacked = np.stack([leaf.basis for leaf in leaves])
+            angles = _largest(_angles(self.tangents[: len(leaves)], stacked))
+        object.__setattr__(self, "containment_angles", angles)
 
     @property
     def n(self) -> int:

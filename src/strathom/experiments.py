@@ -342,12 +342,7 @@ def stability_trial(
 ) -> StabilityReport:
     """Perturb a transverse base map ``trials`` times at C^1 size eps and
     count how many stay transverse on the grid."""
-    base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
-    if base_margin < MARGIN_TOL:
-        raise PreconditionError(
-            f"base map is not transverse on the grid (margin {base_margin:.2e} "
-            f"at {np.asarray(where).tolist()})"
-        )
+    base_margin = _base_margin(ctx, base_map, k_points, seed)
     margins = tuple(_trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps))
     outcomes = tuple(margin >= MARGIN_TOL for margin in margins)
     return StabilityReport(
@@ -361,6 +356,19 @@ def stability_trial(
         margin_tol=MARGIN_TOL,
         base_margin=base_margin,
     )
+
+
+def _base_margin(ctx, base_map, k_points, seed) -> float:
+    """Transversality margin of the base map on the grid, from one
+    :func:`transversality_margin` call; PreconditionError below
+    MARGIN_TOL, where no perturbation size can be measured."""
+    base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
+    if base_margin < MARGIN_TOL:
+        raise PreconditionError(
+            f"base map is not transverse on the grid (margin {base_margin:.2e} "
+            f"at {np.asarray(where).tolist()})"
+        )
+    return base_margin
 
 
 def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn=None):
@@ -397,8 +405,10 @@ def calibrate_epsilon(
     bisects on the probe batch.  With ``certify_trials`` the returned
     size is additionally halved until every trial of the larger batch
     persists, so the certificate is not an artifact of a lucky probe.
+    A base map that is not transverse on the grid raises
+    PreconditionError, as in :func:`stability_trial`.
     """
-    base_margin, _ = transversality_margin(ctx, base_map, k_points, seed)
+    base_margin = _base_margin(ctx, base_map, k_points, seed)
     lo = 0.0
     hi = max(base_margin / 4.0, 1e-4)
     drawn: list = []  # each trial's field, drawn once for every eps probed

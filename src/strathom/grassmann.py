@@ -2,12 +2,17 @@
 
 A :class:`Subspace` is a point of a Grassmannian, held as a column-
 orthonormal basis.  Bases are non-canonical, so subspaces are only ever
-compared through principal angles; the distance between two subspaces of
-equal dimension is their largest principal angle, which makes statements
+compared through principal angles, and every principal angle comes from
+one stacked kernel, :func:`_angles`: cosines from the singular values of
+A^T B, with the angles below pi/4 recomputed from the sines, the singular
+values of (I - P_A) B.  :func:`principal_angles`,
+:func:`grassmann_distance` (the largest angle, which makes statements
 like "v stays at angle >= eps from the limit" directly readable off the
-numbers.
+numbers), :meth:`Subspace.contains` and the Cauchy-window limits of
+:func:`grassmann_limits` all read it, and an a/af verdict tests the
+containment of its required subspace in every arc's limit with one call.
 
-Rank decisions use a relative singular-value cutoff (RTOL times the
+Rank decisions use one relative singular-value cutoff (RTOL times the
 largest singular value) with a tiny absolute floor so that matrices that
 are zero up to roundoff get rank 0.
 """
@@ -38,26 +43,26 @@ __all__ = [
 ]
 
 
-def _ranks(sv: np.ndarray, rtol: float = RTOL) -> np.ndarray:
+def _ranks(sv: np.ndarray) -> np.ndarray:
     """Numerical ranks from singular values (..., r), descending along
-    the last axis: the count above max(rtol * largest, ATOL)."""
+    the last axis: the count above max(RTOL * largest, ATOL)."""
     sv = np.asarray(sv, dtype=float)
     if sv.shape[-1] == 0:
         return np.zeros(sv.shape[:-1], dtype=int)
-    cut = np.maximum(rtol * sv[..., :1], ATOL)
+    cut = np.maximum(RTOL * sv[..., :1], ATOL)
     return (sv > cut).sum(axis=-1)
 
 
-def _rank(sv: np.ndarray, rtol: float = RTOL) -> int:
-    return int(_ranks(sv, rtol))
+def _rank(sv: np.ndarray) -> int:
+    return int(_ranks(sv))
 
 
-def _orthonormal_range(mat: np.ndarray, rtol: float = RTOL) -> np.ndarray:
+def _orthonormal_range(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-revealing via SVD."""
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, : _rank(sv, rtol)]
+    return u[:, : _rank(sv)]
 
 
 @dataclass(frozen=True)
@@ -108,20 +113,21 @@ class Subspace:
         """Whether every direction of ``other`` lies in self, with evidence.
 
         The worst principal angle between ``other`` and its projection
-        onto self is returned together with the unit vector of ``other``
-        realizing it.
+        onto self, the last of :func:`_angles`, is returned together
+        with the unit vector of ``other`` realizing it, the last right
+        singular vector of A^T B.  If dim other exceeds dim self, some
+        direction is lost entirely and the answer is no.
         """
         _check_ambient(self, other)
         if other.dim == 0:
             return Containment(True, 0.0, None)
-        if other.dim > self.dim:
-            # at least one direction is lost entirely; find it
-            angles, vectors = _angles_with_vectors(self, other)
-            return Containment(False, float(angles[-1]), vectors[:, -1])
-        angles, vectors = _angles_with_vectors(self, other)
-        worst = float(angles[-1]) if angles.size else 0.0
-        vec = vectors[:, -1] if angles.size else None
-        return Containment(worst < tol, worst, vec)
+        worst = float(_angles(self.basis[None], other.basis[None])[0, -1])
+        if self.dim == 0:
+            vectors = other.basis.copy()
+        else:
+            _, _, vt = np.linalg.svd(self.basis.T @ other.basis)
+            vectors = other.basis @ vt.T
+        return Containment(other.dim <= self.dim and worst < tol, worst, vectors[:, -1])
 
     def to_json(self) -> list[list[float]]:
         return [list(col) for col in self.basis.T]
@@ -145,7 +151,7 @@ def _check_ambient(a: Subspace, b: Subspace) -> None:
         raise ValueError(f"ambient dimensions differ: {a.n} vs {b.n}")
 
 
-def span_of(vectors, n: int | None = None, rtol: float = RTOL) -> Subspace:
+def span_of(vectors, n: int | None = None) -> Subspace:
     """Orthonormalised span of a list of n-vectors (rank-revealing).
 
     An empty list gives the zero subspace, in which case ``n`` is
@@ -159,49 +165,40 @@ def span_of(vectors, n: int | None = None, rtol: float = RTOL) -> Subspace:
     mat = np.stack(vecs, axis=1)
     if n is not None and mat.shape[0] != n:
         raise ValueError(f"vectors have dimension {mat.shape[0]}, expected {n}")
-    return Subspace(_orthonormal_range(mat, rtol))
+    return Subspace(_orthonormal_range(mat))
 
 
-def _stable_angles(a_basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
-    """Angles of b against a, ascending, one entry per column of b.
+def _angles(a_bases: np.ndarray, b_bases: np.ndarray) -> np.ndarray:
+    """Principal angles of b against a for each stacked pair of
+    orthonormal bases (k, n, da), (k, n, db): (k, db), ascending.
 
-    Cosine-based angles lose half the precision near 0 (arccos of a
-    near-1 singular value), so small angles are recomputed from the
-    singular values of the residual (I - P_a) b, which is accurate there.
-    Directions of b beyond dim a come out as pi/2.
+    The directions of b beyond dim a come out as pi/2.  The cosines are
+    the singular values of A^T B, but arccos loses half the precision
+    near 0, so the angles below pi/4 are recomputed from the singular
+    values of the residual (I - P_A) B, their sines (Bjorck and Golub,
+    1973).  Once any pair has an angle below pi/4 the residual is taken
+    for the whole stack, which costs less than gathering the pairs that
+    need it.  The kernel acts pair by pair, so each pair gets the floats
+    a call of its own would.
     """
-    kb = b_basis.shape[1]
-    if kb == 0:
-        return np.zeros(0)
-    if a_basis.shape[1] == 0:
-        return np.full(kb, np.pi / 2)
-    cos_sv = np.linalg.svd(a_basis.T @ b_basis, compute_uv=False)
-    cos_sv = np.concatenate([np.clip(cos_sv, 0.0, 1.0), np.zeros(kb - cos_sv.size)])
-    angles = np.arccos(cos_sv)  # ascending
+    k, _, da = a_bases.shape
+    db = b_bases.shape[2]
+    if da == 0 or db == 0:
+        return np.full((k, db), np.pi / 2)
+    cross = np.swapaxes(a_bases, 1, 2) @ b_bases
+    cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+    angles = np.arccos(np.concatenate([cos, np.zeros((k, db - cos.shape[1]))], axis=1))
     small = angles < np.pi / 4
     if np.any(small):
-        resid = b_basis - a_basis @ (a_basis.T @ b_basis)
-        sin_sv = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))
-        sin_sv = np.concatenate([np.zeros(kb - sin_sv.size), sin_sv])
-        angles = np.where(small, np.arcsin(sin_sv), angles)
+        sin = np.linalg.svd(b_bases - a_bases @ cross, compute_uv=False)[:, ::-1]
+        angles = np.where(small, np.arcsin(np.clip(sin, 0.0, 1.0)), angles)
     return angles
 
 
-def _angles_with_vectors(a: Subspace, b: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Principal angles of b against a, plus principal vectors in b.
-
-    Angles are padded with pi/2 (and matching vectors) for directions of
-    b that exceed dim a, so the output always has dim b entries,
-    nondecreasing.
-    """
-    if b.dim == 0:
-        return np.zeros(0), np.zeros((b.n, 0))
-    if a.dim == 0:
-        return np.full(b.dim, np.pi / 2), b.basis.copy()
-    angles = _stable_angles(a.basis, b.basis)
-    _, _, vt = np.linalg.svd(a.basis.T @ b.basis, full_matrices=True)
-    vectors = b.basis @ vt.T
-    return angles, vectors
+def _largest(angles: np.ndarray) -> np.ndarray:
+    """Last column of :func:`_angles`, the largest angle of each pair;
+    0 where b has dimension 0."""
+    return angles[:, -1] if angles.shape[1] else np.zeros(len(angles))
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -210,33 +207,9 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     Returns min(dim a, dim b) angles; symmetric in its arguments.
     """
     _check_ambient(a, b)
-    k = min(a.dim, b.dim)
-    if k == 0:
-        return np.zeros(0)
-    if a.dim >= b.dim:
-        return _stable_angles(a.basis, b.basis)[:k]
-    return _stable_angles(b.basis, a.basis)[:k]
-
-
-def _largest_angles(a_bases: np.ndarray, b_bases: np.ndarray) -> np.ndarray:
-    """Largest principal angle of each pair of bases (k, n, d), (k, n, d).
-
-    The stacked form of :func:`_stable_angles`' last entry: arccos of the
-    smallest singular value of A^T B, recomputed from the largest
-    singular value of the residual (I - P_A) B on the pairs below pi/4.
-    Once any pair is below pi/4 the residual is taken for the whole
-    stack, which costs less than gathering the rows that need it.
-    """
-    if a_bases.shape[2] == 0:
-        return np.zeros(len(a_bases))
-    cross = np.swapaxes(a_bases, 1, 2) @ b_bases
-    cos = np.linalg.svd(cross, compute_uv=False)[:, -1]
-    angles = np.arccos(np.clip(cos, 0.0, 1.0))
-    small = angles < np.pi / 4
-    if np.any(small):
-        sin = np.linalg.svd(b_bases - a_bases @ cross, compute_uv=False)[:, 0]
-        angles = np.where(small, np.arcsin(np.clip(sin, 0.0, 1.0)), angles)
-    return angles
+    if a.dim < b.dim:
+        a, b = b, a
+    return _angles(a.basis[None], b.basis[None])[0]
 
 
 def grassmann_distance(a: Subspace, b: Subspace) -> float:
@@ -244,15 +217,15 @@ def grassmann_distance(a: Subspace, b: Subspace) -> float:
     _check_ambient(a, b)
     if a.dim != b.dim:
         return np.pi / 2
-    return float(_largest_angles(a.basis[None], b.basis[None])[0])
+    return float(_largest(_angles(a.basis[None], b.basis[None]))[0])
 
 
-def subspace_sum(a: Subspace, b: Subspace, rtol: float = RTOL) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
-    return Subspace(_orthonormal_range(np.hstack([a.basis, b.basis]), rtol))
+    return Subspace(_orthonormal_range(np.hstack([a.basis, b.basis])))
 
 
-def subspace_intersection(a: Subspace, b: Subspace, rtol: float = RTOL) -> Subspace:
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of stacked complement projectors.
 
     A vector lies in both subspaces iff both residuals (I - P_A)v and
@@ -263,10 +236,10 @@ def subspace_intersection(a: Subspace, b: Subspace, rtol: float = RTOL) -> Subsp
     n = a.n
     ra = np.eye(n) - a.basis @ a.basis.T
     rb = np.eye(n) - b.basis @ b.basis.T
-    return kernel(np.vstack([ra, rb]), rtol)
+    return kernel(np.vstack([ra, rb]))
 
 
-def kernel(matrix, rtol: float = RTOL) -> Subspace:
+def kernel(matrix) -> Subspace:
     """Orthonormal basis of the numerical null space of an m x n matrix."""
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2:
@@ -275,7 +248,7 @@ def kernel(matrix, rtol: float = RTOL) -> Subspace:
     if mat.size == 0:
         return Subspace.full(n)
     _, sv, vt = np.linalg.svd(mat)
-    r = _rank(sv, rtol)
+    r = _rank(sv)
     return Subspace(vt[r:].T) if r < n else Subspace.zero(n)
 
 
@@ -353,7 +326,7 @@ def grassmann_limits(
         first += [np.arange(lo, hi - 1), i + hi - w]
         second += [np.arange(lo + 1, hi), j + hi - w]
         counts.append(hi - lo - 1 + len(i))
-    dists = _largest_angles(bases[np.concatenate(first)], bases[np.concatenate(second)]).tolist()
+    dists = _largest(_angles(bases[np.concatenate(first)], bases[np.concatenate(second)])).tolist()
     limits = []
     start = 0
     for (lo, hi), count in zip(spans, counts):

@@ -24,6 +24,8 @@ import numpy as np
 from .dsl import Add, Expr, Mul, Num, SmoothMap, Sub, Var
 from .grassmann import (
     Subspace,
+    _angles,
+    _largest,
     _rank,
     _ranks,
     grassmann_limits,
@@ -167,29 +169,36 @@ def _limit_verdict(
 
     ``tangents_of(chart_points)`` returns orthonormal tangent bases
     (k, n, dim) at chart points (k, d).  It is called once per a/af
-    verdict, on the chart points of every arc in arc order, and the
+    verdict, on the chart points of every arc in arc order; the
     Grassmann limits of all arcs come from one
-    :func:`grassmann.grassmann_limits` call; both act row by row, so
-    each arc's evidence is the one a call of its own would give, and an
-    error names the first bad point in arc order.
+    :func:`grassmann.grassmann_limits` call, and the worst angle of
+    ``required`` against the limit of every converged arc from one
+    :func:`grassmann._angles` call.  All three act row by row, so each
+    arc's evidence is the one a call of its own would give, and an error
+    names the first bad point in arc order.  Only the first failing arc
+    calls :meth:`Subspace.contains`, for the witness vector.
     """
     arcs = approach_sequence(ctx.prestratification, x, point, plan)
     bounds = np.cumsum([0] + [len(arc.chart_points) for arc in arcs])
     tangents = tangents_of(np.concatenate([arc.chart_points for arc in arcs]))
     limits = grassmann_limits(tangents, bounds, plan.window, plan.angle_tol)
+    limit_bases = tangents[bounds[1:][[lim.converged for lim in limits]] - 1]
+    required_bases = np.broadcast_to(required.basis, (len(limit_bases), *required.basis.shape))
+    worst = iter(_largest(_angles(limit_bases, required_bases)).tolist())
+    fits = required.dim <= tangents.shape[2]
     evidence: list[ArcEvidence] = []
     witness: FaultWitness | None = None
     for arc, lim, lo, hi in zip(arcs, limits, bounds[:-1], bounds[1:]):
-        contains = lim.limit.contains(required, plan.angle_tol) if lim.converged else None
+        angle = next(worst) if lim.converged else None
+        ok = None if angle is None else fits and angle < plan.angle_tol
         evidence.append(
             ArcEvidence(
                 arc.direction, arc.chart_points, arc.points, tangents[lo:hi],
-                lim.converged, lim.limit, lim.residual, lim.history,
-                None if contains is None else contains.ok,
-                None if contains is None else contains.worst_angle,
+                lim.converged, lim.limit, lim.residual, lim.history, ok, angle,
             )
         )
-        if contains is not None and not contains.ok and witness is None:
+        if ok is False and witness is None:
+            contains = lim.limit.contains(required, plan.angle_tol)
             witness = FaultWitness(
                 point=tuple(np.asarray(point, dtype=float)),
                 vector=tuple(contains.worst_vector),

@@ -525,8 +525,7 @@ def validate_constant_rank(
         raise ValueError("need at least one sample")
     rng = rng_for(seed, "rank", stratum.name)
     pts = stratum.sample_chart_points(samples, rng)
-    _, chart_jacs = stratum.chart.value_and_jacobian(pts)
-    vals = stratum.chart(pts)
+    vals, chart_jacs = stratum.chart.value_and_jacobian(pts)
     _, f_jacs = f.value_and_jacobian(vals, check_domain=False)
     composed = f_jacs @ chart_jacs  # (k, p, d)
     svs = np.linalg.svd(composed, compute_uv=False)

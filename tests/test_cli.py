@@ -225,6 +225,20 @@ class TestExperiment:
         assert rc == EXIT_VIOLATION
         assert "no fault" in err
 
+    @pytest.mark.parametrize("eps", [[], ["--eps", "0.01"]], ids=["calibrated", "explicit-eps"])
+    def test_non_transverse_base_map_is_precondition_error(self, tmp_path, capsys, eps):
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "g": "x, 0*y, z", "g_dim": 3}
+        path = tmp_path / "flat-base.json"
+        path.write_text(json.dumps(scene))
+        rc = main(["experiment", str(path), "--stability", "--trials", "5", "--seed", "1", *eps,
+                   "--csv", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VIOLATION
+        assert "precondition violation: base map is not transverse on the grid" in err
+
     def test_stability_with_explicit_eps(self, scene_path_factory, tmp_path):
         csv = tmp_path / "s.csv"
         rc = main(["experiment", scene_path_factory("parallel-planes"), "--stability",

@@ -151,6 +151,22 @@ class TestStability:
         with pytest.raises(PreconditionError):
             stability_trial(ctx, flat, k_points, 0.05, trials=5, seed=0)
 
+    def test_calibration_rejects_a_non_transverse_base(self, planes_setup, monkeypatch):
+        ctx, k_points, _ = planes_setup
+        from strathom.experiments import AffineMap
+
+        flat = AffineMap(np.diag([1.0, 1.0, 0.0]), np.zeros(3))  # rank 2
+        calls = []
+
+        def margin(*args):
+            calls.append(args[1])
+            return transversality_margin(*args)
+
+        monkeypatch.setattr(experiments, "transversality_margin", margin)
+        with pytest.raises(PreconditionError, match="base map is not transverse on the grid"):
+            calibrate_epsilon(ctx, flat, k_points, probe_trials=5, rounds=3)
+        assert calls == [flat]  # the base map's one margin, no trial
+
     def test_sweep_fraction_non_increasing(self, planes_setup):
         ctx, k_points, base = planes_setup
         reports = stability_sweep(ctx, base, k_points, [0.9, 2.7, 8.1, 24.3], trials=16, seed=0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from strathom.grassmann import (
     Subspace,
     SubspaceSequence,
+    _angles,
     grassmann_distance,
     grassmann_limit,
     grassmann_limits,
@@ -155,6 +156,58 @@ class TestContains:
         assert span_of([[1, 0]]).contains(Subspace.zero(2)).ok
         res = Subspace.zero(2).contains(span_of([[1, 0]]))
         assert not res.ok and res.worst_angle == pytest.approx(np.pi / 2)
+
+
+def nearby_subspace(rng, a, dim, spread):
+    """A dim-plane within about ``spread`` of a's first dim directions,
+    or a random one where dim exceeds dim a."""
+    if dim == 0:
+        return Subspace.zero(a.n)
+    m = a.basis[:, :dim] if dim <= a.dim else rng.standard_normal((a.n, dim))
+    m = m + spread * rng.standard_normal((a.n, dim))
+    return Subspace(np.linalg.svd(m, full_matrices=False)[0])
+
+
+class TestStackedAngles:
+    """_angles, the one principal-angle kernel, pair by pair."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        da_frac=st.floats(0.0, 1.0),
+        db_frac=st.floats(0.0, 1.0),
+        k=st.integers(0, 6),
+        spread=st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.3, 10.0]),
+    )
+    def test_each_pair_gets_the_bits_of_a_one_pair_call(self, seed, n, da_frac, db_frac, k, spread):
+        rng = np.random.default_rng(seed)
+        da, db = round(da_frac * n), round(db_frac * n)
+        a = [random_subspace(rng, n, da) for _ in range(k)]
+        b = [nearby_subspace(rng, s, db, spread) for s in a]
+        stacked = _angles(
+            np.array([s.basis for s in a]).reshape(k, n, da),
+            np.array([s.basis for s in b]).reshape(k, n, db),
+        )
+        assert stacked.shape == (k, db)
+        assert np.all(stacked[:, da:] == np.pi / 2)  # directions of b beyond dim a
+        for row, sa, sb in zip(stacked, a, b):
+            assert row.tobytes() == _angles(sa.basis[None], sb.basis[None])[0].tobytes()
+            res = sa.contains(sb)
+            assert res.worst_angle == (row[-1] if db else 0.0)
+            assert res.ok == (db <= da and res.worst_angle < 1e-6)
+            if da >= db:
+                assert row.tobytes() == principal_angles(sa, sb).tobytes()
+
+    @pytest.mark.parametrize(
+        "da, db, want",
+        [(0, 0, []), (0, 2, [np.pi / 2] * 2), (2, 0, []), (1, 3, [0.0, np.pi / 2, np.pi / 2])],
+    )
+    def test_dimension_zero_and_directions_beyond_dim_a(self, da, db, want):
+        a, b = np.eye(3)[:, :da], np.eye(3)[:, :db]
+        angles = _angles(np.stack([a, a]), np.stack([b, b]))
+        assert angles.shape == (2, db)
+        assert angles.tolist() == [want, want]
 
 
 class TestKernel:

@@ -193,21 +193,23 @@ def folded_half_plane_ctx():
 
 
 class TestBatchedLimitVerdict:
-    """One tangents call and one Grassmann-limit kernel call per a/af
-    verdict, with errors still in arc order."""
+    """One tangents call, one Grassmann-limit call and one containment
+    kernel call per a/af verdict, with errors still in arc order."""
 
     def test_one_tangents_call_and_one_angles_call(self, gallery_ctx, monkeypatch):
         _, _, ctx = gallery_ctx("parabola-shelf")
         calls = []
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append(name)
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(grassmann, "_largest_angles", counted("angles", grassmann._largest_angles))
+        monkeypatch.setattr(regularity, "grassmann_limits", counted("limits", regularity.grassmann_limits))
+        monkeypatch.setattr(regularity, "_angles", counted("angles", grassmann._angles))
+        monkeypatch.setattr(grassmann.Subspace, "contains", counted("witness", grassmann.Subspace.contains))
         monkeypatch.setattr(regularity, "_tangent_frames", counted("frames", regularity._tangent_frames))
 
         class Counting(StratifiedMapContext):
@@ -217,11 +219,16 @@ class TestBatchedLimitVerdict:
                 return super().leaf_tangents(stratum, U)
 
         counting = Counting(f=ctx.f, prestratification=ctx.prestratification, ranks=ctx.ranks)
+        statuses = []
         for check, tangents in ((check_whitney_a_at, "frames"), (check_af_at, "leaves")):
             calls.clear()
             verdict = check(counting, "S1", "S2", ORIGIN, seed=0)
+            statuses.append(verdict.status)
             assert len(verdict.arcs) > 1
-            assert sorted(calls) == sorted(["angles", tangents])
+            # Subspace.contains runs only for the first failing arc's witness
+            witness = [] if verdict.witness is None else ["witness"]
+            assert sorted(calls) == sorted(["limits", "angles", tangents] + witness)
+        assert statuses == [Status.HOLDS, Status.FAILS]
 
     def test_leaf_failure_on_a_later_arc_names_its_first_bad_point(self, gallery_ctx):
         _, _, ctx = gallery_ctx("parabola-shelf")
