@@ -450,9 +450,11 @@ def destabilizing_sequence(
         w_i = w_i_raw / w_i_norm
         rot = least_rotation(w, w_i)
         h_i = Subspace(rot @ h.basis)
+        # rot carries w, orthogonal to h, to w_i, orthogonal to the leaf:
+        # H_i and the leaf both miss w_i, so they cannot span
         res = transverse_at(h_i, leaf, n)
         if res.transverse:
-            h_i, res = _search_nonspanning(h_i, leaf, n, seed, i)
+            raise ConstructionError(f"the rotated complement spans with the leaf at arc sample {i}")
         correction = LocalizedCorrection(y, radius, x_i - base_y, (rot - np.eye(n)) @ base_jac_y)
         gmap = PerturbedMap(base, correction)
         # center value and center image must land exactly on the fault
@@ -518,23 +520,6 @@ def _largest_gram_eigenvalues(jacs: np.ndarray) -> np.ndarray:
     jt = np.swapaxes(jacs, 1, 2)
     gram = jacs @ jt if jacs.shape[1] <= jacs.shape[2] else jt @ jacs
     return np.linalg.eigvalsh(gram)[:, -1]
-
-
-def _search_nonspanning(
-    h_i: Subspace, leaf: Subspace, n: int, seed: int, index: int
-) -> tuple[Subspace, TransversalityResult]:
-    rng = rng_for(seed, "h-search", str(index))
-    for _ in range(100):
-        jitter = 1e-3 * rng.standard_normal((n, h_i.dim))
-        cand = span_of(list((h_i.basis + jitter).T), n=n)
-        if cand.dim != h_i.dim:
-            continue
-        res = transverse_at(cand, leaf, n)
-        if not res.transverse:
-            return cand, res
-    raise ConstructionError(
-        f"could not find a non-spanning complement at arc sample {index}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ slope, or a fold point landing on the foliated circle).
 
 Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
 map plus a seeded :class:`PerturbationField` delta, the same type that
-carries the destabilizer's localized correction.
+carries the destabilizer's localized correction.  Stability runs,
+calibration and the non-genericity scenes read their deltas from one
+per-run stream, :class:`_TrialFields`, which draws each trial's field
+and measures its C^1 size once and rescales it to every size asked for.
 
 Transversality on samples is decided with an explicit margin (the
 smallest singular value of the stacked differential-plus-leaf matrix).
@@ -183,52 +186,50 @@ def make_perturbation(
     return PerturbationField(centers, radii, offsets, linears, topology=topology)
 
 
-def _c1_sample(k_box, seed: int) -> np.ndarray:
-    """The 1000 points of the box on which a perturbation's C^1 size is
-    measured; one draw serves every trial of a run."""
-    box = np.asarray(k_box)
-    return rng_for(seed, "c1-sample").uniform(box[:, 0], box[:, 1], size=(1000, len(box)))
+class _TrialFields:
+    """The perturbation fields of one run's trials, one stream per run.
+
+    Trial t's field is drawn at scale 1 from ``rng_for(seed,
+    "perturbation", str(t))`` on the box, and its C^1 size is measured on
+    the run's 1000 seeded points of the box, drawn once; both happen on
+    the trial's first use only.  :meth:`at` returns a copy scaled to C^1
+    size eps.  The scale multiplies last, so every field is bit for bit
+    a fresh draw, whatever trials and sizes were asked for before.
+    """
+
+    def __init__(self, ambient: int, k_box, seed: int, bumps: int, topology: str = "line"):
+        self.ambient, self.seed, self.bumps, self.topology = ambient, seed, bumps, topology
+        self.k_box = np.asarray(k_box, dtype=float)
+        lo, hi = self.k_box.T
+        self.sample = rng_for(seed, "c1-sample").uniform(lo, hi, size=(1000, len(self.k_box)))
+        self._unit: dict[int, tuple[PerturbationField, float]] = {}
+
+    @classmethod
+    def on_grid(cls, ctx: StratifiedMapContext, k_points: np.ndarray, seed: int, bumps: int):
+        """The stream of a stability run, on the grid's bounding box."""
+        box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
+        return cls(ctx.prestratification.ambient, box, seed, bumps)
+
+    def at(self, trial: int, eps: float) -> PerturbationField:
+        """Trial ``trial``'s field, scaled to C^1 size eps."""
+        if trial not in self._unit:
+            rng = rng_for(self.seed, "perturbation", str(trial))
+            delta = make_perturbation(
+                self.ambient, len(self.k_box), self.k_box, rng, bumps=self.bumps, topology=self.topology
+            )
+            raw = delta.sampled_c1_norm(self.sample)
+            if raw <= 0.0:
+                raise RuntimeError("degenerate perturbation draw")
+            self._unit[trial] = delta, raw
+        delta, raw = self._unit[trial]
+        scaled = copy.copy(delta)
+        scaled.scale = eps / raw
+        return scaled
 
 
-def _unit_perturbation(
-    ambient: int,
-    k_box,
-    sample: np.ndarray,
-    seed: int,
-    trial: int,
-    bumps: int,
-    topology: str = "line",
-) -> tuple[PerturbationField, float]:
-    """Trial ``trial``'s perturbation at scale 1 and its C^1 size on ``sample``."""
-    rng = rng_for(seed, "perturbation", str(trial))
-    delta = make_perturbation(ambient, sample.shape[1], k_box, rng, bumps=bumps, topology=topology)
-    raw = delta.sampled_c1_norm(sample)
-    if raw <= 0.0:
-        raise RuntimeError("degenerate perturbation draw")
-    return delta, raw
-
-
-def _at_size(delta: PerturbationField, raw: float, eps: float) -> PerturbationField:
-    """A copy of the unit-scale ``delta`` scaled to C^1 size eps.  The
-    scale multiplies last, so a kept draw rescaled equals a fresh draw
-    bit for bit."""
-    scaled = copy.copy(delta)
-    scaled.scale = eps / raw
-    return scaled
-
-
-def _scaled_perturbation(
-    ambient: int,
-    k_box,
-    sample: np.ndarray,
-    eps: float,
-    seed: int,
-    trial: int,
-    bumps: int,
-    topology: str = "line",
-) -> PerturbationField:
-    """Trial ``trial``'s perturbation, scaled to C^1 size eps on ``sample``."""
-    return _at_size(*_unit_perturbation(ambient, k_box, sample, seed, trial, bumps, topology), eps)
+def _require_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +343,10 @@ def stability_trial(
 ) -> StabilityReport:
     """Perturb a transverse base map ``trials`` times at C^1 size eps and
     count how many stay transverse on the grid."""
+    _require_count("trials", trials, 0)
     base_margin = _base_margin(ctx, base_map, k_points, seed)
-    margins = tuple(_trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps))
+    fields = _TrialFields.on_grid(ctx, k_points, seed, bumps)
+    margins = tuple(_trial_margins(ctx, base_map, k_points, fields, eps, trials))
     outcomes = tuple(margin >= MARGIN_TOL for margin in margins)
     return StabilityReport(
         eps=eps,
@@ -371,22 +374,13 @@ def _base_margin(ctx, base_map, k_points, seed) -> float:
     return base_margin
 
 
-def _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn=None):
-    """Transversality margins of the perturbed trial maps, lazily and in
-    trial order, so a caller can stop at the first failure.
-
-    ``drawn`` (a list) keeps each trial's unit-scale field and its C^1
-    size across calls, so a caller that probes several eps draws and
-    measures each trial's field once; the margins are those of fresh
-    draws."""
-    box = list(zip(k_points.min(0), k_points.max(0)))
-    sample = _c1_sample(box, seed)
-    drawn = [] if drawn is None else drawn
+def _trial_margins(ctx, base_map, k_points, fields: _TrialFields, eps, trials):
+    """Transversality margins of the first ``trials`` maps perturbed by
+    the stream's fields at size eps, lazily and in trial order, so a
+    caller can stop at the first failure."""
     for t in range(trials):
-        if t == len(drawn):
-            drawn.append(_unit_perturbation(ctx.prestratification.ambient, box, sample, seed, t, bumps))
-        delta = _at_size(*drawn[t], eps)
-        yield transversality_margin(ctx, PerturbedMap(base_map, delta), k_points, seed)[0]
+        trial_map = PerturbedMap(base_map, fields.at(t, eps))
+        yield transversality_margin(ctx, trial_map, k_points, fields.seed)[0]
 
 
 def calibrate_epsilon(
@@ -406,15 +400,19 @@ def calibrate_epsilon(
     size is additionally halved until every trial of the larger batch
     persists, so the certificate is not an artifact of a lucky probe.
     A base map that is not transverse on the grid raises
-    PreconditionError, as in :func:`stability_trial`.
+    PreconditionError, as in :func:`stability_trial`.  Every probe reads
+    its fields from one stream, so each trial's field is drawn and
+    measured once.
     """
+    _require_count("probe_trials", probe_trials, 1)
+    _require_count("certify_trials", certify_trials, 0)
     base_margin = _base_margin(ctx, base_map, k_points, seed)
     lo = 0.0
     hi = max(base_margin / 4.0, 1e-4)
-    drawn: list = []  # each trial's field, drawn once for every eps probed
+    fields = _TrialFields.on_grid(ctx, k_points, seed, bumps)
 
     def all_pass(eps: float, trials: int) -> bool:
-        margins = _trial_margins(ctx, base_map, k_points, eps, trials, seed, bumps, drawn)
+        margins = _trial_margins(ctx, base_map, k_points, fields, eps, trials)
         return all(margin >= MARGIN_TOL for margin in margins)
 
     for _ in range(12):
@@ -564,16 +562,15 @@ class NongenericityReport:
 
 def _slope_zero_witness(h, box, grid: int, wrap: bool) -> dict | None:
     """Sign change of the vertical slope along a 1-D domain."""
-    ts = np.linspace(box[0][0], box[0][1], grid)[:, None]
-    jac = h.jacobian(ts)
-    slope = jac[:, 1, 0]
+    ts = np.linspace(box[0][0], box[0][1], grid)
+    slope = h.jacobian(ts[:, None])[:, 1, 0]
     values = slope if not wrap else np.append(slope, slope[0])
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0 or a * b < 0.0:
-            t = float(ts[i % len(ts), 0])
-            return {"t": t, "slope": float(a)}
-    return None
+    a, b = values[:-1], values[1:]
+    hits = np.flatnonzero((a == 0.0) | (a * b < 0.0))
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    return {"t": float(ts[i]), "slope": float(a[i])}
 
 
 def _fold_on_circle_witness(h, box, grid_dims) -> dict | None:
@@ -622,14 +619,14 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
     topology = exp.get("domain_topology", "line")
     eps = float(exp.get("eps", 0.05)) if eps is None else eps
     trials = int(exp.get("trials", 50)) if trials is None else trials
+    _require_count("trials", trials, 0)
+    fields = _TrialFields(
+        scene.ambient, box, seed, int(exp.get("bumps", 3)),
+        topology="circle" if topology == "circle" else "line",
+    )
     witnesses: list[dict] = []
-    sample = _c1_sample(box, seed)
     for t in range(trials):
-        delta = _scaled_perturbation(
-            scene.ambient, box, sample, eps, seed, t,
-            bumps=int(exp.get("bumps", 3)), topology="circle" if topology == "circle" else "line",
-        )
-        h = PerturbedMap(g, delta)
+        h = PerturbedMap(g, fields.at(t, eps))
         if topology in ("line", "circle"):
             w = _slope_zero_witness(h, box, int(exp["grid"][0]), wrap=(topology == "circle"))
         else:

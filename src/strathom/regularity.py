@@ -507,12 +507,13 @@ def _find_intersections(
     as the zero columns of a chart surface's normal frames where its
     rank drops, take the ``pinv`` step.
 
-    Iterates stay in the stratum's sample box.  A coordinate on the box
-    edge whose step leaves the box is held there while the others solve
-    the reduced problem (:func:`strata._box_steps`), and is released
-    once its step points back inside, so a seed whose nearest
-    intersection lies outside the box stops at a fixed point on the
-    edge instead of creeping along it.
+    Iterates stay in :attr:`Stratum.solve_bounds`, the sample box nudged
+    inward as in point location.  A coordinate on the box edge whose
+    step leaves the box is held there while the others solve the
+    reduced problem (:func:`strata._box_steps`), and is released once
+    its step points back inside, so a seed whose nearest intersection
+    lies outside the box stops at a fixed point on the edge instead of
+    creeping along it.
 
     The seeds of all radii run in one solve; each seed's iterates do not
     depend on the others in the batch, so the result is the same as one
@@ -534,8 +535,6 @@ def _find_intersections(
     ``stalled`` counts, per radius, the seeds whose solve was still
     moving after 60 steps.
     """
-    box = np.asarray(stratum.sample_box)
-
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
         q, normals, _ = surface.project(vals)
@@ -543,9 +542,7 @@ def _find_intersections(
         normals_t = np.swapaxes(normals, 1, 2)
         return (normals_t @ (vals - q)[:, :, None])[:, :, 0], normals_t @ basis, tri
 
-    solved = _gauss_newton(
-        residual, seeds, box[:, 0] + 1e-12, box[:, 1] - 1e-12, tol=1e-14, max_iter=60,
-    )
+    solved = _gauss_newton(residual, seeds, *stratum.solve_bounds, tol=1e-14, max_iter=60)
     vals = stratum.chart(solved.u, check_domain=False)
     q, _, tangents = surface.project(vals)
     resid = np.linalg.norm(vals - q, axis=1)

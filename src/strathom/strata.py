@@ -270,8 +270,8 @@ class Stratum:
 
     ``inverse_hint`` (optional) maps ambient points near the stratum back
     to chart coordinates in closed form and seeds point location, a
-    per-point Gauss-Newton solve clipped to ``sample_box`` and
-    multistarted over it.
+    per-point Gauss-Newton solve clipped to :attr:`solve_bounds` and
+    multistarted over ``sample_box``.
     """
 
     name: str
@@ -304,6 +304,17 @@ class Stratum:
     @property
     def ambient(self) -> int:
         return self.chart.m
+
+    @property
+    def solve_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper clip of every Gauss-Newton solve on the chart.
+
+        The sample box is the declared working region of the chart; the
+        bounds nudge it 1e-12 inward, which keeps iterates evaluable when
+        the chart formula is singular on an open boundary (log, sqrt).
+        """
+        box = np.asarray(self.sample_box)
+        return box[:, 0] + 1e-12, box[:, 1] - 1e-12
 
     # -- sampling ------------------------------------------------------------
 
@@ -391,13 +402,8 @@ class Stratum:
             vals, jacs = self.chart.value_and_jacobian(u, check_domain=False)
             return vals - targets[idx], jacs
 
-        box = np.asarray(self.sample_box)
-        # the sample box is the declared working region of the chart; an
-        # inward nudge keeps iterates evaluable when the chart formula is
-        # singular on an open boundary (log, sqrt)
         solved = _gauss_newton(
-            residual, starts.reshape(-1, d), box[:, 0] + 1e-12, box[:, 1] - 1e-12,
-            tol=tol, max_iter=max_iter,
+            residual, starts.reshape(-1, d), *self.solve_bounds, tol=tol, max_iter=max_iter
         )
         u = solved.u
         ok = np.all(self.domain_margins(u, floor) > floor, axis=1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import strathom.constructions as constructions
 from strathom.constructions import (
     ConstructionError,
     RankDropMap,
@@ -281,6 +282,17 @@ class TestDestabilizer:
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
         with pytest.raises(ValueError, match="arc"):
             destabilizing_sequence(base, witness, count=10_000, seed=0)
+
+    def test_a_spanning_complement_names_its_sample(self, shelf_fault, monkeypatch):
+        # the rotated complement misses w_i, so the check cannot fire on a
+        # real fault; forced, it must stop with the sample's index
+        scene, ctx, witness = shelf_fault
+        h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
+        base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
+        real = transverse_at(base.image_at_center(), witness.required, 3)
+        monkeypatch.setattr(constructions, "transverse_at", lambda *args: real)
+        with pytest.raises(ConstructionError, match="spans with the leaf at arc sample 0$"):
+            destabilizing_sequence(base, witness, count=3, seed=0, c1_samples=100)
 
     # 395 of 777 cube points fall inside the ball; at seed 1 the one
     # point of a 1-point cube falls outside, where delta vanishes

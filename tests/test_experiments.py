@@ -7,9 +7,9 @@ import strathom.experiments as experiments
 from strathom.constructions import PerturbedMap
 from strathom.dsl import DomainError, parse_map
 from strathom.experiments import (
-    _c1_sample,
     _fold_on_circle_witness,
-    _scaled_perturbation,
+    _slope_zero_witness,
+    _TrialFields,
     calibrate_epsilon,
     grid_points,
     instability_demo,
@@ -71,7 +71,7 @@ class TestPerturbationField:
         # the line topology's displacement Jacobian is the identity; the
         # direct contraction must agree bit for bit with the explicit
         # product through a broadcast identity
-        delta = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 0), 0.25, 0, 0, 4)
+        delta = _TrialFields(3, CUBE, 0, 4).at(0, 0.25)
         w = grid_points([[-1.0, 1.0]] * 3, [6, 6, 6])
         val, dval, disp, _ = delta._humps(w)
         payload = delta.offsets[None, :, :] + np.einsum("bnm,kbm->kbn", delta.linears, disp)
@@ -88,7 +88,7 @@ class TestPerturbationField:
         ],
     )
     def test_value_and_jacobian_equal_separate_calls(self, topology, base, box, shelf_destabilizer):
-        delta = _scaled_perturbation(base.m, box, _c1_sample(box, 3), 0.2, 3, 1, 4, topology=topology)
+        delta = _TrialFields(base.m, box, 3, 4, topology=topology).at(1, 0.2)
         lo, hi = np.asarray(box, dtype=float).T
         w = rng_for(3, "vj-test").uniform(lo, hi, size=(40, len(box)))
         maps = [delta, PerturbedMap(base, delta)]
@@ -103,21 +103,56 @@ class TestPerturbationField:
                 assert np.array_equal(jac, fn.jacobian(pts))
 
     def test_circle_field_is_periodic(self):
-        delta = _scaled_perturbation(2, CIRCLE, _c1_sample(CIRCLE, 0), 0.1, 0, 0, 3, topology="circle")
+        delta = _TrialFields(2, CIRCLE, 0, 3, topology="circle").at(0, 0.1)
         left = delta(np.array([-np.pi]))
         right = delta(np.array([np.pi]))
         assert np.max(np.abs(left - right)) < 1e-12
 
     def test_scaling_hits_the_requested_size(self):
-        delta = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 0), 0.25, 0, 0, 4)
+        delta = _TrialFields(3, CUBE, 0, 4).at(0, 0.25)
         sample = rng_for(0, "c1-sample").uniform(-1, 1, size=(1000, 3))
         assert delta.sampled_c1_norm(sample) == pytest.approx(0.25, rel=1e-9)
 
     def test_replayable_from_seed(self):
-        a = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 7), 0.25, 7, 3, 4)
-        b = _scaled_perturbation(3, CUBE, _c1_sample(CUBE, 7), 0.25, 7, 3, 4)
+        a = _TrialFields(3, CUBE, 7, 4).at(3, 0.25)
+        b = _TrialFields(3, CUBE, 7, 4).at(3, 0.25)
         pts = rng_for(1, "probe").uniform(-1, 1, size=(8, 3))
         assert a(pts).tobytes() == b(pts).tobytes()
+
+    def test_stream_fields_do_not_depend_on_earlier_requests(self):
+        # trial 3's field at 0.2 equals the fresh stream's, bit for bit,
+        # after other trials and sizes were drawn and rescaled first
+        pts = rng_for(2, "probe").uniform(-1, 1, size=(16, 3))
+        fresh = _TrialFields(3, CUBE, 5, 4).at(3, 0.2)
+        stream = _TrialFields(3, CUBE, 5, 4)
+        for trial, eps in [(3, 7.5), (0, 0.2), (5, 1e-3), (3, 0.9), (1, 0.2)]:
+            stream.at(trial, eps)
+        again = stream.at(3, 0.2)
+        assert again.scale == fresh.scale
+        for a, b in zip(again.value_and_jacobian(pts), fresh.value_and_jacobian(pts)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestCountsOutOfRange:
+    def test_negative_stability_trials(self, planes_setup):
+        ctx, k_points, base = planes_setup
+        with pytest.raises(ValueError, match="trials must be at least 0, got -3"):
+            stability_trial(ctx, base, k_points, 0.05, trials=-3, seed=0)
+
+    def test_calibration_without_probe_trials(self, planes_setup):
+        ctx, k_points, base = planes_setup
+        with pytest.raises(ValueError, match="probe_trials must be at least 1, got 0"):
+            calibrate_epsilon(ctx, base, k_points, seed=0, probe_trials=0)
+
+    def test_negative_certify_trials(self, planes_setup):
+        ctx, k_points, base = planes_setup
+        with pytest.raises(ValueError, match="certify_trials must be at least 0, got -4"):
+            calibrate_epsilon(ctx, base, k_points, seed=0, probe_trials=5, certify_trials=-4)
+
+    def test_negative_nongenericity_trials(self, gallery_ctx):
+        _, scene, _ = gallery_ctx("circle-into-plane")
+        with pytest.raises(ValueError, match="trials must be at least 0, got -1"):
+            nongenericity_demo(scene, trials=-1, seed=0)
 
 
 class TestStability:
@@ -305,6 +340,49 @@ class TestNongenericity:
         rep = nongenericity_demo(scene, trials=12, seed=0)
         assert rep.transverse_fraction == entry.expected_transverse_fraction == 0.0
         assert len(rep.witnesses) == 12
+
+    def test_one_draw_per_trial(self, gallery_ctx, monkeypatch):
+        _, scene, _ = gallery_ctx("circle-into-plane")
+        draws = []
+        draw = experiments.make_perturbation
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_perturbation", counting_draw)
+        assert len(nongenericity_demo(scene, trials=5, seed=0).witnesses) == 5
+        assert len(draws) == 5
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_slope_witness_equals_the_scan(self, wrap):
+        # the first zero or sign change, as the reference loop finds it,
+        # over slope rows with zeros, NaNs and no sign change at all
+        ts = np.linspace(-1.0, 2.0, 9)
+        slope = np.empty(9)
+
+        class Slopes:
+            def jacobian(self, w):
+                jac = np.zeros((len(w), 2, 1))
+                jac[:, 1, 0] = slope
+                return jac
+
+        def scan():
+            values = slope if not wrap else np.append(slope, slope[0])
+            for i in range(len(values) - 1):
+                a, b = values[i], values[i + 1]
+                if a == 0.0 or a * b < 0.0:
+                    return {"t": float(ts[i]), "slope": float(a)}
+            return None
+
+        rng = rng_for(0, "slope-scan")
+        found = 0
+        for _ in range(300):
+            slope[:] = rng.choice([-1.5, 0.0, 0.5, 2.0, np.nan], p=[0.1, 0.05, 0.4, 0.4, 0.05], size=9)
+            expected = scan()
+            found += expected is not None
+            assert _slope_zero_witness(Slopes(), [[-1.0, 2.0]], 9, wrap) == expected
+        assert 0 < found < 300
 
     def test_fold_search_survives_a_singular_seed(self):
         # h = (x1, x2^2): det Dh = 2 x2 and |h|^2 - 1 vanish together at
