@@ -12,14 +12,19 @@ Two phenomena at desk scale:
 
 The non-genericity scenes run a third kind of trial: perturbed maps are
 searched for an unavoidable tangency witness (a zero of the vertical
-slope, or a fold point landing on the foliated circle).
+slope, or a fold point landing on the foliated circle).  A run searches
+all its trials at once: the base map is evaluated once per grid, the
+slope test runs over one (trials, grid) array, and the fold search is
+one Gauss-Newton solve over every trial's seeds.
 
 Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
 map plus a seeded :class:`PerturbationField` delta, the same type that
-carries the destabilizer's localized correction.  Stability runs,
-calibration and the non-genericity scenes read their deltas from one
-per-run stream, :class:`_TrialFields`, which draws each trial's field
-and measures its C^1 size once and rescales it to every size asked for.
+carries the destabilizer's localized correction; the non-genericity
+run adds each delta to the base values it shares, bit for bit the
+same sum.  Stability runs, calibration and the non-genericity scenes
+read their deltas from one per-run stream, :class:`_TrialFields`, which
+draws each trial's field and measures its C^1 size once and rescales it
+to every size asked for.
 
 Transversality on samples is decided with an explicit margin (the
 smallest singular value of the stacked differential-plus-leaf matrix).
@@ -560,47 +565,87 @@ class NongenericityReport:
         return [(t, self.eps, int(t not in found)) for t in range(self.trials)]
 
 
-def _slope_zero_witness(h, box, grid: int, wrap: bool) -> dict | None:
-    """Sign change of the vertical slope along a 1-D domain."""
-    ts = np.linspace(box[0][0], box[0][1], grid)
-    slope = h.jacobian(ts[:, None])[:, 1, 0]
-    values = slope if not wrap else np.append(slope, slope[0])
-    a, b = values[:-1], values[1:]
-    hits = np.flatnonzero((a == 0.0) | (a * b < 0.0))
-    if hits.size == 0:
-        return None
-    i = hits[0]
-    return {"t": float(ts[i]), "slope": float(a[i])}
+def _trial_maps_at(base, deltas, w: np.ndarray):
+    """Values and Jacobians at the points w (k, m) of each trial map
+    base + delta, summed as ``PerturbedMap(base, delta)`` sums them, bit
+    for bit, with the base map evaluated once for every trial."""
+    base_val, base_jac = base.value_and_jacobian(w, check_domain=False)
+    for delta in deltas:
+        val, jac = delta.value_and_jacobian(w)
+        yield base_val + val, base_jac + jac
 
 
-def _fold_on_circle_witness(h, box, grid_dims) -> dict | None:
-    """Gauss-Newton solve for det Dh = 0 on the unit circle image, from
-    the 8 best grid seeds; the residual's Jacobian is a central
-    difference, and each step evaluates h once, on w and its four
-    probes stacked."""
+def _slope_zero_witnesses(ts: np.ndarray, slopes: np.ndarray, wrap: bool) -> list[dict | None]:
+    """First zero or sign change of each row of vertical slopes (T, k)
+    along a 1-D domain sampled at ts (k,), or None for a row without one."""
+    values = slopes if not wrap else np.concatenate([slopes, slopes[:, :1]], axis=1)
+    a, b = values[:, :-1], values[:, 1:]
+    hits = (a == 0.0) | (a * b < 0.0)
+    return [
+        {"t": float(ts[i]), "slope": float(a[row, i])} if hits[row, i] else None
+        for row, i in enumerate(np.argmax(hits, axis=1))
+    ]
 
-    def f_of(w: np.ndarray) -> np.ndarray:
-        vals, jac = h.value_and_jacobian(w)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        return np.stack([det, np.sum(vals**2, axis=1) - 1.0], axis=1)
+
+def _fold_residuals(vals: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """The fold search's residuals (k, 2): det Dh and |h|^2 - 1."""
+    det = jacs[:, 0, 0] * jacs[:, 1, 1] - jacs[:, 0, 1] * jacs[:, 1, 0]
+    return np.stack([det, np.sum(vals**2, axis=1) - 1.0], axis=1)
+
+
+def _fold_on_circle_witnesses(base, deltas, box, grid_dims) -> list[dict | None]:
+    """Gauss-Newton solves for det Dh = 0 on the unit circle image, for
+    every trial map h = base + delta, from each map's 8 best grid seeds.
+
+    Each map scores the grid on its own, with the base map's grid values
+    evaluated once.  Then one solve runs every map's seeds stacked.  The
+    residual's Jacobian is a central difference, and each step evaluates
+    the base map once, on the iterates and their four probes stacked,
+    and each delta on its own map's rows, in the order a one-map solve
+    would pass them.  Rows are independent, so each map gets the
+    iterates and the witness (or None) it would get alone.
+    """
+    if not deltas:
+        return []
+    grid = grid_points(box, grid_dims)
+    per_map = min(8, len(grid))
+    starts = [
+        grid[np.argsort(np.linalg.norm(_fold_residuals(vals, jacs), axis=1))[:per_map]]
+        for vals, jacs in _trial_maps_at(base, deltas, grid)
+    ]
+
+    def residuals_at(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # w (c, k, 2) holds c copies of k rows; row i belongs to map
+        # owner[i], and owner is nondecreasing
+        base_val, base_jac = base.value_and_jacobian(w.reshape(-1, 2), check_domain=False)
+        base_val, base_jac = base_val.reshape(w.shape), base_jac.reshape(w.shape + (2,))
+        out = np.empty(w.shape)
+        bounds = np.searchsorted(owner, np.arange(len(deltas) + 1))
+        for delta, lo, hi in zip(deltas, bounds[:-1], bounds[1:]):
+            if lo < hi:
+                val, jac = delta.value_and_jacobian(w[:, lo:hi].reshape(-1, 2))
+                vals = base_val[:, lo:hi].reshape(-1, 2) + val
+                jacs = base_jac[:, lo:hi].reshape(-1, 2, 2) + jac
+                out[:, lo:hi] = _fold_residuals(vals, jacs).reshape(len(w), hi - lo, 2)
+        return out
 
     step_h = 1e-6
-    probes = step_h * np.eye(2)
+    e1, e2 = step_h * np.eye(2)
 
     def residual(w, idx):
-        e1, e2 = probes
-        f0, f1p, f1m, f2p, f2m = np.split(f_of(np.concatenate([w, w + e1, w - e1, w + e2, w - e2])), 5)
+        probes = np.stack([w, w + e1, w - e1, w + e2, w - e2])
+        f0, f1p, f1m, f2p, f2m = residuals_at(probes, idx // per_map)
         return f0, np.stack([(f1p - f1m) / (2 * step_h), (f2p - f2m) / (2 * step_h)], axis=2)
 
-    seeds = grid_points(box, grid_dims)
-    scores = np.linalg.norm(f_of(seeds), axis=1)
-    w0 = seeds[np.argsort(scores)[:8]]
-    w = _gauss_newton(residual, w0, -np.inf, np.inf, tol=1e-13, max_iter=60).u
-    residual_norms = np.linalg.norm(f_of(w), axis=1)
-    best = int(np.argmin(residual_norms))
-    if residual_norms[best] < 1e-9:
-        return {"w": w[best].tolist(), "residual": float(residual_norms[best])}
-    return None
+    w = _gauss_newton(residual, np.concatenate(starts), -np.inf, np.inf, tol=1e-13, max_iter=60).u
+    owner = np.arange(len(w)) // per_map
+    residual_norms = np.linalg.norm(residuals_at(w[None], owner)[0], axis=1).reshape(len(deltas), per_map)
+    found: list[dict | None] = []
+    for sols, norms in zip(w.reshape(len(deltas), per_map, 2), residual_norms):
+        best = int(np.argmin(norms))
+        hit = norms[best] < 1e-9
+        found.append({"w": sols[best].tolist(), "residual": float(norms[best])} if hit else None)
+    return found
 
 
 def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | None = None,
@@ -609,7 +654,14 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
 
     Every trial that yields a witness is confirmed non-transverse; the
     reported fraction of trials made transverse by perturbation is
-    expected to be zero on these scenes.
+    expected to be zero on these scenes.  The trials are searched
+    together: the scene's map is evaluated once on the witness grid and
+    each trial's field added to it; a line or circle scene tests one
+    (trials, grid) array of vertical slopes for its first zero or sign
+    change per trial, and the fold scene scores each trial's grid on its
+    own and solves from every trial's 8 best seeds in one stacked
+    Gauss-Newton solve (:func:`_fold_on_circle_witnesses`).  Each trial
+    gets the witness it would get alone.
     """
     exp = scene.experiments or {}
     if exp.get("mode") != "nongeneric":
@@ -624,16 +676,16 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
         scene.ambient, box, seed, int(exp.get("bumps", 3)),
         topology="circle" if topology == "circle" else "line",
     )
-    witnesses: list[dict] = []
-    for t in range(trials):
-        h = PerturbedMap(g, fields.at(t, eps))
-        if topology in ("line", "circle"):
-            w = _slope_zero_witness(h, box, int(exp["grid"][0]), wrap=(topology == "circle"))
-        else:
-            w = _fold_on_circle_witness(h, box, exp["grid"])
-        if w is not None:
-            w["trial"] = t
-            witnesses.append(w)
+    deltas = [fields.at(t, eps) for t in range(trials)]
+    if topology == "fold":
+        found = _fold_on_circle_witnesses(g, deltas, box, exp["grid"])
+    else:
+        ts = np.linspace(box[0][0], box[0][1], int(exp["grid"][0]))
+        slopes = np.empty((trials, len(ts)))
+        for row, (_, jac) in zip(slopes, _trial_maps_at(g, deltas, ts[:, None])):
+            row[:] = jac[:, 1, 0]
+        found = _slope_zero_witnesses(ts, slopes, wrap=topology == "circle")
+    witnesses = [dict(w, trial=t) for t, w in enumerate(found) if w is not None]
     fraction = (trials - len(witnesses)) / trials if trials else None
     return NongenericityReport(
         eps=eps, trials=trials, seed=seed,

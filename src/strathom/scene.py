@@ -202,11 +202,21 @@ def scene_from_dict(data: dict) -> Scene:
 
 def _check_experiments(exp: dict, n: int) -> None:
     """SceneError unless the experiment block's grid, box and map agree
-    in dimension, and a non-genericity block has every key it reads."""
+    in dimension, and a non-genericity block has every key it reads and
+    the shape its witness search reads: a plane curve for the slope
+    search on a line or circle, a plane map of a 2-D domain for the
+    fold search."""
     if exp.get("mode") == "nongeneric":
         missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in exp]
         if missing:
             raise SceneError(f"the nongeneric experiment block has no {', '.join(missing)}")
+        topology = exp.get("domain_topology", "line")
+        g_dim = 2 if topology == "fold" else 1
+        if (exp["g_dim"], n) != (g_dim, 2):
+            raise SceneError(
+                f"a nongeneric {topology!r} block needs g_dim {g_dim} in a 2-dimensional "
+                f"ambient space, got g_dim {exp['g_dim']} in R^{n}"
+            )
     if "k_box" not in exp:
         return
     box_dim = len(exp["k_box"])

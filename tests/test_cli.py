@@ -306,6 +306,18 @@ class TestExperiment:
         assert rc == EXIT_OK
         assert "on 625 grid points" in capsys.readouterr().out
 
+    def test_nongeneric_block_of_the_wrong_shape_exits_2(self, tmp_path, capsys):
+        # the fold search on the circle-into-plane curve raised IndexError, exit 1
+        from strathom.gallery import gallery_entry
+
+        data = copy.deepcopy(gallery_entry("circle-into-plane").scene_dict)
+        data["experiments"]["domain_topology"] = "fold"
+        path = tmp_path / "fold-curve.json"
+        path.write_text(json.dumps(data))
+        rc = main(["experiment", str(path), "--stability", "--seed", "1", "--csv", str(tmp_path / "n.csv")])
+        assert rc == EXIT_VIOLATION
+        assert "'fold' block needs g_dim 2" in capsys.readouterr().err
+
 
 class TestSeedEnvironment:
     def test_env_var_supplies_default_seed(self, scene_path_factory, tmp_path, monkeypatch):

@@ -7,8 +7,10 @@ import strathom.experiments as experiments
 from strathom.constructions import PerturbedMap
 from strathom.dsl import DomainError, parse_map
 from strathom.experiments import (
-    _fold_on_circle_witness,
-    _slope_zero_witness,
+    AffineMap,
+    _fold_on_circle_witnesses,
+    _slope_zero_witnesses,
+    _trial_maps_at,
     _TrialFields,
     calibrate_epsilon,
     grid_points,
@@ -28,6 +30,8 @@ from strathom.strata import CLOSURE_MARGIN, NumericalInconsistencyError
 
 CUBE = [[-1, 1]] * 3
 CIRCLE = [[-np.pi, np.pi]]
+# the zero map of the plane: a base map that leaves each delta as it is
+ZERO_PLANE_MAP = AffineMap(np.zeros((2, 2)), np.zeros(2))
 
 
 @pytest.fixture(scope="module")
@@ -354,18 +358,39 @@ class TestNongenericity:
         assert len(nongenericity_demo(scene, trials=5, seed=0).witnesses) == 5
         assert len(draws) == 5
 
+    @pytest.mark.parametrize("name", ["circle-into-plane", "cubic-graph", "sphere-disc"])
+    def test_trials_are_independent(self, name, gallery_ctx):
+        # the batched run gives each trial the witness it gets in a
+        # shorter run: a trial's result does not depend on the others
+        _, scene, _ = gallery_ctx(name)
+        full = nongenericity_demo(scene, trials=50, seed=1).witnesses
+        for k in (1, 7):
+            rep = nongenericity_demo(scene, trials=k, seed=1)
+            assert list(rep.witnesses) == [w for w in full if w["trial"] < k]
+
+    @pytest.mark.parametrize("name", ["circle-into-plane", "cubic-graph", "sphere-disc"])
+    def test_zero_trials(self, name, gallery_ctx):
+        _, scene, _ = gallery_ctx(name)
+        rep = nongenericity_demo(scene, trials=0, seed=1)
+        assert rep.transverse_fraction is None and rep.witnesses == ()
+
+    def test_trial_maps_sum_as_perturbed_map(self, gallery_ctx):
+        _, scene, _ = gallery_ctx("sphere-disc")
+        exp = scene.experiments
+        g = parse_map(exp["g"], exp["g_dim"])
+        fields = _TrialFields(2, exp["k_box"], 1, 3)
+        deltas = [fields.at(t, 0.02) for t in range(3)]
+        w = grid_points(exp["k_box"], [7, 5])
+        for delta, (vals, jacs) in zip(deltas, _trial_maps_at(g, deltas, w)):
+            want_vals, want_jacs = PerturbedMap(g, delta).value_and_jacobian(w)
+            assert np.array_equal(vals, want_vals) and np.array_equal(jacs, want_jacs)
+
     @pytest.mark.parametrize("wrap", [False, True])
     def test_slope_witness_equals_the_scan(self, wrap):
         # the first zero or sign change, as the reference loop finds it,
         # over slope rows with zeros, NaNs and no sign change at all
         ts = np.linspace(-1.0, 2.0, 9)
         slope = np.empty(9)
-
-        class Slopes:
-            def jacobian(self, w):
-                jac = np.zeros((len(w), 2, 1))
-                jac[:, 1, 0] = slope
-                return jac
 
         def scan():
             values = slope if not wrap else np.append(slope, slope[0])
@@ -381,7 +406,7 @@ class TestNongenericity:
             slope[:] = rng.choice([-1.5, 0.0, 0.5, 2.0, np.nan], p=[0.1, 0.05, 0.4, 0.4, 0.05], size=9)
             expected = scan()
             found += expected is not None
-            assert _slope_zero_witness(Slopes(), [[-1.0, 2.0]], 9, wrap) == expected
+            assert _slope_zero_witnesses(ts, slope[None], wrap) == [expected]
         assert 0 < found < 300
 
     def test_fold_search_survives_a_singular_seed(self):
@@ -389,9 +414,25 @@ class TestNongenericity:
         # (+-1, 0); the seeds on x1 = 0, among the 8 best of the grid, have
         # a singular residual Jacobian, which must not sink the others
         h = parse_map("x1, x2^2", 2)
-        w = _fold_on_circle_witness(h, [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
+        [w] = _fold_on_circle_witnesses(ZERO_PLANE_MAP, [h], [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
         assert w is not None and w["residual"] < 1e-9
         assert abs(abs(w["w"][0]) - 1.0) < 1e-9 and abs(w["w"][1]) < 1e-9
+
+    def test_stacked_fold_search_equals_one_map_searches(self):
+        # the singular-seed map, a sphere projection whose fold crosses
+        # the circle at regular residual Jacobians, and a map without a
+        # fold, stacked: every map gets its one-map result
+        maps = [
+            parse_map("x1, x2^2", 2),
+            parse_map("0.6*cos(x1)*cos(x2) + 0.6, 0.6*sin(x1)*cos(x2)", 2),
+            parse_map("x1 + 3, x2", 2),
+        ]
+        box, grid = [[-2.0, 2.0], [-2.0, 2.0]], [5, 5]
+        alone = [_fold_on_circle_witnesses(ZERO_PLANE_MAP, [h], box, grid)[0] for h in maps]
+        assert alone[0] is not None and alone[1] is not None and alone[2] is None
+        stacked = maps + maps[:1]
+        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, stacked, box, grid) == alone + alone[:1]
+        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, [], box, grid) == []
 
     def test_regular_scene_lacks_the_block(self, gallery_ctx):
         _, scene, _ = gallery_ctx("parallel-planes")

@@ -87,6 +87,31 @@ class TestSceneSchema:
         with pytest.raises(SceneError, match=message):
             scene_from_dict(dict(MINIMAL, experiments=experiments))
 
+    @pytest.mark.parametrize(
+        "ambient, topology, g, g_dim, message",
+        [
+            # the slope search raised "expected points of dimension 2"
+            (2, "line", "x1, x2", 2,
+             r"'line' block needs g_dim 1 in a 2-dimensional ambient space, got g_dim 2 in R\^2"),
+            (3, "circle", "cos(x1), sin(x1), 0*x1", 1, r"'circle' block needs g_dim 1 .* got g_dim 1 in R\^3"),
+            # the fold search raised IndexError
+            (2, "fold", "x1, x1", 1, r"'fold' block needs g_dim 2 .* got g_dim 1 in R\^2"),
+            # the fold search read a 2x2 minor as the determinant and
+            # reported every trial transverse
+            (3, "fold", "x1, x2, 0*x1", 2, r"'fold' block needs g_dim 2 .* got g_dim 2 in R\^3"),
+        ],
+    )
+    def test_nongeneric_block_that_does_not_fit_its_witness_search(self, ambient, topology, g, g_dim,
+                                                                   message):
+        chart = ", ".join(f"x{i + 1}" for i in range(ambient))
+        experiments = {
+            "mode": "nongeneric", "g": g, "g_dim": g_dim, "k_box": [[-1, 1]] * g_dim,
+            "grid": [4] * g_dim, "domain_topology": topology,
+        }
+        scene = dict(MINIMAL, ambient_dim=ambient, strata=[{"name": "space", "dim": ambient, "chart": chart}])
+        with pytest.raises(SceneError, match=message):
+            scene_from_dict(dict(scene, experiments=experiments))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(MINIMAL))
