@@ -23,7 +23,7 @@ numeric map evaluates through one ``value_and_jacobian``, and
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -318,14 +318,17 @@ class PerturbedMap(NumericMap):
 @dataclass(frozen=True)
 class _Cutoff:
     """The part of a :class:`LocalizedCorrection` at points z that depends
-    only on its center y and radius rho: the offsets d = z - y, the cutoff
-    beta(|d|/rho), its derivative dbeta and the gradient of |d|/rho.
-    Corrections that share y and rho share it."""
+    only on its center y and radius rho: the offsets d = z - y with their
+    lengths |d|, the cutoff beta(|d|/rho), its derivative dbeta, and the
+    gradient of |d|/rho with its length.  Corrections that share y and
+    rho share it."""
 
     d: np.ndarray
+    dist: np.ndarray
     beta: np.ndarray
     dbeta: np.ndarray
     grad_t: np.ndarray
+    grad_norm: np.ndarray
 
     @classmethod
     def at(cls, z: np.ndarray, y: np.ndarray, radius: float) -> _Cutoff:
@@ -335,7 +338,11 @@ class _Cutoff:
         grad_t = np.zeros_like(d)  # gradient of |z-y|/rho, 0 at the center
         pos = norms > 1e-300
         grad_t[pos] = d[pos] / (norms[pos, None] * radius)
-        return cls(d, beta, -2.0 * slope, grad_t)
+        return cls(d, norms, beta, -2.0 * slope, grad_t, np.linalg.norm(grad_t, axis=1))
+
+    def rows(self, idx) -> _Cutoff:
+        """The profile at the points ``idx`` (an index array)."""
+        return _Cutoff(*(getattr(self, f.name).take(idx, axis=0) for f in fields(self)))
 
 
 class LocalizedCorrection(NumericMap):
@@ -362,14 +369,35 @@ class LocalizedCorrection(NumericMap):
 
     def on_cutoff(self, cut: _Cutoff) -> tuple[np.ndarray, np.ndarray]:
         """Values (k, m) and Jacobians (k, m, n) at the points of a
-        cutoff profile taken with this correction's center and radius."""
-        inner = self.shift + cut.d @ self.lin.T
+        cutoff profile taken with this correction's center and radius.
+
+        Each row depends only on its own point: a one-point profile is
+        evaluated as two copies, because BLAS takes a matrix-vector path
+        for a one-row product, whose rounding differs from the
+        matrix-matrix path every longer profile takes."""
+        d = cut.d if len(cut.d) != 1 else np.repeat(cut.d, 2, axis=0)
+        inner = self.shift + (d @ self.lin.T)[: len(cut.d)]
         val = cut.beta[:, None] * inner
         jac = (
             cut.beta[:, None, None] * self.lin
             + (cut.dbeta[:, None] * inner)[:, :, None] * cut.grad_t[:, None, :]
         )
         return val, jac
+
+    def sampled_c1_norm(self, cut: _Cutoff) -> float:
+        """Sampled C^1 size on the points of a cutoff profile, evaluated
+        on the rows that can reach the sup (:func:`_pruned_c1_size`).
+
+        With s the shift and L the linear part, |value| <= beta (|s| +
+        |L| |d|) and sigma_max(J) <= beta |L| + |dbeta| (|s| + |L| |d|)
+        |grad t|, |L| the Frobenius norm."""
+        lin_norm = np.linalg.norm(self.lin)
+        reach = np.linalg.norm(self.shift) + lin_norm * cut.dist
+        return _pruned_c1_size(
+            lambda idx: self.on_cutoff(cut.rows(idx)),
+            cut.beta * reach,
+            cut.beta * lin_norm + np.abs(cut.dbeta) * reach * cut.grad_norm,
+        )
 
 
 @dataclass(frozen=True)
@@ -410,10 +438,12 @@ def destabilizing_sequence(
     size of delta alone, taken on ``c1_samples`` uniform points of the
     cube y + radius * [-1, 1]^n.  delta and its Jacobian are exact zeros
     off the open ball of that radius, so only the cube points inside it
-    are evaluated, and the sup over them is the sup over the cube; the
+    count, and the sup over them is the sup over the cube; the
     corrections share y and the radius, so the cutoff profile on those
-    points is computed once.  The distances must decrease strictly along
-    the sequence.
+    points, with |d| and |grad t|, is computed once.  Each correction is
+    then evaluated only on the in-ball points whose bound can reach its
+    sup (:meth:`LocalizedCorrection.sampled_c1_norm`).  The distances
+    must decrease strictly along the sequence.
     """
     y = np.asarray(witness.point, dtype=float)
     n = y.size
@@ -465,8 +495,7 @@ def destabilizing_sequence(
         img = span_of(list((rot @ base.jacobian_at_center()).T), n=n)
         if grassmann_distance(img, h_i) > 1e-8:
             raise ConstructionError(f"center image of g_{i} is not H_{i}")
-        # no cube point in the ball: delta vanishes on the whole sample
-        c1_distance = _sampled_c1_size(*correction.on_cutoff(cut)) if len(cut.d) else 0.0
+        c1_distance = correction.sampled_c1_norm(cut)
         entries.append(
             DestabilizerEntry(
                 index=i + 1,
@@ -484,9 +513,79 @@ def destabilizing_sequence(
     return DestabilizerSequence(base=base, y=y, radius=radius, entries=tuple(entries))
 
 
+_SLACK = 1.0 + 1e-10  # relative slack of the row prunes, far above rounding
+_TINY = np.finfo(float).tiny
+
+
+def _pruned_c1_size(evaluate, val_bound: np.ndarray, jac_bound: np.ndarray) -> float:
+    """:func:`_sampled_c1_size` of a map on k sample rows, evaluating only
+    the rows that can reach the sup.
+
+    ``evaluate(idx)`` returns the values (len(idx), m) and Jacobians
+    (len(idx), m, n) at the rows of an index array; ``val_bound`` and
+    ``jac_bound`` (k,) bound |value| and sigma_max(J) from above at each
+    row.  The row of largest ``val_bound`` and the row of largest
+    ``jac_bound`` are evaluated first: v* is the squared norm of the
+    first one's value and lam* the largest Gram eigenvalue of the
+    second one's Jacobian, as :func:`_sampled_c1_size` computes them.  A
+    row is kept when ``val_bound**2 * (1 + 1e-10) + tiny >= v*`` or
+    ``jac_bound**2 * (1 + 1e-10) + tiny >= lam*``, tiny the smallest
+    normal float, and the result is :func:`_sampled_c1_size` of the kept
+    rows.  If a squared bound or v* or lam* is not finite, every row is
+    kept.  No rows size to 0.0.
+
+    The result is the float that :func:`_sampled_c1_size` returns on all
+    k rows, bit for bit, given two facts:
+
+    * row independence: ``evaluate`` gives each row the same bits
+      whichever other rows it evaluates with it, and
+      :func:`_sampled_c1_size` computes each row's norm and Gram
+      eigenvalue on its own, so every row has one computed value norm
+      and one computed eigenvalue, in the probe and in the final call;
+    * each bound is an upper bound up to rounding.  The computed values
+      and Jacobians have a relative error of a few eps of the bound
+      (their terms are the ones the bound adds in absolute value); and
+      squares, sums and a backward-stable eigensolver add a relative
+      error of a few eps, plus, in the subnormal range, an absolute one
+      far below tiny.  So every row's computed squared norm and
+      eigenvalue are at most its squared bound times (1 + 1e-10) plus
+      tiny.
+
+    The row with the largest computed norm has a squared norm of at
+    least v*, as the first probe row is one of the k rows, so it passes
+    the first test; the row with the largest computed eigenvalue passes
+    the second test likewise.  So the kept set contains a row that
+    attains each max, and the max over the kept rows is the max over all
+    rows.  The comparisons are made on squares, where the absolute
+    error of an underflow stays below tiny: a norm taken as the square
+    root of a subnormal sum can be off by far more than 1e-10
+    relatively.  For the same reason a map whose bounds are all zero is
+    still evaluated: its bounds can underflow where its size does not.
+    """
+    if len(val_bound) == 0:
+        return 0.0
+    idx = np.arange(len(val_bound))
+    probes = np.array([np.argmax(val_bound), np.argmax(jac_bound)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach_val = val_bound * val_bound * _SLACK + _TINY
+        reach_jac = jac_bound * jac_bound * _SLACK + _TINY
+    # argmax takes NaN as the largest, so every squared bound is finite
+    # when the two at the probe rows are
+    if np.isfinite(reach_val[probes[0]]) and np.isfinite(reach_jac[probes[1]]):
+        vals, jacs = evaluate(probes)
+        with np.errstate(over="ignore"):
+            v_star = np.linalg.norm(vals[:1], axis=1)[0] ** 2
+        lam_star = _largest_gram_eigenvalues(jacs[1:])[0]
+        if np.isfinite(v_star) and np.isfinite(lam_star):
+            idx = np.flatnonzero((reach_val >= v_star) | (reach_jac >= lam_star))
+    return _sampled_c1_size(*evaluate(idx))
+
+
 def _sampled_c1_size(vals: np.ndarray, jacs: np.ndarray) -> float:
     """Sampled C^1 size of a map from its values (k, m) and Jacobians
     (k, m, n) on a sample: max |value| + max largest singular value.
+    This is the one formula; its callers evaluate the map only on the
+    rows that can reach the sup, through :func:`_pruned_c1_size`.
 
     The largest singular value of J is the square root of the largest
     eigenvalue of its Gram matrix, built on the smaller side (J J^T or
@@ -504,13 +603,14 @@ def _sampled_c1_size(vals: np.ndarray, jacs: np.ndarray) -> float:
     dropped row's is below lam*, and the row that attains the max is
     kept.  A NaN row has the largest ``fro2`` (argmax takes NaN as
     largest), so lam* is NaN and no row is dropped; rows with an
-    infinite ``fro2`` are never dropped.
+    infinite ``fro2`` are never dropped.  Each row's norm and eigenvalue
+    are computed on their own, whichever rows come with it.
     """
     sup_val = float(np.max(np.linalg.norm(vals, axis=1)))
     fro2 = np.einsum("kij,kij->k", jacs, jacs)
     top = int(np.argmax(fro2))
     lam = _largest_gram_eigenvalues(jacs[top : top + 1])[0]
-    keep = ~(fro2 * (1.0 + 1e-10) + np.finfo(float).tiny < lam)
+    keep = ~(fro2 * _SLACK + _TINY < lam)
     sup_jac = float(np.sqrt(np.max(_largest_gram_eigenvalues(jacs[keep]))))
     return sup_val + sup_jac
 

@@ -46,7 +46,7 @@ from .constructions import (
     DestabilizerSequence,
     NumericMap,
     PerturbedMap,
-    _sampled_c1_size,
+    _pruned_c1_size,
     choose_complement_H,
     destabilizing_sequence,
     frame_for_image,
@@ -139,10 +139,11 @@ class PerturbationField(NumericMap):
         if self.topology == "circle":
             # squared chordal distance on the circle, periodic in w
             diff = w[:, None, 0] - self.centers[None, :, 0]
-            d = (2.0 - 2.0 * np.cos(diff)) / self.radii[None, :] ** 2
-            grad = (2.0 * np.sin(diff) / self.radii[None, :] ** 2)[:, :, None]
-            disp = np.sin(diff)[:, :, None]  # periodic displacement
-            disp_jac = np.cos(diff)[:, :, None, None]
+            cos, sin = np.cos(diff), np.sin(diff)
+            d = (2.0 - 2.0 * cos) / self.radii[None, :] ** 2
+            grad = (2.0 * sin / self.radii[None, :] ** 2)[:, :, None]
+            disp = sin[:, :, None]  # periodic displacement
+            disp_jac = cos[:, :, None, None]
         else:
             diff = w[:, None, :] - self.centers[None, :, :]
             d = np.sum(diff**2, axis=2) / self.radii[None, :] ** 2
@@ -156,7 +157,12 @@ class PerturbationField(NumericMap):
     def value_and_jacobian(self, w, check_domain: bool = False):
         """Values and Jacobians from one pass over the humps."""
         arr = np.asarray(w, dtype=float)
-        val, dval, disp, disp_jac = self._humps(np.atleast_2d(arr))
+        out, jac = self._on_humps(*self._humps(np.atleast_2d(arr)))
+        return (out[0], jac[0]) if arr.ndim == 1 else (out, jac)
+
+    def _on_humps(self, val, dval, disp, disp_jac):
+        """Values (k, n) and Jacobians (k, n, m) from the hump profiles
+        of :meth:`_humps` at k points."""
         payload = self.offsets[None, :, :] + np.einsum(
             "bnm,kbm->kbn", self.linears, disp
         )
@@ -167,11 +173,41 @@ class PerturbationField(NumericMap):
             term2 = np.einsum("kb,bnm->knm", val, self.linears)
         else:
             term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
-        jac = self.scale * (term1 + term2)
-        return (out[0], jac[0]) if arr.ndim == 1 else (out, jac)
+        return out, self.scale * (term1 + term2)
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
-        return _sampled_c1_size(*self.value_and_jacobian(sample))
+        """Sampled C^1 size on the points (k, m), evaluated on the rows
+        that can reach the sup (:func:`constructions._pruned_c1_size`).
+
+        The hump profiles are computed once on every point, and the
+        values and Jacobians only on the rows kept, from those profiles.
+        The bounds are the triangle inequality over the humps: with
+        beta_b a hump's profile, o_b its offset, L_b its linear part
+        (Frobenius norm) and disp_b its displacement, |value| <= scale
+        sum_b beta_b (|o_b| + |L_b| |disp_b|) and sigma_max(J) <= scale
+        sum_b |dbeta_b| (|o_b| + |L_b| |disp_b|) + beta_b |L_b| |d disp_b|.
+        A point that no hump reaches has zero bounds."""
+        humps = self._humps(sample)
+        val, dval, disp, disp_jac = humps
+        scale = abs(self.scale)
+        offset_norms = scale * _row_norms(self.offsets[None])[0]
+        lin_norms = scale * _row_norms(self.linears[None])[0]
+        disp_norms, slopes = _row_norms(disp), _row_norms(dval)
+        lin_part = val if disp_jac is None else val * _row_norms(disp_jac)
+        return _pruned_c1_size(
+            lambda idx: self._on_humps(*(None if h is None else h.take(idx, axis=0) for h in humps)),
+            val @ offset_norms + (val * disp_norms) @ lin_norms,
+            slopes @ offset_norms + (slopes * disp_norms + lin_part) @ lin_norms,
+        )
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean (Frobenius) norms (k, B) of the vectors or matrices in a
+    (k, B, ...) array; of one entry, its absolute value."""
+    flat = a.reshape(a.shape[:2] + (-1,))
+    if flat.shape[2] == 1:
+        return np.abs(flat[:, :, 0])
+    return np.sqrt(np.einsum("kbi,kbi->kb", flat, flat))
 
 
 def make_perturbation(
@@ -500,10 +536,11 @@ def instability_demo(
 ) -> InstabilityReport:
     """Destabilizer pipeline at a foliated fault.
 
-    Requires a fails-with-witness verdict at the incidence; builds the
-    complement, the rank-drop base map (transverse: complement plus the
-    base leaf spans), and the converging sequence of non-transverse
-    maps, then tabulates per-index certificates.
+    Requires a fails-with-witness verdict at the incidence whose arc has
+    at least ``count`` samples, one per map; builds the complement, the
+    rank-drop base map (transverse: complement plus the base leaf
+    spans), and the converging sequence of non-transverse maps, then
+    tabulates per-index certificates.
     """
     verdict = check_af_at(ctx, x, y, point, seed=seed)
     if verdict.status is not Status.FAILS:
@@ -511,6 +548,10 @@ def instability_demo(
             f"no fault witness: condition af is {verdict.status.value} at {list(point)}"
         )
     w = verdict.witness
+    if count > len(w.arc.points):
+        raise PreconditionError(
+            f"the witness arc has {len(w.arc.points)} samples, fewer than the {count} maps asked for"
+        )
     n = ctx.prestratification.ambient
     h = choose_complement_H(w.limit, w.required, np.asarray(w.vector), n)
     base = rank_drop_map(

@@ -202,10 +202,12 @@ def scene_from_dict(data: dict) -> Scene:
 
 def _check_experiments(exp: dict, n: int) -> None:
     """SceneError unless the experiment block's grid, box and map agree
-    in dimension, and a non-genericity block has every key it reads and
-    the shape its witness search reads: a plane curve for the slope
-    search on a line or circle, a plane map of a 2-D domain for the
-    fold search."""
+    in dimension, its map ``g`` (the non-genericity scene's map, or the
+    stability run's base map) parses on its inputs into the ambient
+    space, and a non-genericity block has every key it reads and the
+    shape its witness search reads: a plane curve for the slope search
+    on a line or circle, a plane map of a 2-D domain for the fold
+    search."""
     if exp.get("mode") == "nongeneric":
         missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in exp]
         if missing:
@@ -217,6 +219,13 @@ def _check_experiments(exp: dict, n: int) -> None:
                 f"a nongeneric {topology!r} block needs g_dim {g_dim} in a 2-dimensional "
                 f"ambient space, got g_dim {exp['g_dim']} in R^{n}"
             )
+    if "g" in exp:
+        try:
+            g = parse_map(exp["g"], exp.get("g_dim", n))
+        except DslError as exc:
+            raise SceneError(f"experiment map g does not parse: {exc}") from exc
+        if g.m != n:
+            raise SceneError(f"experiment map g maps into R^{g.m}, scene is in R^{n}")
     if "k_box" not in exp:
         return
     box_dim = len(exp["k_box"])

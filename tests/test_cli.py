@@ -219,6 +219,27 @@ class TestExperiment:
         header = csv.read_text().splitlines()[0]
         assert header == "i,c1_distance,transverse"
 
+    def test_more_maps_than_arc_samples_is_precondition_error(self, scene_path_factory, tmp_path, capsys):
+        # the default plan's witness arc has 60 samples; one map more
+        # ended in a ValueError traceback (exit 1)
+        rc = main(["experiment", scene_path_factory("parabola-shelf"), "--instability",
+                   "--count", "61", "--seed", "1", "--csv", str(tmp_path / "rows.csv")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VIOLATION
+        assert "the witness arc has 60 samples, fewer than the 61 maps asked for" in err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_experiment_map_into_the_wrong_space_is_scene_error(self, tmp_path, capsys):
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("cubic-graph").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "g": "x1, x1^3 - x1, x1"}
+        path = tmp_path / "into-r3.json"
+        path.write_text(json.dumps(scene))
+        rc = main(["experiment", str(path), "--stability", "--trials", "2", "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_VIOLATION
+        assert "experiment map g maps into R^3, scene is in R^2" in capsys.readouterr().err
+
     def test_instability_on_regular_scene_is_precondition_error(self, scene_path_factory, capsys):
         rc = main(["experiment", scene_path_factory("parallel-planes"), "--instability", "--seed", "1"])
         err = capsys.readouterr().err

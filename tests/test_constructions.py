@@ -7,8 +7,11 @@ from hypothesis.extra.numpy import arrays
 import strathom.constructions as constructions
 from strathom.constructions import (
     ConstructionError,
+    LocalizedCorrection,
     RankDropMap,
     SampledSheet,
+    _Cutoff,
+    _pruned_c1_size,
     _sampled_c1_size,
     bump,
     bump_slope,
@@ -20,6 +23,7 @@ from strathom.constructions import (
     tf_witness,
 )
 from strathom.dsl import parse_map
+from strathom.experiments import make_perturbation
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
 from strathom.regularity import PreconditionError, Status, check_af_at, transverse_at
 from strathom.seeds import rng_for
@@ -370,8 +374,22 @@ def _unpruned_c1_size(vals, jacs) -> float:
 
 def _c1_outcome(size, vals, jacs):
     """The float's bits, "nan", or the error's type and message."""
+    return _outcome(lambda: size(vals, jacs))
+
+
+def _largest_singular_values(jacs) -> np.ndarray:
+    """sigma_max of each Jacobian, NaN for one with a NaN entry."""
+    out = np.full(len(jacs), np.nan)
+    finite = np.all(np.isfinite(jacs), axis=(1, 2))
+    out[finite] = np.linalg.svd(jacs[finite], compute_uv=False)[:, 0]
+    return out
+
+
+def _outcome(thunk):
+    """The bits of the float the call returns, "nan", or the error's type
+    and message."""
     try:
-        out = size(vals, jacs)
+        out = thunk()
     except Exception as exc:
         return type(exc), str(exc)
     return "nan" if np.isnan(out) else out.hex()
@@ -403,6 +421,197 @@ def _c1_stacks(draw):
         jacs[at] = np.nan
     vals = draw(arrays(np.float64, (len(jacs), m), elements=entries))
     return jacs, vals
+
+
+class TestPrunedC1Size:
+    """The destabilizer's corrections and the trial fields evaluate only
+    the rows whose bounds can reach the sup; the size is still the float
+    that every row through the unpruned formula gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_correction_gives_the_unpruned_float(self, data):
+        correction, cut = data.draw(_corrections())
+        want = _outcome(lambda: _unpruned_c1_size(*correction.on_cutoff(cut))) if len(cut.d) else 0.0.hex()
+        assert _outcome(lambda: correction.sampled_c1_norm(cut)) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_field_gives_the_unpruned_float(self, data):
+        field, sample, misses = data.draw(_fields())
+        want = _outcome(lambda: _unpruned_c1_size(*field.value_and_jacobian(sample)))
+        assert _outcome(lambda: field.sampled_c1_norm(sample)) == want
+        if misses:
+            assert want == 0.0.hex()
+
+    @pytest.mark.parametrize("where", ["val_bound", "jac_bound", "probe value", "probe jacobian"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_bound_or_probe_keeps_every_row(self, where, bad):
+        # row 0 attains the largest bounds and sizes; rows 1-4 sit far
+        # below them, and finite bounds and probes drop them (next test)
+        vals = np.full((5, 2), 1e-3)
+        vals[0] = 0.5
+        jacs = np.tile(1e-3 * np.eye(2), (5, 1, 1))
+        jacs[0] = 0.5 * np.eye(2)
+        val_bound, jac_bound = np.array([1.0, 2e-3, 2e-3, 2e-3, 2e-3]), np.array([1.0, 3e-3, 3e-3, 3e-3, 3e-3])
+        {"val_bound": val_bound, "jac_bound": jac_bound}.get(where, np.zeros(1))[0] = bad
+        if where == "probe value":
+            vals[0, 0] = bad
+        elif where == "probe jacobian":
+            jacs[0, 0, 0] = bad
+        calls = []
+
+        def evaluate(idx):
+            calls.append(idx.tolist())
+            return vals[idx], jacs[idx]
+
+        outcome = _outcome(lambda: _pruned_c1_size(evaluate, val_bound, jac_bound))
+        assert outcome == _outcome(lambda: _sampled_c1_size(vals, jacs))
+        # an infinite Jacobian entry stops both at eigvalsh, with one error
+        if not isinstance(outcome, tuple):
+            assert calls[-1] == [0, 1, 2, 3, 4]
+
+    def test_finite_bounds_and_probes_drop_the_rows_that_cannot_reach_the_sup(self):
+        vals = np.full((5, 2), 1e-3)
+        vals[0] = 0.5
+        jacs = np.tile(1e-3 * np.eye(2), (5, 1, 1))
+        jacs[0] = 0.5 * np.eye(2)
+        calls = []
+
+        def evaluate(idx):
+            calls.append(idx.tolist())
+            return vals[idx], jacs[idx]
+
+        size = _pruned_c1_size(evaluate, np.array([1.0] + [2e-3] * 4), np.array([1.0] + [3e-3] * 4))
+        assert size == _sampled_c1_size(vals, jacs)
+        assert calls == [[0, 0], [0]]
+
+    # the bit-identity argument rests on row independence: a row's value
+    # and Jacobian do not depend on the rows evaluated with it
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_kernel_gives_the_unpruned_float(self, data):
+        # bounds at the computed sizes, or a few eps under them, as
+        # rounding may leave them; the slack must cover both
+        jacs, vals = data.draw(_c1_stacks())
+        under = data.draw(st.sampled_from([1.0, 1.0 - 4 * np.finfo(float).eps]))
+        with np.errstate(invalid="ignore"):
+            val_bound = np.linalg.norm(vals, axis=1) * under
+            jac_bound = _largest_singular_values(jacs) * under
+        pruned = _outcome(lambda: _pruned_c1_size(lambda idx: (vals[idx], jacs[idx]), val_bound, jac_bound))
+        assert pruned == _c1_outcome(_unpruned_c1_size, vals, jacs)
+
+    # the bit-identity argument rests on row independence: a row's value
+    # and Jacobian do not depend on the rows evaluated with it, one row
+    # alone included
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_correction_rows_do_not_depend_on_their_company(self, data):
+        correction, cut = data.draw(_corrections())
+        idx = data.draw(_subsets(len(cut.d)))
+        full = correction.on_cutoff(cut)
+        for rows in [idx, *idx[:16, None]]:
+            for part, whole in zip(correction.on_cutoff(cut.rows(rows)), full):
+                assert part.tobytes() == whole[rows].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_field_rows_do_not_depend_on_their_company(self, data):
+        field, sample, _ = data.draw(_fields())
+        idx = data.draw(_subsets(len(sample)))
+        full = field.value_and_jacobian(sample)
+        for rows in [idx, *idx[:16, None]]:
+            for part, whole in zip(field.value_and_jacobian(sample[rows]), full):
+                assert part.tobytes() == whole[rows].tobytes()
+
+    def test_destabilizer_evaluates_the_probes_and_the_rows_that_can_reach_the_sup(
+        self, shelf_fault, monkeypatch
+    ):
+        scene, ctx, witness = shelf_fault
+        h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
+        base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
+        sizes = []
+
+        def counted(self, cut, _original=LocalizedCorrection.on_cutoff):
+            sizes.append(len(cut.d))
+            return _original(self, cut)
+
+        monkeypatch.setattr(LocalizedCorrection, "on_cutoff", counted)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0, c1_samples=2000)
+        monkeypatch.undo()
+        cube = seq.y + rng_for(0, "c1-samples").uniform(-1.0, 1.0, size=(2000, 3))
+        inside = int(np.sum(np.linalg.norm(cube - seq.y, axis=1) < 1.0))
+        # per map: the center check (one point), the two probe rows, and
+        # the kept rows, a small share of the ball
+        assert sizes[0::3] == [1] * 4 and sizes[1::3] == [2] * 4
+        assert all(2 <= k < 0.25 * inside for k in sizes[2::3])
+
+
+@st.composite
+def _corrections(draw):
+    """(correction, cut): a localized correction of R^n into R^m, and its
+    cutoff profile at 0, 1, 7, 777 or 10,000 points of the cube around
+    its center (the center among them), in and out of its ball.  The
+    shift and the linear part are plain or zero, scaled so that their
+    squares or they themselves are subnormal, and may hold a NaN."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([0, 1, 7, 777, 10_000]))
+    rng = rng_for(draw(st.integers(0, 2**16)), "pruned-correction")
+    radius = draw(st.sampled_from([0.3, 1.0]))
+    y, shift, lin = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal((m, n))
+    kind = draw(st.sampled_from(["plain", "zero-lin", "zero-shift", "zero", "square-subnormal", "subnormal"]))
+    if kind in ("zero-lin", "zero"):
+        lin = np.zeros_like(lin)
+    if kind in ("zero-shift", "zero"):
+        shift = np.zeros_like(shift)
+    scale = {"square-subnormal": 1e-160, "subnormal": 1e-310}.get(kind, 1.0)
+    shift, lin = shift * scale, lin * scale
+    if draw(st.integers(0, 4)) == 0:
+        entries = draw(st.sampled_from([shift, lin]))
+        entries.flat[draw(st.integers(0, entries.size - 1))] = np.nan
+    cube = y + radius * rng.uniform(-1.0, 1.0, size=(rows, n))
+    if rows and draw(st.booleans()):
+        cube[0] = y
+    return LocalizedCorrection(y, radius, shift, lin), _Cutoff.at(cube, y, radius)
+
+
+@st.composite
+def _fields(draw):
+    """(field, sample, misses): a perturbation field on a line domain of
+    dimension 1-3 or on the circle, at scale 1 or not, with plain or zero
+    offsets or linear parts, and 1, 7 or 300 sample points; when
+    ``misses``, the humps reach none of them."""
+    topology = draw(st.sampled_from(["line", "circle"]))
+    m = 1 if topology == "circle" else draw(st.integers(1, 3))
+    rows = draw(st.sampled_from([1, 7, 300]))
+    rng = rng_for(draw(st.integers(0, 2**16)), "pruned-field")
+    box = [[-np.pi, np.pi]] if topology == "circle" else [[-1.0, 1.0]] * m
+    field = make_perturbation(draw(st.integers(1, 3)), m, box, rng, bumps=draw(st.integers(1, 4)),
+                              topology=topology)
+    field.scale = draw(st.sampled_from([1.0, 0.37]))
+    zero = draw(st.sampled_from([None, "offsets", "linears"]))
+    if zero:
+        getattr(field, zero)[:] = 0.0
+    lo, hi = np.asarray(box).T
+    sample = rng.uniform(lo, hi, size=(rows, m))
+    misses = draw(st.booleans())
+    if misses and topology == "line":
+        sample = sample + 10.0
+    elif misses:
+        field.centers[:] = 0.0
+        field.radii[:] = 0.01
+        sample = rng.uniform(1.0, 5.0, size=(rows, 1))
+    return field, sample, misses
+
+
+@st.composite
+def _subsets(draw, k):
+    """Sorted row indices of a nonempty subset of range(k), one row among
+    the sizes drawn; for k = 0, no rows."""
+    if k == 0:
+        return np.arange(0)
+    size = min(k, draw(st.sampled_from([1, 2, 7, k])))
+    return np.sort(rng_for(draw(st.integers(0, 2**16)), "subset").choice(k, size, replace=False))
 
 
 class TestWitnessSheet:

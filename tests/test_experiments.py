@@ -117,6 +117,18 @@ class TestPerturbationField:
         sample = rng_for(0, "c1-sample").uniform(-1, 1, size=(1000, 3))
         assert delta.sampled_c1_norm(sample) == pytest.approx(0.25, rel=1e-9)
 
+    def test_a_field_that_no_sample_point_reaches_is_a_degenerate_draw(self, monkeypatch):
+        # its bounds are zero on every row; it still sizes to 0 and is refused
+        def far_away(*args, **kwargs):
+            delta = make_perturbation(*args, **kwargs)
+            delta.centers += 10.0
+            return delta
+
+        monkeypatch.setattr(experiments, "make_perturbation", far_away)
+        fields = _TrialFields(3, CUBE, 0, 4)
+        with pytest.raises(RuntimeError, match="degenerate perturbation draw"):
+            fields.at(0, 0.25)
+
     def test_replayable_from_seed(self):
         a = _TrialFields(3, CUBE, 7, 4).at(3, 0.25)
         b = _TrialFields(3, CUBE, 7, 4).at(3, 0.25)

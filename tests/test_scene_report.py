@@ -112,6 +112,26 @@ class TestSceneSchema:
         with pytest.raises(SceneError, match=message):
             scene_from_dict(dict(scene, experiments=experiments))
 
+    @pytest.mark.parametrize(
+        "scene, g, message",
+        [
+            # the slope search broadcast (241, 3) against (241, 2) and exited 1
+            ("cubic-graph", "x1, x1^3 - x1, x1", r"experiment map g maps into R\^3, scene is in R\^2"),
+            # one output broadcast silently and reported 3 "witnesses"
+            ("cubic-graph", "x1^3 - x1", r"experiment map g maps into R\^1, scene is in R\^2"),
+            ("cubic-graph", "x1^^3", "experiment map g does not parse"),
+            # a stability block's g is the run's base map
+            ("parallel-planes", "x, y", r"experiment map g maps into R\^2, scene is in R\^3"),
+        ],
+    )
+    def test_experiment_map_that_does_not_map_into_the_scene(self, scene, g, message):
+        from strathom.gallery import gallery_entry
+
+        data = dict(gallery_entry(scene).scene_dict)
+        data["experiments"] = {**data["experiments"], "g": g}
+        with pytest.raises(SceneError, match=message):
+            scene_from_dict(data)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(MINIMAL))
