@@ -30,7 +30,6 @@ from .dsl import SmoothMap, parse_expr, parse_map
 from .gallery import GalleryEntry, blowup_scene, gallery, gallery_entry
 from .grassmann import (
     Subspace,
-    SubspaceSequence,
     grassmann_distance,
     grassmann_limit,
     grassmann_limits,
@@ -44,7 +43,6 @@ from .regularity import (
     RegularityVerdict,
     Status,
     check_af_at,
-    check_af_pair,
     check_afs_at,
     check_tf_at,
     check_whitney_a_at,
@@ -69,7 +67,6 @@ __all__ = [
     "parse_expr",
     "parse_map",
     "Subspace",
-    "SubspaceSequence",
     "grassmann_distance",
     "grassmann_limit",
     "grassmann_limits",
@@ -90,7 +87,6 @@ __all__ = [
     "Status",
     "RegularityVerdict",
     "check_af_at",
-    "check_af_pair",
     "check_afs_at",
     "check_tf_at",
     "check_whitney_a_at",

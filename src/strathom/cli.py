@@ -310,8 +310,6 @@ def cmd_experiment(args) -> int:
             write_csv(csv_path, ("i", "c1_distance", "transverse"), irep.csv_rows())
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
-        print("hint: run `strathom check` first; instability needs a fault, "
-              "stability needs a transverse base", file=sys.stderr)
         return EXIT_VIOLATION
     except (ValidationError, SceneError) as exc:
         print(f"error: {exc}", file=sys.stderr)

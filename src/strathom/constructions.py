@@ -36,7 +36,6 @@ from .strata import StratifiedMapContext
 __all__ = [
     "ConstructionError",
     "bump",
-    "bump_slope",
     "RankDropMap",
     "rank_drop_map",
     "frame_for_image",
@@ -71,13 +70,6 @@ def bump(a):
     arr = np.asarray(a, dtype=float)
     val = _bump_value_and_slope(np.atleast_1d(arr))[0]
     return float(val[0]) if arr.ndim == 0 else val.reshape(arr.shape)
-
-
-def bump_slope(a):
-    """Derivative of :func:`bump`; vanishes outside (0, 1), positive inside."""
-    arr = np.asarray(a, dtype=float)
-    slope = _bump_value_and_slope(np.atleast_1d(arr))[1]
-    return float(slope[0]) if arr.ndim == 0 else slope.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +117,6 @@ class RankDropMap:
 
     def image_at_center(self) -> Subspace:
         return Subspace(self.frame[:, : self.r])
-
-    def to_expression_source(self) -> str:
-        return self.map.to_source()
 
 
 def frame_for_image(image: Subspace) -> np.ndarray:

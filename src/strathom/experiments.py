@@ -69,8 +69,6 @@ __all__ = [
     "transversality_margin",
     "stability_trial",
     "calibrate_epsilon",
-    "stability_sweep",
-    "sweep_csv_rows",
     "instability_demo",
     "nongenericity_demo",
 ]
@@ -478,27 +476,6 @@ def calibrate_epsilon(
             lo *= 0.5
         raise RuntimeError("calibration failed to certify a positive size")
     return lo
-
-
-def stability_sweep(
-    ctx: StratifiedMapContext,
-    base_map,
-    k_points: np.ndarray,
-    eps_values,
-    trials: int,
-    seed: int = 0,
-    bumps: int = 4,
-) -> list[StabilityReport]:
-    """Same trial seeds re-scaled across a sweep of perturbation sizes."""
-    return [
-        stability_trial(ctx, base_map, k_points, float(eps), trials, seed=seed, bumps=bumps)
-        for eps in eps_values
-    ]
-
-
-def sweep_csv_rows(reports: list[StabilityReport]) -> list[tuple]:
-    """Flattened (trial, epsilon, transverse) rows of a sweep, for plotting."""
-    return [row for report in reports for row in report.csv_rows()]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ CONTAIN_TOL = 1e-6  # default containment tolerance, radians
 
 __all__ = [
     "Subspace",
-    "SubspaceSequence",
     "GrassmannLimit",
     "Containment",
     "span_of",
@@ -253,31 +252,6 @@ def kernel(matrix) -> Subspace:
 
 
 @dataclass(frozen=True)
-class SubspaceSequence:
-    """Subspaces of one Grassmannian, ordered along an approach."""
-
-    entries: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("empty subspace sequence")
-        n, k = self.entries[0].n, self.entries[0].dim
-        for i, s in enumerate(self.entries):
-            if s.n != n or s.dim != k:
-                raise ValueError(
-                    f"entry {i} has shape ({s.n}, {s.dim}), sequence started at ({n}, {k}); "
-                    "the sequence does not live in one Grassmannian"
-                )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries[0].dim
-
-
-@dataclass(frozen=True)
 class GrassmannLimit:
     converged: bool
     limit: Subspace | None
@@ -285,13 +259,20 @@ class GrassmannLimit:
     history: tuple[float, ...]  # consecutive-pair distances along the sequence
 
 
-def grassmann_limit(
-    seq: SubspaceSequence, window: int = 5, tol: float = CONTAIN_TOL
-) -> GrassmannLimit:
+def grassmann_limit(entries, window: int = 5, tol: float = CONTAIN_TOL) -> GrassmannLimit:
     """Detect convergence by a trailing Cauchy window: the one-sequence
-    form of :func:`grassmann_limits`."""
-    bases = np.stack([e.basis for e in seq.entries])
-    return grassmann_limits(bases, [0, len(bases)], window, tol)[0]
+    form of :func:`grassmann_limits` over a sequence of subspaces of one
+    Grassmannian."""
+    if not entries:
+        raise ValueError("empty subspace sequence")
+    n, k = entries[0].n, entries[0].dim
+    for i, s in enumerate(entries):
+        if s.n != n or s.dim != k:
+            raise ValueError(
+                f"entry {i} has shape ({s.n}, {s.dim}), sequence started at ({n}, {k}); "
+                "the sequence does not live in one Grassmannian"
+            )
+    return grassmann_limits(np.stack([e.basis for e in entries]), [0, len(entries)], window, tol)[0]
 
 
 def grassmann_limits(

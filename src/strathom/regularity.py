@@ -53,7 +53,6 @@ __all__ = [
     "ArcEvidence",
     "FaultWitness",
     "RegularityVerdict",
-    "PairVerdict",
     "RadialPlan",
     "PreconditionError",
     "AffineSurface",
@@ -62,7 +61,6 @@ __all__ = [
     "random_test_surface",
     "check_af_at",
     "check_whitney_a_at",
-    "check_af_pair",
     "check_tf_at",
     "check_afs_at",
 ]
@@ -138,16 +136,6 @@ class RegularityVerdict:
     arcs: tuple[ArcEvidence, ...] = ()
     witness: FaultWitness | None = None
     detail: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    x: str
-    y: str
-    regular: bool
-    vacuous: bool
-    verdicts: tuple[RegularityVerdict, ...]
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +269,6 @@ def check_whitney_a_at(
         ctx, x, y, point, plan, "a",
         lambda U: _tangent_frames(sx, U, sx.chart.jacobian(U)), required,
     )
-
-
-def check_af_pair(
-    ctx: StratifiedMapContext,
-    x: str,
-    y: str,
-    plan: ApproachPlan | None = None,
-    seed: int = 0,
-) -> PairVerdict:
-    """Both directions of the pair over all declared incidence points."""
-    verdicts: list[RegularityVerdict] = []
-    for inc in ctx.prestratification.incidences:
-        if {inc.x, inc.y} == {x, y} or (inc.x == inc.y and inc.x in (x, y)):
-            verdicts.append(check_af_at(ctx, inc.x, inc.y, inc.point, plan, seed=seed))
-    if not verdicts:
-        return PairVerdict(
-            x=x, y=y, regular=True, vacuous=True, verdicts=(),
-            note="no incidences declared for this pair",
-        )
-    regular = all(v.status == Status.HOLDS for v in verdicts)
-    return PairVerdict(x=x, y=y, regular=regular, vacuous=False, verdicts=tuple(verdicts))
 
 
 # ---------------------------------------------------------------------------

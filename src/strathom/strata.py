@@ -764,15 +764,14 @@ def approach_sequence(
     stratum: Stratum | str,
     y,
     plan: ApproachPlan | None = None,
-    seed: int = 0,
 ) -> list[Arc]:
     """Geometric arcs in ``stratum`` whose images converge to y.
 
     The base chart point u0 is the prestratification's location of y on
-    the closure of the chart domain, so ``seed`` does not change the
-    arcs; every surviving arc has strictly decreasing distances to y
-    ending below APPROACH_TOL.  Directions whose arcs leave the domain
-    or fail to approach are dropped; losing all of them is an error.
+    the closure of the chart domain; every surviving arc has strictly
+    decreasing distances to y ending below APPROACH_TOL.  Directions
+    whose arcs leave the domain or fail to approach are dropped; losing
+    all of them is an error.
 
     The arc points of every direction go through one domain test and one
     chart evaluation, of the rows of the directions that keep enough of
@@ -835,12 +834,6 @@ class PrestratificationReport:
     incidences_confirmed: int
     frontier: tuple[FrontierProbe, ...]
     frontier_status: str
-
-    def frontier_for(self, name: str) -> str:
-        for probe in self.frontier:
-            if probe.stratum == name:
-                return probe.status
-        raise KeyError(name)
 
 
 def validate_prestratification(

@@ -227,6 +227,9 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert rc == EXIT_VIOLATION
         assert "the witness arc has 60 samples, fewer than the 61 maps asked for" in err
+        # the message names the failed precondition; parabola-shelf has the
+        # fault check reports, so a generic "run check first" is wrong here
+        assert "run `strathom check` first" not in err
         assert not (tmp_path / "rows.csv").exists()
 
     def test_experiment_map_into_the_wrong_space_is_scene_error(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from strathom.constructions import (
     _pruned_c1_size,
     _sampled_c1_size,
     bump,
-    bump_slope,
     choose_complement_H,
     destabilizing_sequence,
     frame_for_image,
@@ -22,7 +21,7 @@ from strathom.constructions import (
     rank_drop_map,
     tf_witness,
 )
-from strathom.dsl import parse_map
+from strathom.dsl import _bump_value_and_slope, parse_map
 from strathom.experiments import make_perturbation
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
 from strathom.regularity import PreconditionError, Status, check_af_at, transverse_at
@@ -44,6 +43,11 @@ def shelf_fault(gallery_ctx):
     return scene, ctx, verdict.witness
 
 
+def step_slope(a: float) -> float:
+    """The slope column of the bump kernel at one point."""
+    return float(_bump_value_and_slope(np.array([a]))[1][0])
+
+
 class TestBump:
     def test_saturation(self):
         assert bump(-1.0) == 0.0
@@ -55,15 +59,15 @@ class TestBump:
         assert bump(0.5) == pytest.approx(0.5)
 
     def test_positive_slope_inside(self):
-        assert bump_slope(0.5) > 0
+        assert step_slope(0.5) > 0
         # finite-difference oracle
         h = 1e-7
         fd = (bump(0.5 + h) - bump(0.5 - h)) / (2 * h)
-        assert bump_slope(0.5) == pytest.approx(fd, rel=1e-6)
+        assert step_slope(0.5) == pytest.approx(fd, rel=1e-6)
 
     def test_slope_vanishes_outside(self):
-        assert bump_slope(-0.3) == 0.0
-        assert bump_slope(1.7) == 0.0
+        assert step_slope(-0.3) == 0.0
+        assert step_slope(1.7) == 0.0
 
     def test_monotone_on_a_grid(self):
         xs = np.linspace(-0.5, 1.5, 101)
@@ -115,7 +119,7 @@ class TestRankDropMap:
 
     def test_exports_to_expression_text(self):
         m = rank_drop_map(3, 2, center=[0.1, 0.0, -0.2], radius=0.7)
-        reparsed = parse_map(m.to_expression_source(), 3)
+        reparsed = parse_map(m.map.to_source(), 3)
         pts = np.array([[0.15, 0.1, -0.1], [0.9, 0.9, 0.9], [0.1, 0.0, -0.2]])
         assert np.allclose(reparsed(pts), m(pts), atol=1e-14)
         assert np.allclose(reparsed.jacobian(pts), m.jacobian(pts), atol=1e-12)

@@ -18,9 +18,7 @@ from strathom.experiments import (
     make_perturbation,
     nongenericity_demo,
     seeded_full_rank_map,
-    stability_sweep,
     stability_trial,
-    sweep_csv_rows,
     transversality_margin,
 )
 from strathom.gallery import gallery_entry
@@ -220,10 +218,13 @@ class TestStability:
 
     def test_sweep_fraction_non_increasing(self, planes_setup):
         ctx, k_points, base = planes_setup
-        reports = stability_sweep(ctx, base, k_points, [0.9, 2.7, 8.1, 24.3], trials=16, seed=0)
+        reports = [
+            stability_trial(ctx, base, k_points, eps, trials=16, seed=0)
+            for eps in [0.9, 2.7, 8.1, 24.3]
+        ]
         fractions = [r.fraction for r in reports]
         assert all(b <= a for a, b in zip(fractions, fractions[1:])), fractions
-        rows = sweep_csv_rows(reports)
+        rows = [row for r in reports for row in r.csv_rows()]
         assert len(rows) == 4 * 16
         assert {r[1] for r in rows} == {0.9, 2.7, 8.1, 24.3}
 

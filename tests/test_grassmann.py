@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from strathom.grassmann import (
     Subspace,
-    SubspaceSequence,
     _angles,
     grassmann_distance,
     grassmann_limit,
@@ -227,8 +226,7 @@ class TestKernel:
 class TestGrassmannLimit:
     def test_constant_sequence(self):
         s = span_of([[1, 0]])
-        seq = SubspaceSequence(tuple([s] * 10))
-        res = grassmann_limit(seq)
+        res = grassmann_limit([s] * 10)
         assert res.converged
         assert res.residual == 0.0
         assert grassmann_distance(res.limit, s) == 0.0
@@ -237,18 +235,17 @@ class TestGrassmannLimit:
         entries = tuple(span_of([[1.0, 1.0 / i]]) for i in range(1, 51))
         # the trailing angles still move by ~arctan(1/46)-arctan(1/50),
         # so the window must be read at a matching tolerance
-        res = grassmann_limit(SubspaceSequence(entries), tol=5e-3)
+        res = grassmann_limit(entries, tol=5e-3)
         assert res.converged
         assert grassmann_distance(res.limit, span_of([[1.0, 0.0]])) < np.arctan(1 / 50) + 1e-12
         # at checker precision the same data honestly reports "not settled"
-        strict = grassmann_limit(SubspaceSequence(entries), tol=1e-6)
+        strict = grassmann_limit(entries, tol=1e-6)
         assert not strict.converged
         assert len(strict.history) == 49
 
     def test_alternating_never_converges(self):
         e1, e2 = span_of([[1.0, 0.0]]), span_of([[0.0, 1.0]])
-        seq = SubspaceSequence(tuple([e1, e2] * 10))
-        res = grassmann_limit(seq)
+        res = grassmann_limit([e1, e2] * 10)
         assert not res.converged
         assert res.limit is None
         assert res.residual == pytest.approx(np.pi / 2)
@@ -256,7 +253,7 @@ class TestGrassmannLimit:
 
     def test_dimension_drift_is_hard_error(self):
         with pytest.raises(ValueError, match="Grassmannian"):
-            SubspaceSequence((span_of([[1, 0]]), Subspace.zero(2)))
+            grassmann_limit((span_of([[1, 0]]), Subspace.zero(2)))
 
     def test_invariant_under_reorthonormalization(self):
         rng = np.random.default_rng(9)
@@ -269,8 +266,8 @@ class TestGrassmannLimit:
             # re-express the same subspace in a random rotated basis
             q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
             rotated.append(Subspace(s.basis @ q))
-        r1 = grassmann_limit(SubspaceSequence(tuple(entries)), tol=0.05)
-        r2 = grassmann_limit(SubspaceSequence(tuple(rotated)), tol=0.05)
+        r1 = grassmann_limit(entries, tol=0.05)
+        r2 = grassmann_limit(rotated, tol=0.05)
         assert r1.converged == r2.converged
         assert r1.residual == pytest.approx(r2.residual, abs=1e-10)
         assert grassmann_distance(r1.limit, r2.limit) < 1e-10
@@ -314,7 +311,7 @@ class TestStackedLimit:
     def test_matches_pairwise_loop(self, seed, n, d_frac, length, window, spread):
         d = round(d_frac * n)
         entries = drifting_sequence(np.random.default_rng(seed), n, d, length, spread)
-        res = grassmann_limit(SubspaceSequence(entries), window)
+        res = grassmann_limit(entries, window)
         history, residual = reference_limit(entries, window)
         assert res.history == history
         assert res.residual == residual
@@ -324,7 +321,7 @@ class TestStackedLimit:
     @pytest.mark.parametrize("length, window", [(1, 5), (4, 5), (5, 5), (9, 3), (6, 2)])
     def test_edge_shapes(self, n, d, length, window):
         entries = drifting_sequence(np.random.default_rng(n + d + length), n, d, length, 0.3)
-        res = grassmann_limit(SubspaceSequence(entries), window)
+        res = grassmann_limit(entries, window)
         assert (res.history, res.residual) == reference_limit(entries, window)
         assert len(res.history) == length - 1
 
@@ -333,7 +330,7 @@ class TestStackedLimit:
         # gaps below pi/4 take the sine route, the wide window pairs arccos
         angles = [0.0, 0.1, 0.7, 0.9, 1.5]
         entries = tuple(span_of([[np.cos(t), np.sin(t)]]) for t in angles)
-        res = grassmann_limit(SubspaceSequence(entries), window=5)
+        res = grassmann_limit(entries, window=5)
         assert (res.history, res.residual) == reference_limit(entries, 5)
         assert res.history == pytest.approx([0.1, 0.6, 0.2, 0.6], abs=1e-12)
         assert res.residual == pytest.approx(1.5, abs=1e-12)
@@ -380,7 +377,7 @@ class TestBatchedLimits:
         limits = grassmann_limits(bases, bounds, window, tol)
         assert len(limits) == len(seqs)
         for got, seq in zip(limits, seqs):
-            want = grassmann_limit(SubspaceSequence(seq), window, tol)
+            want = grassmann_limit(seq, window, tol)
             assert got.converged == want.converged
             assert got.residual == want.residual
             assert got.history == want.history

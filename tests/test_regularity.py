@@ -12,7 +12,6 @@ from strathom.regularity import (
     Status,
     _radial_verdict,
     check_af_at,
-    check_af_pair,
     check_afs_at,
     check_tf_at,
     check_whitney_a_at,
@@ -20,6 +19,7 @@ from strathom.regularity import (
     random_test_surface,
     transverse_at,
 )
+from strathom.report import verdict_to_json
 from strathom.strata import (
     ApproachPlan,
     ImmersionError,
@@ -232,7 +232,7 @@ class TestBatchedLimitVerdict:
 
     def test_leaf_failure_on_a_later_arc_names_its_first_bad_point(self, gallery_ctx):
         _, _, ctx = gallery_ctx("parabola-shelf")
-        arcs = approach_sequence(ctx.prestratification, "S1", ORIGIN, ApproachPlan(), seed=0)
+        arcs = approach_sequence(ctx.prestratification, "S1", ORIGIN, ApproachPlan())
         later = arcs[2].chart_points
 
         class Failing(StratifiedMapContext):
@@ -252,7 +252,7 @@ class TestBatchedLimitVerdict:
     def test_first_immersion_error_in_arc_order(self, check):
         ctx = folded_half_plane_ctx()
         sx = ctx.stratum("X")
-        arcs = approach_sequence(ctx.prestratification, "X", ORIGIN, ApproachPlan(), seed=0)
+        arcs = approach_sequence(ctx.prestratification, "X", ORIGIN, ApproachPlan())
         ranks = [np.linalg.matrix_rank(sx.chart.jacobian(arc.chart_points)) for arc in arcs]
         first = next(k for k, r in enumerate(ranks) if np.any(r < 2))
         assert first > 0 and arcs[first].direction == (0.0, 1.0)
@@ -263,23 +263,45 @@ class TestBatchedLimitVerdict:
 
 
 class TestPairCheck:
+    """check_af_at at each scene's one declared incidence."""
+
     def test_regular_pair(self, gallery_ctx):
         _, scene, ctx = gallery_ctx("parallel-planes")
-        pv = check_af_pair(ctx, "S1", "S2", seed=0)
-        assert pv.regular and not pv.vacuous
-        assert len(pv.verdicts) == 1
+        (inc,) = ctx.prestratification.incidences
+        v = check_af_at(ctx, inc.x, inc.y, inc.point, seed=0)
+        assert v.status is Status.HOLDS
 
     def test_faulted_pair_lists_points(self, gallery_ctx):
         _, scene, ctx = gallery_ctx("parabola-shelf")
-        pv = check_af_pair(ctx, "S1", "S2", seed=0)
-        assert not pv.regular
-        assert pv.verdicts[0].status is Status.FAILS
+        (inc,) = ctx.prestratification.incidences
+        v = check_af_at(ctx, inc.x, inc.y, inc.point, seed=0)
+        assert v.status is Status.FAILS
 
-    def test_pair_without_incidences_is_vacuous(self, gallery_ctx):
-        _, scene, ctx = gallery_ctx("parallel-planes")
-        pv = check_af_pair(ctx, "S2", "S2", seed=0)
-        assert pv.regular and pv.vacuous
-        assert "no incidences" in pv.note
+
+class TestSeedIndependence:
+    """The a/af checkers read memoized locations and leaves, so their
+    ``seed`` keyword does not move a verdict."""
+
+    @pytest.mark.parametrize(
+        "name, statuses",
+        [
+            ("parabola-shelf", {"a": Status.HOLDS, "af": Status.FAILS}),
+            ("parallel-planes", {"a": Status.FAILS, "af": Status.HOLDS}),
+        ],
+    )
+    def test_verdicts_equal_across_seeds(self, name, statuses):
+        reports = []
+        for seed in (0, 1, 20261017):
+            # a fresh context per seed, so no location is memoized by an
+            # earlier seed's run
+            ctx = gallery_entry(name).scene().build_context(seed=0)
+            (inc,) = ctx.prestratification.incidences
+            verdicts = [check(ctx, inc.x, inc.y, inc.point, seed=seed)
+                        for check in (check_whitney_a_at, check_af_at)]
+            assert {v.condition: v.status for v in verdicts} == statuses
+            reports.append([verdict_to_json(v) for v in verdicts])
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
 
 class TestTestSubmanifoldCondition:

@@ -309,8 +309,9 @@ class TestValidatePrestratification:
         report = validate_prestratification(parallel_planes(), samples=30, seed=4)
         assert report.valid
         assert report.incidences_confirmed == 1
-        assert report.frontier_for("S1") == "satisfied"
-        assert report.frontier_for("S2") == "undetermined"
+        status = {probe.stratum: probe.status for probe in report.frontier}
+        assert status["S1"] == "satisfied"
+        assert status["S2"] == "undetermined"
         assert report.frontier_status == "satisfied"
 
     def test_overlapping_planes_rejected(self):
