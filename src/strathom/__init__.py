@@ -20,7 +20,6 @@ from .constructions import (
     DestabilizerSequence,
     RankDropMap,
     SampledSheet,
-    bump,
     choose_complement_H,
     destabilizing_sequence,
     rank_drop_map,
@@ -36,7 +35,6 @@ from .grassmann import (
     kernel,
     principal_angles,
     span_of,
-    subspace_intersection,
     subspace_sum,
 )
 from .regularity import (
@@ -73,7 +71,6 @@ __all__ = [
     "kernel",
     "principal_angles",
     "span_of",
-    "subspace_intersection",
     "subspace_sum",
     "Stratum",
     "Incidence",
@@ -91,7 +88,6 @@ __all__ = [
     "check_tf_at",
     "check_whitney_a_at",
     "transverse_at",
-    "bump",
     "rank_drop_map",
     "RankDropMap",
     "choose_complement_H",

@@ -35,7 +35,6 @@ from .strata import StratifiedMapContext
 
 __all__ = [
     "ConstructionError",
-    "bump",
     "RankDropMap",
     "rank_drop_map",
     "frame_for_image",
@@ -54,22 +53,6 @@ __all__ = [
 
 class ConstructionError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Smooth step
-
-
-def bump(a):
-    """Smooth step: 0 for a <= 0, 1 for a >= 1, strictly increasing between.
-
-    Realized as phi(a) / (phi(a) + phi(1 - a)) with phi(t) = exp(-1/t)
-    for t > 0 and 0 otherwise; symmetric about 1/2.  Scalar in, scalar
-    out; arrays broadcast.
-    """
-    arr = np.asarray(a, dtype=float)
-    val = _bump_value_and_slope(np.atleast_1d(arr))[0]
-    return float(val[0]) if arr.ndim == 0 else val.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

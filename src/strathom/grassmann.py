@@ -14,7 +14,10 @@ containment of its required subspace in every arc's limit with one call.
 
 Rank decisions use one relative singular-value cutoff (RTOL times the
 largest singular value) with a tiny absolute floor so that matrices that
-are zero up to roundoff get rank 0.
+are zero up to roundoff get rank 0.  A yes/no question "rank >= r?" over
+a stack goes through one gate, :func:`_rank_at_least`: it certifies full
+rank from a Gram determinant where the margin to that cutoff is wide,
+and takes only the rows it leaves open through the SVD.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "principal_angles",
     "grassmann_distance",
     "subspace_sum",
-    "subspace_intersection",
     "kernel",
     "grassmann_limit",
     "grassmann_limits",
@@ -43,13 +45,114 @@ __all__ = [
 
 
 def _ranks(sv: np.ndarray) -> np.ndarray:
-    """Numerical ranks from singular values (..., r), descending along
-    the last axis: the count above max(RTOL * largest, ATOL)."""
+    """Numerical ranks from singular values (..., r), in any order along
+    the last axis: the count above max(RTOL * largest, ATOL).  A row
+    holding a NaN gets rank 0."""
     sv = np.asarray(sv, dtype=float)
     if sv.shape[-1] == 0:
         return np.zeros(sv.shape[:-1], dtype=int)
-    cut = np.maximum(RTOL * sv[..., :1], ATOL)
+    cut = np.maximum(RTOL * sv.max(axis=-1, keepdims=True), ATOL)
     return (sv > cut).sum(axis=-1)
+
+
+# Thresholds of the Gram certificate of _rank_at_least: squares of
+# sigma_min / sigma_max >= 1e-5, a thousand times the RTOL cut, and of
+# sigma_min >= 1e-10, a hundred times ATOL; a determinant below the floor
+# may have lost its bits to underflow.
+_CERT_REL = 1e-10
+_CERT_ABS = 1e-20
+_CERT_FLOOR = 1e-150
+_CERT_MAX_LEN = 1000  # longest side whose Gram rounding stays far inside the margin
+
+
+def _gram_certificate(mats: np.ndarray) -> np.ndarray:
+    """(k,) bool: rows of mats (k, m, c), min(m, c) = p <= 3, whose
+    Gram determinant certifies rank p (see :func:`_rank_at_least`)."""
+    _, m, c = mats.shape
+    p = min(m, c)
+    sides = mats if c <= m else np.swapaxes(mats, 1, 2)
+    cols = np.ascontiguousarray(np.transpose(sides, (2, 1, 0)))  # (p, L, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = {(i, j): (cols[i] * cols[j]).sum(axis=0) for i in range(p) for j in range(i, p)}
+        if p == 1:
+            det = g[0, 0]
+        elif p == 2:
+            det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+        else:
+            det = (
+                g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
+                - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
+                + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2])
+            )
+        trace = sum(g[i, i] for i in range(p))
+        return (
+            (det >= _CERT_REL * trace**p)
+            & (det >= _CERT_ABS * trace ** (p - 1))
+            & (det >= _CERT_FLOOR)
+            & (det < np.inf)
+        )
+
+
+def _rank_at_least(mats, r: int) -> np.ndarray:
+    """(k,) bool: whether each matrix of the stack (k, m, c) has rank
+    at least r.  Row for row this equals
+    ``_ranks(np.linalg.svd(mats, compute_uv=False)) >= r``, with the
+    same exception where the SVD raises; it is the one gate for rank
+    decisions whose singular values nothing else reads.
+
+    With p = min(m, c), r <= 0 and r > p are decided by shape.  For
+    r == p <= 3 and a longest side L = max(m, c) <= 1000, a row is
+    certified when its Gram matrix G on the smaller side (p x p), with
+    computed entries, trace t and cofactor determinant d, satisfies
+
+    * d >= 1e-10 t^p and d >= 1e-20 t^(p-1),
+    * 1e-150 <= d < inf: d is a normal float far above the subnormal
+      range, and nothing overflowed.
+
+    A row holding inf or NaN has a trace of inf or NaN, and fails.
+
+    Every other row goes to one ``np.linalg.svd`` over just those rows:
+    uncertified rows, non-finite rows (also where shape decides, so the
+    SVD raises where it would), p > 3 and r < p.  The SVD gives each
+    row the bits it would give it alone, so the open rows read as they
+    would in the full stack.
+
+    Why a certified row has SVD rank p (u = 2^-53, the unit roundoff;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    sections 3.1 and 3.5).  The computed Gram matrix, read from its
+    upper triangle, is G + E with |E| <= gamma_L |A|^T |A| entrywise, so
+    ||E||_2 <= gamma_L tr(G), whatever the summation order; every entry
+    is at most t in size, so the cofactor expansion is off the exact
+    determinant of G + E by at most 6 gamma_5 t^p, and t is off
+    tr(G + E) by gamma_p.  Underflow adds at most L 2^-1074 per entry,
+    nothing next to d >= 1e-150 (t >= p d^(1/p)).  At L <= 1000 all of
+    this stays below about 1e3 u t^p, a thousandth of the thresholds'
+    margin.  Then G + E is positive definite (two negative eigenvalues
+    of size <= gamma_L t would make d below 1e-10 t^p), so its smallest
+    eigenvalue is at least det / tr^(p-1), and by Weyl's inequality
+    lambda_min(G) >= 0.99 max(1e-10 tr(G), 1e-20): sigma_min >= 0.99e-5
+    sigma_max and sigma_min >= 0.99e-10.  LAPACK's singular values are
+    exact for A + F with ||F||_2 <= c(m, c) u sigma_max (Golub and Van
+    Loan, *Matrix Computations*, 4th ed., section 8.6), so by Weyl each
+    moves by at most c u sigma_max, a relative 1e-9 of sigma_min.  So
+    every computed singular value clears RTOL times the largest by a
+    factor near 1e3 and ATOL by one near 1e2, and ``_ranks`` reads p.
+    """
+    mats = np.asarray(mats, dtype=float)
+    k, m, c = mats.shape
+    p = min(m, c)
+    if r <= 0 or r > p:
+        out = np.full(k, r <= 0)
+        left = ~np.isfinite(mats).all(axis=(1, 2))
+    elif r == p <= 3 and max(m, c) <= _CERT_MAX_LEN:  # closed-form determinants up to 3 x 3
+        out = _gram_certificate(mats)
+        left = ~out
+    else:
+        out = np.zeros(k, dtype=bool)
+        left = np.ones(k, dtype=bool)
+    if left.any():
+        out[left] = _ranks(np.linalg.svd(mats[left], compute_uv=False)) >= r
+    return out
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -222,20 +325,6 @@ def grassmann_distance(a: Subspace, b: Subspace) -> float:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
     return Subspace(_orthonormal_range(np.hstack([a.basis, b.basis])))
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of stacked complement projectors.
-
-    A vector lies in both subspaces iff both residuals (I - P_A)v and
-    (I - P_B)v vanish, so the intersection is the null space of the
-    stacked 2n x n residual matrix.
-    """
-    _check_ambient(a, b)
-    n = a.n
-    ra = np.eye(n) - a.basis @ a.basis.T
-    rb = np.eye(n) - b.basis @ b.basis.T
-    return kernel(np.vstack([ra, rb]))
 
 
 def kernel(matrix) -> Subspace:

@@ -27,6 +27,7 @@ from .grassmann import (
     _angles,
     _largest,
     _rank,
+    _rank_at_least,
     _ranks,
     grassmann_limits,
     span_of,
@@ -560,7 +561,7 @@ def _radial_verdict(
     batch and returns the ambient points it tested, their ``which``
     (nondecreasing), a bad flag per point and a dict of per-radius count
     columns: tf solves the seeds of every radius together and tests all
-    their hits with one leaf-tangent call and one rank SVD, afs tests all
+    their hits with one leaf-tangent call and one rank gate, afs tests all
     samples the same way.
 
     Each radius's row holds its radius, its number of samples, whether
@@ -667,7 +668,7 @@ def check_tf_at(
     Intersection points of the surface with X are found by one solve
     over the seeds of all radii, and the hits of all radii are tested for
     transversality to the X-leaves in one batch (one leaf-tangent call,
-    one rank SVD of [surface tangent | leaf]); each radius reports on the
+    one rank gate on [surface tangent | leaf]); each radius reports on the
     hits inside its own ball.
     A detail row adds the number of intersections, whether one of them
     is non-transverse and the number of stalled seeds, and is marked
@@ -691,7 +692,7 @@ def check_tf_at(
         short = np.zeros(len(hits.u), dtype=bool)
         if len(hits.u):
             stacked = np.concatenate([hits.tangents, ctx.leaf_tangents(sx, hits.u)], axis=2)
-            short = _ranks(np.linalg.svd(stacked, compute_uv=False)) < n
+            short = ~_rank_at_least(stacked, n)
         counts = np.bincount(hits.which, minlength=len(radii))
         return hits.points, hits.which, short, {"intersections": counts, "stalled": hits.stalled}
 
@@ -821,7 +822,7 @@ def check_afs_at(
             leaves_x = ctx.leaf_tangents(sx, samples)
             pts = np.asarray(sx.chart(samples), dtype=float)
             pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
-            low = _ranks(np.linalg.svd(pushed, compute_uv=False)) < s_req
+            low = ~_rank_at_least(pushed, s_req)
         return pts, which, low, {}
 
     return _radial_verdict(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import DomainError, SmoothMap, to_source
-from .grassmann import Subspace, _ranks
+from .grassmann import Subspace, _rank_at_least, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
@@ -153,7 +153,7 @@ def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
       minimum-norm step ``Q' c`` with R'^T c = r, a lower-triangular
       system solved as the back-substitution of its index reversal.
 
-    Rank is decided by the ``_ranks`` cutoff on the sorted diag R;
+    Rank is decided by the ``_ranks`` cutoff on diag R;
     rank-deficient rows keep the minimum-norm step ``pinv(J) r``.  Both
     kernels work elementwise over the batch, so each row's step is the
     one it would take alone.
@@ -166,7 +166,7 @@ def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
     else:
         basis, tri = _thin_qr(jacs)
         steps = _back_substitute(tri, (basis * res[:, :, None]).sum(axis=1))
-    full = _ranks(np.sort(tri.diagonal(0, 1, 2), axis=1)[:, ::-1]) == min(m, d)
+    full = _ranks(tri.diagonal(0, 1, 2)) == min(m, d)
     if not full.all():
         steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
     return steps
@@ -432,6 +432,14 @@ def _tangent_frames(stratum: Stratum, U: np.ndarray, jacs: np.ndarray) -> np.nda
     return frames
 
 
+def _check_immersion(stratum: Stratum, U: np.ndarray, jacs: np.ndarray) -> None:
+    """:func:`_require_immersion` of the chart Jacobians (k, n, d) at U
+    (k, d), decided by the rank gate; only a stack that it finds short
+    goes through the SVD, for the rank the error names."""
+    if not _rank_at_least(jacs, stratum.dim).all():
+        _require_immersion(stratum, U, np.linalg.svd(jacs, compute_uv=False))
+
+
 def _require_immersion(stratum: Stratum, U: np.ndarray, sv: np.ndarray) -> None:
     """:class:`ImmersionError` naming the first chart point of U (k, d)
     whose chart Jacobian, of singular values sv (k, d), has rank below d
@@ -665,8 +673,7 @@ class StratifiedMapContext:
                 f"predicate {to_source(s.chart.domain[j])} > 0 reads {margins[i, j]:.2e}"
             )
         points, chart_jacs = s.chart.value_and_jacobian(U, check_domain=False)
-        # raises ImmersionError where dpsi drops rank
-        _require_immersion(s, U, np.linalg.svd(chart_jacs, compute_uv=False))
+        _check_immersion(s, U, chart_jacs)
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))
         _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)
@@ -855,7 +862,7 @@ def validate_prestratification(
         rng = rng_for(seed, "validate", s.name)
         pts = s.sample_chart_points(samples, rng)
         sampled[s.name] = pts
-        _tangent_frames(s, pts, s.chart.jacobian(pts))
+        _check_immersion(s, pts, s.chart.jacobian(pts))
 
     # overlap: a sampled point of one stratum claimed by another
     for a in P.strata:

@@ -13,7 +13,6 @@ from strathom.constructions import (
     _Cutoff,
     _pruned_c1_size,
     _sampled_c1_size,
-    bump,
     choose_complement_H,
     destabilizing_sequence,
     frame_for_image,
@@ -43,6 +42,11 @@ def shelf_fault(gallery_ctx):
     return scene, ctx, verdict.witness
 
 
+def step_value(a: float) -> float:
+    """The value column of the bump kernel at one point."""
+    return float(_bump_value_and_slope(np.array([a]))[0][0])
+
+
 def step_slope(a: float) -> float:
     """The slope column of the bump kernel at one point."""
     return float(_bump_value_and_slope(np.array([a]))[1][0])
@@ -50,19 +54,19 @@ def step_slope(a: float) -> float:
 
 class TestBump:
     def test_saturation(self):
-        assert bump(-1.0) == 0.0
-        assert bump(2.0) == 1.0
-        assert bump(0.0) == 0.0
-        assert bump(1.0) == 1.0
+        assert step_value(-1.0) == 0.0
+        assert step_value(2.0) == 1.0
+        assert step_value(0.0) == 0.0
+        assert step_value(1.0) == 1.0
 
     def test_midpoint(self):
-        assert bump(0.5) == pytest.approx(0.5)
+        assert step_value(0.5) == pytest.approx(0.5)
 
     def test_positive_slope_inside(self):
         assert step_slope(0.5) > 0
         # finite-difference oracle
         h = 1e-7
-        fd = (bump(0.5 + h) - bump(0.5 - h)) / (2 * h)
+        fd = (step_value(0.5 + h) - step_value(0.5 - h)) / (2 * h)
         assert step_slope(0.5) == pytest.approx(fd, rel=1e-6)
 
     def test_slope_vanishes_outside(self):
@@ -71,7 +75,7 @@ class TestBump:
 
     def test_monotone_on_a_grid(self):
         xs = np.linspace(-0.5, 1.5, 101)
-        vals = bump(xs)
+        vals = _bump_value_and_slope(xs)[0]
         assert np.all(np.diff(vals) >= 0)
         assert np.all((vals >= 0) & (vals <= 1))
 

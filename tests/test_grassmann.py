@@ -1,20 +1,32 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strathom.grassmann import (
+    ATOL,
+    RTOL,
     Subspace,
     _angles,
+    _rank_at_least,
+    _ranks,
     grassmann_distance,
     grassmann_limit,
     grassmann_limits,
     kernel,
     principal_angles,
     span_of,
-    subspace_intersection,
     subspace_sum,
 )
+
+
+def intersection(a, b):
+    """a ∩ b as the kernel of the stacked residual projectors I - P_A and
+    I - P_B: a vector lies in both iff both residuals vanish."""
+    eye = np.eye(a.n)
+    return kernel(np.vstack([eye - a.basis @ a.basis.T, eye - b.basis @ b.basis.T]))
 
 
 def random_subspace(rng, n, k):
@@ -92,20 +104,20 @@ class TestSumIntersection:
     def test_plane_intersection_axis(self):
         a = span_of([[1, 0, 0], [0, 1, 0]])
         b = span_of([[0, 1, 0], [0, 0, 1]])
-        inter = subspace_intersection(a, b)
+        inter = intersection(a, b)
         assert inter.dim == 1
         assert grassmann_distance(inter, span_of([[0, 1, 0]])) < 1e-9
 
     def test_self_intersection(self):
         rng = np.random.default_rng(5)
         a = random_subspace(rng, 5, 3)
-        assert grassmann_distance(subspace_intersection(a, a), a) < 1e-9
+        assert grassmann_distance(intersection(a, a), a) < 1e-9
 
     def test_two_random_planes_in_r3_meet_in_line(self):
         rng = np.random.default_rng(11)
         a = random_subspace(rng, 3, 2)
         b = random_subspace(rng, 3, 2)
-        inter = subspace_intersection(a, b)
+        inter = intersection(a, b)
         assert inter.dim == 1
         # brute-force oracle: rank of stacked bases gives dim of the sum
         stacked = np.hstack([a.basis, b.basis])
@@ -120,7 +132,7 @@ class TestSumIntersection:
         kb = int(rng.integers(0, n + 1))
         a = random_subspace(rng, n, ka)
         b = random_subspace(rng, n, kb)
-        assert subspace_sum(a, b).dim + subspace_intersection(a, b).dim == ka + kb
+        assert subspace_sum(a, b).dim + intersection(a, b).dim == ka + kb
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -394,6 +406,95 @@ class TestBatchedLimits:
             grassmann_limits(bases, [0, 3])
         with pytest.raises(ValueError, match="empty subspace sequence"):
             grassmann_limits(bases, [0, 2, 2, 4])
+
+
+def orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def gate_row(rng, shape, scale, m, c):
+    """One m x c matrix of the given shape, times the given scale, for
+    the rank gate's test."""
+    p = min(m, c)
+    a = rng.standard_normal((m, c))
+    if shape == "low-rank" and p:
+        q = int(rng.integers(0, p))
+        a = rng.standard_normal((m, q)) @ rng.standard_normal((q, c))
+    elif shape == "near-cut" and p:
+        # smallest singular value at 1e-9 to 1e-4 of the largest, across
+        # the RTOL cut and the certificate's threshold
+        sv = np.sort(10.0 ** rng.uniform(-4, 0, p))[::-1]
+        sv[0], sv[-1] = 1.0, 10.0 ** rng.uniform(-9, -4)
+        a = orthogonal(rng, m)[:, :p] @ np.diag(sv) @ orthogonal(rng, c)[:, :p].T
+    elif shape == "zero":
+        a[:] = 0.0
+    elif shape in ("nan", "inf") and a.size:
+        a[int(rng.integers(0, m)), int(rng.integers(0, c))] = np.nan if shape == "nan" else -np.inf
+    if scale == "near-floor":
+        return a * 10.0 ** rng.uniform(-14, -8)  # across ATOL and the 1e-10 threshold
+    return a * {"one": 1.0, "huge": 1e150, "tiny": 1e-150, "subnormal": 1e-310}[scale]
+
+
+GATE_ROWS = st.tuples(
+    st.sampled_from(("normal", "low-rank", "near-cut", "zero", "nan", "inf")),
+    st.sampled_from(("one", "one", "near-floor", "huge", "tiny", "subnormal")),
+)
+
+
+class TestRankAtLeast:
+    """The rank gate equals the SVD's ``_ranks(...) >= r`` row for row,
+    raising where the SVD raises."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.lists(GATE_ROWS, max_size=6),
+        st.integers(-1, 5),
+    )
+    def test_matches_the_svd(self, seed, m, c, rows, r):
+        rng = np.random.default_rng(seed)
+        mats = np.array([gate_row(rng, *row, m, c) for row in rows]).reshape(len(rows), m, c)
+        try:
+            expected = _ranks(np.linalg.svd(mats, compute_uv=False)) >= r
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _rank_at_least(mats, r)
+            return
+        got = _rank_at_least(mats, r)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_wide_margin_rows_skip_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        mats = rng.standard_normal((50, 3, 3))
+        mats[7] = 0.0
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+        got = _rank_at_least(mats, 3)
+        assert calls == [1]  # only the zero row is left open
+        assert got.sum() == 49 and not got[7]
+        assert _rank_at_least(mats, 4).sum() == 0 and _rank_at_least(mats, 0).all()
+        assert calls == [1]  # shape decides both
+
+    def test_an_overflowing_gram_is_left_open(self):
+        # rank 2: the Gram entry of the first column overflows, and the
+        # minor of the two parallel columns rounds to a positive value, so
+        # the determinant reads inf
+        x, y = 0.1257302210933933, -0.1321048632913019
+        mats = np.array([[[1e160, 0.0, 0.0], [0.0, x, 3 * x], [0.0, y, 3 * y]]])
+        assert _ranks(np.linalg.svd(mats, compute_uv=False))[0] < 3
+        assert not _rank_at_least(mats, 3)[0]
+
+    def test_ranks_take_the_cut_from_the_largest_value_in_any_order(self):
+        rng = np.random.default_rng(4)
+        sv = np.sort(10.0 ** rng.uniform(-14, 0, (200, 4)), axis=1)[:, ::-1]
+        sorted_rule = (sv > np.maximum(RTOL * sv[:, :1], ATOL)).sum(axis=1)
+        np.testing.assert_array_equal(_ranks(rng.permuted(sv, axis=1)), sorted_rule)
+        sv[0], sv[1, 2] = np.nan, np.nan
+        assert _ranks(rng.permuted(sv, axis=1))[:2].tolist() == [0, 0]
 
 
 class TestSerialization:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from strathom import grassmann, regularity
+from strathom import grassmann, regularity, strata
+from strathom.cli import _verdicts
 from strathom.dsl import parse_map
 from strathom.gallery import gallery_entry
 from strathom.grassmann import Subspace, span_of
@@ -20,6 +23,7 @@ from strathom.regularity import (
     transverse_at,
 )
 from strathom.report import verdict_to_json
+from strathom.seeds import derive_seed
 from strathom.strata import (
     ApproachPlan,
     ImmersionError,
@@ -633,3 +637,74 @@ class TestRadialPlan:
         # hold vacuously
         with pytest.raises(ValueError, match="r0 must be positive and finite"):
             RadialPlan(r0=r0)
+
+
+REGULARITY_SCENES = (
+    "parallel-planes",
+    "parabola-shelf",
+    "parallel-planes-constant",
+    "parabola-shelf-constant",
+    "blowup",
+)
+
+
+def checked_at_seed_1(name, conditions=("a", "af", "tf", "afs")):
+    """The verdicts of ``check --condition all --seed 1`` (five tf
+    surfaces), on a context of its own."""
+    scene = gallery_entry(name).scene()
+    ctx = scene.build_context(seed=derive_seed(1, "context"))
+    plan = scene.plan or ApproachPlan()
+    verdicts = []
+    for inc in scene.prestratification.incidences:
+        for cond in conditions:
+            task_seed = derive_seed(1, "check", cond, inc.x, inc.y)
+            verdicts += _verdicts(ctx, inc, cond, plan, 5, task_seed)
+    return verdicts
+
+
+class TestRankGate:
+    """The immersion checks and the tf/afs probes decide rank through
+    ``grassmann._rank_at_least``: it changes no verdict, and both of its
+    paths, the Gram certificate and the SVD fallback, run in the gallery."""
+
+    @pytest.mark.parametrize("name", REGULARITY_SCENES)
+    def test_verdicts_equal_the_svd_definition(self, name, monkeypatch):
+        def report(verdicts):
+            return json.dumps([verdict_to_json(v) for v in verdicts], sort_keys=True)
+
+        gated = report(checked_at_seed_1(name))
+
+        def by_svd(mats, r):
+            return grassmann._ranks(np.linalg.svd(mats, compute_uv=False)) >= r
+
+        monkeypatch.setattr(regularity, "_rank_at_least", by_svd)
+        monkeypatch.setattr(strata, "_rank_at_least", by_svd)
+        assert report(checked_at_seed_1(name)) == gated
+
+    def test_tf_rows_are_certified_and_rank_deficient_afs_rows_take_the_svd(self, monkeypatch):
+        gate, svd = grassmann._rank_at_least, np.linalg.svd
+        open_rows, calls = [], []  # per gate call: (rows, rows the SVD took, rows read short)
+
+        def counted_svd(a, *args, **kwargs):
+            if open_rows:
+                open_rows[-1] += len(a)
+            return svd(a, *args, **kwargs)
+
+        def counted_gate(mats, r):
+            open_rows.append(0)
+            out = gate(mats, r)
+            calls.append((len(mats), open_rows.pop(), int(np.count_nonzero(~out))))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(regularity, "_rank_at_least", counted_gate)
+        tf = checked_at_seed_1("parallel-planes", ("tf",))
+        assert [v.status for v in tf] == [Status.HOLDS] * 5
+        assert len(calls) == 5 and all(rows > 0 for rows, _, _ in calls)
+        assert [taken for _, taken, _ in calls] == [0] * 5
+        calls.clear()
+        (afs,) = checked_at_seed_1("parallel-planes-constant", ("afs",))
+        assert afs.status is Status.FAILS
+        ((rows, taken, short),) = calls
+        assert 0 < short <= taken <= rows
+
