@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .dsl import DslError, parse_map
 from .experiments import (
-    calibrate_epsilon,
     grid_points,
     instability_demo,
     nongenericity_demo,
@@ -266,18 +265,9 @@ def cmd_experiment(args) -> int:
                 else:
                     base = seeded_full_rank_map(scene.ambient, seed=derive_seed(seed, "base"))
                 trials = args.trials if args.trials is not None else int(exp.get("trials", 200))
-                trial_seed = derive_seed(seed, "stability")
-                bumps = int(exp.get("bumps", 4))
-                eps = args.eps
-                if eps is None:
-                    # certify against the same seeds, bumps and trial count
-                    # as the final run, so the reported persistence is complete
-                    eps = calibrate_epsilon(
-                        ctx, base, k_points, seed=trial_seed,
-                        probe_trials=10, rounds=6, bumps=bumps, certify_trials=trials,
-                    )
                 srep = stability_trial(
-                    ctx, base, k_points, eps, trials, seed=trial_seed, bumps=bumps,
+                    ctx, base, k_points, args.eps, trials,
+                    seed=derive_seed(seed, "stability"), bumps=int(exp.get("bumps", 4)),
                 )
                 report.body["stability"] = srep.to_json()
                 print(

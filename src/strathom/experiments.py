@@ -5,7 +5,7 @@ Two phenomena at desk scale:
 * stability: over a regular foliated prestratification, a map that is
   transverse on a compact sample grid stays transverse under every
   sufficiently small C^1 perturbation; a calibrated size is found by
-  bisection and certified by a seeded trial batch;
+  bisection and certified by a seeded trial batch, the run's report;
 * instability: at a foliated fault, an explicitly constructed sequence
   of maps converges to a transverse base map in sampled C^1 distance
   while every member is non-transverse at a fault sample.
@@ -243,12 +243,6 @@ class _TrialFields:
         self.sample = rng_for(seed, "c1-sample").uniform(lo, hi, size=(1000, len(self.k_box)))
         self._unit: dict[int, tuple[PerturbationField, float]] = {}
 
-    @classmethod
-    def on_grid(cls, ctx: StratifiedMapContext, k_points: np.ndarray, seed: int, bumps: int):
-        """The stream of a stability run, on the grid's bounding box."""
-        box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
-        return cls(ctx.prestratification.ambient, box, seed, bumps)
-
     def at(self, trial: int, eps: float) -> PerturbationField:
         """Trial ``trial``'s field, scaled to C^1 size eps."""
         if trial not in self._unit:
@@ -375,51 +369,17 @@ def stability_trial(
     ctx: StratifiedMapContext,
     base_map,
     k_points: np.ndarray,
-    eps: float,
+    eps: float | None,
     trials: int,
     seed: int = 0,
     bumps: int = 4,
 ) -> StabilityReport:
     """Perturb a transverse base map ``trials`` times at C^1 size eps and
-    count how many stay transverse on the grid."""
+    count how many stay transverse on the grid.  With eps None the size
+    is calibrated first, with 10 probe trials and 6 rounds, and certified
+    on these ``trials``; the report is the certifying batch."""
     _require_count("trials", trials, 0)
-    base_margin = _base_margin(ctx, base_map, k_points, seed)
-    fields = _TrialFields.on_grid(ctx, k_points, seed, bumps)
-    margins = tuple(_trial_margins(ctx, base_map, k_points, fields, eps, trials))
-    outcomes = tuple(margin >= MARGIN_TOL for margin in margins)
-    return StabilityReport(
-        eps=eps,
-        trials=trials,
-        seed=seed,
-        outcomes=outcomes,
-        min_margins=margins,
-        fraction=sum(outcomes) / trials if trials else None,
-        k_count=len(k_points),
-        margin_tol=MARGIN_TOL,
-        base_margin=base_margin,
-    )
-
-
-def _base_margin(ctx, base_map, k_points, seed) -> float:
-    """Transversality margin of the base map on the grid, from one
-    :func:`transversality_margin` call; PreconditionError below
-    MARGIN_TOL, where no perturbation size can be measured."""
-    base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
-    if base_margin < MARGIN_TOL:
-        raise PreconditionError(
-            f"base map is not transverse on the grid (margin {base_margin:.2e} "
-            f"at {np.asarray(where).tolist()})"
-        )
-    return base_margin
-
-
-def _trial_margins(ctx, base_map, k_points, fields: _TrialFields, eps, trials):
-    """Transversality margins of the first ``trials`` maps perturbed by
-    the stream's fields at size eps, lazily and in trial order, so a
-    caller can stop at the first failure."""
-    for t in range(trials):
-        trial_map = PerturbedMap(base_map, fields.at(t, eps))
-        yield transversality_margin(ctx, trial_map, k_points, fields.seed)[0]
+    return _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_trials=10, rounds=6)
 
 
 def calibrate_epsilon(
@@ -432,50 +392,96 @@ def calibrate_epsilon(
     bumps: int = 4,
     certify_trials: int = 0,
 ) -> float:
-    """Bisect for a perturbation size with full persistence.
-
-    Doubles upward until some probe trial fails (or a cap is hit), then
-    bisects on the probe batch.  With ``certify_trials`` the returned
-    size is additionally halved until every trial of the larger batch
-    persists, so the certificate is not an artifact of a lucky probe.
-    A base map that is not transverse on the grid raises
-    PreconditionError, as in :func:`stability_trial`.  Every probe reads
-    its fields from one stream, so each trial's field is drawn and
-    measured once.
-    """
+    """The perturbation size a calibrated stability run certifies on
+    ``certify_trials`` trials (uncertified with none), bisected on
+    ``probe_trials`` trials for ``rounds`` rounds; see :func:`_stability_run`."""
     _require_count("probe_trials", probe_trials, 1)
     _require_count("certify_trials", certify_trials, 0)
-    base_margin = _base_margin(ctx, base_map, k_points, seed)
-    lo = 0.0
-    hi = max(base_margin / 4.0, 1e-4)
-    fields = _TrialFields.on_grid(ctx, k_points, seed, bumps)
+    return _stability_run(ctx, base_map, k_points, None, certify_trials, seed, bumps, probe_trials, rounds).eps
 
-    def all_pass(eps: float, trials: int) -> bool:
-        margins = _trial_margins(ctx, base_map, k_points, fields, eps, trials)
+
+def _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_trials, rounds) -> StabilityReport:
+    """One stability run: the base map's margin, then ``trials`` margins
+    of the base map perturbed at size eps, every field read from one
+    :class:`_TrialFields` stream on the grid's bounding box.
+
+    With eps None the size is calibrated by bisection.  It doubles upward
+    until some of ``probe_trials`` trials fails (or a cap is hit), then
+    bisects on that probe batch for ``rounds`` rounds, then halves until
+    every one of ``trials`` trials persists, so the certificate is not an
+    artifact of a lucky probe.  A batch stops at its first failing trial.
+    The report holds the passing batch's margins, which by the stream's
+    contract are bit for bit those of a run at the certified size.
+
+    Every margin is one :func:`transversality_margin` call.  A base
+    margin below MARGIN_TOL, where no perturbation size can be measured,
+    and a calibration that finds no certified positive size raise
+    PreconditionError.
+    """
+    base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
+    if base_margin < MARGIN_TOL:
+        raise PreconditionError(
+            f"base map is not transverse on the grid (margin {base_margin:.2e} "
+            f"at {np.asarray(where).tolist()})"
+        )
+    box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
+    fields = _TrialFields(ctx.prestratification.ambient, box, seed, bumps)
+
+    def margins_at(size: float, count: int, stop_at_failure: bool = True) -> list[float]:
+        found = []
+        for t in range(count):
+            trial_map = PerturbedMap(base_map, fields.at(t, size))
+            found.append(transversality_margin(ctx, trial_map, k_points, seed)[0])
+            if stop_at_failure and found[-1] < MARGIN_TOL:
+                break
+        return found
+
+    def persist(margins: list[float]) -> bool:
         return all(margin >= MARGIN_TOL for margin in margins)
 
-    for _ in range(12):
-        if not all_pass(hi, probe_trials):
-            break
-        lo = hi
-        hi *= 2.0
-        if hi > 100.0 * base_margin:
-            break
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        if all_pass(mid, probe_trials):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise RuntimeError("no positive perturbation size persisted; grid too hostile")
-    if certify_trials:
+    if eps is not None:
+        margins = margins_at(eps, trials, stop_at_failure=False)
+    else:
+        if not np.isfinite(base_margin):
+            raise PreconditionError(
+                f"no grid image comes within {PROXIMITY} of a stratum, so no perturbation size can be calibrated"
+            )
+        lo, hi = 0.0, max(base_margin / 4.0, 1e-4)
+        for _ in range(12):
+            if not persist(margins_at(hi, probe_trials)):
+                break
+            lo = hi
+            hi *= 2.0
+            if hi > 100.0 * base_margin:
+                break
+        for _ in range(rounds):
+            mid = 0.5 * (lo + hi)
+            if persist(margins_at(mid, probe_trials)):
+                lo = mid
+            else:
+                hi = mid
+        if lo == 0.0:
+            raise PreconditionError("no positive perturbation size persisted; grid too hostile")
         for _ in range(20):
-            if all_pass(lo, certify_trials):
-                return lo
+            margins = margins_at(lo, trials)
+            if persist(margins):
+                break
             lo *= 0.5
-        raise RuntimeError("calibration failed to certify a positive size")
-    return lo
+        else:
+            raise PreconditionError("calibration failed to certify a positive size")
+        eps = lo
+    outcomes = tuple(margin >= MARGIN_TOL for margin in margins)
+    return StabilityReport(
+        eps=eps,
+        trials=trials,
+        seed=seed,
+        outcomes=outcomes,
+        min_margins=tuple(margins),
+        fraction=sum(outcomes) / trials if trials else None,
+        k_count=len(k_points),
+        margin_tol=MARGIN_TOL,
+        base_margin=base_margin,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from strathom.constructions import (
 )
 from strathom.dsl import parse_map
 from strathom.experiments import (
-    calibrate_epsilon,
     grid_points,
     seeded_full_rank_map,
     stability_trial,
@@ -185,13 +184,11 @@ def test_criterion_6_stability(gallery_ctx):
     exp = scene.experiments
     k_points = grid_points(exp["k_box"], exp["grid"])
     base = seeded_full_rank_map(3, seed=0)
-    eps = calibrate_epsilon(
-        ctx, base, k_points, seed=0, probe_trials=10, rounds=6, certify_trials=200
-    )
-    assert eps > 0.0
-    report = stability_trial(ctx, base, k_points, eps, trials=200, seed=0)
+    # calibrated with 10 probe trials and 6 rounds, certified on the 200
+    report = stability_trial(ctx, base, k_points, None, trials=200, seed=0)
+    assert report.eps > 0.0
     assert report.fraction == 1.0, f"only {report.fraction:.3f} persisted"
-    _report("6 stability", f"calibrated eps {eps:.4f}, 200/200 trials transverse")
+    _report("6 stability", f"calibrated eps {report.eps:.4f}, 200/200 trials transverse")
 
 
 def test_criterion_7_instability(gallery_ctx):

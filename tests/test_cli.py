@@ -274,7 +274,7 @@ class TestExperiment:
         assert all(line.endswith(",1") for line in lines[1:])
 
     def test_calibration_uses_the_scene_bumps(self, tmp_path, monkeypatch, capsys):
-        import strathom.cli as cli_mod
+        import strathom.experiments as experiments
         from strathom.gallery import gallery_entry
 
         scene = dict(gallery_entry("parallel-planes").scene_dict)
@@ -282,19 +282,75 @@ class TestExperiment:
         path = tmp_path / "two-bumps.json"
         path.write_text(json.dumps(scene))
         seen = []
-        original = cli_mod.calibrate_epsilon
+        original = experiments.make_perturbation
 
-        def calibrate(*args, **kwargs):
-            seen.append(kwargs.get("bumps"))
+        def draw(*args, **kwargs):
+            seen.append(kwargs["bumps"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "calibrate_epsilon", calibrate)
+        monkeypatch.setattr(experiments, "make_perturbation", draw)
         rc = main(["experiment", str(path), "--stability", "--trials", "3", "--seed", "1",
                    "--csv", str(tmp_path / "s.csv")])
         assert rc == EXIT_OK
-        assert seen == [2]
+        assert seen and set(seen) == {2}
         # an eps certified on 4-bump fields lets one of these 2-bump trials fail
         assert "persisted fraction: 1.0" in capsys.readouterr().out
+
+    def test_calibrated_run_does_the_calibration_work_only(self, scene_path_factory, tmp_path, monkeypatch):
+        # the certifying batch is the report: the run measures no margin and
+        # draws no field beyond what calibrate_epsilon alone does
+        import strathom.experiments as experiments
+        from strathom.scene import load_scene
+        from strathom.seeds import derive_seed
+
+        trials, seed = 7, 1
+        path = scene_path_factory("parallel-planes")
+        counts = {"margin": 0, "draw": 0}
+        margin, draw = experiments.transversality_margin, experiments.make_perturbation
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(experiments, "transversality_margin", counted("margin", margin))
+        monkeypatch.setattr(experiments, "make_perturbation", counted("draw", draw))
+        rc = main(["experiment", path, "--stability", "--trials", str(trials), "--seed", str(seed),
+                   "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK
+        cli_counts = dict(counts)
+        counts.update(margin=0, draw=0)
+        scene = load_scene(path)
+        exp = scene.experiments
+        experiments.calibrate_epsilon(
+            scene.build_context(seed=derive_seed(seed, "context")),
+            experiments.seeded_full_rank_map(scene.ambient, seed=derive_seed(seed, "base")),
+            experiments.grid_points(exp["k_box"], exp["grid"]),
+            seed=derive_seed(seed, "stability"), probe_trials=10, rounds=6,
+            bumps=int(exp.get("bumps", 4)), certify_trials=trials,
+        )
+        assert cli_counts == counts
+        assert counts["draw"] == max(10, trials)  # one per distinct trial index
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            ("x1, x2, x3 + 100", "no grid image comes within 0.1 of a stratum"),
+            ("x1, x2, 0.0707215*x3", "no positive perturbation size persisted; grid too hostile"),
+        ],
+        ids=["far-from-every-stratum", "hostile-grid"],
+    )
+    def test_calibration_failure_is_precondition_error(self, tmp_path, capsys, g, message):
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "g": g, "g_dim": 3}
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(scene))
+        rc = main(["experiment", str(path), "--stability", "--seed", "1", "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_VIOLATION
+        assert f"precondition violation: {message}" in capsys.readouterr().err
 
     def test_nongeneric_scene_under_stability_flag(self, scene_path_factory, tmp_path, capsys):
         csv = tmp_path / "n.csv"

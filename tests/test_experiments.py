@@ -312,9 +312,31 @@ class TestStability:
             return (1.0 if h is base else 0.0), None
 
         monkeypatch.setattr(experiments, "transversality_margin", margin)
-        with pytest.raises(RuntimeError, match="no positive perturbation size"):
+        with pytest.raises(PreconditionError, match="no positive perturbation size"):
             calibrate_epsilon(ctx, base, k_points, probe_trials=10, rounds=3)
         assert len(calls) == 1 + 1 + 3  # the base map, then one trial per probe batch
+
+    @pytest.mark.parametrize("trials", [0, 3, 50])
+    def test_calibrated_run_reports_the_certifying_batch(self, planes_setup, trials):
+        # eps None calibrates as the CLI did before running its trials at
+        # the calibrated eps; the report is that run's, bit for bit
+        ctx, k_points, base = planes_setup
+        eps = calibrate_epsilon(ctx, base, k_points, seed=1, probe_trials=10, rounds=6, bumps=3,
+                                certify_trials=trials)
+        separate = stability_trial(ctx, base, k_points, eps, trials, seed=1, bumps=3).to_json()
+        calibrated = stability_trial(ctx, base, k_points, None, trials, seed=1, bumps=3).to_json()
+        for report in (separate, calibrated):
+            report["min_margins"] = [m.hex() for m in report["min_margins"]]
+            report["eps"] = report["eps"].hex()
+        assert calibrated == separate
+
+    def test_calibration_needs_a_grid_image_near_a_stratum(self, planes_setup):
+        ctx, k_points, _ = planes_setup
+        far = AffineMap(np.eye(3), np.array([0.0, 0.0, 100.0]))
+        assert transversality_margin(ctx, far, k_points, 0)[0] == np.inf
+        with pytest.raises(PreconditionError, match="no grid image comes within 0.1 of a stratum"):
+            stability_trial(ctx, far, k_points, None, trials=5, seed=0)
+        assert stability_trial(ctx, far, k_points, 0.5, trials=5, seed=0).fraction == 1.0
 
     def test_report_replays_bit_identically(self, planes_setup):
         ctx, k_points, base = planes_setup

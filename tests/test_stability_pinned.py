@@ -1,9 +1,10 @@
 """Pinned output of the calibrated stability run on parallel-planes.
 
 Each entry is what `strathom experiment parallel-planes --stability
---trials 50 --seed SEED` computes: `calibrate_epsilon` certifying at 50
-trials, then `stability_trial` at the calibrated eps, with the base map
-and trial streams the CLI derives from the seed.  The eps, the base
+--trials 50 --seed SEED` computes: one `stability_trial` call without an
+eps, which calibrates, certifies at 50 trials and reports that certifying
+batch, with the base map and trial stream the CLI derives from the seed.
+It equals `stability_trial` at the eps `calibrate_epsilon` returns.  The eps, the base
 map's margin and every trial's `min_margins` are pinned as `float.hex`.
 The values were recorded from commit 6e06010, where a margin located its
 nearest chart points with a routine of its own beside
