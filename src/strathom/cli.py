@@ -7,10 +7,10 @@
 
 Exit codes: 0 success (check: all conditions hold on samples); 2 scene
 or validation violation; 3 check found a fault; 4 check was
-inconclusive somewhere; 64 usage / missing file; 65 unknown gallery
-name.  The default seed comes from STRATHOM_SEED (0 otherwise; a
-value that is not an integer is a usage error); every task derives its
-own stream from it.
+inconclusive somewhere; 64 usage, or a scene path that is missing or
+not a readable file; 65 unknown gallery name.  The default seed comes
+from STRATHOM_SEED (0 otherwise; a value that is not an integer is a
+usage error); every task derives its own stream from it.
 """
 
 from __future__ import annotations
@@ -125,9 +125,12 @@ def _check_flags(args) -> None:
 
 
 def _load(path: str) -> Scene:
-    if not Path(path).exists():
-        raise _UsageError(f"no such file: {path}")
-    return load_scene(path)
+    try:
+        return load_scene(path)
+    except FileNotFoundError:
+        raise _UsageError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:

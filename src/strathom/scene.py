@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import jsonschema
 
 from .dsl import DslError, SmoothMap, parse_map
 from .strata import ApproachPlan, Incidence, Prestratification, StratifiedMapContext, Stratum
@@ -144,12 +143,122 @@ class Scene:
         )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON types of SCENE_SCHEMA.  Two are stricter than JSON Schema's:
+# a number is finite (Python's json reads NaN, Infinity and 1e999), and
+# an integer is a JSON integer, so 2.0 is not one
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "number": lambda value: _is_number(value) and abs(value) <= sys.float_info.max,
+}
+
+
+def _type(name, value, schema, path):
+    if not _TYPES[name](value):
+        if name == "number" and _is_number(value):
+            yield path, f"{value!r} is not a finite number"
+        else:
+            yield path, f"{value!r} is not of type {name!r}"
+
+
+def _required(names, value, schema, path):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+
+
+def _additional_properties(allowed, value, schema, path):
+    if isinstance(value, dict) and not allowed:
+        extras = sorted((key for key in value if key not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            listed = ", ".join(repr(key) for key in extras)
+            yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+
+
+def _properties(subschemas, value, schema, path):
+    if isinstance(value, dict):
+        for name, subschema in subschemas.items():
+            if name in value:
+                yield from _errors(value[name], subschema, (*path, name))
+
+
+def _items(subschema, value, schema, path):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _errors(item, subschema, (*path, index))
+
+
+def _min_items(least, value, schema, path):
+    if isinstance(value, list) and len(value) < least:
+        yield path, f"{value!r} {'should be non-empty' if least == 1 else 'is too short'}"
+
+
+def _max_items(most, value, schema, path):
+    if isinstance(value, list) and len(value) > most:
+        yield path, f"{value!r} {'is expected to be empty' if most == 0 else 'is too long'}"
+
+
+def _minimum(least, value, schema, path):
+    if _is_number(value) and value < least:
+        yield path, f"{value!r} is less than the minimum of {least!r}"
+
+
+def _enum(options, value, schema, path):
+    if value not in options:
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+# every keyword SCENE_SCHEMA uses, each checking one value against its
+# argument with jsonschema 4's error texts; "$schema" only names the draft
+_KEYWORDS = {
+    "$schema": lambda *_: (),
+    "type": _type,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "properties": _properties,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minimum": _minimum,
+    "enum": _enum,
+}
+
+
+def _errors(value, schema: dict, path: tuple = ()):
+    """The (path, message) of every violation of ``schema`` by ``value``,
+    in jsonschema's order: keyword by keyword as the schema lists them,
+    depth first."""
+    for keyword, argument in schema.items():
+        yield from _KEYWORDS[keyword](argument, value, schema, path)
+
+
+def _schema_violation(data) -> tuple[str, str] | None:
+    """The (JSON pointer, message) of the violation of SCENE_SCHEMA that
+    ``jsonschema.exceptions.best_match`` picks, or None: the shallowest,
+    then the last in path order, then the first found.  Every location
+    in a scene has one subschema, so best_match's other tie-breaks
+    (weak keywords, a matching type) never separate two errors."""
+    errors = _errors(data, SCENE_SCHEMA)
+    best = max(errors, key=lambda error: (-len(error[0]), error[0]), default=None)
+    if best is None:
+        return None
+    path, message = best
+    return "/" + "/".join(str(p) for p in path), message
+
+
 def scene_from_dict(data: dict) -> Scene:
-    try:
-        jsonschema.validate(data, SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise SceneError(f"scene schema violation at {pointer or '/'}: {exc.message}") from exc
+    violation = _schema_violation(data)
+    if violation is not None:
+        pointer, message = violation
+        raise SceneError(f"scene schema violation at {pointer}: {message}")
     n = data["ambient_dim"]
     try:
         f = parse_map(data["map"], n)
@@ -263,12 +372,14 @@ def _plan_from(base: ApproachPlan, values: dict) -> ApproachPlan:
 
 
 def load_scene(path: str | Path) -> Scene:
+    """The scene in the JSON file at ``path``.  A path that is not a
+    readable file raises its OSError (FileNotFoundError when there is
+    none); text that is not JSON in UTF-8, -16 or -32, or that nests
+    deeper than the interpreter's recursion limit, is a SceneError."""
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(p.read_bytes())
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8/16/32, or nested too deep
         raise SceneError(f"{p} is not valid JSON: {exc}") from exc
     return scene_from_dict(data)
 

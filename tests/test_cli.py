@@ -1,8 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strathom
 from strathom.cli import (
     EXIT_FAULT,
     EXIT_INCONCLUSIVE,
@@ -12,6 +17,8 @@ from strathom.cli import (
     EXIT_VIOLATION,
     main,
 )
+
+from test_scene_report import MALFORMED, base_scene, edited
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +71,34 @@ class TestValidate:
         path.write_text(json.dumps({"ambient_dim": 2}))
         rc = main(["validate", str(path)])
         assert rc == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("scene, path, value, pointer, message, accepted_by_jsonschema",
+                             MALFORMED)
+    def test_malformed_scene_exits_2_naming_its_path(self, tmp_path, capsys, scene, path, value,
+                                                      pointer, message, accepted_by_jsonschema):
+        # json.dumps writes NaN and Infinity as Python's json reads them
+        scene_path = tmp_path / "malformed.json"
+        scene_path.write_text(json.dumps(edited(base_scene(scene), path, value)))
+        for command in (["validate"], ["check"], ["experiment", "--stability"]):
+            assert main([*command, str(scene_path), "--seed", "1"]) == EXIT_VIOLATION
+            assert f"scene schema violation at {pointer}: {message}" in capsys.readouterr().err
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        # IsADirectoryError escaped as a traceback, exit 1
+        assert main(["validate", str(tmp_path)]) == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_undecodable_scene_exits_2(self, tmp_path, capsys):
+        # UnicodeDecodeError escaped as a traceback, exit 1
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["validate", str(path)]) == EXIT_VIOLATION
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_cli_does_not_import_jsonschema(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(strathom.__file__).parents[1]))
+        code = "import strathom.cli, sys; sys.exit('jsonschema' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCheck:
@@ -181,11 +216,12 @@ class TestCheck:
     @pytest.mark.parametrize("plan, message", [
         ({"directions": 0}, "direction count must be at least 1"),
         ({"angle_tol": 0.0}, "angle tolerance must be positive"),
-        ({"angle_tol": float("nan")}, "angle tolerance must be positive"),
+        ({"angle_tol": -1.0}, "angle tolerance must be positive"),
     ])
     def test_out_of_range_scene_plan_field_is_scene_error(self, plan, message):
         # no arc at all would let every check hold vacuously, and no
-        # Cauchy window meets a tolerance of 0 or less
+        # Cauchy window meets a tolerance of 0 or less (a NaN tolerance
+        # is a schema violation, in test_scene_report's MALFORMED table)
         from strathom.gallery import gallery_entry
         from strathom.scene import SceneError, scene_from_dict
 

@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from strathom.gallery import gallery, gallery_entry
 from strathom.regularity import (
     check_af_at,
     check_afs_at,
@@ -11,7 +13,16 @@ from strathom.regularity import (
     random_test_surface,
 )
 from strathom.report import Report, replay_witness, verdict_to_json, write_csv
-from strathom.scene import SceneError, canonical_json, load_scene, scene_from_dict, scene_hash
+from strathom.scene import (
+    _KEYWORDS,
+    SCENE_SCHEMA,
+    SceneError,
+    _schema_violation,
+    canonical_json,
+    load_scene,
+    scene_from_dict,
+    scene_hash,
+)
 from strathom.strata import ApproachPlan
 
 MINIMAL = {
@@ -19,6 +30,117 @@ MINIMAL = {
     "map": "x2",
     "strata": [{"name": "plane", "dim": 2, "chart": "x1, x2"}],
 }
+
+_DROP = object()
+
+
+def edited(doc, path: tuple, value):
+    """A deep copy of ``doc`` with ``value`` at ``path`` (the whole
+    document for the empty path); ``_DROP`` deletes the key instead."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def base_scene(name: str) -> dict:
+    return MINIMAL if name == "minimal" else gallery_entry(name).scene_dict
+
+
+# malformed scenes: (base scene, edit path, value, JSON pointer, message,
+# whether jsonschema accepts the scene).  One per schema keyword, then
+# the values jsonschema admits that crashed or misled a run: non-finite
+# numbers (Python's json reads NaN, Infinity and 1e999) and integral
+# floats in integer slots
+MALFORMED = [
+    pytest.param("minimal", (), [], "/", "[] is not of type 'object'", False, id="type"),
+    pytest.param("minimal", ("map",), _DROP, "/", "'map' is a required property", False,
+                 id="required"),
+    pytest.param("minimal", ("colour",), "red", "/",
+                 "Additional properties are not allowed ('colour' was unexpected)", False,
+                 id="additionalProperties"),
+    pytest.param("parallel-planes", ("plan",), {"terms": "40"}, "/plan/terms",
+                 "'40' is not of type 'integer'", False, id="properties"),
+    pytest.param("parallel-planes", ("strata", 0, "domain", 0), 1, "/strata/0/domain/0",
+                 "1 is not of type 'string'", False, id="items"),
+    pytest.param("minimal", ("strata",), [], "/strata", "[] should be non-empty", False,
+                 id="minItems-1"),
+    pytest.param("parallel-planes", ("strata", 1, "sample_box", 0), [0], "/strata/1/sample_box/0",
+                 "[0] is too short", False, id="minItems-2"),
+    pytest.param("parallel-planes", ("strata", 1, "sample_box", 0), [0, 1, 2],
+                 "/strata/1/sample_box/0", "[0, 1, 2] is too long", False, id="maxItems"),
+    pytest.param("minimal", ("ambient_dim",), 0, "/ambient_dim", "0 is less than the minimum of 1",
+                 False, id="minimum"),
+    pytest.param("parallel-planes", ("experiments", "mode"), "sideways", "/experiments/mode",
+                 "'sideways' is not one of ['stability', 'instability', 'nongeneric']", False,
+                 id="enum"),
+    # of errors equally deep, best_match picks the last in path order
+    pytest.param("minimal", ("strata",), [{"name": "a", "dim": 0, "chart": "x"}] * 2,
+                 "/strata/1/dim", "0 is less than the minimum of 1", False, id="last-sibling"),
+    # the non-genericity run reported every trial transverse
+    pytest.param("cubic-graph", ("experiments", "eps"), float("nan"), "/experiments/eps",
+                 "nan is not a finite number", True, id="nan-eps"),
+    # the approach plan's own range check caught this one
+    pytest.param("parallel-planes", ("plan",), {"angle_tol": float("nan")}, "/plan/angle_tol",
+                 "nan is not a finite number", True, id="nan-angle-tol"),
+    # validate raised OverflowError drawing samples
+    pytest.param("parallel-planes", ("strata", 0, "sample_box", 0, 1), float("inf"),
+                 "/strata/0/sample_box/0/1", "inf is not a finite number", True, id="inf-box"),
+    # the rest raised TypeError
+    pytest.param("parallel-planes", ("strata", 0, "dim"), 2.0, "/strata/0/dim",
+                 "2.0 is not of type 'integer'", True, id="float-dim"),
+    pytest.param("parallel-planes", ("experiments", "grid", 0), 6.0, "/experiments/grid/0",
+                 "6.0 is not of type 'integer'", True, id="float-grid"),
+    pytest.param("parallel-planes", ("plan",), {"terms": 40.0}, "/plan/terms",
+                 "40.0 is not of type 'integer'", True, id="float-terms"),
+]
+
+
+@pytest.fixture(scope="module")
+def jsonschema_violation():
+    """The (pointer, message) that ``jsonschema.validate(doc,
+    SCENE_SCHEMA)`` raises, or None: the same check of the schema,
+    validator class and best_match, with the validator built once."""
+    jsonschema = pytest.importorskip("jsonschema")
+    cls = jsonschema.validators.validator_for(SCENE_SCHEMA)
+    cls.check_schema(SCENE_SCHEMA)
+    validator = cls(SCENE_SCHEMA)
+
+    def violation(doc):
+        error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+        if error is None:
+            return None
+        return "/" + "/".join(str(p) for p in error.absolute_path), error.message
+
+    return violation
+
+
+def _one_key_mutations(doc, path=()):
+    """Every document that differs from ``doc`` at one location: the
+    value replaced by one of a few of the wrong kind, deleted, or given
+    an extra key.  No value is non-finite or an integral float, where
+    the loader parts from jsonschema on purpose."""
+    node = doc
+    for key in path:
+        node = node[key]
+    if path:
+        for wrong in (None, True, "x", -1, 0.5, [], {}, _DROP):
+            yield edited(doc, path, wrong)
+    if isinstance(node, dict):
+        yield edited(doc, (*path, "extra"), 1)
+        for key in node:
+            yield from _one_key_mutations(doc, (*path, key))
+    elif isinstance(node, list):
+        for index in range(len(node)):
+            yield from _one_key_mutations(doc, (*path, index))
 
 
 class TestSceneSchema:
@@ -40,6 +162,41 @@ class TestSceneSchema:
         bad = {"ambient_dim": 2, "strata": []}
         with pytest.raises(SceneError, match="schema violation"):
             scene_from_dict(bad)
+
+    @pytest.mark.parametrize("scene, path, value, pointer, message, accepted_by_jsonschema",
+                             MALFORMED)
+    def test_malformed_scene_names_its_path(self, scene, path, value, pointer, message,
+                                            accepted_by_jsonschema):
+        with pytest.raises(SceneError) as info:
+            scene_from_dict(edited(base_scene(scene), path, value))
+        assert str(info.value) == f"scene schema violation at {pointer}: {message}"
+
+    @pytest.mark.parametrize("scene, path, value, pointer, message, accepted_by_jsonschema",
+                             MALFORMED)
+    def test_malformed_table_against_jsonschema(self, jsonschema_violation, scene, path, value,
+                                                pointer, message, accepted_by_jsonschema):
+        doc = edited(base_scene(scene), path, value)
+        assert jsonschema_violation(doc) == (None if accepted_by_jsonschema else (pointer, message))
+
+    @pytest.mark.parametrize("name", [entry.name for entry in gallery()])
+    def test_one_key_mutations_against_jsonschema(self, jsonschema_violation, name):
+        doc = gallery_entry(name).scene_dict
+        assert _schema_violation(doc) is None
+        count = 0
+        for mutant in _one_key_mutations(doc):
+            assert _schema_violation(mutant) == jsonschema_violation(mutant), mutant
+            count += 1
+        assert count > 50
+
+    def test_every_schema_keyword_is_interpreted(self):
+        def keywords(schema):
+            yield from schema
+            for subschema in schema.get("properties", {}).values():
+                yield from keywords(subschema)
+            if "items" in schema:
+                yield from keywords(schema["items"])
+
+        assert set(keywords(SCENE_SCHEMA)) <= set(_KEYWORDS)
 
     def test_pointer_path_in_error(self):
         bad = dict(MINIMAL, strata=[{"name": "p", "dim": "two", "chart": "x1, x2"}])
@@ -146,6 +303,21 @@ class TestSceneSchema:
         path.write_text("{not json")
         with pytest.raises(SceneError, match="not valid JSON"):
             load_scene(path)
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"name": "caf\xe9"}', "'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["latin-1", "nested-too-deep"])
+    def test_unreadable_json_is_a_scene_error(self, tmp_path, content, reason):
+        # UnicodeDecodeError and RecursionError escaped as tracebacks
+        path = tmp_path / "scene.json"
+        path.write_bytes(content)
+        with pytest.raises(SceneError, match=f"scene.json is not valid JSON: {reason}"):
+            load_scene(path)
+
+    def test_directory_is_not_a_scene(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            load_scene(tmp_path)
 
 
 class TestHashing:
