@@ -7,10 +7,12 @@
 
 Exit codes: 0 success (check: all conditions hold on samples); 2 scene
 or validation violation; 3 check found a fault; 4 check was
-inconclusive somewhere; 64 usage, or a scene path that is missing or
-not a readable file; 65 unknown gallery name.  The default seed comes
-from STRATHOM_SEED (0 otherwise; a value that is not an integer is a
-usage error); every task derives its own stream from it.
+inconclusive somewhere; 64 usage: a flag out of range or one the chosen
+experiment mode does not read, a scene path that is missing or not a
+readable file, or an output path that cannot be written; 65 unknown
+gallery name.  The default seed comes from STRATHOM_SEED (0 otherwise; a
+value that is not an integer is a usage error); every task derives its
+own stream from it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class _UsageError(Exception):
 # validates on no samples or draws no maps, and exits 0
 _COUNT_FLOORS = {"samples": 1, "tf_surfaces": 1, "count": 1, "trials": 0}
 
+# the experiment flags that each mode does not read
+_UNREAD_FLAGS = {"stability": ("count",), "instability": ("eps", "trials")}
+
 
 def _check_flags(args) -> None:
     for name, floor in _COUNT_FLOORS.items():
@@ -122,6 +127,11 @@ def _check_flags(args) -> None:
     eps = getattr(args, "eps", None)
     if eps is not None and not 0.0 < eps < float("inf"):
         raise _UsageError(f"--eps must be positive and finite, got {eps}")
+    if args.command == "experiment":
+        mode = "stability" if args.stability else "instability"
+        for name in _UNREAD_FLAGS[mode]:
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name} does not apply to --{mode}")
 
 
 def _load(path: str) -> Scene:
@@ -131,6 +141,15 @@ def _load(path: str) -> Scene:
         raise _UsageError(f"no such file: {path}") from None
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _write(path, write, *args) -> None:
+    """``write(path, *args)``; an output path that cannot be written is a
+    usage error, as an unreadable scene path is."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
@@ -171,7 +190,7 @@ def cmd_validate(args) -> int:
         print(f"  stratum {name}: constant rank {cert.rank} ({cert.samples} samples)")
     print(f"  frontier condition: {pre.frontier_status}")
     if args.json:
-        report.write(args.json)
+        _write(args.json, report.write)
     return EXIT_OK
 
 
@@ -232,7 +251,7 @@ def cmd_check(args) -> int:
             print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
     report.body["verdicts"] = [verdict_to_json(v) for v in verdicts]
     json_path = args.json or (str(Path(args.scene).with_suffix("")) + ".report.json")
-    report.write(json_path)
+    _write(json_path, report.write)
     statuses = {v.status for v in verdicts}
     if Status.FAILS in statuses:
         return EXIT_FAULT
@@ -256,7 +275,7 @@ def cmd_experiment(args) -> int:
                     f"non-genericity demo: {nrep.trials} trials at eps={nrep.eps}, "
                     f"fraction made transverse: {nrep.transverse_fraction}"
                 )
-                write_csv(csv_path, ("trial", "epsilon", "transverse"), nrep.csv_rows())
+                _write(csv_path, write_csv, ("trial", "epsilon", "transverse"), nrep.csv_rows())
             else:
                 if "k_box" not in exp:
                     print("error: scene has no stability experiment block (k_box)", file=sys.stderr)
@@ -277,7 +296,7 @@ def cmd_experiment(args) -> int:
                     f"stability: {srep.trials} trials at eps={srep.eps:.6g} on "
                     f"{srep.k_count} grid points; persisted fraction: {srep.fraction}"
                 )
-                write_csv(csv_path, ("trial", "epsilon", "transverse"), srep.csv_rows())
+                _write(csv_path, write_csv, ("trial", "epsilon", "transverse"), srep.csv_rows())
         else:
             inc = scene.prestratification.incidences
             if not inc:
@@ -300,7 +319,7 @@ def cmd_experiment(args) -> int:
                 )
             if len(irep.rows) > 5:
                 print(f"  ... {len(irep.rows) - 5} more rows in the report")
-            write_csv(csv_path, ("i", "c1_distance", "transverse"), irep.csv_rows())
+            _write(csv_path, write_csv, ("i", "c1_distance", "transverse"), irep.csv_rows())
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -308,7 +327,7 @@ def cmd_experiment(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     if args.json:
-        report.write(args.json)
+        _write(args.json, report.write)
     return EXIT_OK
 
 

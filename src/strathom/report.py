@@ -9,6 +9,7 @@ evidence so they re-check offline without the scene.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -133,12 +134,6 @@ class Report:
 def write_csv(path, header: tuple[str, ...], rows) -> None:
     """RFC-4180 output; numeric cells, comma separated, CRLF endings."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\r\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)

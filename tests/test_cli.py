@@ -134,6 +134,16 @@ class TestCheck:
         rc = main(["check", scene_path_factory("parallel-planes"), "--condition", "af", "--seed", "1"])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("scene, condition, line", [
+        ("parabola-shelf", "a", "holds"),
+        ("cubic-graph", "af", "no incidences declared; nothing to check"),
+    ], ids=["parabola-shelf-a", "no-incidences"])
+    def test_nothing_fails_exits_0(self, scene_path_factory, tmp_path, capsys, scene, condition, line):
+        rc = main(["check", scene_path_factory(scene), "--condition", condition, "--seed", "1",
+                   "--json", str(tmp_path / "r.json")])
+        assert rc == EXIT_OK
+        assert line in capsys.readouterr().out
+
     def test_all_conditions_in_one_matrix(self, scene_path_factory, capsys):
         rc = main(["check", scene_path_factory("parallel-planes"), "--condition", "all",
                    "--seed", "1", "--tf-surfaces", "2"])
@@ -192,17 +202,37 @@ class TestCheck:
         (["experiment", "--stability", "--eps", "nan"], "--eps must be positive and finite, got nan"),
         (["experiment", "--stability", "--eps", "0.05", "--trials", "-1"],
          "--trials must be at least 0, got -1"),
+        (["experiment", "--instability", "--eps", "0.5", "--trials", "3"],
+         "--eps does not apply to --instability"),
+        (["experiment", "--stability", "--count", "7"], "--count does not apply to --stability"),
     ])
     def test_out_of_range_count_flag_is_usage_error(self, scene_path_factory, args, message,
                                                      tmp_path, capsys):
         # each would otherwise run a vacuous task and exit 0: no tf
-        # surfaces, no validation samples, no maps, or no perturbation
+        # surfaces, no validation samples, no maps, or no perturbation;
+        # or, for a flag the experiment mode does not read, ignore it
         command, *flags = args
         rc = main([command, scene_path_factory("parallel-planes"), *flags,
                    "--json", str(tmp_path / "r.json")])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("args, output, reason", [
+        (["check", "--condition", "a", "--json"], "", "Is a directory"),
+        (["validate", "--json"], "missing/r.json", "No such file or directory"),
+        (["experiment", "--stability", "--eps", "0.01", "--trials", "2", "--csv"], "",
+         "Is a directory"),
+    ], ids=["check-json-directory", "validate-json-missing-directory", "experiment-csv-directory"])
+    def test_unwritable_output_is_usage_error(self, scene_path_factory, tmp_path, capsys, args,
+                                              output, reason):
+        # IsADirectoryError or FileNotFoundError escaped as a traceback,
+        # exit 1, for check after every verdict was computed
+        command, *flags = args
+        path = tmp_path / output
+        rc = main([command, scene_path_factory("parallel-planes"), *flags, str(path), "--seed", "1"])
+        assert rc == EXIT_USAGE
+        assert f"error: cannot write {path}: {reason}" in capsys.readouterr().err
 
     def test_out_of_range_scene_plan_is_scene_error(self, tmp_path, capsys):
         from strathom.gallery import gallery_entry
@@ -278,6 +308,28 @@ class TestExperiment:
         rc = main(["experiment", str(path), "--stability", "--trials", "2", "--csv", str(tmp_path / "s.csv")])
         assert rc == EXIT_VIOLATION
         assert "experiment map g maps into R^3, scene is in R^2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scene, edit, mode, rc, message", [
+        ("blowup", {}, "--instability", EXIT_OK, "instability: 20 maps"),
+        ("circle-into-plane", {}, "--stability", EXIT_OK, "fraction made transverse: 0.0"),
+        ("parabola-shelf", {}, "--stability", EXIT_VIOLATION,
+         "error: scene has no stability experiment block (k_box)"),
+        ("cubic-graph", {}, "--instability", EXIT_VIOLATION,
+         "error: no incidences; instability needs a fault"),
+        # the context's rank certificate raises ValidationError
+        ("parabola-shelf", {"map": "bump(x1)"}, "--instability", EXIT_VIOLATION,
+         "error: rank of the map varies on stratum 'S1'"),
+    ], ids=["blowup-instability", "circle-into-plane-stability", "no-k-box", "no-incidences",
+            "rank-varies"])
+    def test_exit_code(self, tmp_path, capsys, scene, edit, mode, rc, message):
+        from strathom.gallery import gallery_entry
+
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(dict(gallery_entry(scene).scene_dict, **edit)))
+        assert main(["experiment", str(path), mode, "--seed", "1",
+                     "--csv", str(tmp_path / "rows.csv")]) == rc
+        out, err = capsys.readouterr()
+        assert message in (out if rc == EXIT_OK else err)
 
     def test_instability_on_regular_scene_is_precondition_error(self, scene_path_factory, capsys):
         rc = main(["experiment", scene_path_factory("parallel-planes"), "--instability", "--seed", "1"])
