@@ -6,13 +6,17 @@
     strathom gallery                   built-in scenes
 
 Exit codes: 0 success (check: all conditions hold on samples); 2 scene
-or validation violation; 3 check found a fault; 4 check was
-inconclusive somewhere; 64 usage: a flag out of range or one the chosen
-experiment mode does not read, a scene path that is missing or not a
-readable file, or an output path that cannot be written; 65 unknown
-gallery name.  The default seed comes from STRATHOM_SEED (0 otherwise; a
-value that is not an integer is a usage error); every task derives its
-own stream from it.
+error, precondition violation or validation violation; 3 check found a
+fault; 4 check was inconclusive somewhere; 64 usage: arguments the parser
+rejects (an unknown flag, a missing scene or mode, a value of the wrong
+type), a flag out of range or one the chosen experiment mode does not
+read, a scene path that is missing or not a readable file, or an output
+path that cannot be written, which is found before the run starts; 65
+unknown gallery name.  An error is one stderr line, "error: ..." for
+exits 64 and 65, "scene error: ...", "precondition violation: ..." or
+"validation violation: ..." for exit 2.  The default seed comes from
+STRATHOM_SEED (0 otherwise; a value that is not an integer is a usage
+error); every task derives its own stream from it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .experiments import (
 from .gallery import gallery, gallery_entry
 from .regularity import (
     PreconditionError,
-    RadialPlan,
     Status,
     check_af_at,
     check_afs_at,
@@ -45,7 +48,7 @@ from .regularity import (
 from .report import Report, verdict_to_json, write_csv
 from .scene import Scene, SceneError, _plan_from, load_scene
 from .seeds import derive_seed
-from .strata import ApproachPlan, ValidationError, validate_constant_rank, validate_prestratification
+from .strata import ApproachPlan, ValidationError, validate_prestratification
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -55,17 +58,22 @@ EXIT_USAGE = 64
 EXIT_UNKNOWN_NAME = 65
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("STRATHOM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"STRATHOM_SEED must be an integer, got {raw!r}") from None
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors, exit 64, where
+    argparse exits 2; it still prints its usage line first."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="strathom", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="strathom", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="validate a scene file")
@@ -105,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--emit", metavar="NAME")
 
     return parser
-
-
-class _UsageError(Exception):
-    pass
 
 
 # the least value of each count flag: below it a run checks nothing,
@@ -152,6 +156,22 @@ def _write(path, write, *args) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _probe_outputs(args) -> None:
+    """Set the default output paths, then fail before the run on one that
+    cannot be opened for appending; a file the probe creates is removed."""
+    stem = str(Path(args.scene).with_suffix(""))
+    if args.command == "check":
+        args.json = args.json or stem + ".report.json"
+    if args.command == "experiment":
+        args.csv = args.csv or stem + ".csv"
+    for path in (args.json, getattr(args, "csv", None)):
+        if path:
+            created = not os.path.lexists(path)
+            _write(path, lambda p: open(p, "a").close())
+            if created:
+                os.remove(path)
+
+
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
     try:
         return _plan_from(scene.plan or ApproachPlan(), vars(args))
@@ -159,23 +179,13 @@ def _plan_from_args(scene: Scene, args) -> ApproachPlan:
         raise _UsageError(str(exc)) from None
 
 
-def cmd_validate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    scene = _load(args.scene)
-    report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
-    try:
-        pre = validate_prestratification(
-            scene.prestratification, samples=args.samples, seed=derive_seed(seed, "validate")
-        )
-        ranks = {
-            s.name: validate_constant_rank(
-                scene.f, s, samples=max(args.samples, 20), seed=derive_seed(seed, "ranks")
-            )
-            for s in scene.prestratification.strata
-        }
-    except ValidationError as exc:
-        print(f"validation violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+def cmd_validate(args, scene: Scene, report: Report) -> int:
+    pre = validate_prestratification(
+        scene.prestratification, samples=args.samples, seed=derive_seed(report.seed, "validate")
+    )
+    ranks = scene.build_context(
+        samples=max(args.samples, 20), seed=derive_seed(report.seed, "ranks")
+    ).ranks
     report.body["validation"] = {
         "samples": pre.samples,
         "incidences_confirmed": pre.incidences_confirmed,
@@ -189,8 +199,6 @@ def cmd_validate(args) -> int:
     for name, cert in sorted(ranks.items()):
         print(f"  stratum {name}: constant rank {cert.rank} ({cert.samples} samples)")
     print(f"  frontier condition: {pre.frontier_status}")
-    if args.json:
-        _write(args.json, report.write)
     return EXIT_OK
 
 
@@ -201,42 +209,35 @@ _STATUS_MARK = {
 }
 
 
-def _verdicts(ctx, inc, cond: str, plan: ApproachPlan, tf_surfaces: int, task_seed: int) -> list:
-    """The verdicts of one condition at one incidence: one, or one per
-    seeded test surface for tf."""
-    if cond == "a":
-        return [check_whitney_a_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
-    if cond == "af":
-        return [check_af_at(ctx, inc.x, inc.y, inc.point, plan, seed=task_seed)]
-    if cond == "afs":
-        return [check_afs_at(ctx, inc.x, inc.y, inc.point, plan=RadialPlan(), seed=task_seed)]
+def _check(scene: Scene, conditions, plan: ApproachPlan, tf_surfaces: int, seed: int) -> list:
+    """The verdicts of ``strathom check`` at ``seed``: each condition at
+    each incidence, in that order, tf once per seeded test surface, on
+    one context built from ``derive_seed(seed, "context")``, each task
+    seeded by ``derive_seed(seed, "check", condition, x, y)``."""
+    ctx = scene.build_context(seed=derive_seed(seed, "context"))
     verdicts = []
-    for k in range(tf_surfaces):
-        surface_seed = derive_seed(task_seed, str(k))
-        surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
-        verdicts.append(check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed))
+    for inc in scene.prestratification.incidences:
+        at = (ctx, inc.x, inc.y, inc.point)
+        for cond in conditions:
+            task_seed = derive_seed(seed, "check", cond, inc.x, inc.y)
+            if cond == "a":
+                verdicts.append(check_whitney_a_at(*at, plan, seed=task_seed))
+            elif cond == "af":
+                verdicts.append(check_af_at(*at, plan, seed=task_seed))
+            elif cond == "afs":
+                verdicts.append(check_afs_at(*at, seed=task_seed))
+            else:
+                for k in range(tf_surfaces):
+                    surface_seed = derive_seed(task_seed, str(k))
+                    surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
+                    verdicts.append(check_tf_at(*at, surface, seed=surface_seed))
     return verdicts
 
 
-def cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    scene = _load(args.scene)
+def cmd_check(args, scene: Scene, report: Report) -> int:
     plan = _plan_from_args(scene, args)
     conditions = ["a", "af", "tf", "afs"] if args.condition == "all" else [args.condition]
-    ctx = scene.build_context(seed=derive_seed(seed, "context"))
-    report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
-    verdicts = []
-    try:
-        for inc in scene.prestratification.incidences:
-            for cond in conditions:
-                task_seed = derive_seed(seed, "check", cond, inc.x, inc.y)
-                verdicts += _verdicts(ctx, inc, cond, plan, args.tf_surfaces, task_seed)
-    except PreconditionError as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except ValidationError as exc:
-        print(f"validation violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    verdicts = _check(scene, conditions, plan, args.tf_surfaces, report.seed)
     rows = [
         (v.condition, v.x, v.y, json.dumps(list(v.point)), _STATUS_MARK[v.status])
         for v in verdicts
@@ -250,8 +251,6 @@ def cmd_check(args) -> int:
         for r in rows:
             print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
     report.body["verdicts"] = [verdict_to_json(v) for v in verdicts]
-    json_path = args.json or (str(Path(args.scene).with_suffix("")) + ".report.json")
-    _write(json_path, report.write)
     statuses = {v.status for v in verdicts}
     if Status.FAILS in statuses:
         return EXIT_FAULT
@@ -260,74 +259,53 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    scene = _load(args.scene)
+def cmd_experiment(args, scene: Scene, report: Report) -> int:
     exp = scene.experiments or {}
-    report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
-    csv_path = args.csv or (str(Path(args.scene).with_suffix("")) + ".csv")
-    try:
-        if args.stability:
-            if exp.get("mode") == "nongeneric":
-                nrep = nongenericity_demo(scene, eps=args.eps, trials=args.trials, seed=seed)
-                report.body["nongenericity"] = nrep.to_json()
-                print(
-                    f"non-genericity demo: {nrep.trials} trials at eps={nrep.eps}, "
-                    f"fraction made transverse: {nrep.transverse_fraction}"
-                )
-                _write(csv_path, write_csv, ("trial", "epsilon", "transverse"), nrep.csv_rows())
-            else:
-                if "k_box" not in exp:
-                    print("error: scene has no stability experiment block (k_box)", file=sys.stderr)
-                    return EXIT_VIOLATION
-                ctx = scene.build_context(seed=derive_seed(seed, "context"))
-                k_points = grid_points(exp["k_box"], exp.get("grid", [5] * len(exp["k_box"])))
-                if "g" in exp:
-                    base = parse_map(exp["g"], exp.get("g_dim", scene.ambient))
-                else:
-                    base = seeded_full_rank_map(scene.ambient, seed=derive_seed(seed, "base"))
-                trials = args.trials if args.trials is not None else int(exp.get("trials", 200))
-                srep = stability_trial(
-                    ctx, base, k_points, args.eps, trials,
-                    seed=derive_seed(seed, "stability"), bumps=int(exp.get("bumps", 4)),
-                )
-                report.body["stability"] = srep.to_json()
-                print(
-                    f"stability: {srep.trials} trials at eps={srep.eps:.6g} on "
-                    f"{srep.k_count} grid points; persisted fraction: {srep.fraction}"
-                )
-                _write(csv_path, write_csv, ("trial", "epsilon", "transverse"), srep.csv_rows())
+    if args.stability and exp.get("mode") == "nongeneric":
+        key = "nongenericity"
+        run = nongenericity_demo(scene, eps=args.eps, trials=args.trials, seed=report.seed)
+        print(
+            f"non-genericity demo: {run.trials} trials at eps={run.eps}, "
+            f"fraction made transverse: {run.transverse_fraction}"
+        )
+    elif args.stability:
+        if "k_box" not in exp:
+            raise SceneError("scene has no stability experiment block (k_box)")
+        ctx = scene.build_context(seed=derive_seed(report.seed, "context"))
+        k_points = grid_points(exp["k_box"], exp.get("grid", [5] * len(exp["k_box"])))
+        if "g" in exp:
+            base = parse_map(exp["g"], exp.get("g_dim", scene.ambient))
         else:
-            inc = scene.prestratification.incidences
-            if not inc:
-                print("error: no incidences; instability needs a fault", file=sys.stderr)
-                return EXIT_VIOLATION
-            ctx = scene.build_context(seed=derive_seed(seed, "context"))
-            count = args.count if args.count is not None else int(exp.get("count", 20))
-            irep = instability_demo(
-                ctx, inc[0].x, inc[0].y, inc[0].point,
-                count=count, radius=float(exp.get("radius", 1.0)),
-                seed=derive_seed(seed, "instability"),
-            )
-            report.body["instability"] = irep.to_json()
-            print(
-                f"instability: {irep.count} maps; base margin {irep.base_transverse_margin:.3f}"
-            )
-            for row in irep.rows[:5]:
-                print(
-                    f"  i={row['index']:3d} c1={row['c1_distance']:.6e} defect={row['defect']}"
-                )
-            if len(irep.rows) > 5:
-                print(f"  ... {len(irep.rows) - 5} more rows in the report")
-            _write(csv_path, write_csv, ("i", "c1_distance", "transverse"), irep.csv_rows())
-    except PreconditionError as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (ValidationError, SceneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    if args.json:
-        _write(args.json, report.write)
+            base = seeded_full_rank_map(scene.ambient, seed=derive_seed(report.seed, "base"))
+        trials = args.trials if args.trials is not None else int(exp.get("trials", 200))
+        key = "stability"
+        run = stability_trial(
+            ctx, base, k_points, args.eps, trials,
+            seed=derive_seed(report.seed, "stability"), bumps=int(exp.get("bumps", 4)),
+        )
+        print(
+            f"stability: {run.trials} trials at eps={run.eps:.6g} on "
+            f"{run.k_count} grid points; persisted fraction: {run.fraction}"
+        )
+    else:
+        inc = scene.prestratification.incidences
+        if not inc:
+            raise PreconditionError("no incidences; instability needs a fault")
+        ctx = scene.build_context(seed=derive_seed(report.seed, "context"))
+        count = args.count if args.count is not None else int(exp.get("count", 20))
+        key = "instability"
+        run = instability_demo(
+            ctx, inc[0].x, inc[0].y, inc[0].point,
+            count=count, radius=float(exp.get("radius", 1.0)),
+            seed=derive_seed(report.seed, "instability"),
+        )
+        print(f"instability: {run.count} maps; base margin {run.base_transverse_margin:.3f}")
+        for row in run.rows[:5]:
+            print(f"  i={row['index']:3d} c1={row['c1_distance']:.6e} defect={row['defect']}")
+        if len(run.rows) > 5:
+            print(f"  ... {len(run.rows) - 5} more rows in the report")
+    report.body[key] = run.to_json()
+    _write(args.csv, write_csv, run.csv_header, run.csv_rows())
     return EXIT_OK
 
 
@@ -355,27 +333,41 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
+# the commands that run on a loaded scene and fill in its report
+_COMMANDS = {"validate": cmd_validate, "check": cmd_check, "experiment": cmd_experiment}
+
+# the exit code and stderr prefix of each error, matched in order, subclasses included
+_ERRORS = {
+    _UsageError: (EXIT_USAGE, "error"),
+    SceneError: (EXIT_VIOLATION, "scene error"),
+    DslError: (EXIT_VIOLATION, "scene error"),
+    PreconditionError: (EXIT_VIOLATION, "precondition violation"),
+    ValidationError: (EXIT_VIOLATION, "validation violation"),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
         if args.command == "gallery":
             return cmd_gallery(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SceneError, DslError) as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    parser.error("unknown command")
-    return EXIT_USAGE
+        raw = args.seed if args.seed is not None else os.environ.get("STRATHOM_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise _UsageError(f"STRATHOM_SEED must be an integer, got {raw!r}") from None
+        scene = _load(args.scene)
+        _probe_outputs(args)
+        report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
+        code = _COMMANDS[args.command](args, scene, report)
+        if args.json:
+            _write(args.json, report.write)
+        return code
+    except tuple(_ERRORS) as exc:
+        code, prefix = next(v for cls, v in _ERRORS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

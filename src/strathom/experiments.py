@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -345,6 +346,7 @@ class StabilityReport:
     k_count: int
     margin_tol: float
     base_margin: float
+    csv_header: ClassVar[tuple[str, ...]] = ("trial", "epsilon", "transverse")
 
     def to_json(self) -> dict:
         return {
@@ -495,6 +497,7 @@ class InstabilityReport:
     base_transverse_margin: float
     rows: tuple[dict, ...]  # per i: index, c1_distance, defect, |x_i - y|
     sequence: DestabilizerSequence = field(repr=False)
+    csv_header: ClassVar[tuple[str, ...]] = ("i", "c1_distance", "transverse")
 
     def to_json(self) -> dict:
         return {
@@ -574,6 +577,7 @@ class NongenericityReport:
     seed: int
     witnesses: tuple[dict, ...]  # one per trial that stayed non-transverse
     transverse_fraction: float | None  # None when no trial ran
+    csv_header: ClassVar[tuple[str, ...]] = ("trial", "epsilon", "transverse")
 
     def to_json(self) -> dict:
         return {

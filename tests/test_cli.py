@@ -224,15 +224,43 @@ class TestCheck:
         (["experiment", "--stability", "--eps", "0.01", "--trials", "2", "--csv"], "",
          "Is a directory"),
     ], ids=["check-json-directory", "validate-json-missing-directory", "experiment-csv-directory"])
-    def test_unwritable_output_is_usage_error(self, scene_path_factory, tmp_path, capsys, args,
-                                              output, reason):
+    def test_unwritable_output_is_usage_error(self, scene_path_factory, tmp_path, capsys,
+                                              monkeypatch, args, output, reason):
         # IsADirectoryError or FileNotFoundError escaped as a traceback,
-        # exit 1, for check after every verdict was computed
+        # exit 1, for check after every verdict was computed; the path is
+        # now probed before any validation, context or trial
+        import strathom.cli as cli_mod
+        from strathom.scene import Scene
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before its output was probed")
+
+        monkeypatch.setattr(Scene, "build_context", no_work)
+        monkeypatch.setattr(cli_mod, "validate_prestratification", no_work)
         command, *flags = args
         path = tmp_path / output
         rc = main([command, scene_path_factory("parallel-planes"), *flags, str(path), "--seed", "1"])
         assert rc == EXIT_USAGE
         assert f"error: cannot write {path}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["validate", "--json"], ["check", "--json"], ["experiment", "--instability", "--csv"],
+    ], ids=["validate", "check", "experiment"])
+    def test_output_probe_leaves_no_file(self, tmp_path, capsys, args):
+        # the rank of the map varies, so each run fails after the probe:
+        # a new output path is not left behind, an existing file is kept
+        from strathom.gallery import gallery_entry
+
+        scene = tmp_path / "rank-varies.json"
+        scene.write_text(json.dumps(dict(gallery_entry("parabola-shelf").scene_dict, map="bump(x1)")))
+        command, *flags = args
+        new, kept = tmp_path / "new", tmp_path / "kept"
+        kept.write_text("kept")
+        for path in (new, kept):
+            assert main([command, str(scene), *flags, str(path), "--seed", "1"]) == EXIT_VIOLATION
+            assert "validation violation: rank of the map varies" in capsys.readouterr().err
+        assert not new.exists()
+        assert kept.read_text() == "kept"
 
     def test_out_of_range_scene_plan_is_scene_error(self, tmp_path, capsys):
         from strathom.gallery import gallery_entry
@@ -309,16 +337,32 @@ class TestExperiment:
         assert rc == EXIT_VIOLATION
         assert "experiment map g maps into R^3, scene is in R^2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [-1, 0])
+    def test_non_positive_radius_is_scene_error(self, tmp_path, capsys, radius):
+        # the scene loaded and rank_drop_map's ValueError escaped as a
+        # traceback, exit 1
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parabola-shelf").scene_dict)
+        scene["experiments"] = {**scene.get("experiments", {}), "radius": radius}
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps(scene))
+        rc = main(["experiment", str(path), "--instability", "--seed", "1",
+                   "--csv", str(tmp_path / "rows.csv")])
+        assert rc == EXIT_VIOLATION
+        assert (f"scene error: experiment radius must be positive, got {radius}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("scene, edit, mode, rc, message", [
         ("blowup", {}, "--instability", EXIT_OK, "instability: 20 maps"),
         ("circle-into-plane", {}, "--stability", EXIT_OK, "fraction made transverse: 0.0"),
         ("parabola-shelf", {}, "--stability", EXIT_VIOLATION,
-         "error: scene has no stability experiment block (k_box)"),
+         "scene error: scene has no stability experiment block (k_box)"),
         ("cubic-graph", {}, "--instability", EXIT_VIOLATION,
-         "error: no incidences; instability needs a fault"),
+         "precondition violation: no incidences; instability needs a fault"),
         # the context's rank certificate raises ValidationError
         ("parabola-shelf", {"map": "bump(x1)"}, "--instability", EXIT_VIOLATION,
-         "error: rank of the map varies on stratum 'S1'"),
+         "validation violation: rank of the map varies on stratum 'S1'"),
     ], ids=["blowup-instability", "circle-into-plane-stability", "no-k-box", "no-incidences",
             "rank-varies"])
     def test_exit_code(self, tmp_path, capsys, scene, edit, mode, rc, message):
@@ -508,6 +552,37 @@ class TestSeedEnvironment:
         assert main(["check", scene, "--json", str(tmp_path / "r.json")]) == EXIT_USAGE
         assert "STRATHOM_SEED" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_gallery_does_not_read_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("STRATHOM_SEED", "forty-two")
+        assert main(["gallery", "--list"]) == EXIT_OK
+        assert main(["gallery", "--emit", "parabola-shelf"]) == EXIT_OK
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("args", [
+        ["check", "SCENE", "--bogus"],
+        ["check"],
+        ["check", "SCENE", "--seed", "x"],
+        ["experiment", "SCENE"],
+        [],
+        ["gallery", "--list", "--emit", "x"],
+    ], ids=["unknown-flag", "no-scene", "seed-not-an-integer", "no-mode", "no-command",
+            "list-and-emit"])
+    def test_parser_error_is_usage_error(self, scene_path_factory, capsys, args):
+        # argparse exited 2, the code of a scene or validation violation
+        scene = scene_path_factory("parallel-planes")
+        assert main([scene if a == "SCENE" else a for a in args]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: strathom")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "Exit codes" in capsys.readouterr().out
 
 
 class TestGallery:

@@ -1,9 +1,10 @@
 """Pinned a and af verdicts: the limit checkers' per-arc output.
 
 Each entry is what `strathom check --condition a` or `--condition af
---seed SEED` computes on a regularity scene, with the CLI's context and
-task seeds and the scene's approach plan: the status, `arcs_total`,
-`arcs_converged` and the witness angle, then for each kept arc, in
+--seed SEED` computes on a regularity scene, through the CLI's own check
+run (`cli._check`, with its context and task seeds) and the scene's
+approach plan: the status, `arcs_total`, `arcs_converged` and the
+witness angle, then for each kept arc, in
 direction order, its Cauchy-window residual, the largest of its
 consecutive-pair distances and the worst angle of the required subspace
 against its limit (None for an arc that did not converge).  Floats are
@@ -23,12 +24,9 @@ samples that moved a verdict at one seed fails that seed's case.
 
 import pytest
 
+from strathom.cli import _check
 from strathom.gallery import gallery_entry
-from strathom.regularity import check_af_at, check_whitney_a_at
-from strathom.seeds import derive_seed
 from strathom.strata import ApproachPlan
-
-CHECKS = {"a": check_whitney_a_at, "af": check_af_at}
 
 SEEDS = (1, 2, 3, 20261017)
 
@@ -147,12 +145,7 @@ CASES = [(seed, name, cond) for seed in SEEDS for name, cond in sorted(PINNED)]
 @pytest.mark.parametrize("seed, name, cond", CASES, ids=[f"{s}-{n}-{c}" for s, n, c in CASES])
 def test_cli_limit_verdicts(seed, name, cond):
     scene = gallery_entry(name).scene()
-    ctx = scene.build_context(seed=derive_seed(seed, "context"))
-    (inc,) = scene.prestratification.incidences
-    verdict = CHECKS[cond](
-        ctx, inc.x, inc.y, inc.point, scene.plan or ApproachPlan(),
-        seed=derive_seed(seed, "check", cond, inc.x, inc.y),
-    )
+    (verdict,) = _check(scene, (cond,), scene.plan or ApproachPlan(), 5, seed)
     got = (
         verdict.status.value,
         verdict.detail["arcs_total"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from strathom import grassmann, regularity, strata
-from strathom.cli import _verdicts
+from strathom.cli import _check
 from strathom.dsl import parse_map
 from strathom.gallery import gallery_entry
 from strathom.grassmann import Subspace, span_of
@@ -23,7 +23,6 @@ from strathom.regularity import (
     transverse_at,
 )
 from strathom.report import verdict_to_json
-from strathom.seeds import derive_seed
 from strathom.strata import (
     ApproachPlan,
     ImmersionError,
@@ -652,14 +651,7 @@ def checked_at_seed_1(name, conditions=("a", "af", "tf", "afs")):
     """The verdicts of ``check --condition all --seed 1`` (five tf
     surfaces), on a context of its own."""
     scene = gallery_entry(name).scene()
-    ctx = scene.build_context(seed=derive_seed(1, "context"))
-    plan = scene.plan or ApproachPlan()
-    verdicts = []
-    for inc in scene.prestratification.incidences:
-        for cond in conditions:
-            task_seed = derive_seed(1, "check", cond, inc.x, inc.y)
-            verdicts += _verdicts(ctx, inc, cond, plan, 5, task_seed)
-    return verdicts
+    return _check(scene, conditions, scene.plan or ApproachPlan(), 5, 1)
 
 
 class TestRankGate:

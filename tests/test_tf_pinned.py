@@ -1,10 +1,11 @@
 """Pinned tf and afs rows: the radial checkers' per-radius output.
 
 Each tf entry is what `strathom check --condition tf --seed SEED` computes
-on a regularity scene: for each of its five seeded test surfaces, the
-verdict's status and, at each of the ten radii, the number of
-intersections kept, the number of seeds drawn in the ball, the number of
-stalled seeds and whether a hit is non-transverse.  Each afs entry is
+on a regularity scene, through the CLI's own check run (`cli._check`):
+for each of its five seeded test surfaces, the verdict's status and, at
+each of the ten radii, the number of intersections kept, the number of
+seeds drawn in the ball, the number of stalled seeds and whether a hit
+is non-transverse.  Each afs entry is
 what `strathom check --condition afs --seed SEED` computes on the same
 scene: the status and, per radius, the samples drawn and whether one
 drops rank.  The witness-sheet entry is the criterion-5 sheet on
@@ -22,17 +23,12 @@ or verdict shows up here.
 import numpy as np
 import pytest
 
+from strathom.cli import _check
 from strathom.constructions import tf_witness
 from strathom.dsl import parse_map
 from strathom.gallery import gallery_entry
-from strathom.regularity import (
-    RadialPlan,
-    check_af_at,
-    check_afs_at,
-    check_tf_at,
-    random_test_surface,
-)
-from strathom.seeds import derive_seed
+from strathom.regularity import check_af_at, check_tf_at
+from strathom.strata import ApproachPlan
 
 TF_SURFACES = 5  # `strathom check --tf-surfaces` default
 
@@ -437,22 +433,16 @@ def _marks(flags) -> str:
     return "".join("T" if flag else "." for flag in flags)
 
 
-def _cli_case(name: str, seed: int):
+def _cli_case(name: str, seed: int, cond: str) -> list:
+    """The verdicts of `strathom check --condition COND --seed SEED`."""
     scene = gallery_entry(name).scene()
-    ctx = scene.build_context(seed=derive_seed(seed, "context"))
-    (inc,) = scene.prestratification.incidences
-    return ctx, inc
+    return _check(scene, (cond,), scene.plan or ApproachPlan(), TF_SURFACES, seed)
 
 
 @pytest.mark.parametrize("seed, name", sorted(PINNED), ids=[f"{s}-{n}" for s, n in sorted(PINNED)])
 def test_cli_tf_rows(seed, name):
-    ctx, inc = _cli_case(name, seed)
-    task_seed = derive_seed(seed, "check", "tf", inc.x, inc.y)
     got = []
-    for k in range(TF_SURFACES):
-        surface_seed = derive_seed(task_seed, str(k))
-        surface = random_test_surface(ctx, inc.y, inc.point, seed=surface_seed)
-        verdict = check_tf_at(ctx, inc.x, inc.y, inc.point, surface, seed=surface_seed)
+    for verdict in _cli_case(name, seed, "tf"):
         rows = verdict.detail["radii"]
         got.append((
             verdict.status.value,
@@ -468,9 +458,7 @@ def test_cli_tf_rows(seed, name):
     "seed, name", sorted(AFS_PINNED), ids=[f"{s}-{n}" for s, n in sorted(AFS_PINNED)]
 )
 def test_cli_afs_rows(seed, name):
-    ctx, inc = _cli_case(name, seed)
-    task_seed = derive_seed(seed, "check", "afs", inc.x, inc.y)
-    verdict = check_afs_at(ctx, inc.x, inc.y, inc.point, plan=RadialPlan(), seed=task_seed)
+    (verdict,) = _cli_case(name, seed, "afs")
     rows = verdict.detail["radii"]
     got = (
         verdict.status.value,
