@@ -9,10 +9,11 @@ Exit codes: 0 success (check: all conditions hold on samples); 2 scene
 error, precondition violation or validation violation; 3 check found a
 fault; 4 check was inconclusive somewhere; 64 usage: arguments the parser
 rejects (an unknown flag, a missing scene or mode, a value of the wrong
-type), a flag out of range or one the chosen experiment mode does not
-read, a scene path that is missing or not a readable file, or an output
-path that cannot be written, which is found before the run starts; 65
-unknown gallery name.  An error is one stderr line, "error: ..." for
+type), a flag out of range or one the chosen experiment mode or check
+condition does not read, a scene path that is missing or not a readable
+file, or an output path that cannot be written or is the scene file or
+the other output, which is found before the run starts; 65 unknown
+gallery name.  An error is one stderr line, "error: ..." for
 exits 64 and 65, "scene error: ...", "precondition violation: ..." or
 "validation violation: ..." for exit 2.  The default seed comes from
 STRATHOM_SEED (0 otherwise; a value that is not an integer is a usage
@@ -46,7 +47,7 @@ from .regularity import (
     random_test_surface,
 )
 from .report import Report, verdict_to_json, write_csv
-from .scene import Scene, SceneError, _plan_from, load_scene
+from .scene import _PLAN_FIELDS, Scene, SceneError, _plan_from, load_scene
 from .seeds import derive_seed
 from .strata import ApproachPlan, ValidationError, validate_prestratification
 
@@ -92,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--directions", type=int, help="arc direction budget override")
     p_check.add_argument("--window", type=int, help="Cauchy window override")
     p_check.add_argument("--angle-tol", type=float, help="angle tolerance override")
-    p_check.add_argument("--tf-surfaces", type=int, default=5,
-                         help="seeded test submanifolds per incidence for tf")
+    p_check.add_argument("--tf-surfaces", type=int,
+                         help="seeded test submanifolds per incidence for tf (default: 5)")
 
     p_exp = sub.add_parser("experiment", help="run a scene experiment")
     p_exp.add_argument("scene")
@@ -119,8 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 # validates on no samples or draws no maps, and exits 0
 _COUNT_FLOORS = {"samples": 1, "tf_surfaces": 1, "count": 1, "trials": 0}
 
-# the experiment flags that each mode does not read
-_UNREAD_FLAGS = {"stability": ("count",), "instability": ("eps", "trials")}
+# the flags that each experiment mode and check condition does not read;
+# the approach flags are the scene plan's keys
+_UNREAD_FLAGS = {
+    "--stability": ("count",),
+    "--instability": ("eps", "trials"),
+    "--condition a": ("tf_surfaces",),
+    "--condition af": ("tf_surfaces",),
+    "--condition tf": tuple(_PLAN_FIELDS),
+    "--condition afs": (*_PLAN_FIELDS, "tf_surfaces"),
+}
 
 
 def _check_flags(args) -> None:
@@ -131,11 +140,14 @@ def _check_flags(args) -> None:
     eps = getattr(args, "eps", None)
     if eps is not None and not 0.0 < eps < float("inf"):
         raise _UsageError(f"--eps must be positive and finite, got {eps}")
+    used = None
     if args.command == "experiment":
-        mode = "stability" if args.stability else "instability"
-        for name in _UNREAD_FLAGS[mode]:
-            if getattr(args, name) is not None:
-                raise _UsageError(f"--{name} does not apply to --{mode}")
+        used = "--stability" if args.stability else "--instability"
+    if args.command == "check":
+        used = f"--condition {args.condition}"
+    for name in _UNREAD_FLAGS.get(used, ()):
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} does not apply to {used}")
 
 
 def _load(path: str) -> Scene:
@@ -156,20 +168,33 @@ def _write(path, write, *args) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return Path(a).resolve() == Path(b).resolve()
+
+
 def _probe_outputs(args) -> None:
     """Set the default output paths, then fail before the run on one that
-    cannot be opened for appending; a file the probe creates is removed."""
+    is the scene file or the other output, or that cannot be opened for
+    appending; a file the probe creates is removed."""
     stem = str(Path(args.scene).with_suffix(""))
     if args.command == "check":
         args.json = args.json or stem + ".report.json"
     if args.command == "experiment":
         args.csv = args.csv or stem + ".csv"
-    for path in (args.json, getattr(args, "csv", None)):
-        if path:
-            created = not os.path.lexists(path)
-            _write(path, lambda p: open(p, "a").close())
-            if created:
-                os.remove(path)
+    taken = {"the scene file": args.scene}
+    for flag, path in (("--json", args.json), ("--csv", getattr(args, "csv", None))):
+        if not path:
+            continue
+        for what, other in taken.items():
+            if _same_file(path, other):
+                raise _UsageError(f"{flag} {path} would overwrite {what}")
+        taken[f"the {flag} output"] = path
+        created = not os.path.lexists(path)
+        _write(path, lambda p: open(p, "a").close())
+        if created:
+            os.remove(path)
 
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
@@ -237,7 +262,8 @@ def _check(scene: Scene, conditions, plan: ApproachPlan, tf_surfaces: int, seed:
 def cmd_check(args, scene: Scene, report: Report) -> int:
     plan = _plan_from_args(scene, args)
     conditions = ["a", "af", "tf", "afs"] if args.condition == "all" else [args.condition]
-    verdicts = _check(scene, conditions, plan, args.tf_surfaces, report.seed)
+    tf_surfaces = 5 if args.tf_surfaces is None else args.tf_surfaces
+    verdicts = _check(scene, conditions, plan, tf_surfaces, report.seed)
     rows = [
         (v.condition, v.x, v.y, json.dumps(list(v.point)), _STATUS_MARK[v.status])
         for v in verdicts

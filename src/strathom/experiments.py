@@ -335,6 +335,12 @@ def transversality_margin(
 # Stability
 
 
+def _finite_or_null(margin: float) -> float | None:
+    """A margin for JSON: an infinite one, where no grid image comes near a
+    stratum, is null."""
+    return margin if np.isfinite(margin) else None
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     eps: float
@@ -355,10 +361,10 @@ class StabilityReport:
             "seed": self.seed,
             "fraction": self.fraction,
             "outcomes": [int(o) for o in self.outcomes],
-            "min_margins": list(self.min_margins),
+            "min_margins": [_finite_or_null(m) for m in self.min_margins],
             "k_count": self.k_count,
             "margin_tol": self.margin_tol,
-            "base_margin": self.base_margin,
+            "base_margin": _finite_or_null(self.base_margin),
         }
 
     def csv_rows(self) -> list[tuple]:

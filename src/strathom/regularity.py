@@ -8,9 +8,10 @@ is always "holds-on-samples": failures are certificates, holds are
 evidence.  Arcs whose tangent sequences do not settle in the
 Grassmannian yield "inconclusive" rather than being silently dropped.
 
-Every verdict carries the full numeric evidence trail (arcs, limit
-subspace, residual angles, witness vector) so a stored fault can be
-re-checked offline.
+Every verdict carries its numeric evidence.  An a/af fault's
+:class:`FaultWitness` (arc, limit, angle, tolerance, witness vector)
+re-checks offline; a tf/afs fault's :class:`RadialWitness` holds the
+first bad point of each radius.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "transverse_at",
     "ArcEvidence",
     "FaultWitness",
+    "RadialWitness",
     "RegularityVerdict",
     "RadialPlan",
     "PreconditionError",
@@ -121,9 +123,15 @@ class FaultWitness:
     point: tuple[float, ...]
     vector: tuple[float, ...]  # unit vector of the required subspace missed by the limit
     angle: float
+    angle_tol: float  # the plan's tolerance the angle was judged at
     limit: Subspace
     required: Subspace
     arc: ArcEvidence
+
+
+@dataclass(frozen=True)
+class RadialWitness:
+    points: np.ndarray = field(repr=False)  # (radii, n): each radius's first bad point
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class RegularityVerdict:
     status: Status
     required: Subspace | None = None
     arcs: tuple[ArcEvidence, ...] = ()
-    witness: FaultWitness | None = None
+    witness: FaultWitness | RadialWitness | None = None
     detail: dict = field(default_factory=dict)
 
 
@@ -192,6 +200,7 @@ def _limit_verdict(
                 point=tuple(np.asarray(point, dtype=float)),
                 vector=tuple(contains.worst_vector),
                 angle=contains.worst_angle,
+                angle_tol=plan.angle_tol,
                 limit=lim.limit,
                 required=required,
                 arc=evidence[-1],
@@ -572,15 +581,13 @@ def _radial_verdict(
     first radius with neither a bad point nor an unresolved row is the
     clean radius and the condition holds; if that row is empty, the hold
     is vacuous and the detail says ``"vacuous": true``.  A bad point at
-    every radius is a fault whose witness arc lists the first bad point
-    of each radius in radius order and sits at the last.  Bad points at
-    some radii and unresolved rows at the others leave the verdict
-    inconclusive.  The witness is a placeholder: no limit, vector or
-    angle backs it.  ``detail`` entries follow the radius rows, the clean
-    radius and the vacuous flag in the verdict.
+    every radius is a fault whose :class:`RadialWitness` holds the first
+    bad point of each radius in radius order.  Bad points at some radii
+    and unresolved rows at the others leave the verdict inconclusive.
+    ``detail`` entries follow the radius rows, the clean radius and the
+    vacuous flag in the verdict.
     """
     plan = plan or RadialPlan()
-    n = ctx.prestratification.ambient
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
     u0 = _on_closure(ctx.prestratification, x, center)
@@ -615,25 +622,7 @@ def _radial_verdict(
         status = Status.INCONCLUSIVE
     else:
         status = Status.FAILS
-        witness = FaultWitness(
-            point=tuple(bad_points[-1]),
-            vector=tuple(np.zeros(n)),
-            angle=float("nan"),
-            limit=Subspace.zero(n),
-            required=required,
-            arc=ArcEvidence(
-                direction=(),
-                chart_points=np.zeros((0, sx.dim)),
-                points=np.array(bad_points),
-                tangents=(),
-                converged=True,
-                limit=None,
-                residual=0.0,
-                history=(),
-                contains_required=False,
-                worst_angle=None,
-            ),
-        )
+        witness = RadialWitness(np.array(bad_points))
     vacuous = {"vacuous": True} if clean is not None and clean.get("empty") else {}
     return RegularityVerdict(
         condition=condition,

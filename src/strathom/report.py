@@ -3,8 +3,10 @@
 The JSON layout is versioned ("report-v1").  Everything under the
 "report" key is deterministic for a fixed (scene, seed, tool version);
 wall-clock timing lives in a separate top-level field excluded from the
-determinism contract.  Fault witnesses embed their full numeric
-evidence so they re-check offline without the scene.
+determinism contract.  An a/af fault witness embeds its limit, required
+subspace and angle tolerance, so it re-checks offline without the scene;
+a tf/afs one is ``{"points": [...]}``, each radius's first bad point.
+Reports are strict JSON: a non-finite number fails the write.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .grassmann import Subspace
-from .regularity import RegularityVerdict, Status
+from .grassmann import CONTAIN_TOL, Subspace
+from .regularity import RadialWitness, RegularityVerdict, Status
 from .scene import canonical_json, scene_hash
 
 REPORT_SCHEMA = "report-v1"
@@ -45,12 +47,15 @@ def verdict_to_json(v: RegularityVerdict) -> dict:
     if v.required is not None:
         out["required"] = v.required.to_json()
         out["ambient"] = v.required.n
-    if v.witness is not None:
-        w = v.witness
+    w = v.witness
+    if isinstance(w, RadialWitness):
+        out["witness"] = {"points": [_round_trip_floats(p) for p in w.points]}
+    elif w is not None:
         out["witness"] = {
             "point": _round_trip_floats(w.point),
             "vector": _round_trip_floats(w.vector),
-            "angle": None if w.angle != w.angle else w.angle,  # NaN -> null
+            "angle": w.angle,
+            "angle_tol": w.angle_tol,
             "limit": w.limit.to_json(),
             "required": w.required.to_json(),
             "arc_points": [_round_trip_floats(p) for p in w.arc.points],
@@ -78,10 +83,10 @@ def replay_witness(verdict_json: dict) -> dict:
 
     Returns the recomputed status and angle; a verdict is replayable
     when these match the stored ones to tight tolerance.  Only "a" and
-    "af" faults carry a limit and a required subspace to re-test; a
-    "tf" or "afs" witness stores placeholders (limit {0}, angle NaN)
-    that would "replay" as a fault whatever its point, so it is
-    refused with ValueError.
+    "af" faults carry a limit and a required subspace to re-test, at the
+    witness's stored ``angle_tol`` (``CONTAIN_TOL`` for a report written
+    without one); a "tf" or "afs" witness holds only its bad points, one
+    per radius, so it is refused with ValueError.
     """
     if verdict_json["condition"] not in ("a", "af"):
         raise ValueError(
@@ -92,7 +97,7 @@ def replay_witness(verdict_json: dict) -> dict:
     w = verdict_json["witness"]
     limit = Subspace.from_json(w["limit"], n)
     required = Subspace.from_json(w["required"], n)
-    res = limit.contains(required)
+    res = limit.contains(required, w.get("angle_tol", CONTAIN_TOL))
     return {
         "status": Status.FAILS.value if not res.ok else Status.HOLDS.value,
         "angle": res.worst_angle,
@@ -126,7 +131,7 @@ class Report:
 
     def write(self, path) -> None:
         """Write the report as indented, key-sorted JSON in one call."""
-        text = json.dumps(self.finish(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(self.finish(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
 

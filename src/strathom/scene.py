@@ -387,7 +387,7 @@ def load_scene(path: str | Path) -> Scene:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def scene_hash(data: dict) -> str:

@@ -36,6 +36,19 @@ def scene_path_factory(tmp_path_factory):
     return write
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail a run that validates the scene or builds its context."""
+    import strathom.cli as cli_mod
+    from strathom.scene import Scene
+
+    def run(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(Scene, "build_context", run)
+    monkeypatch.setattr(cli_mod, "validate_prestratification", run)
+
+
 class TestValidate:
     def test_valid_scene(self, scene_path_factory, capsys):
         rc = main(["validate", scene_path_factory("parallel-planes"), "--seed", "1"])
@@ -82,6 +95,23 @@ class TestValidate:
         for command in (["validate"], ["check"], ["experiment", "--stability"]):
             assert main([*command, str(scene_path), "--seed", "1"]) == EXIT_VIOLATION
             assert f"scene schema violation at {pointer}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("strata", 0, "chart"), "x1, x2,",
+         "chart of 'S1' does not parse: unexpected token '' (line 1, column 8)"),
+        (("strata", 0, "inverse"), "x1 +",
+         "inverse hint of 'S1' does not parse: unexpected token '' (line 1, column 5)"),
+        (("strata", 0, "inverse"), "x1", "inverse hint of 'S1' has wrong output dimension"),
+        (("strata", 1, "name"), "S1", "stratum names must be unique"),
+        (("incidences", 0, "point"), [0.0, 0.0], "incidence point (0.0, 0.0) has wrong dimension"),
+    ], ids=["chart-does-not-parse", "inverse-does-not-parse", "inverse-dimension",
+            "duplicate-stratum-name", "incidence-point-length"])
+    def test_scene_error_past_the_schema_exits_2(self, tmp_path, capsys, path, value, message):
+        # schema-valid scenes that the loader rejects
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(edited(base_scene("parallel-planes"), path, value)))
+        assert main(["validate", str(scene_path), "--seed", "1"]) == EXIT_VIOLATION
+        assert capsys.readouterr().err == f"scene error: {message}\n"
 
     def test_directory_is_usage_error(self, tmp_path, capsys):
         # IsADirectoryError escaped as a traceback, exit 1
@@ -205,18 +235,47 @@ class TestCheck:
         (["experiment", "--instability", "--eps", "0.5", "--trials", "3"],
          "--eps does not apply to --instability"),
         (["experiment", "--stability", "--count", "7"], "--count does not apply to --stability"),
+        (["check", "--condition", "afs", "--terms", "40", "--angle-tol", "1e-3", "--tf-surfaces", "9"],
+         "--terms does not apply to --condition afs"),
+        (["check", "--condition", "afs", "--tf-surfaces", "9"],
+         "--tf-surfaces does not apply to --condition afs"),
+        (["check", "--condition", "afs", "--window", "3"], "--window does not apply to --condition afs"),
+        (["check", "--condition", "tf", "--ratio", "0.5"], "--ratio does not apply to --condition tf"),
+        (["check", "--condition", "tf", "--directions", "3"],
+         "--directions does not apply to --condition tf"),
+        (["check", "--condition", "tf", "--angle-tol", "1e-3"],
+         "--angle-tol does not apply to --condition tf"),
+        (["check", "--condition", "a", "--tf-surfaces", "9"],
+         "--tf-surfaces does not apply to --condition a"),
+        (["check", "--tf-surfaces", "9"], "--tf-surfaces does not apply to --condition af"),
     ])
     def test_out_of_range_count_flag_is_usage_error(self, scene_path_factory, args, message,
                                                      tmp_path, capsys):
         # each would otherwise run a vacuous task and exit 0: no tf
         # surfaces, no validation samples, no maps, or no perturbation;
-        # or, for a flag the experiment mode does not read, ignore it
+        # or, for a flag the experiment mode or check condition does not
+        # read, ignore it
         command, *flags = args
         rc = main([command, scene_path_factory("parallel-planes"), *flags,
                    "--json", str(tmp_path / "r.json")])
         assert rc == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("condition, flags", [
+        ("a", ["--ratio", "0.5", "--terms", "40", "--directions", "3", "--window", "4",
+               "--angle-tol", "1e-3"]),
+        ("af", ["--ratio", "0.5", "--terms", "40", "--directions", "3", "--window", "4",
+                "--angle-tol", "1e-3"]),
+        ("tf", ["--tf-surfaces", "2"]),
+        ("afs", []),
+        ("all", ["--ratio", "0.5", "--terms", "40", "--directions", "3", "--window", "4",
+                 "--angle-tol", "1e-3", "--tf-surfaces", "2"]),
+    ])
+    def test_flags_each_condition_reads(self, condition, flags):
+        from strathom.cli import _check_flags, build_parser
+
+        _check_flags(build_parser().parse_args(["check", "s.json", "--condition", condition, *flags]))
 
     @pytest.mark.parametrize("args, output, reason", [
         (["check", "--condition", "a", "--json"], "", "Is a directory"),
@@ -225,23 +284,42 @@ class TestCheck:
          "Is a directory"),
     ], ids=["check-json-directory", "validate-json-missing-directory", "experiment-csv-directory"])
     def test_unwritable_output_is_usage_error(self, scene_path_factory, tmp_path, capsys,
-                                              monkeypatch, args, output, reason):
+                                              no_work, args, output, reason):
         # IsADirectoryError or FileNotFoundError escaped as a traceback,
         # exit 1, for check after every verdict was computed; the path is
         # now probed before any validation, context or trial
-        import strathom.cli as cli_mod
-        from strathom.scene import Scene
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the run started before its output was probed")
-
-        monkeypatch.setattr(Scene, "build_context", no_work)
-        monkeypatch.setattr(cli_mod, "validate_prestratification", no_work)
         command, *flags = args
         path = tmp_path / output
         rc = main([command, scene_path_factory("parallel-planes"), *flags, str(path), "--seed", "1"])
         assert rc == EXIT_USAGE
         assert f"error: cannot write {path}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["check", "--condition", "a", "--json", "{scene}"], "--json {scene} would overwrite the scene file"),
+        (["check", "--json", "{tmp}/sub/../scene.json"],
+         "--json {tmp}/sub/../scene.json would overwrite the scene file"),
+        (["validate", "--json", "{tmp}/link.json"], "--json {tmp}/link.json would overwrite the scene file"),
+        (["experiment", "--instability", "--csv", "{scene}"], "--csv {scene} would overwrite the scene file"),
+        (["experiment", "--instability", "--json", "{tmp}/out", "--csv", "{tmp}/out"],
+         "--csv {tmp}/out would overwrite the --json output"),
+    ], ids=["check-json-is-scene", "check-json-spelled-otherwise", "validate-json-links-to-scene",
+            "experiment-csv-is-scene", "experiment-json-is-csv"])
+    def test_output_that_overwrites_an_input_or_output_is_usage_error(self, tmp_path, capsys,
+                                                                       no_work, args, message):
+        # the report replaced the scene (exit 3, and the next run exited 2),
+        # or the JSON replaced the CSV (exit 0); both are refused before any work
+        from strathom.gallery import gallery_entry
+
+        scene = tmp_path / "scene.json"
+        text = json.dumps(gallery_entry("parabola-shelf").scene_dict)
+        scene.write_text(text)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(scene)
+        command, *flags = [a.format(scene=scene, tmp=tmp_path) for a in args]
+        assert main([command, str(scene), *flags, "--seed", "1"]) == EXIT_USAGE
+        assert f"error: {message.format(scene=scene, tmp=tmp_path)}" in capsys.readouterr().err
+        assert scene.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "scene.json", "sub"]
 
     @pytest.mark.parametrize("args", [
         ["validate", "--json"], ["check", "--json"], ["experiment", "--instability", "--csv"],
@@ -483,6 +561,28 @@ class TestExperiment:
         rc = main(["experiment", str(path), "--stability", "--seed", "1", "--csv", str(tmp_path / "s.csv")])
         assert rc == EXIT_VIOLATION
         assert f"precondition violation: {message}" in capsys.readouterr().err
+
+    def test_infinite_margins_are_written_as_null(self, tmp_path, capsys):
+        # no grid image comes within 0.1 of a stratum, so every margin is
+        # infinite; the report held "Infinity", which is not JSON
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "g": "x1, x2, x3 + 100", "g_dim": 3}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(scene))
+        report = tmp_path / "far.report.json"
+        rc = main(["experiment", str(path), "--stability", "--eps", "0.5", "--trials", "3",
+                   "--seed", "1", "--json", str(report), "--csv", str(tmp_path / "far.csv")])
+        assert rc == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        run = json.loads(report.read_text(), parse_constant=reject)["report"]["stability"]
+        assert run["base_margin"] is None
+        assert run["min_margins"] == [None, None, None]
+        assert run["fraction"] == 1.0
 
     def test_nongeneric_scene_under_stability_flag(self, scene_path_factory, tmp_path, capsys):
         csv = tmp_path / "n.csv"

@@ -76,6 +76,29 @@ class TestParse:
             parse_expr("x1 + * 2", 1)
         assert "line 1" in str(exc.value)
 
+    def test_error_on_a_later_line_names_its_line_and_column(self):
+        with pytest.raises(ParseError) as exc:
+            parse_map("x1,\n  * x1", 1)
+        assert str(exc.value) == "unexpected token '*' (line 2, column 3)"
+        assert (exc.value.line, exc.value.col) == (2, 3)
+
+    @pytest.mark.parametrize("source, n, message", [
+        ("x1 $ 2", 1, "unexpected character '$' (line 1, column 4)"),
+        ("1", 0, "declared dimension must be >= 1 (line 1, column 1)"),
+        ("(x1 + 1", 1, "expected ')', found '' (line 1, column 8)"),
+        ("z", 2, "alias 'z' needs dimension >= 3, declared 2 (line 1, column 1)"),
+        ("x1 x1", 1, "trailing input 'x1' (line 1, column 4)"),
+    ], ids=["bad-character", "dimension-0", "missing-paren", "alias-beyond-dimension",
+            "trailing-input"])
+    def test_parse_expr_error_message(self, source, n, message):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(source, n)
+        assert str(exc.value) == message
+
+    def test_trailing_input_after_the_components(self):
+        with pytest.raises(ParseError, match=r"trailing input '\)' \(line 1, column 4\)"):
+            parse_map("x1 )", 1)
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_expr("q + 1", 2)
@@ -168,6 +191,12 @@ class TestEval:
         # explicit opt-out skips the predicate (evaluation itself still guards)
         with pytest.raises(EvaluationError):
             f([0.0, -1.0], check_domain=False)
+
+    def test_non_finite_value(self):
+        # an infinite input; exp(x1) at 1000 would raise numpy's overflow
+        # warning before the guard
+        with pytest.raises(EvaluationError, match="non-finite value in evaluation"):
+            parse_map("x1", 1)([np.inf])
 
     def test_division_by_zero(self):
         f = parse_map("1/x1", 1)

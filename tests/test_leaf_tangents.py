@@ -138,10 +138,9 @@ def test_radial_details_match_recorded_values(gallery_ctx, name):
             assert "witness" not in out
             continue
         assert (out["status"], out["detail"]["clean_radius"]) == ("fails-with-witness", None)
-        # one bad point per radius, in radius order; the witness sits at the last
-        assert len(v.witness.arc.points) == 10
-        assert v.witness.point == tuple(v.witness.arc.points[-1])
-        w = out["witness"]
-        assert len(w["arc_points"]) == 10 and w["point"] == w["arc_points"][-1]
-        # placeholders: no vector, angle or limit backs a radial fault
-        assert (w["vector"], w["angle"], w["limit"]) == ([0.0, 0.0, 0.0], None, [])
+        # one bad point per radius, in radius order, each inside its ball;
+        # the report holds these points and nothing else
+        assert v.witness.points.shape == (10, 3)
+        dist = np.linalg.norm(v.witness.points - np.asarray(inc.point), axis=1)
+        assert np.all(dist <= np.array(radii)), dist
+        assert out["witness"] == {"points": v.witness.points.tolist()}

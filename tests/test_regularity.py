@@ -419,7 +419,7 @@ class TestEmptyRadii:
         assert v.status is Status.INCONCLUSIVE
         v = self._verdict(ctx, [self._row(3, 0, bad=True), self._row(5, 1, bad=True)])
         assert v.status is Status.FAILS
-        assert len(v.witness.arc.points) == 2
+        assert len(v.witness.points) == 2
 
     def test_rows_without_the_empty_mark_keep_the_old_rule(self, gallery_ctx):
         # afs rows carry no intersection count: a clean radius is clean

@@ -333,6 +333,19 @@ class TestHashing:
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
 
+# a half-plane X tilted by 1e-7 rad over the floor plane Y, under the zero map
+TILTED = {
+    "ambient_dim": 3,
+    "map": "0",
+    "strata": [
+        {"name": "X", "dim": 2, "chart": "x1, 1e-7*x2, x2", "domain": ["-x2"],
+         "inverse": "x1, x3", "sample_box": [[-1.0, 1.0], [-1.0, 0.0]]},
+        {"name": "Y", "dim": 2, "chart": "x1, 0, x2", "inverse": "x1, x3"},
+    ],
+    "incidences": [{"x": "X", "y": "Y", "point": [0.0, 0.0, 0.0]}],
+}
+
+
 @pytest.fixture(scope="module")
 def fault_json(gallery_ctx):
     _, scene, ctx = gallery_ctx("parabola-shelf")
@@ -356,10 +369,25 @@ class TestWitnessReplay:
         assert replayed["status"] == "fails-with-witness"
         assert abs(replayed["angle"] - v.witness.angle) < 1e-9
 
+    @pytest.mark.parametrize("check", [check_whitney_a_at, check_af_at], ids=["a", "af"])
+    def test_fault_replays_at_the_tolerance_it_was_judged_at(self, check):
+        # every tangent plane of X makes an angle of 1e-7 with T Y: a fault
+        # at angle_tol 1e-8, though within the default CONTAIN_TOL of 1e-6
+        ctx = scene_from_dict(TILTED).build_context(seed=0)
+        v = check(ctx, "X", "Y", (0.0, 0.0, 0.0), ApproachPlan(angle_tol=1e-8))
+        assert v.status.value == "fails-with-witness"
+        assert v.witness.angle == pytest.approx(1e-7, rel=1e-6)
+        data = json.loads(json.dumps(verdict_to_json(v)))
+        assert data["witness"]["angle_tol"] == 1e-8
+        assert replay_witness(data) == {"status": "fails-with-witness", "angle": v.witness.angle}
+        # a report written without the key replays at CONTAIN_TOL
+        del data["witness"]["angle_tol"]
+        assert replay_witness(data)["status"] == "holds-on-samples"
+
     @pytest.mark.parametrize("condition", ["tf", "afs"])
     def test_radial_faults_do_not_replay(self, gallery_ctx, condition):
-        # their witnesses hold placeholders (limit {0}, angle NaN) that
-        # would "replay" as faults even with the point moved
+        # their witnesses hold only bad points, one per radius, and no
+        # containment to re-test, whatever the points say
         _, scene, ctx = gallery_ctx("blowup")
         (inc,) = scene.prestratification.incidences
         if condition == "tf":
@@ -369,7 +397,8 @@ class TestWitnessReplay:
             v = check_afs_at(ctx, inc.x, inc.y, inc.point, seed=0)
         assert v.status.value == "fails-with-witness"
         data = json.loads(json.dumps(verdict_to_json(v)))
-        data["witness"]["point"] = [5.0, 5.0, 5.0]
+        assert list(data["witness"]) == ["points"]
+        data["witness"]["points"] = [[5.0, 5.0, 5.0]]
         with pytest.raises(ValueError, match=condition):
             replay_witness(data)
 
@@ -411,6 +440,18 @@ class TestReportDeterminism:
         report.write(path)
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_fails_the_write(self, tmp_path, value):
+        # Python's json would write NaN or Infinity, which is not JSON
+        report = Report(scene_name="s", scene_data=MINIMAL, seed=3)
+        report.body["margin"] = value
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.write(path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"margin": value})
 
 
 class TestCsv:
