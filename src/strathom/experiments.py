@@ -15,7 +15,10 @@ searched for an unavoidable tangency witness (a zero of the vertical
 slope, or a fold point landing on the foliated circle).  A run searches
 all its trials at once: the base map is evaluated once per grid, the
 slope test runs over one (trials, grid) array, and the fold search is
-one Gauss-Newton solve over every trial's seeds.
+one Gauss-Newton solve over every trial's seeds, each step one call to
+the base map and one to every trial's field (:class:`_FieldStack`: the
+hump kernel takes one field's parameters, or many fields' gathered per
+point, so each point is evaluated under its own trial's field).
 
 Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
 map plus a seeded :class:`PerturbationField` delta, the same type that
@@ -38,6 +41,7 @@ bit-identically.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -133,46 +137,12 @@ class PerturbationField(NumericMap):
         self.m = self.centers.shape[1]
         self.n = self.offsets.shape[1]
 
-    def _humps(self, w: np.ndarray):
-        """Per-hump profile values and gradients at points (k, m)."""
-        if self.topology == "circle":
-            # squared chordal distance on the circle, periodic in w
-            diff = w[:, None, 0] - self.centers[None, :, 0]
-            cos, sin = np.cos(diff), np.sin(diff)
-            d = (2.0 - 2.0 * cos) / self.radii[None, :] ** 2
-            grad = (2.0 * sin / self.radii[None, :] ** 2)[:, :, None]
-            disp = sin[:, :, None]  # periodic displacement
-            disp_jac = cos[:, :, None, None]
-        else:
-            diff = w[:, None, :] - self.centers[None, :, :]
-            d = np.sum(diff**2, axis=2) / self.radii[None, :] ** 2
-            grad = 2.0 * diff / self.radii[None, :, None] ** 2
-            disp = diff
-            disp_jac = None  # the identity: d(w - c)/dw
-        val, slope = _bump_value_and_slope(1.0 - d)
-        dval = -slope[:, :, None] * grad  # (k, B, m)
-        return val, dval, disp, disp_jac
-
     def value_and_jacobian(self, w, check_domain: bool = False):
         """Values and Jacobians from one pass over the humps."""
         arr = np.asarray(w, dtype=float)
-        out, jac = self._on_humps(*self._humps(np.atleast_2d(arr)))
+        humps = _humps(np.atleast_2d(arr), self.centers, self.radii, self.topology)
+        out, jac = _on_humps(humps, self.offsets, self.linears, self.scale)
         return (out[0], jac[0]) if arr.ndim == 1 else (out, jac)
-
-    def _on_humps(self, val, dval, disp, disp_jac):
-        """Values (k, n) and Jacobians (k, n, m) from the hump profiles
-        of :meth:`_humps` at k points."""
-        payload = self.offsets[None, :, :] + np.einsum(
-            "bnm,kbm->kbn", self.linears, disp
-        )
-        out = self.scale * np.sum(val[:, :, None] * payload, axis=1)
-        # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
-        term1 = np.einsum("kbn,kbm->knm", payload, dval)
-        if disp_jac is None:
-            term2 = np.einsum("kb,bnm->knm", val, self.linears)
-        else:
-            term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", self.linears, disp_jac))
-        return out, self.scale * (term1 + term2)
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
         """Sampled C^1 size on the points (k, m), evaluated on the rows
@@ -186,7 +156,7 @@ class PerturbationField(NumericMap):
         sum_b beta_b (|o_b| + |L_b| |disp_b|) and sigma_max(J) <= scale
         sum_b |dbeta_b| (|o_b| + |L_b| |disp_b|) + beta_b |L_b| |d disp_b|.
         A point that no hump reaches has zero bounds."""
-        humps = self._humps(sample)
+        humps = _humps(sample, self.centers, self.radii, self.topology)
         val, dval, disp, disp_jac = humps
         scale = abs(self.scale)
         offset_norms = scale * _row_norms(self.offsets[None])[0]
@@ -194,16 +164,60 @@ class PerturbationField(NumericMap):
         disp_norms, slopes = _row_norms(disp), _row_norms(dval)
         lin_part = val if disp_jac is None else val * _row_norms(disp_jac)
         return _pruned_c1_size(
-            lambda idx: self._on_humps(*(None if h is None else h.take(idx, axis=0) for h in humps)),
+            lambda idx: _on_humps(
+                [None if h is None else h.take(idx, axis=0) for h in humps], self.offsets, self.linears, self.scale
+            ),
             val @ offset_norms + (val * disp_norms) @ lin_norms,
             slopes @ offset_norms + (slopes * disp_norms + lin_part) @ lin_norms,
         )
 
 
+def _humps(w: np.ndarray, centers: np.ndarray, radii: np.ndarray, topology: str):
+    """Per-hump profile values and gradients at the points w (k, m), for
+    hump centers (B, m) and radii (B,) that every point shares, or
+    (k, B, m) and (k, B) gathered per point: one formula for one field
+    and for many fields, each on its own points."""
+    if topology == "circle":
+        # squared chordal distance on the circle, periodic in w
+        diff = w[:, None, 0] - centers[..., 0]
+        cos, sin = np.cos(diff), np.sin(diff)
+        d = (2.0 - 2.0 * cos) / radii**2
+        grad = (2.0 * sin / radii**2)[:, :, None]
+        disp = sin[:, :, None]  # periodic displacement
+        disp_jac = cos[:, :, None, None]
+    else:
+        diff = w[:, None, :] - centers
+        d = np.sum(diff**2, axis=2) / radii**2
+        grad = 2.0 * diff / radii[..., None] ** 2
+        disp = diff
+        disp_jac = None  # the identity: d(w - c)/dw
+    val, slope = _bump_value_and_slope(1.0 - d)
+    dval = -slope[:, :, None] * grad  # (k, B, m)
+    return val, dval, disp, disp_jac
+
+
+def _on_humps(humps, offsets: np.ndarray, linears: np.ndarray, scale):
+    """Values (k, n) and Jacobians (k, n, m) from the hump profiles of
+    :func:`_humps` at k points, for offsets (B, n), linear parts
+    (B, n, m) and a scale that every point shares, or (k, B, n),
+    (k, B, n, m) and (k,) gathered per point."""
+    val, dval, disp, disp_jac = humps
+    scale = np.asarray(scale)
+    payload = offsets + np.einsum("...bnm,...bm->...bn", linears, disp)
+    out = scale[..., None] * np.sum(val[:, :, None] * payload, axis=1)
+    # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
+    term1 = np.einsum("kbn,kbm->knm", payload, dval)
+    if disp_jac is None:
+        term2 = np.einsum("...b,...bnm->...nm", val, linears)
+    else:
+        term2 = np.einsum("...b,...bnm->...nm", val, np.einsum("...bnu,...bum->...bnm", linears, disp_jac))
+    return out, scale[..., None, None] * (term1 + term2)
+
+
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean (Frobenius) norms (k, B) of the vectors or matrices in a
     (k, B, ...) array; of one entry, its absolute value."""
-    flat = a.reshape(a.shape[:2] + (-1,))
+    flat = a.reshape(a.shape[:2] + (math.prod(a.shape[2:]),))
     if flat.shape[2] == 1:
         return np.abs(flat[:, :, 0])
     return np.sqrt(np.einsum("kbi,kbi->kb", flat, flat))
@@ -259,6 +273,33 @@ class _TrialFields:
         scaled = copy.copy(delta)
         scaled.scale = eps / raw
         return scaled
+
+    def stack(self, count: int, eps: float) -> _FieldStack:
+        """The fields of trials 0 to count - 1 at C^1 size eps, stacked."""
+        return _FieldStack([self.at(t, eps) for t in range(count)], self.topology)
+
+
+class _FieldStack:
+    """Perturbation fields of one topology and hump count, their
+    parameters stacked along a leading field axis, so that one call
+    evaluates many fields, each on its own points."""
+
+    def __init__(self, fields: list[PerturbationField], topology: str):
+        self.topology = topology
+        self.centers, self.radii, self.offsets, self.linears, self.scales = (
+            np.array([getattr(f, name) for f in fields]) for name in ("centers", "radii", "offsets", "linears", "scale")
+        )
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def value_and_jacobian(self, w: np.ndarray, owner):
+        """Values (k, n) and Jacobians (k, n, m) at the points w (k, m):
+        every point under field ``owner`` if it is an int, point i under
+        field ``owner[i]`` if it is an index array (k,).  Each row has
+        the bits of its field's own :meth:`PerturbationField.value_and_jacobian`."""
+        humps = _humps(w, self.centers[owner], self.radii[owner], self.topology)
+        return _on_humps(humps, self.offsets[owner], self.linears[owner], self.scales[owner])
 
 
 def _require_count(name: str, value: int, least: int) -> None:
@@ -599,13 +640,14 @@ class NongenericityReport:
         return [(t, self.eps, int(t not in found)) for t in range(self.trials)]
 
 
-def _trial_maps_at(base, deltas, w: np.ndarray):
+def _trial_maps_at(base, fields: _FieldStack, w: np.ndarray):
     """Values and Jacobians at the points w (k, m) of each trial map
-    base + delta, summed as ``PerturbedMap(base, delta)`` sums them, bit
-    for bit, with the base map evaluated once for every trial."""
+    base + delta, one field of the stack at a time, summed as
+    ``PerturbedMap(base, delta)`` sums them, bit for bit, with the base
+    map evaluated once for every trial."""
     base_val, base_jac = base.value_and_jacobian(w, check_domain=False)
-    for delta in deltas:
-        val, jac = delta.value_and_jacobian(w)
+    for trial in range(len(fields)):
+        val, jac = fields.value_and_jacobian(w, trial)
         yield base_val + val, base_jac + jac
 
 
@@ -627,41 +669,34 @@ def _fold_residuals(vals: np.ndarray, jacs: np.ndarray) -> np.ndarray:
     return np.stack([det, np.sum(vals**2, axis=1) - 1.0], axis=1)
 
 
-def _fold_on_circle_witnesses(base, deltas, box, grid_dims) -> list[dict | None]:
+def _fold_on_circle_witnesses(base, fields: _FieldStack, box, grid_dims) -> list[dict | None]:
     """Gauss-Newton solves for det Dh = 0 on the unit circle image, for
-    every trial map h = base + delta, from each map's 8 best grid seeds.
+    every trial map h = base + delta, delta a field of the stack, from
+    each map's 8 best grid seeds.
 
     Each map scores the grid on its own, with the base map's grid values
     evaluated once.  Then one solve runs every map's seeds stacked.  The
-    residual's Jacobian is a central difference, and each step evaluates
-    the base map once, on the iterates and their four probes stacked,
-    and each delta on its own map's rows, in the order a one-map solve
-    would pass them.  Rows are independent, so each map gets the
-    iterates and the witness (or None) it would get alone.
+    residual's Jacobian is a central difference, and each step makes one
+    call to the base map and one to the stack, on the iterates and their
+    four probes stacked, each row under its own map's field.  Rows are
+    independent, so each map gets the iterates and the witness (or None)
+    it would get alone.
     """
-    if not deltas:
+    if not len(fields):
         return []
     grid = grid_points(box, grid_dims)
     per_map = min(8, len(grid))
     starts = [
         grid[np.argsort(np.linalg.norm(_fold_residuals(vals, jacs), axis=1))[:per_map]]
-        for vals, jacs in _trial_maps_at(base, deltas, grid)
+        for vals, jacs in _trial_maps_at(base, fields, grid)
     ]
 
     def residuals_at(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        # w (c, k, 2) holds c copies of k rows; row i belongs to map
-        # owner[i], and owner is nondecreasing
-        base_val, base_jac = base.value_and_jacobian(w.reshape(-1, 2), check_domain=False)
-        base_val, base_jac = base_val.reshape(w.shape), base_jac.reshape(w.shape + (2,))
-        out = np.empty(w.shape)
-        bounds = np.searchsorted(owner, np.arange(len(deltas) + 1))
-        for delta, lo, hi in zip(deltas, bounds[:-1], bounds[1:]):
-            if lo < hi:
-                val, jac = delta.value_and_jacobian(w[:, lo:hi].reshape(-1, 2))
-                vals = base_val[:, lo:hi].reshape(-1, 2) + val
-                jacs = base_jac[:, lo:hi].reshape(-1, 2, 2) + jac
-                out[:, lo:hi] = _fold_residuals(vals, jacs).reshape(len(w), hi - lo, 2)
-        return out
+        # w (c, k, 2) holds c copies of k rows; row i belongs to map owner[i]
+        flat = w.reshape(-1, 2)
+        base_val, base_jac = base.value_and_jacobian(flat, check_domain=False)
+        val, jac = fields.value_and_jacobian(flat, np.tile(owner, len(w)))
+        return _fold_residuals(base_val + val, base_jac + jac).reshape(w.shape)
 
     step_h = 1e-6
     e1, e2 = step_h * np.eye(2)
@@ -673,9 +708,9 @@ def _fold_on_circle_witnesses(base, deltas, box, grid_dims) -> list[dict | None]
 
     w = _gauss_newton(residual, np.concatenate(starts), -np.inf, np.inf, tol=1e-13, max_iter=60).u
     owner = np.arange(len(w)) // per_map
-    residual_norms = np.linalg.norm(residuals_at(w[None], owner)[0], axis=1).reshape(len(deltas), per_map)
+    residual_norms = np.linalg.norm(residuals_at(w[None], owner)[0], axis=1).reshape(len(fields), per_map)
     found: list[dict | None] = []
-    for sols, norms in zip(w.reshape(len(deltas), per_map, 2), residual_norms):
+    for sols, norms in zip(w.reshape(len(fields), per_map, 2), residual_norms):
         best = int(np.argmin(norms))
         hit = norms[best] < 1e-9
         found.append({"w": sols[best].tolist(), "residual": float(norms[best])} if hit else None)
@@ -694,8 +729,9 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
     (trials, grid) array of vertical slopes for its first zero or sign
     change per trial, and the fold scene scores each trial's grid on its
     own and solves from every trial's 8 best seeds in one stacked
-    Gauss-Newton solve (:func:`_fold_on_circle_witnesses`).  Each trial
-    gets the witness it would get alone.
+    Gauss-Newton solve, one field call per step
+    (:func:`_fold_on_circle_witnesses`).  Each trial gets the witness it
+    would get alone.
     """
     exp = scene.experiments or {}
     if exp.get("mode") != "nongeneric":
@@ -710,13 +746,13 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
         scene.ambient, box, seed, int(exp.get("bumps", 3)),
         topology="circle" if topology == "circle" else "line",
     )
-    deltas = [fields.at(t, eps) for t in range(trials)]
+    stack = fields.stack(trials, eps)
     if topology == "fold":
-        found = _fold_on_circle_witnesses(g, deltas, box, exp["grid"])
+        found = _fold_on_circle_witnesses(g, stack, box, exp["grid"])
     else:
         ts = np.linspace(box[0][0], box[0][1], int(exp["grid"][0]))
         slopes = np.empty((trials, len(ts)))
-        for row, (_, jac) in zip(slopes, _trial_maps_at(g, deltas, ts[:, None])):
+        for row, (_, jac) in zip(slopes, _trial_maps_at(g, stack, ts[:, None])):
             row[:] = jac[:, 1, 0]
         found = _slope_zero_witnesses(ts, slopes, wrap=topology == "circle")
     witnesses = [dict(w, trial=t) for t, w in enumerate(found) if w is not None]

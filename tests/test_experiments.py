@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strathom.experiments as experiments
 from strathom.constructions import PerturbedMap
 from strathom.dsl import DomainError, parse_map
 from strathom.experiments import (
     AffineMap,
+    _FieldStack,
     _fold_on_circle_witnesses,
     _slope_zero_witnesses,
     _trial_maps_at,
@@ -30,6 +33,27 @@ CUBE = [[-1, 1]] * 3
 CIRCLE = [[-np.pi, np.pi]]
 # the zero map of the plane: a base map that leaves each delta as it is
 ZERO_PLANE_MAP = AffineMap(np.zeros((2, 2)), np.zeros(2))
+
+
+class _MapStack:
+    """Maps of the plane behind the interface of a field stack, for the
+    fold search: ``len`` and ``value_and_jacobian(w, owner)``, with one
+    call of each map on the rows it owns."""
+
+    def __init__(self, maps):
+        self.maps = maps
+
+    def __len__(self):
+        return len(self.maps)
+
+    def value_and_jacobian(self, w, owner):
+        if np.ndim(owner) == 0:
+            return self.maps[owner].value_and_jacobian(w)
+        val, jac = np.empty((len(w), 2)), np.empty((len(w), 2, 2))
+        for t in np.unique(owner):
+            rows = owner == t
+            val[rows], jac[rows] = self.maps[t].value_and_jacobian(w[rows])
+        return val, jac
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +99,7 @@ class TestPerturbationField:
         # product through a broadcast identity
         delta = _TrialFields(3, CUBE, 0, 4).at(0, 0.25)
         w = grid_points([[-1.0, 1.0]] * 3, [6, 6, 6])
-        val, dval, disp, _ = delta._humps(w)
+        val, dval, disp, _ = experiments._humps(w, delta.centers, delta.radii, delta.topology)
         payload = delta.offsets[None, :, :] + np.einsum("bnm,kbm->kbn", delta.linears, disp)
         eye = np.broadcast_to(np.eye(3), (len(w), len(delta.radii), 3, 3))
         term2 = np.einsum("kb,kbnm->knm", val, np.einsum("bnu,kbum->kbnm", delta.linears, eye))
@@ -115,6 +139,27 @@ class TestPerturbationField:
         sample = rng_for(0, "c1-sample").uniform(-1, 1, size=(1000, 3))
         assert delta.sampled_c1_norm(sample) == pytest.approx(0.25, rel=1e-9)
 
+    @pytest.mark.parametrize("topology, box", [("line", CUBE), ("circle", CIRCLE)])
+    def test_no_sample_points_size_to_zero(self, topology, box):
+        delta = _TrialFields(3, box, 0, 4, topology=topology).at(0, 0.25)
+        assert delta.sampled_c1_norm(np.zeros((0, len(box)))) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stacked_fields_equal_one_field_calls(self, data):
+        # one stacked call gives each point the bits, sign bits included,
+        # of its own field's call: owners in any order and repeated, and
+        # one field that owns no point
+        fields, w, owner = data.draw(_field_stacks())
+        stack = _FieldStack(fields, fields[0].topology)
+        got = stack.value_and_jacobian(w, owner)
+        for t, delta in enumerate(fields):
+            rows = owner == t
+            for a, b in zip(got, delta.value_and_jacobian(w[rows])):
+                assert a[rows].tobytes() == b.tobytes()
+            for a, b in zip(stack.value_and_jacobian(w, t), delta.value_and_jacobian(w)):
+                assert a.tobytes() == b.tobytes()
+
     def test_a_field_that_no_sample_point_reaches_is_a_degenerate_draw(self, monkeypatch):
         # its bounds are zero on every row; it still sizes to 0 and is refused
         def far_away(*args, **kwargs):
@@ -145,6 +190,29 @@ class TestPerturbationField:
         assert again.scale == fresh.scale
         for a, b in zip(again.value_and_jacobian(pts), fresh.value_and_jacobian(pts)):
             assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _field_stacks(draw):
+    """(fields, w, owner): 2-5 perturbation fields of one topology (a
+    line domain of dimension 1-3, or the circle), target dimension 2-3
+    and 1-5 bumps, each at its own scale; 0-40 points of the box; and an
+    owner field for each point, drawn in any order from every field but
+    one."""
+    topology = draw(st.sampled_from(["line", "circle"]))
+    m = 1 if topology == "circle" else draw(st.integers(1, 3))
+    box = CIRCLE if topology == "circle" else [[-1.0, 1.0]] * m
+    n, bumps, count = draw(st.integers(2, 3)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    rng = rng_for(draw(st.integers(0, 2**16)), "field-stack")
+    fields = []
+    for _ in range(count):
+        delta = make_perturbation(n, m, box, rng, bumps=bumps, topology=topology)
+        delta.scale = draw(st.sampled_from([1.0, 0.37, 2.5e-3]))
+        fields.append(delta)
+    idle = draw(st.integers(0, count - 1))
+    owner = np.array(draw(st.lists(st.sampled_from([t for t in range(count) if t != idle]), max_size=40)), dtype=int)
+    lo, hi = np.asarray(box, dtype=float).T
+    return fields, rng.uniform(lo, hi, size=(len(owner), m)), owner
 
 
 class TestCountsOutOfRange:
@@ -416,7 +484,7 @@ class TestNongenericity:
         fields = _TrialFields(2, exp["k_box"], 1, 3)
         deltas = [fields.at(t, 0.02) for t in range(3)]
         w = grid_points(exp["k_box"], [7, 5])
-        for delta, (vals, jacs) in zip(deltas, _trial_maps_at(g, deltas, w)):
+        for delta, (vals, jacs) in zip(deltas, _trial_maps_at(g, fields.stack(3, 0.02), w)):
             want_vals, want_jacs = PerturbedMap(g, delta).value_and_jacobian(w)
             assert np.array_equal(vals, want_vals) and np.array_equal(jacs, want_jacs)
 
@@ -449,7 +517,7 @@ class TestNongenericity:
         # (+-1, 0); the seeds on x1 = 0, among the 8 best of the grid, have
         # a singular residual Jacobian, which must not sink the others
         h = parse_map("x1, x2^2", 2)
-        [w] = _fold_on_circle_witnesses(ZERO_PLANE_MAP, [h], [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
+        [w] = _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
         assert w is not None and w["residual"] < 1e-9
         assert abs(abs(w["w"][0]) - 1.0) < 1e-9 and abs(w["w"][1]) < 1e-9
 
@@ -463,11 +531,38 @@ class TestNongenericity:
             parse_map("x1 + 3, x2", 2),
         ]
         box, grid = [[-2.0, 2.0], [-2.0, 2.0]], [5, 5]
-        alone = [_fold_on_circle_witnesses(ZERO_PLANE_MAP, [h], box, grid)[0] for h in maps]
+        alone = [_fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), box, grid)[0] for h in maps]
         assert alone[0] is not None and alone[1] is not None and alone[2] is None
-        stacked = maps + maps[:1]
+        stacked = _MapStack(maps + maps[:1])
         assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, stacked, box, grid) == alone + alone[:1]
-        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, [], box, grid) == []
+        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([]), box, grid) == []
+
+    def test_one_field_call_per_fold_search_step(self, gallery_ctx, monkeypatch):
+        # each trial's field scores the grid once; then every step of the
+        # stacked Gauss-Newton solve, and the final residuals, evaluate
+        # all trials' rows in one call, not one call per trial
+        _, scene, _ = gallery_ctx("sphere-disc")
+        owners, steps = [], []
+        evaluate, solve = _FieldStack.value_and_jacobian, experiments._gauss_newton
+
+        def counting_evaluate(self, w, owner):
+            owners.append(owner)
+            return evaluate(self, w, owner)
+
+        def counting_solve(residual, *args, **kwargs):
+            def counted(u, idx):
+                steps.append(len(idx))
+                return residual(u, idx)
+
+            return solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(_FieldStack, "value_and_jacobian", counting_evaluate)
+        monkeypatch.setattr(experiments, "_gauss_newton", counting_solve)
+        assert len(nongenericity_demo(scene, trials=50, seed=1).witnesses) == 50
+        assert [t for t in owners if np.ndim(t) == 0] == list(range(50))
+        stacked = [t for t in owners if np.ndim(t) == 1]
+        assert len(stacked) == len(steps) + 1 < 50
+        assert steps[0] == 50 * 8 and len(stacked[0]) == 5 * 50 * 8
 
     def test_regular_scene_lacks_the_block(self, gallery_ctx):
         _, scene, _ = gallery_ctx("parallel-planes")
