@@ -154,9 +154,11 @@ def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
       system solved as the back-substitution of its index reversal.
 
     Rank is decided by the ``_ranks`` cutoff on diag R;
-    rank-deficient rows keep the minimum-norm step ``pinv(J) r``.  Both
-    kernels work elementwise over the batch, so each row's step is the
-    one it would take alone.
+    rank-deficient rows keep the minimum-norm step ``pinv(J) r``.  A row
+    holding a NaN or an infinity gets a step that is not finite: NaN where
+    it is rank-deficient (as a NaN row always is), since ``pinv``'s SVD
+    does not converge on it.  Both kernels work elementwise over the
+    batch, so each row's step is the one it would take alone.
     """
     _, m, d = jacs.shape
     if m < d:
@@ -166,9 +168,12 @@ def _least_squares_steps(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
     else:
         basis, tri = _thin_qr(jacs)
         steps = _back_substitute(tri, (basis * res[:, :, None]).sum(axis=1))
-    full = _ranks(tri.diagonal(0, 1, 2)) == min(m, d)
-    if not full.all():
-        steps[~full] = (np.linalg.pinv(jacs[~full]) @ res[~full][:, :, None])[:, :, 0]
+    deficient = _ranks(tri.diagonal(0, 1, 2)) < min(m, d)
+    if deficient.any():
+        finite = np.isfinite(jacs).all(axis=(1, 2)) & np.isfinite(res).all(axis=1)
+        steps[deficient & ~finite] = np.nan
+        deficient &= finite
+        steps[deficient] = (np.linalg.pinv(jacs[deficient]) @ res[deficient][:, :, None])[:, :, 0]
     return steps
 
 
@@ -235,7 +240,9 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
     unclipped step never shrinks, and a point held at a box-edge fixed
     point of the three-array form stops at once.  Points still moving
     after ``max_iter`` steps keep their last iterate and report
-    ``converged=False``.
+    ``converged=False``; so does a point whose step is not finite (a
+    residual or Jacobian that overflowed, say), which stops at once at
+    its last finite iterate without counting the step.
     """
     u = np.clip(np.asarray(u0, dtype=float), lo, hi)
     k = len(u)
@@ -251,6 +258,9 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
             step = _box_steps(res, jacs, r_factor[0], ua, lo, hi)
         else:
             step = _least_squares_steps(jacs, res)
+        if not np.isfinite(step).all():  # rows without a finite step stop where they are
+            keep = np.isfinite(step).all(axis=1)
+            active, ua, step = active[keep], ua[keep], step[keep]
         new = np.clip(ua - step, lo, hi)
         u[active] = new
         iterations[active] += 1
@@ -711,8 +721,9 @@ class ApproachPlan:
     for i = 1..terms over a direction set made of the chart-coordinate
     axis directions and random unit directions from the fixed
     ``rng_for(0, "arc-directions")`` stream, capped at
-    ``total_directions`` (at least 1).  ``angle_tol``, positive, is the
-    angle tolerance of the Cauchy window and of the limit's containment.
+    ``total_directions`` (at least 1).  ``angle_tol``, in (0, pi/2], is the
+    angle tolerance of the Cauchy window and of the limit's containment;
+    principal angles never exceed pi/2, so a larger one passes every test.
     """
 
     ratio: float = 0.7
@@ -732,6 +743,8 @@ class ApproachPlan:
             raise ValueError("direction count must be at least 1")
         if not self.angle_tol > 0.0:
             raise ValueError("angle tolerance must be positive")
+        if not self.angle_tol <= np.pi / 2:
+            raise ValueError(f"angle tolerance must be at most pi/2, got {self.angle_tol}")
 
     def directions(self, dim: int) -> list[np.ndarray]:
         dirs: list[np.ndarray] = []

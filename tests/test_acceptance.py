@@ -179,6 +179,27 @@ def test_criterion_5_witness_sheet(gallery_ctx):
     )
 
 
+# (intersections, nontransverse, stalled) per radius
+SHEET_ROWS = (
+    (9, True, 0), (11, True, 0), (13, True, 0), (16, True, 0), (16, True, 0),
+    (15, True, 0), (13, True, 0), (14, True, 0), (16, True, 0), (14, True, 0),
+)
+
+
+def test_witness_sheet_rows(gallery_ctx):
+    _, scene, ctx = gallery_ctx("parabola-shelf")
+    origin = np.zeros(3)
+    fault = check_af_at(ctx, "S1", "S2", origin, seed=0)
+    wit = scene.raw["witness"]
+    sheet = tf_witness(
+        ctx, "S1", "S2", origin, parse_map(wit["arc"], 1), np.array(fault.witness.vector),
+        t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
+    )
+    verdict = check_tf_at(ctx, "S1", "S2", origin, sheet, seed=0)
+    rows = tuple((r["intersections"], r["nontransverse"], r["stalled"]) for r in verdict.detail["radii"])
+    assert rows == SHEET_ROWS
+
+
 def test_criterion_6_stability(gallery_ctx):
     entry, scene, ctx = gallery_ctx("parallel-planes")
     exp = scene.experiments

@@ -195,6 +195,33 @@ class TestCheck:
         b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_benchmark_check_loop_is_the_clis(self, monkeypatch):
+        # the check-gallery workload times its own copy of the CLI's check
+        # loop, one call per operation (perfbench/workloads.py::_check_ops);
+        # at seed 1 it must give every regularity scene the CLI's verdicts
+        import importlib.util
+
+        from strathom.cli import _check
+        from strathom.gallery import gallery_entry
+        from strathom.report import verdict_to_json
+        from strathom.seeds import derive_seed
+        from strathom.strata import ApproachPlan
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+        spec.loader.exec_module(workloads)
+        conditions = ("a", "af", "tf", "afs")
+        for name in workloads.REGULARITY_SCENES:
+            scene = gallery_entry(name).scene()
+            plan = scene.plan or ApproachPlan()
+            ctx = scene.build_context(seed=derive_seed(1, "context"))
+            bench = [op() for inc in scene.prestratification.incidences for cond in conditions
+                     for op in workloads._check_ops(ctx, inc, cond, plan, 1)]
+            cli = _check(scene, conditions, plan, 5, 1)  # 5: the --tf-surfaces default
+            assert [verdict_to_json(v) for v in bench] == [verdict_to_json(v) for v in cli], name
+
     def test_plan_override_flags(self, scene_path_factory):
         rc = main(["check", scene_path_factory("parabola-shelf"), "--condition", "af",
                    "--seed", "1", "--ratio", "0.5", "--terms", "40"])
@@ -215,6 +242,7 @@ class TestCheck:
     @pytest.mark.parametrize("flag", [
         ["--terms", "3"], ["--ratio", "1.5"], ["--directions", "0"],
         ["--angle-tol", "0"], ["--angle-tol", "-1"], ["--angle-tol", "nan"],
+        ["--angle-tol", "inf"], ["--angle-tol", "2"],
     ])
     def test_out_of_range_plan_flag_is_usage_error(self, scene_path_factory, flag, tmp_path, capsys):
         rc = main(["check", scene_path_factory("parallel-planes"), "--condition", "a",
@@ -353,11 +381,13 @@ class TestCheck:
         ({"directions": 0}, "direction count must be at least 1"),
         ({"angle_tol": 0.0}, "angle tolerance must be positive"),
         ({"angle_tol": -1.0}, "angle tolerance must be positive"),
+        ({"angle_tol": 2.0}, "angle tolerance must be at most pi/2, got 2.0"),
     ])
     def test_out_of_range_scene_plan_field_is_scene_error(self, plan, message):
-        # no arc at all would let every check hold vacuously, and no
-        # Cauchy window meets a tolerance of 0 or less (a NaN tolerance
-        # is a schema violation, in test_scene_report's MALFORMED table)
+        # no arc at all would let every check hold vacuously, no Cauchy
+        # window meets a tolerance of 0 or less, and every one meets a
+        # tolerance above pi/2 (a NaN tolerance is a schema violation, in
+        # test_scene_report's MALFORMED table)
         from strathom.gallery import gallery_entry
         from strathom.scene import SceneError, scene_from_dict
 

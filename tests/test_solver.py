@@ -111,6 +111,28 @@ class TestNonConvergence:
         _, _, converged = _gauss_newton(residual, np.zeros((3, 1)), -2.0, 2.0, tol=1e-13, max_iter=50)
         assert np.all(converged)
 
+    def test_non_finite_row_stops_unconverged_alone(self):
+        # a NaN row has rank 0 under the _ranks cutoff, where pinv's SVD
+        # would raise LinAlgError; it stops at its start instead, and every
+        # other row takes the steps it takes without it
+        chart = parse_map("x1, x1^2", 1)
+        targets = np.array([[1.0, 0.0], [0.5, 0.5], [-0.5, 1.0]])
+        u0 = np.full((3, 1), 0.3)
+
+        def residual(u, idx):
+            res, jacs = _chart_residual(chart, targets)(u, idx)
+            res[idx == 1] = np.nan
+            jacs[idx == 1] = np.nan
+            return res, jacs
+
+        u, iterations, converged = _gauss_newton(residual, u0, -2.0, 2.0, tol=1e-13, max_iter=50)
+        alone = _gauss_newton(_chart_residual(chart, targets[[0, 2]]), u0[[0, 2]], -2.0, 2.0,
+                              tol=1e-13, max_iter=50)
+        assert (u[1, 0], iterations[1], converged[1]) == (0.3, 0, False)
+        assert np.array_equal(u[[0, 2]], alone.u)
+        assert np.array_equal(iterations[[0, 2]], alone.iterations)
+        assert np.array_equal(converged[[0, 2]], alone.converged)
+
     def test_callers_count_points_still_moving(self, gallery_ctx, monkeypatch):
         # point location (9 starts), a margin's location (4 starts for each
         # of 60 queries), chart-surface preimages (60) and leaf samples
