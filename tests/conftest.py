@@ -2,6 +2,7 @@ import os
 
 import pytest
 from hypothesis import settings
+from record_golden import load, record
 
 from strathom.dsl import parse_map
 from strathom.gallery import gallery_entry
@@ -51,3 +52,19 @@ def lines_in_r3_ctx():
         incidences=(Incidence("X", "Y", (0.0, 0.0, 0.0)),),
     )
     return StratifiedMapContext.build(parse_map("x, y", 3), prestrat, seed=0)
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """(stored, recorded) entries of one golden command at one seed: the
+    entry in `tests/golden/` and the one this session's run records.
+    Each command runs once per seed per session, however many tests
+    compare a part of its entry."""
+    runs: dict = {}
+
+    def get(command: str, seed: int):
+        if (command, seed) not in runs:
+            runs[command, seed] = record(command, seed, tmp_path_factory.mktemp(f"{command}-{seed}"))
+        return load(command)[str(seed)], runs[command, seed]
+
+    return get

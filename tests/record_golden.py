@@ -113,6 +113,11 @@ def project(report: dict, verdicts: list) -> dict:
     return _pin(body)
 
 
+def condition_pins(entry: dict, condition: str) -> list:
+    """The pins of a check entry's verdicts on one condition, in report order."""
+    return [v for v in entry["pins"]["verdicts"] if v["condition"] == condition]
+
+
 def record(command: str, seed: int, workdir: Path) -> dict:
     """Run one command at one seed in ``workdir`` and return its entry."""
     argv = argv_of(command, seed)
@@ -221,6 +226,17 @@ def format_rows(rows) -> str:
     header = ("entry", "field", "old", "new", "|delta|", "ulps")
     widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in [header, *rows])
+
+
+def mismatch(entry: str, old, new, shown: int = 10) -> str:
+    """Empty when ``old`` and ``new`` agree, else how many fields differ
+    and a table of the first ``shown``: the message of every comparison
+    against the corpus."""
+    changes = diff(old, new)
+    if not changes:
+        return ""
+    return (f"{len(changes)} fields of {entry} differ from the golden corpus; the first:\n"
+            + format_rows(diff_rows(entry, changes[:shown])))
 
 
 def main() -> int:
