@@ -6,18 +6,20 @@
     strathom gallery                   built-in scenes
 
 Exit codes: 0 success (check: all conditions hold on samples); 2 scene
-error, precondition violation or validation violation; 3 check found a
-fault; 4 check was inconclusive somewhere; 64 usage: arguments the parser
-rejects (an unknown flag, a missing scene or mode, a value of the wrong
-type), a flag out of range or one the chosen experiment mode or check
-condition does not read, a scene path that is missing or not a readable
-file, or an output path that cannot be written or is the scene file or
-the other output, which is found before the run starts; 65 unknown
-gallery name.  An error is one stderr line, "error: ..." for
-exits 64 and 65, "scene error: ...", "precondition violation: ..." or
-"validation violation: ..." for exit 2.  The default seed comes from
-STRATHOM_SEED (0 otherwise; a value that is not an integer is a usage
-error); every task derives its own stream from it.
+error, precondition violation, validation violation or numerical error
+(overflow, invalid operation or division by zero; underflow is silent);
+3 check found a fault; 4 check was inconclusive somewhere; 64 usage:
+arguments the parser rejects (an unknown flag, a missing scene or mode,
+a value of the wrong type), a flag out of range or one the chosen
+experiment mode or check condition does not read, a scene path that is
+missing or not a readable file, or an output path that cannot be
+written or is the scene file or the other output, which is found before
+the run starts; 65 unknown gallery name.  An error is one stderr line,
+"error: ..." for exits 64 and 65, "scene error: ...", "precondition
+violation: ...", "validation violation: ..." or "numerical error: ..."
+for exit 2.  The default seed comes from STRATHOM_SEED (0 otherwise; a
+value that is not an integer is a usage error); every task derives its
+own stream from it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .dsl import DslError, parse_map
 from .experiments import (
@@ -292,7 +296,7 @@ def cmd_experiment(args, scene: Scene, report: Report) -> int:
         run = nongenericity_demo(scene, eps=args.eps, trials=args.trials, seed=report.seed)
         print(
             f"non-genericity demo: {run.trials} trials at eps={run.eps}, "
-            f"fraction made transverse: {run.transverse_fraction}"
+            f"fraction made transverse: {run.transverse_fraction}; unresolved trials: {len(run.unresolved)}"
         )
     elif args.stability:
         if "k_box" not in exp:
@@ -369,6 +373,7 @@ _ERRORS = {
     DslError: (EXIT_VIOLATION, "scene error"),
     PreconditionError: (EXIT_VIOLATION, "precondition violation"),
     ValidationError: (EXIT_VIOLATION, "validation violation"),
+    FloatingPointError: (EXIT_VIOLATION, "numerical error"),
 }
 
 
@@ -386,7 +391,8 @@ def main(argv=None) -> int:
         scene = _load(args.scene)
         _probe_outputs(args)
         report = Report(scene_name=scene.name, scene_data=scene.raw, seed=seed)
-        code = _COMMANDS[args.command](args, scene, report)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # the bump's exp(-1/t) underflows
+            code = _COMMANDS[args.command](args, scene, report)
         if args.json:
             _write(args.json, report.write)
         return code

@@ -17,8 +17,9 @@ A perturbed map, here and in the experiments, is one type:
 ``PerturbedMap(base, delta)``, the base map plus a correction field.  The
 destabilizer's delta is a :class:`LocalizedCorrection`; a stability or
 non-genericity trial's is a seeded perturbation field.  Every such
-numeric map evaluates through one ``value_and_jacobian``, and
-:class:`NumericMap` derives ``__call__`` and ``jacobian`` from it.
+numeric map, the rank-drop map too, is a :class:`NumericMap`: it defines
+its evaluation on a batch of points only, and the one-point case and
+``__call__`` and ``jacobian`` come from the base class.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
-from .dsl import Add, Call, Expr, Mul, Num, SmoothMap, Sub, Var, _bump_value_and_slope
+from .dsl import Add, Call, Expr, Mul, Num, NumericMap, SmoothMap, Sub, Var, _bump_value_and_slope
 from .grassmann import Subspace, _angles, _largest, grassmann_distance, span_of, subspace_sum
 from .regularity import FaultWitness, TransversalityResult, _on_base, transverse_at
 from .seeds import rng_for
@@ -67,7 +68,7 @@ def _nsum(terms: list[Expr]) -> Expr:
 
 
 @dataclass(frozen=True)
-class RankDropMap:
+class RankDropMap(NumericMap):
     """Bijective self-map of R^n: rank r at the center, rank n elsewhere,
     identity outside the closed ball of the given radius.
 
@@ -84,13 +85,7 @@ class RankDropMap:
     frame: np.ndarray = field(repr=False)
     map: SmoothMap = field(repr=False)
 
-    def __call__(self, z, check_domain: bool = False) -> np.ndarray:
-        return self.map(z, check_domain=False)
-
-    def jacobian(self, z, check_domain: bool = False) -> np.ndarray:
-        return self.map.jacobian(z, check_domain=False)
-
-    def value_and_jacobian(self, z, check_domain: bool = False):
+    def on_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.map.value_and_jacobian(z, check_domain=False)
 
     def jacobian_at_center(self) -> np.ndarray:
@@ -182,8 +177,10 @@ def choose_complement_H(
     directly: w is the unit component of v off tau; H is the orthogonal
     complement of span{w} (+) (leaf_y intersected with w-perp), so H is
     perpendicular to w along with tau, which caps the sum, while the
-    leaf keeps its w-component and completes the direct sum.  A bounded
-    seeded search backs up the construction if verification fails.
+    leaf keeps its w-component and completes the direct sum: <w, v> is
+    |v - P_tau v| >= tol, so H + leaf spans with a smallest singular
+    value near tol at worst, far above the rank cut.  A construction
+    that still fails verification raises :class:`ConstructionError`.
     """
     v = np.asarray(v, dtype=float)
     vnorm = np.linalg.norm(v)
@@ -211,25 +208,11 @@ def choose_complement_H(
     blocked = np.hstack([w[:, None], inner])
     u, _, _ = np.linalg.svd(blocked, full_matrices=True)
     h = Subspace(u[:, blocked.shape[1] :])
-    if _complement_ok(h, tau, leaf_y, n):
+    with_leaf, with_tau = subspace_sum(h, leaf_y).dim, subspace_sum(h, tau).dim
+    if h.dim == n - s and with_leaf == n and with_tau < n:
         return h
-    # degenerate geometry within tolerance: bounded seeded search
-    rng = rng_for(0, "complement-search")
-    for _ in range(200):
-        cand = span_of(list(rng.standard_normal((n - s, n))), n=n)
-        if cand.dim == n - s and _complement_ok(cand, tau, leaf_y, n):
-            return cand
     raise ConstructionError(
-        "no complement found: "
-        f"dim(H+leaf)={subspace_sum(h, leaf_y).dim}, dim(H+tau)={subspace_sum(h, tau).dim}"
-    )
-
-
-def _complement_ok(h: Subspace, tau: Subspace, leaf_y: Subspace, n: int) -> bool:
-    return (
-        h.dim == n - leaf_y.dim
-        and subspace_sum(h, leaf_y).dim == n
-        and subspace_sum(h, tau).dim < n
+        f"the built complement fails verification: dim(H+leaf)={with_leaf}, dim(H+tau)={with_tau}"
     )
 
 
@@ -261,17 +244,6 @@ def least_rotation(w_from: np.ndarray, w_to: np.ndarray) -> np.ndarray:
     )
 
 
-class NumericMap:
-    """A numeric map whose one evaluation is ``value_and_jacobian``;
-    ``__call__`` and ``jacobian`` read its two halves."""
-
-    def __call__(self, z, check_domain: bool = False) -> np.ndarray:
-        return self.value_and_jacobian(z)[0]
-
-    def jacobian(self, z, check_domain: bool = False) -> np.ndarray:
-        return self.value_and_jacobian(z)[1]
-
-
 class PerturbedMap(NumericMap):
     """The base map plus a correction field: z -> base(z) + delta(z)."""
 
@@ -281,9 +253,9 @@ class PerturbedMap(NumericMap):
         self.m = delta.m
         self.n = delta.n
 
-    def value_and_jacobian(self, z, check_domain: bool = False):
+    def on_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         base_val, base_jac = self.base.value_and_jacobian(z, check_domain=False)
-        val, jac = self.delta.value_and_jacobian(z)
+        val, jac = self.delta.on_batch(z)
         return base_val + val, base_jac + jac
 
 
@@ -334,10 +306,8 @@ class LocalizedCorrection(NumericMap):
         self.n = self.y.size
         self.m = self.shift.size
 
-    def value_and_jacobian(self, z, check_domain: bool = False):
-        arr = np.asarray(z, dtype=float)
-        val, jac = self.on_cutoff(_Cutoff.at(np.atleast_2d(arr), self.y, self.radius))
-        return (val[0], jac[0]) if arr.ndim == 1 else (val, jac)
+    def on_batch(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.on_cutoff(_Cutoff.at(z, self.y, self.radius))
 
     def on_cutoff(self, cut: _Cutoff) -> tuple[np.ndarray, np.ndarray]:
         """Values (k, m) and Jacobians (k, m, n) at the points of a

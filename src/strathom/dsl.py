@@ -29,6 +29,8 @@ strictly increasing in between) used by the explicit constructions.
 Non-smooth primitives parse, but a map declared C^1 (the default)
 rejects them at construction time rather than failing mid-derivative.
 SmoothMap values are immutable and safe to evaluate concurrently.
+Maps given by code rather than expressions (:class:`NumericMap`, such
+as :class:`AffineMap`) share SmoothMap's evaluation interface.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ __all__ = [
     "Pow",
     "Call",
     "SmoothMap",
+    "NumericMap",
+    "AffineMap",
     "parse_expr",
     "parse_map",
     "to_source",
@@ -810,3 +814,37 @@ def parse_map(
     if smooth:
         smap.require_smooth()
     return smap
+
+
+# ---------------------------------------------------------------------------
+# Numeric maps
+
+
+class NumericMap:
+    """A map given by code, not expressions.  A subclass defines only
+    ``on_batch(w)``, the values (k, m) and Jacobians (k, m, n) at points
+    w (k, n); :meth:`value_and_jacobian` is the one place a point (n,)
+    becomes a batch of one and back.  It has no domain to check."""
+
+    def value_and_jacobian(self, z, check_domain: bool = False):
+        arr = np.asarray(z, dtype=float)
+        val, jac = self.on_batch(np.atleast_2d(arr))
+        return (val[0], jac[0]) if arr.ndim == 1 else (val, jac)
+
+    def __call__(self, z, check_domain: bool = False) -> np.ndarray:
+        return self.value_and_jacobian(z)[0]
+
+    def jacobian(self, z, check_domain: bool = False) -> np.ndarray:
+        return self.value_and_jacobian(z)[1]
+
+
+class AffineMap(NumericMap):
+    """Numeric affine map w -> A w + b."""
+
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.offset = np.asarray(offset, dtype=float)
+        self.m, self.n = self.matrix.shape[0], self.matrix.shape[1]
+
+    def on_batch(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return w @ self.matrix.T + self.offset, np.broadcast_to(self.matrix, (len(w),) + self.matrix.shape).copy()

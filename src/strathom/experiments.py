@@ -16,9 +16,10 @@ slope, or a fold point landing on the foliated circle).  A run searches
 all its trials at once: the base map is evaluated once per grid, the
 slope test runs over one (trials, grid) array, and the fold search is
 one Gauss-Newton solve over every trial's seeds, each step one call to
-the base map and one to every trial's field (:class:`_FieldStack`: the
-hump kernel takes one field's parameters, or many fields' gathered per
-point, so each point is evaluated under its own trial's field).
+the base map and one to the stack of every trial's field (a
+:class:`PerturbationField` of many fields, whose hump kernel takes one
+field's parameters, or many fields' gathered per point, so each point is
+evaluated under its own trial's field).
 
 Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
 map plus a seeded :class:`PerturbationField` delta, the same type that
@@ -26,8 +27,8 @@ carries the destabilizer's localized correction; the non-genericity
 run adds each delta to the base values it shares, bit for bit the
 same sum.  Stability runs, calibration and the non-genericity scenes
 read their deltas from one per-run stream, :class:`_TrialFields`, which
-draws each trial's field and measures its C^1 size once and rescales it
-to every size asked for.
+draws each trial's field and measures its C^1 size once and builds it at
+every size asked for.
 
 Transversality on samples is decided with an explicit margin (the
 smallest singular value of the stacked differential-plus-leaf matrix).
@@ -40,7 +41,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -49,7 +49,6 @@ import numpy as np
 
 from .constructions import (
     DestabilizerSequence,
-    NumericMap,
     PerturbedMap,
     _pruned_c1_size,
     choose_complement_H,
@@ -57,7 +56,7 @@ from .constructions import (
     frame_for_image,
     rank_drop_map,
 )
-from .dsl import _bump_value_and_slope, parse_map
+from .dsl import AffineMap, NumericMap, _bump_value_and_slope, parse_map
 from .regularity import PreconditionError, Status, check_af_at, transverse_at
 from .scene import Scene
 from .seeds import rng_for
@@ -92,22 +91,6 @@ def grid_points(box, dims) -> np.ndarray:
 # Maps and perturbation fields
 
 
-class AffineMap(NumericMap):
-    """Numeric affine map w -> A w + b (the seeded transverse base map)."""
-
-    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.offset = np.asarray(offset, dtype=float)
-        self.m, self.n = self.matrix.shape[0], self.matrix.shape[1]
-
-    def value_and_jacobian(self, w, check_domain: bool = False):
-        arr = np.asarray(w, dtype=float)
-        out = np.atleast_2d(arr) @ self.matrix.T + self.offset
-        if arr.ndim == 1:
-            return out[0], self.matrix.copy()
-        return out, np.broadcast_to(self.matrix, (arr.shape[0],) + self.matrix.shape).copy()
-
-
 def seeded_full_rank_map(n: int, seed: int) -> AffineMap:
     """Seeded affine self-map of R^n with all singular values >= 0.35;
     full ambient rank makes it transverse to every foliated stratum."""
@@ -121,32 +104,47 @@ def seeded_full_rank_map(n: int, seed: int) -> AffineMap:
 
 class PerturbationField(NumericMap):
     """Finite sum of smooth localized humps with random offsets and
-    linear parts; C^1 size is controlled by a single scale factor.
+    linear parts; C^1 size is controlled by a scale set when the field is
+    built.  Or a stack of fields of one topology and hump count, every
+    parameter with a leading field axis, evaluated under an owner only.
 
     On a circle domain the humps and linear parts are built from
     periodic quantities so the perturbed map stays a map of the circle.
     """
 
-    def __init__(self, centers, radii, offsets, linears, topology: str = "line"):
-        self.centers = np.asarray(centers, dtype=float)  # (B, m)
-        self.radii = np.asarray(radii, dtype=float)  # (B,)
-        self.offsets = np.asarray(offsets, dtype=float)  # (B, n)
-        self.linears = np.asarray(linears, dtype=float)  # (B, n, m)
+    def __init__(self, centers, radii, offsets, linears, topology: str = "line", scale=1.0):
+        self.centers = np.asarray(centers, dtype=float)  # (B, m); of a stack (T, B, m)
+        self.radii = np.asarray(radii, dtype=float)  # (B,) or (T, B)
+        self.offsets = np.asarray(offsets, dtype=float)  # (B, n) or (T, B, n)
+        self.linears = np.asarray(linears, dtype=float)  # (B, n, m) or (T, B, n, m)
+        self.scale = np.asarray(scale, dtype=float)  # () or (T,)
         self.topology = topology
-        self.scale = 1.0
-        self.m = self.centers.shape[1]
-        self.n = self.offsets.shape[1]
+        self.m = self.centers.shape[-1]
+        self.n = self.offsets.shape[-1]
 
-    def value_and_jacobian(self, w, check_domain: bool = False):
-        """Values and Jacobians from one pass over the humps."""
-        arr = np.asarray(w, dtype=float)
-        humps = _humps(np.atleast_2d(arr), self.centers, self.radii, self.topology)
-        out, jac = _on_humps(humps, self.offsets, self.linears, self.scale)
-        return (out[0], jac[0]) if arr.ndim == 1 else (out, jac)
+    @classmethod
+    def stack(cls, fields: list[PerturbationField], topology: str) -> PerturbationField:
+        names = ("centers", "radii", "offsets", "linears", "scale")
+        return cls(**{name: np.array([getattr(f, name) for f in fields]) for name in names}, topology=topology)
+
+    def __len__(self) -> int:  # of a stack
+        return len(self.scale)
+
+    def on_batch(self, w: np.ndarray, owner=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values (k, n) and Jacobians (k, n, m) at the points w (k, m),
+        from one pass over the humps: every point under this field, or,
+        on a stack, every point under field ``owner`` if it is an int and
+        point i under field ``owner[i]`` if it is an index array (k,).
+        Each row has the bits of its field's own call."""
+        if (owner is None) != (self.scale.ndim == 0):
+            raise ValueError("a stack of fields is evaluated under an owner field, one field under none")
+        at = ... if owner is None else owner
+        humps = _humps(w, self.centers[at], self.radii[at], self.topology)
+        return _on_humps(humps, self.offsets[at], self.linears[at], self.scale[at])
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
-        """Sampled C^1 size on the points (k, m), evaluated on the rows
-        that can reach the sup (:func:`constructions._pruned_c1_size`).
+        """Sampled C^1 size of one field on the points (k, m), evaluated on
+        the rows that can reach the sup (:func:`constructions._pruned_c1_size`).
 
         The hump profiles are computed once on every point, and the
         values and Jacobians only on the rows kept, from those profiles.
@@ -156,6 +154,8 @@ class PerturbationField(NumericMap):
         sum_b beta_b (|o_b| + |L_b| |disp_b|) and sigma_max(J) <= scale
         sum_b |dbeta_b| (|o_b| + |L_b| |disp_b|) + beta_b |L_b| |d disp_b|.
         A point that no hump reaches has zero bounds."""
+        if self.scale.ndim:
+            raise ValueError("the sampled C^1 size is defined on one field, not on a stack")
         humps = _humps(sample, self.centers, self.radii, self.topology)
         val, dval, disp, disp_jac = humps
         scale = abs(self.scale)
@@ -246,9 +246,10 @@ class _TrialFields:
     Trial t's field is drawn at scale 1 from ``rng_for(seed,
     "perturbation", str(t))`` on the box, and its C^1 size is measured on
     the run's 1000 seeded points of the box, drawn once; both happen on
-    the trial's first use only.  :meth:`at` returns a copy scaled to C^1
-    size eps.  The scale multiplies last, so every field is bit for bit
-    a fresh draw, whatever trials and sizes were asked for before.
+    the trial's first use only.  :meth:`at` builds the field of C^1 size
+    eps from that draw, at scale eps over the measured size.  The scale
+    multiplies last, so every field is bit for bit a fresh draw,
+    whatever trials and sizes were asked for before.
     """
 
     def __init__(self, ambient: int, k_box, seed: int, bumps: int, topology: str = "line"):
@@ -259,7 +260,7 @@ class _TrialFields:
         self._unit: dict[int, tuple[PerturbationField, float]] = {}
 
     def at(self, trial: int, eps: float) -> PerturbationField:
-        """Trial ``trial``'s field, scaled to C^1 size eps."""
+        """Trial ``trial``'s field at C^1 size eps."""
         if trial not in self._unit:
             rng = rng_for(self.seed, "perturbation", str(trial))
             delta = make_perturbation(
@@ -269,37 +270,12 @@ class _TrialFields:
             if raw <= 0.0:
                 raise RuntimeError("degenerate perturbation draw")
             self._unit[trial] = delta, raw
-        delta, raw = self._unit[trial]
-        scaled = copy.copy(delta)
-        scaled.scale = eps / raw
-        return scaled
+        unit, raw = self._unit[trial]
+        return PerturbationField(unit.centers, unit.radii, unit.offsets, unit.linears, self.topology, eps / raw)
 
-    def stack(self, count: int, eps: float) -> _FieldStack:
+    def stack(self, count: int, eps: float) -> PerturbationField:
         """The fields of trials 0 to count - 1 at C^1 size eps, stacked."""
-        return _FieldStack([self.at(t, eps) for t in range(count)], self.topology)
-
-
-class _FieldStack:
-    """Perturbation fields of one topology and hump count, their
-    parameters stacked along a leading field axis, so that one call
-    evaluates many fields, each on its own points."""
-
-    def __init__(self, fields: list[PerturbationField], topology: str):
-        self.topology = topology
-        self.centers, self.radii, self.offsets, self.linears, self.scales = (
-            np.array([getattr(f, name) for f in fields]) for name in ("centers", "radii", "offsets", "linears", "scale")
-        )
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-    def value_and_jacobian(self, w: np.ndarray, owner):
-        """Values (k, n) and Jacobians (k, n, m) at the points w (k, m):
-        every point under field ``owner`` if it is an int, point i under
-        field ``owner[i]`` if it is an index array (k,).  Each row has
-        the bits of its field's own :meth:`PerturbationField.value_and_jacobian`."""
-        humps = _humps(w, self.centers[owner], self.radii[owner], self.topology)
-        return _on_humps(humps, self.offsets[owner], self.linears[owner], self.scales[owner])
+        return PerturbationField.stack([self.at(t, eps) for t in range(count)], self.topology)
 
 
 def _require_count(name: str, value: int, least: int) -> None:
@@ -624,30 +600,34 @@ class NongenericityReport:
     seed: int
     witnesses: tuple[dict, ...]  # one per trial that stayed non-transverse
     transverse_fraction: float | None  # None when no trial ran
+    unresolved: tuple[int, ...] = ()  # fold trials with no witness and no converged solve
     csv_header: ClassVar[tuple[str, ...]] = ("trial", "epsilon", "transverse")
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "eps": self.eps,
             "trials": self.trials,
             "seed": self.seed,
             "transverse_fraction": self.transverse_fraction,
             "witnesses": list(self.witnesses),
         }
+        if self.unresolved:
+            out["unresolved"] = list(self.unresolved)
+        return out
 
     def csv_rows(self) -> list[tuple]:
-        found = {w["trial"] for w in self.witnesses}
-        return [(t, self.eps, int(t not in found)) for t in range(self.trials)]
+        held = {w["trial"] for w in self.witnesses}.union(self.unresolved)
+        return [(t, self.eps, int(t not in held)) for t in range(self.trials)]
 
 
-def _trial_maps_at(base, fields: _FieldStack, w: np.ndarray):
+def _trial_maps_at(base, fields: PerturbationField, w: np.ndarray):
     """Values and Jacobians at the points w (k, m) of each trial map
     base + delta, one field of the stack at a time, summed as
     ``PerturbedMap(base, delta)`` sums them, bit for bit, with the base
     map evaluated once for every trial."""
     base_val, base_jac = base.value_and_jacobian(w, check_domain=False)
     for trial in range(len(fields)):
-        val, jac = fields.value_and_jacobian(w, trial)
+        val, jac = fields.on_batch(w, trial)
         yield base_val + val, base_jac + jac
 
 
@@ -669,7 +649,7 @@ def _fold_residuals(vals: np.ndarray, jacs: np.ndarray) -> np.ndarray:
     return np.stack([det, np.sum(vals**2, axis=1) - 1.0], axis=1)
 
 
-def _fold_on_circle_witnesses(base, fields: _FieldStack, box, grid_dims) -> list[dict | None]:
+def _fold_on_circle_witnesses(base, fields: PerturbationField, box, grid_dims):
     """Gauss-Newton solves for det Dh = 0 on the unit circle image, for
     every trial map h = base + delta, delta a field of the stack, from
     each map's 8 best grid seeds.
@@ -681,9 +661,13 @@ def _fold_on_circle_witnesses(base, fields: _FieldStack, box, grid_dims) -> list
     four probes stacked, each row under its own map's field.  Rows are
     independent, so each map gets the iterates and the witness (or None)
     it would get alone.
+
+    Returns the witness or None of each map, and the maps without a
+    witness none of whose solves converged (unresolved: a solve that
+    overflowed, say, shows no fold, but does not rule one out).
     """
     if not len(fields):
-        return []
+        return [], []
     grid = grid_points(box, grid_dims)
     per_map = min(8, len(grid))
     starts = [
@@ -695,7 +679,7 @@ def _fold_on_circle_witnesses(base, fields: _FieldStack, box, grid_dims) -> list
         # w (c, k, 2) holds c copies of k rows; row i belongs to map owner[i]
         flat = w.reshape(-1, 2)
         base_val, base_jac = base.value_and_jacobian(flat, check_domain=False)
-        val, jac = fields.value_and_jacobian(flat, np.tile(owner, len(w)))
+        val, jac = fields.on_batch(flat, np.tile(owner, len(w)))
         return _fold_residuals(base_val + val, base_jac + jac).reshape(w.shape)
 
     step_h = 1e-6
@@ -706,15 +690,16 @@ def _fold_on_circle_witnesses(base, fields: _FieldStack, box, grid_dims) -> list
         f0, f1p, f1m, f2p, f2m = residuals_at(probes, idx // per_map)
         return f0, np.stack([(f1p - f1m) / (2 * step_h), (f2p - f2m) / (2 * step_h)], axis=2)
 
-    w = _gauss_newton(residual, np.concatenate(starts), -np.inf, np.inf, tol=1e-13, max_iter=60).u
+    w, _, converged = _gauss_newton(residual, np.concatenate(starts), -np.inf, np.inf, tol=1e-13, max_iter=60)
     owner = np.arange(len(w)) // per_map
     residual_norms = np.linalg.norm(residuals_at(w[None], owner)[0], axis=1).reshape(len(fields), per_map)
+    converged = converged.reshape(len(fields), per_map).any(axis=1)
     found: list[dict | None] = []
     for sols, norms in zip(w.reshape(len(fields), per_map, 2), residual_norms):
         best = int(np.argmin(norms))
         hit = norms[best] < 1e-9
         found.append({"w": sols[best].tolist(), "residual": float(norms[best])} if hit else None)
-    return found
+    return found, [t for t, (witness, ok) in enumerate(zip(found, converged)) if witness is None and not ok]
 
 
 def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | None = None,
@@ -723,13 +708,14 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
 
     Every trial that yields a witness is confirmed non-transverse; the
     reported fraction of trials made transverse by perturbation is
-    expected to be zero on these scenes.  The trials are searched
-    together: the scene's map is evaluated once on the witness grid and
-    each trial's field added to it; a line or circle scene tests one
-    (trials, grid) array of vertical slopes for its first zero or sign
-    change per trial, and the fold scene scores each trial's grid on its
-    own and solves from every trial's 8 best seeds in one stacked
-    Gauss-Newton solve, one field call per step
+    expected to be zero on these scenes; a fold trial without a witness
+    whose solves all failed is unresolved, not made transverse.  The
+    trials are searched together: the scene's map is evaluated once on
+    the witness grid and each trial's field added to it; a line or circle
+    scene tests one (trials, grid) array of vertical slopes for its first
+    zero or sign change per trial, and the fold scene scores each trial's
+    grid on its own and solves from every trial's 8 best seeds in one
+    stacked Gauss-Newton solve, one field call per step
     (:func:`_fold_on_circle_witnesses`).  Each trial gets the witness it
     would get alone.
     """
@@ -747,8 +733,9 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
         topology="circle" if topology == "circle" else "line",
     )
     stack = fields.stack(trials, eps)
+    unresolved: list[int] = []
     if topology == "fold":
-        found = _fold_on_circle_witnesses(g, stack, box, exp["grid"])
+        found, unresolved = _fold_on_circle_witnesses(g, stack, box, exp["grid"])
     else:
         ts = np.linspace(box[0][0], box[0][1], int(exp["grid"][0]))
         slopes = np.empty((trials, len(ts)))
@@ -756,8 +743,8 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
             row[:] = jac[:, 1, 0]
         found = _slope_zero_witnesses(ts, slopes, wrap=topology == "circle")
     witnesses = [dict(w, trial=t) for t, w in enumerate(found) if w is not None]
-    fraction = (trials - len(witnesses)) / trials if trials else None
+    fraction = (trials - len(witnesses) - len(unresolved)) / trials if trials else None
     return NongenericityReport(
         eps=eps, trials=trials, seed=seed,
-        witnesses=tuple(witnesses), transverse_fraction=fraction,
+        witnesses=tuple(witnesses), transverse_fraction=fraction, unresolved=tuple(unresolved),
     )

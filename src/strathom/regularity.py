@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsl import Add, Expr, Mul, Num, SmoothMap, Sub, Var
+from .dsl import AffineMap, SmoothMap
 from .grassmann import (
     Subspace,
     _angles,
@@ -692,25 +692,16 @@ def check_tf_at(
 # Retraction condition
 
 
-def orthogonal_retraction(point, space: Subspace) -> SmoothMap:
-    """Affine orthogonal projection onto point + space, as an expression map.
+def orthogonal_retraction(point, space: Subspace) -> AffineMap:
+    """Affine orthogonal projection onto point + space: z -> P z + (y - P y),
+    P the orthogonal projector onto the space.
 
     The default local retraction onto a leaf: first-order model of the
-    leaf through the point.
+    leaf through the point.  Its Jacobian is P at every point.
     """
     y = np.asarray(point, dtype=float)
-    n = space.n
     proj = space.basis @ space.basis.T
-    comps: list[Expr] = []
-    for i in range(n):
-        expr: Expr = Num(float(y[i]))
-        for j in range(n):
-            c = float(proj[i, j])
-            if c == 0.0:
-                continue
-            expr = Add(expr, Mul(Num(c), Sub(Var(j), Num(float(y[j])))))
-        comps.append(expr)
-    return SmoothMap(n=n, components=tuple(comps))
+    return AffineMap(proj, y - proj @ y)
 
 
 def _sample_leaf_points(
@@ -751,7 +742,7 @@ def _sample_leaf_points(
 
 
 def _validate_retraction(
-    ctx: StratifiedMapContext, y: str, point, retraction: SmoothMap, seed: int
+    ctx: StratifiedMapContext, y: str, point, retraction: SmoothMap | AffineMap, seed: int
 ) -> None:
     sy = ctx.stratum(y)
     base_point = np.asarray(sy.chart(ctx.prestratification.location(y, point).u), dtype=float)
@@ -777,7 +768,7 @@ def check_afs_at(
     x: str,
     y: str,
     point,
-    retraction: SmoothMap | None = None,
+    retraction: SmoothMap | AffineMap | None = None,
     plan: RadialPlan | None = None,
     seed: int = 0,
 ) -> RegularityVerdict:

@@ -134,7 +134,6 @@ class Scene:
     f: SmoothMap
     prestratification: Prestratification
     plan: ApproachPlan | None
-    witness: dict | None
     experiments: dict | None
 
     def build_context(self, samples: int = 60, seed: int = 0) -> StratifiedMapContext:
@@ -304,7 +303,6 @@ def scene_from_dict(data: dict) -> Scene:
         f=f,
         prestratification=prestrat,
         plan=plan,
-        witness=data.get("witness"),
         experiments=data.get("experiments"),
     )
 

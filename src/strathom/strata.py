@@ -27,6 +27,9 @@ ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
 ON_BASE_TOL = 1e-8  # how far a checked point may lie from its base stratum Y
 CLOSURE_MARGIN = -1e-8  # domain values above this admit a chart point to the closure
 APPROACH_TOL = 1e-7  # how close the last arc term, and the closure of X, must come to y
+# samples per stratum the overlap test locates, whatever the sample count: each
+# costs one Gauss-Newton solve per other stratum, validation's dearest step
+OVERLAP_POINTS = 20
 
 __all__ = [
     "Stratum",
@@ -847,10 +850,8 @@ class FrontierProbe:
 
 @dataclass(frozen=True)
 class PrestratificationReport:
-    valid: bool
     samples: int
     seed: int
-    immersion_ok: tuple[str, ...]
     incidences_confirmed: int
     frontier: tuple[FrontierProbe, ...]
     frontier_status: str
@@ -863,9 +864,12 @@ def validate_prestratification(
 ) -> PrestratificationReport:
     """Sampled validation: immersions, disjointness, incidences, frontier.
 
-    Disjointness and incidence violations raise; the frontier condition
-    is only probed (a prestratification need not satisfy it) and its
-    status is reported as satisfied / violated / undetermined.
+    Immersion is checked on ``samples`` chart points per stratum, and
+    disjointness on the first ``OVERLAP_POINTS`` (20) of them, however
+    many are asked for.  Those violations and incidence violations raise;
+    the frontier condition is only probed (a prestratification need not
+    satisfy it) and its status is reported as satisfied / violated /
+    undetermined.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -879,7 +883,7 @@ def validate_prestratification(
 
     # overlap: a sampled point of one stratum claimed by another
     for a in P.strata:
-        images = a.chart(sampled[a.name][:20])
+        images = a.chart(sampled[a.name][:OVERLAP_POINTS])
         for b in P.strata:
             if b.name == a.name:
                 continue
@@ -911,10 +915,8 @@ def validate_prestratification(
     else:
         frontier_status = "undetermined"
     return PrestratificationReport(
-        valid=True,
         samples=samples,
         seed=seed,
-        immersion_ok=tuple(s.name for s in P.strata),
         incidences_confirmed=confirmed,
         frontier=tuple(probes),
         frontier_status=frontier_status,

@@ -620,7 +620,18 @@ class TestExperiment:
                    "--trials", "6", "--seed", "1", "--csv", str(csv)])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
-        assert "fraction made transverse: 0.0" in out
+        assert "fraction made transverse: 0.0; unresolved trials: 0" in out
+
+    def test_overflow_is_one_numerical_error_line(self, scene_path_factory, tmp_path, capsys):
+        # at eps 1e200 the fields overflow: numpy printed six RuntimeWarnings
+        # with source paths, and the run exited 0 with every trial counted
+        # transverse
+        rc = main(["experiment", scene_path_factory("sphere-disc"), "--stability", "--eps", "1e200",
+                   "--trials", "3", "--seed", "1", "--csv", str(tmp_path / "n.csv")])
+        assert rc == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "numerical error: overflow encountered in multiply\n")
+        assert not (tmp_path / "n.csv").exists()
 
     def test_nongeneric_run_without_trials_reports_no_fraction(self, scene_path_factory, tmp_path, capsys):
         # zero trials measured nothing: the fraction was 0.0, the gallery's

@@ -21,7 +21,7 @@ from strathom.constructions import (
     tf_witness,
 )
 from strathom.dsl import _bump_value_and_slope, parse_map
-from strathom.experiments import make_perturbation
+from strathom.experiments import PerturbationField, make_perturbation
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
 from strathom.regularity import PreconditionError, Status, check_af_at, transverse_at
 from strathom.seeds import rng_for
@@ -175,6 +175,21 @@ class TestChooseComplement:
     def test_witness_vector_must_be_in_leaf(self):
         with pytest.raises(ValueError, match="leaf"):
             choose_complement_H(span3([1, 0, 0]), span3([0, 1, 0]), np.array([0.0, 0.0, 1.0]), 3)
+
+    def test_witness_vector_just_off_the_limit_still_verifies(self):
+        # |v - P_tau v| = 2e-6, just above tol: H + leaf still spans, with
+        # a smallest singular value near 2e-6, far above the rank cut
+        leaf_y = span3([1, 0, 0], [0, 0, 1])
+        tau = span3([2e-6, 0, 1])
+        h = choose_complement_H(tau, leaf_y, np.array([0.0, 0.0, 1.0]), 3)
+        assert subspace_sum(h, leaf_y).dim == 3
+        assert subspace_sum(h, tau).dim == 2
+
+    def test_a_complement_failing_verification_raises(self, monkeypatch):
+        # no search backs up the direct construction: here every sum spans
+        monkeypatch.setattr(constructions, "subspace_sum", lambda a, b: Subspace(np.eye(3)))
+        with pytest.raises(ConstructionError, match=r"fails verification: dim\(H\+leaf\)=3, dim\(H\+tau\)=3$"):
+            choose_complement_H(span3([1, 0, 0]), span3([1, 0, 0], [0, 0, 1]), np.array([0.0, 0.0, 1.0]), 3)
 
     def test_random_configurations_verify(self):
         rng = np.random.default_rng(5)
@@ -594,9 +609,10 @@ def _fields(draw):
     rows = draw(st.sampled_from([1, 7, 300]))
     rng = rng_for(draw(st.integers(0, 2**16)), "pruned-field")
     box = [[-np.pi, np.pi]] if topology == "circle" else [[-1.0, 1.0]] * m
-    field = make_perturbation(draw(st.integers(1, 3)), m, box, rng, bumps=draw(st.integers(1, 4)),
-                              topology=topology)
-    field.scale = draw(st.sampled_from([1.0, 0.37]))
+    unit = make_perturbation(draw(st.integers(1, 3)), m, box, rng, bumps=draw(st.integers(1, 4)),
+                             topology=topology)
+    field = PerturbationField(unit.centers, unit.radii, unit.offsets, unit.linears, topology,
+                              draw(st.sampled_from([1.0, 0.37])))
     zero = draw(st.sampled_from([None, "offsets", "linears"]))
     if zero:
         getattr(field, zero)[:] = 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from strathom.constructions import PerturbedMap
 from strathom.dsl import DomainError, parse_map
 from strathom.experiments import (
     AffineMap,
-    _FieldStack,
+    PerturbationField,
     _fold_on_circle_witnesses,
     _slope_zero_witnesses,
     _trial_maps_at,
@@ -37,8 +38,8 @@ ZERO_PLANE_MAP = AffineMap(np.zeros((2, 2)), np.zeros(2))
 
 class _MapStack:
     """Maps of the plane behind the interface of a field stack, for the
-    fold search: ``len`` and ``value_and_jacobian(w, owner)``, with one
-    call of each map on the rows it owns."""
+    fold search: ``len`` and ``on_batch(w, owner)``, with one call of
+    each map on the rows it owns."""
 
     def __init__(self, maps):
         self.maps = maps
@@ -46,7 +47,7 @@ class _MapStack:
     def __len__(self):
         return len(self.maps)
 
-    def value_and_jacobian(self, w, owner):
+    def on_batch(self, w, owner):
         if np.ndim(owner) == 0:
             return self.maps[owner].value_and_jacobian(w)
         val, jac = np.empty((len(w), 2)), np.empty((len(w), 2, 2))
@@ -128,6 +129,30 @@ class TestPerturbationField:
                 assert np.array_equal(val, fn(pts))
                 assert np.array_equal(jac, fn.jacobian(pts))
 
+    def test_one_point_is_a_batch_of_one(self, shelf_destabilizer):
+        # every numeric map evaluates a point (n,) as the batch of one
+        base = seeded_full_rank_map(3, seed=4)
+        delta = _TrialFields(3, CUBE, 3, 4).at(1, 0.2)
+        w = rng_for(3, "one-point").uniform(-1.0, 1.0, size=(1, 3))
+        maps = [base, delta, PerturbedMap(base, delta), shelf_destabilizer, shelf_destabilizer.delta,
+                shelf_destabilizer.base]
+        for fn in maps:
+            for one, batch in zip(fn.value_and_jacobian(w[0]), fn.on_batch(w)):
+                assert one.tobytes() == batch[0].tobytes()
+
+    def test_a_stack_is_not_one_map(self):
+        # a stack evaluates only under an owner and is never sized; one
+        # field takes no owner
+        fields = _TrialFields(3, CUBE, 0, 4)
+        stack, w = fields.stack(2, 0.25), np.zeros((4, 3))
+        assert len(stack) == 2
+        with pytest.raises(ValueError, match="owner"):
+            stack(w)
+        with pytest.raises(ValueError, match="one field, not on a stack"):
+            stack.sampled_c1_norm(w)
+        with pytest.raises(ValueError, match="owner"):
+            fields.at(0, 0.25).on_batch(w, 0)
+
     def test_circle_field_is_periodic(self):
         delta = _TrialFields(2, CIRCLE, 0, 3, topology="circle").at(0, 0.1)
         left = delta(np.array([-np.pi]))
@@ -151,13 +176,13 @@ class TestPerturbationField:
         # of its own field's call: owners in any order and repeated, and
         # one field that owns no point
         fields, w, owner = data.draw(_field_stacks())
-        stack = _FieldStack(fields, fields[0].topology)
-        got = stack.value_and_jacobian(w, owner)
+        stack = PerturbationField.stack(fields, fields[0].topology)
+        got = stack.on_batch(w, owner)
         for t, delta in enumerate(fields):
             rows = owner == t
             for a, b in zip(got, delta.value_and_jacobian(w[rows])):
                 assert a[rows].tobytes() == b.tobytes()
-            for a, b in zip(stack.value_and_jacobian(w, t), delta.value_and_jacobian(w)):
+            for a, b in zip(stack.on_batch(w, t), delta.value_and_jacobian(w)):
                 assert a.tobytes() == b.tobytes()
 
     def test_a_field_that_no_sample_point_reaches_is_a_degenerate_draw(self, monkeypatch):
@@ -206,9 +231,9 @@ def _field_stacks(draw):
     rng = rng_for(draw(st.integers(0, 2**16)), "field-stack")
     fields = []
     for _ in range(count):
-        delta = make_perturbation(n, m, box, rng, bumps=bumps, topology=topology)
-        delta.scale = draw(st.sampled_from([1.0, 0.37, 2.5e-3]))
-        fields.append(delta)
+        unit = make_perturbation(n, m, box, rng, bumps=bumps, topology=topology)
+        scale = draw(st.sampled_from([1.0, 0.37, 2.5e-3]))
+        fields.append(PerturbationField(unit.centers, unit.radii, unit.offsets, unit.linears, topology, scale))
     idle = draw(st.integers(0, count - 1))
     owner = np.array(draw(st.lists(st.sampled_from([t for t in range(count) if t != idle]), max_size=40)), dtype=int)
     lo, hi = np.asarray(box, dtype=float).T
@@ -448,6 +473,21 @@ class TestNongenericity:
         assert rep.transverse_fraction == entry.expected_transverse_fraction == 0.0
         assert len(rep.witnesses) == 12
 
+    def test_fold_trials_whose_solves_all_fail_are_unresolved(self, gallery_ctx):
+        # at eps 1e200 every fold residual overflows, so no solve
+        # converges: such a trial shows no witness but was not made
+        # transverse, where it was counted transverse (fraction 1.0)
+        _, scene, _ = gallery_ctx("sphere-disc")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = nongenericity_demo(scene, eps=1e200, trials=3, seed=1)
+        assert rep.witnesses == ()
+        assert rep.transverse_fraction == 0.0
+        assert rep.unresolved == (0, 1, 2)
+        assert rep.to_json()["unresolved"] == [0, 1, 2]
+        assert [transverse for _, _, transverse in rep.csv_rows()] == [0, 0, 0]
+        assert "unresolved" not in nongenericity_demo(scene, trials=3, seed=1).to_json()
+
     def test_one_draw_per_trial(self, gallery_ctx, monkeypatch):
         _, scene, _ = gallery_ctx("circle-into-plane")
         draws = []
@@ -517,7 +557,8 @@ class TestNongenericity:
         # (+-1, 0); the seeds on x1 = 0, among the 8 best of the grid, have
         # a singular residual Jacobian, which must not sink the others
         h = parse_map("x1, x2^2", 2)
-        [w] = _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
+        [w], unresolved = _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), [[-2.0, 2.0], [-2.0, 2.0]], [5, 5])
+        assert unresolved == []
         assert w is not None and w["residual"] < 1e-9
         assert abs(abs(w["w"][0]) - 1.0) < 1e-9 and abs(w["w"][1]) < 1e-9
 
@@ -531,11 +572,13 @@ class TestNongenericity:
             parse_map("x1 + 3, x2", 2),
         ]
         box, grid = [[-2.0, 2.0], [-2.0, 2.0]], [5, 5]
-        alone = [_fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), box, grid)[0] for h in maps]
-        assert alone[0] is not None and alone[1] is not None and alone[2] is None
+        alone = [_fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([h]), box, grid) for h in maps]
+        assert [unresolved for _, unresolved in alone] == [[], [], []]
+        witnesses = [found[0] for found, _ in alone]
+        assert witnesses[0] is not None and witnesses[1] is not None and witnesses[2] is None
         stacked = _MapStack(maps + maps[:1])
-        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, stacked, box, grid) == alone + alone[:1]
-        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([]), box, grid) == []
+        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, stacked, box, grid) == (witnesses + witnesses[:1], [])
+        assert _fold_on_circle_witnesses(ZERO_PLANE_MAP, _MapStack([]), box, grid) == ([], [])
 
     def test_one_field_call_per_fold_search_step(self, gallery_ctx, monkeypatch):
         # each trial's field scores the grid once; then every step of the
@@ -543,7 +586,7 @@ class TestNongenericity:
         # all trials' rows in one call, not one call per trial
         _, scene, _ = gallery_ctx("sphere-disc")
         owners, steps = [], []
-        evaluate, solve = _FieldStack.value_and_jacobian, experiments._gauss_newton
+        evaluate, solve = PerturbationField.on_batch, experiments._gauss_newton
 
         def counting_evaluate(self, w, owner):
             owners.append(owner)
@@ -556,7 +599,7 @@ class TestNongenericity:
 
             return solve(counted, *args, **kwargs)
 
-        monkeypatch.setattr(_FieldStack, "value_and_jacobian", counting_evaluate)
+        monkeypatch.setattr(PerturbationField, "on_batch", counting_evaluate)
         monkeypatch.setattr(experiments, "_gauss_newton", counting_solve)
         assert len(nongenericity_demo(scene, trials=50, seed=1).witnesses) == 50
         assert [t for t in owners if np.ndim(t) == 0] == list(range(50))

@@ -82,7 +82,8 @@ class TestEmittedScenesRevalidate:
     def test_revalidates(self, name):
         scene = scene_from_dict(gallery_entry(name).scene_dict)
         report = validate_prestratification(scene.prestratification, samples=25, seed=3)
-        assert report.valid
+        assert report.incidences_confirmed == len(scene.prestratification.incidences)
+        assert [probe.stratum for probe in report.frontier] == [s.name for s in scene.prestratification.strata]
 
     def test_parallel_planes_frontier_satisfied(self):
         scene = scene_from_dict(gallery_entry("parallel-planes").scene_dict)

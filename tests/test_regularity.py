@@ -620,6 +620,14 @@ class TestOrthogonalRetraction:
         jac = pi.jacobian(np.array([0.3, 0.1, 0.2]))
         assert jac == pytest.approx(np.diag([1.0, 0.0, 0.0]))
 
+    def test_jacobian_is_the_projector_bit_for_bit(self):
+        # a numeric affine map: every point's Jacobian is P itself
+        space = span3([1, 2, 0], [0, 1, 1])
+        pi = orthogonal_retraction(np.array([0.5, -0.25, 1.0]), space)
+        jacs = pi.jacobian(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3)))
+        proj = space.basis @ space.basis.T
+        assert all(jac.tobytes() == proj.tobytes() for jac in jacs)
+
 
 class TestRadialPlan:
     def test_radii_are_geometric(self):

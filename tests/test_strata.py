@@ -307,7 +307,7 @@ class TestBatchedApproachSequence:
 class TestValidatePrestratification:
     def test_parallel_planes_valid_frontier_satisfied(self):
         report = validate_prestratification(parallel_planes(), samples=30, seed=4)
-        assert report.valid
+        assert (report.samples, report.seed) == (30, 4)
         assert report.incidences_confirmed == 1
         status = {probe.stratum: probe.status for probe in report.frontier}
         assert status["S1"] == "satisfied"
@@ -332,9 +332,26 @@ class TestValidatePrestratification:
             sample_box=((0.0, 1.0),),
         )
         lonely = Prestratification(ambient=2, strata=(segment,))
-        report = validate_prestratification(lonely, samples=20, seed=4)
-        assert report.valid  # still a prestratification
+        report = validate_prestratification(lonely, samples=20, seed=4)  # still a prestratification
+        assert (report.samples, report.incidences_confirmed) == (20, 0)
         assert report.frontier_status == "violated"
+
+    @pytest.mark.parametrize("samples, located", [(40, 20), (5, 5)])
+    def test_overlap_test_locates_at_most_twenty_points_per_stratum(self, samples, located, monkeypatch):
+        # two disjoint planes without domain predicates or incidences: the
+        # overlap test is validation's only point location, and it locates
+        # each plane's first 20 samples (all of them, below 20) on the other
+        counts = []
+        locate_many = Stratum.locate_many
+
+        def counting(self, points, *args, **kwargs):
+            counts.append(len(points))
+            return locate_many(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(Stratum, "locate_many", counting)
+        plane_y1 = Stratum(name="S3", chart=parse_map("x1, 1, x2", 2), inverse_hint=parse_map("x1, x3", 3))
+        validate_prestratification(Prestratification(ambient=3, strata=(plane_y0(), plane_y1)), samples=samples)
+        assert counts == [located, located]
 
     @pytest.mark.parametrize("samples", [0, -4])
     def test_needs_a_sample(self, samples):
