@@ -636,7 +636,7 @@ def _slope_zero_witnesses(ts: np.ndarray, slopes: np.ndarray, wrap: bool) -> lis
     along a 1-D domain sampled at ts (k,), or None for a row without one."""
     values = slopes if not wrap else np.concatenate([slopes, slopes[:, :1]], axis=1)
     a, b = values[:, :-1], values[:, 1:]
-    hits = (a == 0.0) | (a * b < 0.0)
+    hits = (a == 0.0) | (np.sign(a) * np.sign(b) < 0.0)  # a * b can overflow or underflow
     return [
         {"t": float(ts[i]), "slope": float(a[row, i])} if hits[row, i] else None
         for row, i in enumerate(np.argmax(hits, axis=1))

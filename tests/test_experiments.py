@@ -531,7 +531,8 @@ class TestNongenericity:
     @pytest.mark.parametrize("wrap", [False, True])
     def test_slope_witness_equals_the_scan(self, wrap):
         # the first zero or sign change, as the reference loop finds it,
-        # over slope rows with zeros, NaNs and no sign change at all
+        # over slope rows with zeros, NaNs and no sign change at all, also
+        # at slopes whose products overflow (1e200) or underflow (1e-200)
         ts = np.linspace(-1.0, 2.0, 9)
         slope = np.empty(9)
 
@@ -539,18 +540,21 @@ class TestNongenericity:
             values = slope if not wrap else np.append(slope, slope[0])
             for i in range(len(values) - 1):
                 a, b = values[i], values[i + 1]
-                if a == 0.0 or a * b < 0.0:
+                if a == 0.0 or (a < 0.0 < b) or (b < 0.0 < a):
                     return {"t": float(ts[i]), "slope": float(a)}
             return None
 
         rng = rng_for(0, "slope-scan")
         found = 0
         for _ in range(300):
-            slope[:] = rng.choice([-1.5, 0.0, 0.5, 2.0, np.nan], p=[0.1, 0.05, 0.4, 0.4, 0.05], size=9)
-            expected = scan()
-            found += expected is not None
-            assert _slope_zero_witnesses(ts, slope[None], wrap) == [expected]
-        assert 0 < found < 300
+            drawn = rng.choice([-1.5, 0.0, 0.5, 2.0, np.nan], p=[0.1, 0.05, 0.4, 0.4, 0.05], size=9)
+            for magnitude in (1.0, 1e200, 1e-200):
+                slope[:] = magnitude * drawn
+                expected = scan()
+                found += expected is not None
+                with np.errstate(over="raise", under="raise"):
+                    assert _slope_zero_witnesses(ts, slope[None], wrap) == [expected]
+        assert 0 < found < 900
 
     def test_fold_search_survives_a_singular_seed(self):
         # h = (x1, x2^2): det Dh = 2 x2 and |h|^2 - 1 vanish together at
