@@ -24,11 +24,13 @@ evaluated under its own trial's field).
 Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
 map plus a seeded :class:`PerturbationField` delta, the same type that
 carries the destabilizer's localized correction; the non-genericity
-run adds each delta to the base values it shares, bit for bit the
-same sum.  Stability runs, calibration and the non-genericity scenes
-read their deltas from one per-run stream, :class:`_TrialFields`, which
-draws each trial's field and measures its C^1 size once and builds it at
-every size asked for.
+run adds each delta to the base values it shares, and a stability run
+scales each probe trial's unit sums on its grid and adds them to the
+base values it shares (:class:`_GridTrials`), bit for bit the same sum.
+Stability runs, calibration and the non-genericity scenes read their
+deltas from one per-run stream, :class:`_TrialFields`, which draws each
+trial's field and measures its C^1 size once and builds it at every
+size asked for.
 
 Transversality on samples is decided with an explicit margin (the
 smallest singular value of the stacked differential-plus-leaf matrix).
@@ -49,7 +51,6 @@ import numpy as np
 
 from .constructions import (
     DestabilizerSequence,
-    PerturbedMap,
     _pruned_c1_size,
     choose_complement_H,
     destabilizing_sequence,
@@ -136,11 +137,17 @@ class PerturbationField(NumericMap):
         on a stack, every point under field ``owner`` if it is an int and
         point i under field ``owner[i]`` if it is an index array (k,).
         Each row has the bits of its field's own call."""
+        unit = self.unit_on_batch(w, owner)
+        return _scaled(self.scale[... if owner is None else owner], unit)
+
+    def unit_on_batch(self, w: np.ndarray, owner=None) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`on_batch` before its scale: the hump sums that the scale
+        multiplies last."""
         if (owner is None) != (self.scale.ndim == 0):
             raise ValueError("a stack of fields is evaluated under an owner field, one field under none")
         at = ... if owner is None else owner
         humps = _humps(w, self.centers[at], self.radii[at], self.topology)
-        return _on_humps(humps, self.offsets[at], self.linears[at], self.scale[at])
+        return _unit_sums(humps, self.offsets[at], self.linears[at])
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
         """Sampled C^1 size of one field on the points (k, m), evaluated on
@@ -164,8 +171,9 @@ class PerturbationField(NumericMap):
         disp_norms, slopes = _row_norms(disp), _row_norms(dval)
         lin_part = val if disp_jac is None else val * _row_norms(disp_jac)
         return _pruned_c1_size(
-            lambda idx: _on_humps(
-                [None if h is None else h.take(idx, axis=0) for h in humps], self.offsets, self.linears, self.scale
+            lambda idx: _scaled(
+                self.scale,
+                _unit_sums([None if h is None else h.take(idx, axis=0) for h in humps], self.offsets, self.linears),
             ),
             val @ offset_norms + (val * disp_norms) @ lin_norms,
             slopes @ offset_norms + (slopes * disp_norms + lin_part) @ lin_norms,
@@ -196,22 +204,30 @@ def _humps(w: np.ndarray, centers: np.ndarray, radii: np.ndarray, topology: str)
     return val, dval, disp, disp_jac
 
 
-def _on_humps(humps, offsets: np.ndarray, linears: np.ndarray, scale):
-    """Values (k, n) and Jacobians (k, n, m) from the hump profiles of
-    :func:`_humps` at k points, for offsets (B, n), linear parts
-    (B, n, m) and a scale that every point shares, or (k, B, n),
-    (k, B, n, m) and (k,) gathered per point."""
+def _unit_sums(humps, offsets: np.ndarray, linears: np.ndarray):
+    """Values (k, n) and Jacobians (k, n, m) at unit scale from the hump
+    profiles of :func:`_humps` at k points, for offsets (B, n) and linear
+    parts (B, n, m) that every point shares, or (k, B, n) and
+    (k, B, n, m) gathered per point; :func:`_scaled` applies the scale."""
     val, dval, disp, disp_jac = humps
-    scale = np.asarray(scale)
     payload = offsets + np.einsum("...bnm,...bm->...bn", linears, disp)
-    out = scale[..., None] * np.sum(val[:, :, None] * payload, axis=1)
+    out = np.sum(val[:, :, None] * payload, axis=1)
     # d/dw [val_b * payload_b] = payload_b (x) dval_b + val_b * L_b * d(disp_b)
     term1 = np.einsum("kbn,kbm->knm", payload, dval)
     if disp_jac is None:
         term2 = np.einsum("...b,...bnm->...nm", val, linears)
     else:
         term2 = np.einsum("...b,...bnm->...nm", val, np.einsum("...bnu,...bum->...bnm", linears, disp_jac))
-    return out, scale[..., None, None] * (term1 + term2)
+    return out, term1 + term2
+
+
+def _scaled(scale, sums):
+    """The field's values and Jacobians from its unit sums (k, n) and
+    (k, n, m), for a scale that every point shares, or one per point (k,):
+    the one multiplication every field evaluation ends with."""
+    val, jac = sums
+    scale = np.asarray(scale)
+    return scale[..., None] * val, scale[..., None, None] * jac
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -278,6 +294,50 @@ class _TrialFields:
         return PerturbationField.stack([self.at(t, eps) for t in range(count)], self.topology)
 
 
+@dataclass(frozen=True)
+class _OnGrid:
+    """A trial map known on one grid only: its values and Jacobians there."""
+
+    grid: np.ndarray
+    values: np.ndarray
+    jacobians: np.ndarray
+
+    def value_and_jacobian(self, w) -> tuple[np.ndarray, np.ndarray]:
+        if w is not self.grid:
+            raise ValueError("a stability run's trial map is known on its grid only")
+        return self.values, self.jacobians
+
+
+class _GridTrials:
+    """The trial maps of one stability run on its grid: the base map plus
+    trial t's field of :class:`_TrialFields` at a size.
+
+    The base map is evaluated on the grid once.  The field of each trial
+    below ``keep`` is evaluated there once, at unit scale, and its unit
+    sums (grid points x n(n + 1) floats) are kept; every later size of
+    that trial only scales them.  A trial map's values and Jacobians are
+    base + scale * unit by :func:`_scaled`, the multiplication
+    :meth:`PerturbationField.on_batch` ends with, so they are bit for bit
+    those of ``PerturbedMap(base, fields.at(t, eps))`` on the grid.
+    """
+
+    def __init__(self, base_map, fields: _TrialFields, grid: np.ndarray, keep: int):
+        self.fields, self.grid, self.keep = fields, grid, keep
+        self.base = base_map.value_and_jacobian(grid, check_domain=False)
+        self.units: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def at(self, trial: int, eps: float) -> _OnGrid:
+        """Trial ``trial``'s map at C^1 size eps, on the grid."""
+        delta = self.fields.at(trial, eps)
+        unit = self.units.get(trial)
+        if unit is None:
+            unit = delta.unit_on_batch(self.grid)
+            if trial < self.keep:
+                self.units[trial] = unit
+        val, jac = _scaled(delta.scale, unit)
+        return _OnGrid(self.grid, self.base[0] + val, self.base[1] + jac)
+
+
 def _require_count(name: str, value: int, least: int) -> None:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -311,8 +371,10 @@ def transversality_margin(
     value (scale-invariant: exact rank at finitely many sample points is
     almost surely full, so nearness to degeneracy is what gets
     measured).  Points whose images stay clear of every stratum impose
-    nothing.  Each image's nearest chart point on a stratum, which may
-    lie on the closure of the domain, is located by
+    nothing.  The map is evaluated once, on the grid: a stability run
+    passes its trial maps already evaluated there (:class:`_GridTrials`),
+    one call per trial.  Each image's nearest chart point on a stratum,
+    which may lie on the closure of the domain, is located by
     :meth:`Stratum._nearest`, the kernel of :meth:`Stratum.locate_many`,
     from the starts of :func:`_margin_starts`.  The leaf bases there
     come from
@@ -438,10 +500,16 @@ def _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_tria
     The report holds the passing batch's margins, which by the stream's
     contract are bit for bit those of a run at the certified size.
 
-    Every margin is one :func:`transversality_margin` call.  A base
-    margin below MARGIN_TOL, where no perturbation size can be measured,
-    and a calibration that finds no certified positive size raise
-    PreconditionError.
+    Every margin is one :func:`transversality_margin` call, of a trial map
+    that :class:`_GridTrials` evaluates on the grid: the base map once per
+    run, and, in a calibrated run, each probe trial's field
+    (t < ``probe_trials``) once per run, at unit scale, whatever sizes
+    calibration asks of it.  Those unit sums are all the run keeps, at
+    most ``probe_trials`` x grid points x n(n + 1) floats (207 KB for the
+    10 probe trials on a 216-point grid in R^3), and none outlives the
+    run.  A base margin below MARGIN_TOL, where no perturbation size can
+    be measured, and a calibration that finds no certified positive size
+    raise PreconditionError.
     """
     base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
     if base_margin < MARGIN_TOL:
@@ -451,12 +519,13 @@ def _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_tria
         )
     box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
     fields = _TrialFields(ctx.prestratification.ambient, box, seed, bumps)
+    # only calibration asks a trial at more than one size
+    on_grid = _GridTrials(base_map, fields, k_points, keep=probe_trials if eps is None else 0)
 
     def margins_at(size: float, count: int, stop_at_failure: bool = True) -> list[float]:
         found = []
         for t in range(count):
-            trial_map = PerturbedMap(base_map, fields.at(t, size))
-            found.append(transversality_margin(ctx, trial_map, k_points, seed)[0])
+            found.append(transversality_margin(ctx, on_grid.at(t, size), k_points, seed)[0])
             if stop_at_failure and found[-1] < MARGIN_TOL:
                 break
         return found

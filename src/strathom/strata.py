@@ -664,6 +664,14 @@ class StratifiedMapContext:
         :class:`NumericalInconsistencyError` naming the first chart
         point that fails it.
 
+        A batch whose chart Jacobians and d(f o psi) are equal bit for bit
+        in every row, as on an affine stratum under an affine map, runs
+        the immersion gate, both SVDs and both checks on its first row
+        and repeats that basis: the same bits and the same errors, since
+        every row would fail where the first does.  A batch whose chart
+        Jacobians alone are equal runs only the immersion gate on one
+        row.  The input decides the path.
+
         The points may lie on the closure of the domain: every domain
         predicate must read above ``CLOSURE_MARGIN``, the band that
         ``Stratum.locate(closure=True)`` admits, and a point beyond it
@@ -686,11 +694,23 @@ class StratifiedMapContext:
                 f"predicate {to_source(s.chart.domain[j])} > 0 reads {margins[i, j]:.2e}"
             )
         points, chart_jacs = s.chart.value_and_jacobian(U, check_domain=False)
-        _check_immersion(s, U, chart_jacs)
+        same_chart = _rows_equal(chart_jacs)
+        _check_immersion(s, U, chart_jacs[:1] if same_chart else chart_jacs)
         if leaf_dim == 0:
             return np.zeros((len(U), n, 0))
         _, f_jacs = self.f.value_and_jacobian(points, check_domain=False)
-        _, c_sv, c_vt = np.linalg.svd(f_jacs @ chart_jacs)
+        composed = f_jacs @ chart_jacs
+        if same_chart and _rows_equal(composed):
+            return np.repeat(self._leaf_bases(s, U, chart_jacs[:1], composed[:1]), len(U), axis=0)
+        return self._leaf_bases(s, U, chart_jacs, composed)
+
+    def _leaf_bases(self, s: Stratum, U: np.ndarray, chart_jacs: np.ndarray, composed: np.ndarray) -> np.ndarray:
+        """The leaf bases (k, n, d - rank) from the chart Jacobians (k, n, d)
+        and d(f o psi) (k, p, d) at the first k rows of U, with both checks
+        of :meth:`leaf_tangents`."""
+        rank = self.rank(s.name)
+        leaf_dim = s.dim - rank
+        _, c_sv, c_vt = np.linalg.svd(composed)
         c_ranks = _ranks(c_sv)
         above = c_ranks > rank
         if np.any(above):
@@ -710,6 +730,12 @@ class StratifiedMapContext:
                 f"{p_ranks[i]}, expected {leaf_dim}"
             )
         return leaves
+
+
+def _rows_equal(a: np.ndarray) -> bool:
+    """Whether every row of the stack a (k, ...) equals its first, bit for
+    bit (a NaN row never does)."""
+    return bool((a == a[:1]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -365,6 +366,53 @@ class TestStability:
         assert eps.hex() == eps_hex
         assert len(draws) == 50  # one per distinct trial index
         assert len(margins) > 1 + 50  # while every probed eps measures its trials
+
+    @pytest.mark.parametrize("seed", [1, 20261017])
+    def test_calibration_evaluates_each_probe_field_on_the_grid_once(self, seed, monkeypatch):
+        # the benchmark's stability-planes calibration: each probe trial is
+        # asked at many sizes, but its field meets the grid once, and its
+        # kept unit sums give the bits of the trial's PerturbedMap
+        entry_scene = gallery_entry("parallel-planes").scene()
+        exp = entry_scene.experiments
+        ctx = entry_scene.build_context(seed=derive_seed(seed, "context"))
+        k_points = grid_points(exp["k_box"], exp["grid"])
+        base = seeded_full_rank_map(entry_scene.ambient, seed=derive_seed(0, "base"))
+        on_grid, runs, evaluations = PerturbationField.unit_on_batch, [], Counter()
+
+        def counting_unit(field, w, owner=None):
+            if w is k_points:
+                evaluations[field.centers.tobytes()] += 1
+            return on_grid(field, w, owner)
+
+        class Recorded(experiments._GridTrials):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+                self.asked = {}
+
+            def at(self, trial, eps):
+                self.asked.setdefault(trial, set()).add(eps)
+                return super().at(trial, eps)
+
+        monkeypatch.setattr(PerturbationField, "unit_on_batch", counting_unit)
+        monkeypatch.setattr(experiments, "_GridTrials", Recorded)
+        calibrate_epsilon(ctx, base, k_points, seed=derive_seed(seed, "stability"),
+                          probe_trials=10, rounds=6, certify_trials=50)
+        (run,) = runs
+        assert sorted(run.units) == list(range(10))  # held for the probe trials only
+        for t, asked in run.asked.items():
+            # one grid evaluation per probe trial; a later trial's per size
+            # asked, since the certify batch may halve its size
+            expected = 1 if t < 10 else len(asked)
+            assert evaluations[run.fields.at(t, 1.0).centers.tobytes()] == expected, t
+        for t in run.units:
+            asked = sorted(run.asked[t])
+            assert len(asked) > 5, t  # calibration asked for many sizes
+            for eps in (asked[0], asked[-1]):
+                cached = run.at(t, eps).value_and_jacobian(k_points)
+                fresh = PerturbedMap(base, run.fields.at(t, eps)).value_and_jacobian(k_points)
+                for a, b in zip(cached, fresh):
+                    assert np.array_equal(a, b), (t, eps)
 
     def test_margin_cross_checks_the_leaf_tangents(self, planes_setup):
         # a map that contradicts the rank certificate of S1: the leaf

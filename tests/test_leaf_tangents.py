@@ -81,6 +81,66 @@ class TestKernel:
         with pytest.raises(DomainError, match=r"\[0\.2, -0\.3\]"):
             ctx.leaf_tangents("S1", U)
 
+    @staticmethod
+    def _svd_rows(monkeypatch):
+        """Patch np.linalg.svd to record the matrices of each call."""
+        rows, svd = [], np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a) if np.ndim(a) == 3 else 1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return rows
+
+    def test_equal_jacobian_batch_runs_one_row(self, gallery_ctx, monkeypatch):
+        # S1 of parallel-planes is affine and y + z is linear: every row's
+        # chart Jacobian and d(f o psi) are equal bit for bit
+        _, _, ctx = gallery_ctx("parallel-planes")
+        s = ctx.stratum("S1")
+        U = s.sample_chart_points(30, rng_for(0, "leaf-kernel-test", "one-row"))
+        rows = self._svd_rows(monkeypatch)
+        bases = ctx.leaf_tangents(s, U)
+        assert rows == [1, 1]  # d(f o psi) and the pushed kernel, one matrix each
+        monkeypatch.undo()
+        assert bases.shape == (30, 3, 1)
+        for i, u in enumerate(U):
+            assert np.array_equal(bases[i], ctx.leaf_tangent(s, u).basis), i
+
+    def test_equal_jacobian_batch_checks_the_domain_per_row(self, gallery_ctx):
+        _, _, ctx = gallery_ctx("parallel-planes")
+        U = np.array([[0.1, 0.5], [0.2, 0.3], [0.4, 0.6], [0.3, -0.4], [0.5, -0.1]])  # S1 needs x2 > 0
+        with pytest.raises(DomainError, match=r"\[0\.3, -0\.4\]"):
+            ctx.leaf_tangents("S1", U)
+
+    def test_batch_with_a_differing_row_runs_batched(self, gallery_ctx, monkeypatch):
+        # the shelf is curved: the chart Jacobian of the last row differs
+        _, _, ctx = gallery_ctx("parabola-shelf")
+        s, U = ctx.stratum("S1"), np.array([[0.3, -0.2]] * 4 + [[0.1, -0.5]])
+        rows = self._svd_rows(monkeypatch)
+        bases = ctx.leaf_tangents(s, U)
+        assert rows[-2:] == [5, 5]
+        monkeypatch.undo()
+        for i, u in enumerate(U):
+            assert np.array_equal(bases[i], ctx.leaf_tangent(s, u).basis), i
+
+    def test_batch_with_a_differing_map_row_names_it(self, gallery_ctx, monkeypatch):
+        # S1 is affine, but d(f o psi) of x2 + x3, x1^3 has the certified
+        # rank on x1 = 0 only: the batch's one row off that line differs,
+        # goes through the batched SVD and is named, as it is on its own
+        _, _, ctx = gallery_ctx("parallel-planes")
+        bad_ctx = dataclasses.replace(ctx, f=parse_map("x2 + x3, x1^3", 3))
+        s, U = ctx.stratum("S1"), np.array([[0.0, 0.5]] * 4 + [[0.4, 0.3]])
+        rows = self._svd_rows(monkeypatch)
+        with pytest.raises(NumericalInconsistencyError, match="above the certified rank") as err:
+            bad_ctx.leaf_tangents(s, U)
+        assert rows == [5]
+        monkeypatch.undo()
+        with pytest.raises(NumericalInconsistencyError) as alone:
+            bad_ctx.leaf_tangent(s, U[4])
+        assert str(err.value) == str(alone.value)
+        assert np.array_equal(bad_ctx.leaf_tangents(s, U[:4])[3], bad_ctx.leaf_tangent(s, U[3]).basis)
+
     def test_empty_batch_and_zero_leaf_dimension(self, gallery_ctx):
         _, _, ctx = gallery_ctx("parallel-planes")
         assert ctx.leaf_tangents("S1", np.zeros((0, 2))).shape == (0, 3, 1)
