@@ -212,9 +212,8 @@ def cmd_validate(args, scene: Scene, report: Report) -> int:
     pre = validate_prestratification(
         scene.prestratification, samples=args.samples, seed=derive_seed(report.seed, "validate")
     )
-    ranks = scene.build_context(
-        samples=max(args.samples, 20), seed=derive_seed(report.seed, "ranks")
-    ).ranks
+    # the rank certificate every other command builds
+    ranks = scene.build_context(seed=derive_seed(report.seed, "context")).ranks
     report.body["validation"] = {
         "samples": pre.samples,
         "incidences_confirmed": pre.incidences_confirmed,

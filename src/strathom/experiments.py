@@ -21,12 +21,14 @@ the base map and one to the stack of every trial's field (a
 field's parameters, or many fields' gathered per point, so each point is
 evaluated under its own trial's field).
 
-Every trial map is ``constructions.PerturbedMap(base, delta)``: the base
-map plus a seeded :class:`PerturbationField` delta, the same type that
-carries the destabilizer's localized correction; the non-genericity
-run adds each delta to the base values it shares, and a stability run
-scales each probe trial's unit sums on its grid and adds them to the
-base values it shares (:class:`_GridTrials`), bit for bit the same sum.
+A trial map is the base map plus a seeded :class:`PerturbationField`
+delta, the same type that carries the destabilizer's localized
+correction, and it is known by its values and Jacobians on a grid.
+:class:`_GridTrials` evaluates the base map there once per run and adds
+each trial's field, evaluated at scale 1 and scaled last, so the sum is
+bit for bit that of ``constructions.PerturbedMap(base, delta)``; the
+stability runs and the slope scenes read it, and the fold search adds
+each trial's field to the base values the same way.
 Stability runs, calibration and the non-genericity scenes read their
 deltas from one per-run stream, :class:`_TrialFields`, which draws each
 trial's field and measures its C^1 size once and builds it at every
@@ -80,6 +82,8 @@ __all__ = [
 
 MARGIN_TOL = 5e-2  # relative transversality margin threshold
 PROXIMITY = 0.1  # images closer than this to a stratum are tested against it
+PROBE_TRIALS = 10  # trials a calibration bisects on
+ROUNDS = 6  # bisection rounds of a calibration
 
 
 def grid_points(box, dims) -> np.ndarray:
@@ -137,17 +141,11 @@ class PerturbationField(NumericMap):
         on a stack, every point under field ``owner`` if it is an int and
         point i under field ``owner[i]`` if it is an index array (k,).
         Each row has the bits of its field's own call."""
-        unit = self.unit_on_batch(w, owner)
-        return _scaled(self.scale[... if owner is None else owner], unit)
-
-    def unit_on_batch(self, w: np.ndarray, owner=None) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`on_batch` before its scale: the hump sums that the scale
-        multiplies last."""
         if (owner is None) != (self.scale.ndim == 0):
             raise ValueError("a stack of fields is evaluated under an owner field, one field under none")
         at = ... if owner is None else owner
         humps = _humps(w, self.centers[at], self.radii[at], self.topology)
-        return _unit_sums(humps, self.offsets[at], self.linears[at])
+        return _scaled(self.scale[at], _unit_sums(humps, self.offsets[at], self.linears[at]))
 
     def sampled_c1_norm(self, sample: np.ndarray) -> float:
         """Sampled C^1 size of one field on the points (k, m), evaluated on
@@ -275,8 +273,8 @@ class _TrialFields:
         self.sample = rng_for(seed, "c1-sample").uniform(lo, hi, size=(1000, len(self.k_box)))
         self._unit: dict[int, tuple[PerturbationField, float]] = {}
 
-    def at(self, trial: int, eps: float) -> PerturbationField:
-        """Trial ``trial``'s field at C^1 size eps."""
+    def unit(self, trial: int) -> tuple[PerturbationField, float]:
+        """Trial ``trial``'s field at scale 1 and its measured C^1 size."""
         if trial not in self._unit:
             rng = rng_for(self.seed, "perturbation", str(trial))
             delta = make_perturbation(
@@ -286,7 +284,11 @@ class _TrialFields:
             if raw <= 0.0:
                 raise RuntimeError("degenerate perturbation draw")
             self._unit[trial] = delta, raw
-        unit, raw = self._unit[trial]
+        return self._unit[trial]
+
+    def at(self, trial: int, eps: float) -> PerturbationField:
+        """Trial ``trial``'s field at C^1 size eps."""
+        unit, raw = self.unit(trial)
         return PerturbationField(unit.centers, unit.radii, unit.offsets, unit.linears, self.topology, eps / raw)
 
     def stack(self, count: int, eps: float) -> PerturbationField:
@@ -294,48 +296,33 @@ class _TrialFields:
         return PerturbationField.stack([self.at(t, eps) for t in range(count)], self.topology)
 
 
-@dataclass(frozen=True)
-class _OnGrid:
-    """A trial map known on one grid only: its values and Jacobians there."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    jacobians: np.ndarray
-
-    def value_and_jacobian(self, w) -> tuple[np.ndarray, np.ndarray]:
-        if w is not self.grid:
-            raise ValueError("a stability run's trial map is known on its grid only")
-        return self.values, self.jacobians
-
-
 class _GridTrials:
-    """The trial maps of one stability run on its grid: the base map plus
-    trial t's field of :class:`_TrialFields` at a size.
+    """The trial maps of one run on its grid: the base map plus trial t's
+    field of :class:`_TrialFields` at a size, as values and Jacobians.
 
-    The base map is evaluated on the grid once.  The field of each trial
-    below ``keep`` is evaluated there once, at unit scale, and its unit
-    sums (grid points x n(n + 1) floats) are kept; every later size of
-    that trial only scales them.  A trial map's values and Jacobians are
-    base + scale * unit by :func:`_scaled`, the multiplication
-    :meth:`PerturbationField.on_batch` ends with, so they are bit for bit
-    those of ``PerturbedMap(base, fields.at(t, eps))`` on the grid.
+    The base map is evaluated on the grid once.  A trial's field is
+    evaluated there at scale 1; the sums of each trial below ``keep`` are
+    kept, so every later size of that trial only scales them.  The scale
+    multiplies last (:func:`_scaled`), so a trial map's values and
+    Jacobians are bit for bit those of ``PerturbedMap(base, fields.at(t,
+    eps))`` on the grid.
     """
 
     def __init__(self, base_map, fields: _TrialFields, grid: np.ndarray, keep: int):
         self.fields, self.grid, self.keep = fields, grid, keep
-        self.base = base_map.value_and_jacobian(grid, check_domain=False)
+        self.base = base_map.value_and_jacobian(grid)
         self.units: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def at(self, trial: int, eps: float) -> _OnGrid:
-        """Trial ``trial``'s map at C^1 size eps, on the grid."""
-        delta = self.fields.at(trial, eps)
+    def at(self, trial: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Trial ``trial``'s map at C^1 size eps: values and Jacobians on the grid."""
+        delta, raw = self.fields.unit(trial)
         unit = self.units.get(trial)
         if unit is None:
-            unit = delta.unit_on_batch(self.grid)
+            unit = delta.on_batch(self.grid)
             if trial < self.keep:
                 self.units[trial] = unit
-        val, jac = _scaled(delta.scale, unit)
-        return _OnGrid(self.grid, self.base[0] + val, self.base[1] + jac)
+        val, jac = _scaled(eps / raw, unit)
+        return self.base[0] + val, self.base[1] + jac
 
 
 def _require_count(name: str, value: int, least: int) -> None:
@@ -361,9 +348,11 @@ def _margin_starts(stratum: Stratum, images: np.ndarray, seed: int) -> np.ndarra
 
 
 def transversality_margin(
-    ctx: StratifiedMapContext, trial_map, k_points: np.ndarray, seed: int
+    ctx: StratifiedMapContext, images: np.ndarray, jacs: np.ndarray, k_points: np.ndarray, seed: int
 ) -> tuple[float, np.ndarray]:
-    """Smallest transversality margin of the map over the sample grid.
+    """Smallest transversality margin over the sample grid of a map with
+    values ``images`` (k, n) and Jacobians ``jacs`` (k, n, m) at
+    ``k_points`` (k, m).
 
     For each grid point whose image passes within ``PROXIMITY`` of a
     stratum, the stacked matrix [Dh | leaf basis] must have full row
@@ -371,9 +360,7 @@ def transversality_margin(
     value (scale-invariant: exact rank at finitely many sample points is
     almost surely full, so nearness to degeneracy is what gets
     measured).  Points whose images stay clear of every stratum impose
-    nothing.  The map is evaluated once, on the grid: a stability run
-    passes its trial maps already evaluated there (:class:`_GridTrials`),
-    one call per trial.  Each image's nearest chart point on a stratum,
+    nothing.  Each image's nearest chart point on a stratum,
     which may lie on the closure of the domain, is located by
     :meth:`Stratum._nearest`, the kernel of :meth:`Stratum.locate_many`,
     from the starts of :func:`_margin_starts`.  The leaf bases there
@@ -383,7 +370,6 @@ def transversality_margin(
     its certificate.
     """
     n = ctx.prestratification.ambient
-    images, jacs = trial_map.value_and_jacobian(k_points)
     worst = np.inf
     worst_point = k_points[0]
     for stratum in ctx.prestratification.strata:
@@ -463,10 +449,11 @@ def stability_trial(
 ) -> StabilityReport:
     """Perturb a transverse base map ``trials`` times at C^1 size eps and
     count how many stay transverse on the grid.  With eps None the size
-    is calibrated first, with 10 probe trials and 6 rounds, and certified
-    on these ``trials``; the report is the certifying batch."""
+    is calibrated first, with ``PROBE_TRIALS`` probe trials and ``ROUNDS``
+    rounds, and certified on these ``trials``; the report is the
+    certifying batch."""
     _require_count("trials", trials, 0)
-    return _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_trials=10, rounds=6)
+    return _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, PROBE_TRIALS, ROUNDS)
 
 
 def calibrate_epsilon(
@@ -474,8 +461,8 @@ def calibrate_epsilon(
     base_map,
     k_points: np.ndarray,
     seed: int = 0,
-    probe_trials: int = 20,
-    rounds: int = 10,
+    probe_trials: int = PROBE_TRIALS,
+    rounds: int = ROUNDS,
     bumps: int = 4,
     certify_trials: int = 0,
 ) -> float:
@@ -500,32 +487,32 @@ def _stability_run(ctx, base_map, k_points, eps, trials, seed, bumps, probe_tria
     The report holds the passing batch's margins, which by the stream's
     contract are bit for bit those of a run at the certified size.
 
-    Every margin is one :func:`transversality_margin` call, of a trial map
-    that :class:`_GridTrials` evaluates on the grid: the base map once per
-    run, and, in a calibrated run, each probe trial's field
-    (t < ``probe_trials``) once per run, at unit scale, whatever sizes
-    calibration asks of it.  Those unit sums are all the run keeps, at
-    most ``probe_trials`` x grid points x n(n + 1) floats (207 KB for the
-    10 probe trials on a 216-point grid in R^3), and none outlives the
-    run.  A base margin below MARGIN_TOL, where no perturbation size can
-    be measured, and a calibration that finds no certified positive size
+    Every margin is one :func:`transversality_margin` call on the values
+    and Jacobians of one :class:`_GridTrials`: the base map meets the grid
+    once per run, and, in a calibrated run, each probe trial's field
+    (t < ``probe_trials``) once per run, at scale 1, whatever sizes
+    calibration asks of it.  Those sums are all the run keeps, at most
+    ``probe_trials`` x grid points x n(n + 1) floats (207 KB for the 10
+    probe trials on a 216-point grid in R^3), and none outlives the run.
+    A base margin below MARGIN_TOL, where no perturbation size can be
+    measured, and a calibration that finds no certified positive size
     raise PreconditionError.
     """
-    base_margin, where = transversality_margin(ctx, base_map, k_points, seed)
+    box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
+    fields = _TrialFields(ctx.prestratification.ambient, box, seed, bumps)
+    # only calibration asks a trial at more than one size
+    on_grid = _GridTrials(base_map, fields, k_points, keep=probe_trials if eps is None else 0)
+    base_margin, where = transversality_margin(ctx, *on_grid.base, k_points, seed)
     if base_margin < MARGIN_TOL:
         raise PreconditionError(
             f"base map is not transverse on the grid (margin {base_margin:.2e} "
             f"at {np.asarray(where).tolist()})"
         )
-    box = np.stack([k_points.min(0), k_points.max(0)], axis=1)
-    fields = _TrialFields(ctx.prestratification.ambient, box, seed, bumps)
-    # only calibration asks a trial at more than one size
-    on_grid = _GridTrials(base_map, fields, k_points, keep=probe_trials if eps is None else 0)
 
     def margins_at(size: float, count: int, stop_at_failure: bool = True) -> list[float]:
         found = []
         for t in range(count):
-            found.append(transversality_margin(ctx, on_grid.at(t, size), k_points, seed)[0])
+            found.append(transversality_margin(ctx, *on_grid.at(t, size), k_points, seed)[0])
             if stop_at_failure and found[-1] < MARGIN_TOL:
                 break
         return found
@@ -689,17 +676,6 @@ class NongenericityReport:
         return [(t, self.eps, int(t not in held)) for t in range(self.trials)]
 
 
-def _trial_maps_at(base, fields: PerturbationField, w: np.ndarray):
-    """Values and Jacobians at the points w (k, m) of each trial map
-    base + delta, one field of the stack at a time, summed as
-    ``PerturbedMap(base, delta)`` sums them, bit for bit, with the base
-    map evaluated once for every trial."""
-    base_val, base_jac = base.value_and_jacobian(w, check_domain=False)
-    for trial in range(len(fields)):
-        val, jac = fields.on_batch(w, trial)
-        yield base_val + val, base_jac + jac
-
-
 def _slope_zero_witnesses(ts: np.ndarray, slopes: np.ndarray, wrap: bool) -> list[dict | None]:
     """First zero or sign change of each row of vertical slopes (T, k)
     along a 1-D domain sampled at ts (k,), or None for a row without one."""
@@ -739,10 +715,12 @@ def _fold_on_circle_witnesses(base, fields: PerturbationField, box, grid_dims):
         return [], []
     grid = grid_points(box, grid_dims)
     per_map = min(8, len(grid))
-    starts = [
-        grid[np.argsort(np.linalg.norm(_fold_residuals(vals, jacs), axis=1))[:per_map]]
-        for vals, jacs in _trial_maps_at(base, fields, grid)
-    ]
+    base_val, base_jac = base.value_and_jacobian(grid, check_domain=False)
+    starts = []
+    for trial in range(len(fields)):
+        val, jac = fields.on_batch(grid, trial)
+        residuals = _fold_residuals(base_val + val, base_jac + jac)
+        starts.append(grid[np.argsort(np.linalg.norm(residuals, axis=1))[:per_map]])
 
     def residuals_at(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # w (c, k, 2) holds c copies of k rows; row i belongs to map owner[i]
@@ -781,12 +759,12 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
     whose solves all failed is unresolved, not made transverse.  The
     trials are searched together: the scene's map is evaluated once on
     the witness grid and each trial's field added to it; a line or circle
-    scene tests one (trials, grid) array of vertical slopes for its first
-    zero or sign change per trial, and the fold scene scores each trial's
-    grid on its own and solves from every trial's 8 best seeds in one
-    stacked Gauss-Newton solve, one field call per step
-    (:func:`_fold_on_circle_witnesses`).  Each trial gets the witness it
-    would get alone.
+    scene tests one (trials, grid) array of vertical slopes, read from a
+    :class:`_GridTrials`, for its first zero or sign change per trial,
+    and the fold scene scores each trial's grid on its own and solves
+    from every trial's 8 best seeds in one stacked Gauss-Newton solve,
+    one field call per step (:func:`_fold_on_circle_witnesses`).  Each
+    trial gets the witness it would get alone.
     """
     exp = scene.experiments or {}
     if exp.get("mode") != "nongeneric":
@@ -801,15 +779,15 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
         scene.ambient, box, seed, int(exp.get("bumps", 3)),
         topology="circle" if topology == "circle" else "line",
     )
-    stack = fields.stack(trials, eps)
     unresolved: list[int] = []
     if topology == "fold":
-        found, unresolved = _fold_on_circle_witnesses(g, stack, box, exp["grid"])
+        found, unresolved = _fold_on_circle_witnesses(g, fields.stack(trials, eps), box, exp["grid"])
     else:
         ts = np.linspace(box[0][0], box[0][1], int(exp["grid"][0]))
+        on_grid = _GridTrials(g, fields, ts[:, None], keep=0)
         slopes = np.empty((trials, len(ts)))
-        for row, (_, jac) in zip(slopes, _trial_maps_at(g, stack, ts[:, None])):
-            row[:] = jac[:, 1, 0]
+        for t, row in enumerate(slopes):
+            row[:] = on_grid.at(t, eps)[1][:, 1, 0]
         found = _slope_zero_witnesses(ts, slopes, wrap=topology == "circle")
     witnesses = [dict(w, trial=t) for t, w in enumerate(found) if w is not None]
     fraction = (trials - len(witnesses) - len(unresolved)) / trials if trials else None

@@ -426,9 +426,6 @@ class Stratum:
         unconverged = np.count_nonzero(~solved.converged.reshape(m, per_point), axis=1)
         return u[best], dists.ravel()[best], unconverged
 
-    def __str__(self) -> str:
-        return f"{self.name}: R^{self.dim} -> R^{self.ambient}, chart {self.chart.to_source()}"
-
 
 def tangent_space(stratum: Stratum, u) -> Subspace:
     """Column span of the chart Jacobian; errors if the rank drops below d."""

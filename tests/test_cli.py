@@ -79,6 +79,26 @@ class TestValidate:
         rc = main(["validate", str(path), "--seed", "1"])
         assert rc == EXIT_VIOLATION
 
+    def test_validate_certifies_the_ranks_check_certifies(self, tmp_path, capsys):
+        # the rank of bump(20 x1 - 19) on S1 is 1 only for x1 near 0.95-1, so
+        # whether a rank certificate sees it rests on its sample points:
+        # validate reports the certificate check builds, at every seed
+        scene = {
+            "ambient_dim": 3,
+            "map": "bump(20*x1 - 19)",
+            "strata": [{"name": "S1", "dim": 2, "chart": "x1, x2, 0", "sample_box": [[-1.0, 1.0]] * 2}],
+        }
+        path = tmp_path / "ridge.json"
+        path.write_text(json.dumps(scene))
+        exits = set()
+        for seed in range(16):
+            validated = main(["validate", str(path), "--seed", str(seed)])
+            checked = main(["check", str(path), "--seed", str(seed), "--json", str(tmp_path / "r.json")])
+            assert validated == checked, seed
+            exits.add(validated)
+        capsys.readouterr()
+        assert exits == {EXIT_OK, EXIT_VIOLATION}  # the ridge is seen at some seeds, missed at others
+
     def test_schema_violation_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"ambient_dim": 2}))

@@ -14,8 +14,8 @@ from strathom.experiments import (
     AffineMap,
     PerturbationField,
     _fold_on_circle_witnesses,
+    _GridTrials,
     _slope_zero_witnesses,
-    _trial_maps_at,
     _TrialFields,
     calibrate_epsilon,
     grid_points,
@@ -266,7 +266,7 @@ class TestCountsOutOfRange:
 class TestStability:
     def test_full_rank_base_is_transverse(self, planes_setup):
         ctx, k_points, base = planes_setup
-        margin, _ = transversality_margin(ctx, base, k_points, 0)
+        margin, _ = transversality_margin(ctx, *base.value_and_jacobian(k_points), k_points, 0)
         assert margin > 0.2
 
     def test_small_perturbations_all_persist(self, planes_setup):
@@ -308,7 +308,24 @@ class TestStability:
         monkeypatch.setattr(experiments, "transversality_margin", margin)
         with pytest.raises(PreconditionError, match="base map is not transverse on the grid"):
             calibrate_epsilon(ctx, flat, k_points, probe_trials=5, rounds=3)
-        assert calls == [flat]  # the base map's one margin, no trial
+        (images,) = calls  # the base map's one margin, no trial
+        assert np.array_equal(images, flat(k_points))
+
+    @pytest.mark.parametrize("eps", [None, 0.05], ids=["calibrated", "fixed"])
+    def test_one_base_map_evaluation_per_run(self, planes_setup, eps):
+        # the base margin and every trial map read the base map's values on
+        # the grid, evaluated once per run
+        ctx, k_points, base = planes_setup
+        evaluations = []
+
+        class Counted(AffineMap):
+            def on_batch(self, w):
+                evaluations.append(w)
+                return super().on_batch(w)
+
+        counted = stability_trial(ctx, Counted(base.matrix, base.offset), k_points, eps, trials=5, seed=0)
+        assert len(evaluations) == 1 and evaluations[0] is k_points
+        assert counted.to_json() == stability_trial(ctx, base, k_points, eps, trials=5, seed=0).to_json()
 
     def test_sweep_fraction_non_increasing(self, planes_setup):
         ctx, k_points, base = planes_setup
@@ -377,12 +394,12 @@ class TestStability:
         ctx = entry_scene.build_context(seed=derive_seed(seed, "context"))
         k_points = grid_points(exp["k_box"], exp["grid"])
         base = seeded_full_rank_map(entry_scene.ambient, seed=derive_seed(0, "base"))
-        on_grid, runs, evaluations = PerturbationField.unit_on_batch, [], Counter()
+        on_batch, runs, evaluations = PerturbationField.on_batch, [], Counter()
 
-        def counting_unit(field, w, owner=None):
-            if w is k_points:
+        def counting_on_batch(field, w, owner=None):
+            if w is k_points and owner is None:
                 evaluations[field.centers.tobytes()] += 1
-            return on_grid(field, w, owner)
+            return on_batch(field, w, owner)
 
         class Recorded(experiments._GridTrials):
             def __init__(self, *args, **kwargs):
@@ -394,7 +411,7 @@ class TestStability:
                 self.asked.setdefault(trial, set()).add(eps)
                 return super().at(trial, eps)
 
-        monkeypatch.setattr(PerturbationField, "unit_on_batch", counting_unit)
+        monkeypatch.setattr(PerturbationField, "on_batch", counting_on_batch)
         monkeypatch.setattr(experiments, "_GridTrials", Recorded)
         calibrate_epsilon(ctx, base, k_points, seed=derive_seed(seed, "stability"),
                           probe_trials=10, rounds=6, certify_trials=50)
@@ -409,7 +426,7 @@ class TestStability:
             asked = sorted(run.asked[t])
             assert len(asked) > 5, t  # calibration asked for many sizes
             for eps in (asked[0], asked[-1]):
-                cached = run.at(t, eps).value_and_jacobian(k_points)
+                cached = run.at(t, eps)
                 fresh = PerturbedMap(base, run.fields.at(t, eps)).value_and_jacobian(k_points)
                 for a, b in zip(cached, fresh):
                     assert np.array_equal(a, b), (t, eps)
@@ -420,7 +437,7 @@ class TestStability:
         ctx, k_points, base = planes_setup
         bad_ctx = dataclasses.replace(ctx, f=parse_map("x2 + x3, x1^3", 3))
         with pytest.raises(NumericalInconsistencyError, match="above the certified rank"):
-            transversality_margin(bad_ctx, base, k_points, 0)
+            transversality_margin(bad_ctx, *base.value_and_jacobian(k_points), k_points, 0)
 
     def test_margin_at_a_closure_point(self, planes_setup):
         # S1's sample box crosses its domain boundary x2 = 0, and the
@@ -439,18 +456,18 @@ class TestStability:
         )
         assert s1.domain_margins(u)[0, 0] == pytest.approx(-5e-9, rel=1e-6)
         assert d[0] == pytest.approx(0.02)
-        margin, _ = transversality_margin(wide, base, k_points, 0)
+        margin, _ = transversality_margin(wide, *base.value_and_jacobian(k_points), k_points, 0)
         assert margin == pytest.approx(0.4023252006707616, rel=1e-12)
         with pytest.raises(DomainError, match=r"\[0\.3, -1e-06\]"):
             wide.leaf_tangents(s1, np.array([[0.3, -5e-9], [0.3, -1e-6]]))
 
     def test_calibration_stops_at_the_first_failed_trial(self, planes_setup, monkeypatch):
         ctx, k_points, base = planes_setup
-        calls = []
+        calls, base_images = [], base(k_points)
 
-        def margin(ctx, h, k_points, seed):  # the base map passes, every trial fails
-            calls.append(h)
-            return (1.0 if h is base else 0.0), None
+        def margin(ctx, images, jacs, k_points, seed):  # the base map passes, every trial fails
+            calls.append(images)
+            return (1.0 if np.array_equal(images, base_images) else 0.0), None
 
         monkeypatch.setattr(experiments, "transversality_margin", margin)
         with pytest.raises(PreconditionError, match="no positive perturbation size"):
@@ -474,7 +491,7 @@ class TestStability:
     def test_calibration_needs_a_grid_image_near_a_stratum(self, planes_setup):
         ctx, k_points, _ = planes_setup
         far = AffineMap(np.eye(3), np.array([0.0, 0.0, 100.0]))
-        assert transversality_margin(ctx, far, k_points, 0)[0] == np.inf
+        assert transversality_margin(ctx, *far.value_and_jacobian(k_points), k_points, 0)[0] == np.inf
         with pytest.raises(PreconditionError, match="no grid image comes within 0.1 of a stratum"):
             stability_trial(ctx, far, k_points, None, trials=5, seed=0)
         assert stability_trial(ctx, far, k_points, 0.5, trials=5, seed=0).fraction == 1.0
@@ -565,16 +582,22 @@ class TestNongenericity:
         rep = nongenericity_demo(scene, trials=0, seed=1)
         assert rep.transverse_fraction is None and rep.witnesses == ()
 
-    def test_trial_maps_sum_as_perturbed_map(self, gallery_ctx):
-        _, scene, _ = gallery_ctx("sphere-disc")
+    @pytest.mark.parametrize("name", ["circle-into-plane", "sphere-disc"])
+    def test_grid_trials_sum_as_perturbed_map(self, name, gallery_ctx):
+        # a slope grid (the circle's) and a fold grid: every trial map, from
+        # a fresh evaluation and from kept sums, at sizes asked in any order
+        _, scene, _ = gallery_ctx(name)
         exp = scene.experiments
         g = parse_map(exp["g"], exp["g_dim"])
-        fields = _TrialFields(2, exp["k_box"], 1, 3)
-        deltas = [fields.at(t, 0.02) for t in range(3)]
-        w = grid_points(exp["k_box"], [7, 5])
-        for delta, (vals, jacs) in zip(deltas, _trial_maps_at(g, fields.stack(3, 0.02), w)):
-            want_vals, want_jacs = PerturbedMap(g, delta).value_and_jacobian(w)
-            assert np.array_equal(vals, want_vals) and np.array_equal(jacs, want_jacs)
+        topology = "circle" if exp["domain_topology"] == "circle" else "line"
+        fields = _TrialFields(2, exp["k_box"], 1, 3, topology=topology)
+        w = grid_points(exp["k_box"], exp["grid"] if topology == "circle" else [7, 5])
+        on_grid = _GridTrials(g, fields, w, keep=2)
+        for t in range(3):
+            for eps in (0.02, 0.3, 0.02):
+                want = PerturbedMap(g, fields.at(t, eps)).value_and_jacobian(w)
+                assert all(np.array_equal(a, b) for a, b in zip(on_grid.at(t, eps), want)), (t, eps)
+        assert sorted(on_grid.units) == [0, 1]
 
     @pytest.mark.parametrize("wrap", [False, True])
     def test_slope_witness_equals_the_scan(self, wrap):

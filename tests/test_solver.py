@@ -374,7 +374,8 @@ class TestReferenceValues:
         _, scene, ctx = gallery_ctx("parallel-planes")
         exp = scene.experiments
         base = seeded_full_rank_map(scene.ambient, seed=derive_seed(0, "base"))
-        margin, _ = transversality_margin(ctx, base, grid_points(exp["k_box"], exp["grid"]), seed=0)
+        k_points = grid_points(exp["k_box"], exp["grid"])
+        margin, _ = transversality_margin(ctx, *base.value_and_jacobian(k_points), k_points, seed=0)
         assert margin.hex() == "0x1.07f1f5cca8fe6p-1"
 
     def test_chart_surface_intersections_are_unchanged(self, gallery_ctx):
@@ -745,7 +746,7 @@ class TestNearestChartPoints:
 
         monkeypatch.setattr(Stratum, "_nearest", recording)
         k_points = grid_points(scene.experiments["k_box"], scene.experiments["grid"])
-        transversality_margin(ctx, seeded_full_rank_map(3, seed=0), k_points, 7)
+        transversality_margin(ctx, *seeded_full_rank_map(3, seed=0).value_and_jacobian(k_points), k_points, 7)
         assert [c[0].name for c in calls] == ["S1", "S2"]
         for stratum, images, starts, floor, budget in calls:
             assert starts.shape == (len(k_points), 4, stratum.dim)
