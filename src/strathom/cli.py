@@ -210,7 +210,10 @@ def _plan_from_args(scene: Scene, args) -> ApproachPlan:
 
 def cmd_validate(args, scene: Scene, report: Report) -> int:
     pre = validate_prestratification(
-        scene.prestratification, samples=args.samples, seed=derive_seed(report.seed, "validate")
+        scene.prestratification,
+        samples=args.samples,
+        seed=derive_seed(report.seed, "validate"),
+        plan=scene.plan,
     )
     # the rank certificate every other command builds
     ranks = scene.build_context(seed=derive_seed(report.seed, "context")).ranks
@@ -326,7 +329,7 @@ def cmd_experiment(args, scene: Scene, report: Report) -> int:
         run = instability_demo(
             ctx, inc[0].x, inc[0].y, inc[0].point,
             count=count, radius=float(exp.get("radius", 1.0)),
-            seed=derive_seed(report.seed, "instability"),
+            seed=derive_seed(report.seed, "instability"), plan=scene.plan,
         )
         print(f"instability: {run.count} maps; base margin {run.base_transverse_margin:.3f}")
         for row in run.rows[:5]:

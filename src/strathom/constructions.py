@@ -34,6 +34,8 @@ from .regularity import FaultWitness, TransversalityResult, _on_base, transverse
 from .seeds import rng_for
 from .strata import StratifiedMapContext
 
+C1_SAMPLES = 10_000  # uniform cube points a destabilizer's C^1 distances are sampled on
+
 __all__ = [
     "ConstructionError",
     "RankDropMap",
@@ -166,9 +168,7 @@ def _verify_rank_drop(m: RankDropMap) -> None:
 # Complement choice
 
 
-def choose_complement_H(
-    tau: Subspace, leaf_y: Subspace, v, n: int, tol: float = 1e-6
-) -> Subspace:
+def choose_complement_H(tau: Subspace, leaf_y: Subspace, v, n: int) -> Subspace:
     """Complement H of the base leaf whose sum with the limit subspace
     falls short of the ambient space.
 
@@ -178,20 +178,20 @@ def choose_complement_H(
     complement of span{w} (+) (leaf_y intersected with w-perp), so H is
     perpendicular to w along with tau, which caps the sum, while the
     leaf keeps its w-component and completes the direct sum: <w, v> is
-    |v - P_tau v| >= tol, so H + leaf spans with a smallest singular
-    value near tol at worst, far above the rank cut.  A construction
+    |v - P_tau v| >= 1e-6, so H + leaf spans with a smallest singular
+    value near 1e-6 at worst, far above the rank cut.  A construction
     that still fails verification raises :class:`ConstructionError`.
     """
     v = np.asarray(v, dtype=float)
     vnorm = np.linalg.norm(v)
-    if vnorm < tol:
+    if vnorm < 1e-6:
         raise ValueError("witness vector must be nonzero")
     v = v / vnorm
     if not leaf_y.contains(span_of([v], n=n), tol=1e-6).ok:
         raise ValueError("witness vector must lie in the base leaf tangent")
     resid = v - tau.project(v)
     rnorm = np.linalg.norm(resid)
-    if rnorm < tol:
+    if rnorm < 1e-6:
         raise ValueError(
             "witness vector lies in the limit subspace: no complement can "
             "separate them (there is no fault to exploit)"
@@ -367,7 +367,6 @@ def destabilizing_sequence(
     radius: float = 1.0,
     count: int = 20,
     seed: int = 0,
-    c1_samples: int = 10_000,
 ) -> DestabilizerSequence:
     """Maps g_i converging to the base in sampled C^1 distance, each
     non-transverse to the approaching foliation at a fault sample.
@@ -377,7 +376,7 @@ def destabilizing_sequence(
     with the leaf at x_i (verified per entry).  g_i is
     ``PerturbedMap(base, delta)`` with a :class:`LocalizedCorrection`
     delta, and the C^1 distance of g_i to the base is the sampled C^1
-    size of delta alone, taken on ``c1_samples`` uniform points of the
+    size of delta alone, taken on ``C1_SAMPLES`` uniform points of the
     cube y + radius * [-1, 1]^n.  delta and its Jacobian are exact zeros
     off the open ball of that radius, so only the cube points inside it
     count, and the sup over them is the sup over the cube; the
@@ -403,7 +402,7 @@ def destabilizing_sequence(
         raise ConstructionError("base image is not orthogonal to the separating vector")
 
     rng = rng_for(seed, "c1-samples")
-    cube = y + radius * rng.uniform(-1.0, 1.0, size=(c1_samples, n))
+    cube = y + radius * rng.uniform(-1.0, 1.0, size=(C1_SAMPLES, n))
     cut = _Cutoff.at(cube[np.linalg.norm(cube - y, axis=1) < radius], y, radius)
     entries: list[DestabilizerEntry] = []
     base_y, base_jac_y = base.value_and_jacobian(y)
@@ -655,8 +654,6 @@ def tf_witness(
     t0: float = 0.05,
     ratio: float = 0.5,
     count: int = 14,
-    extent: float = 0.35,
-    tol: float = 1e-6,
 ) -> SampledSheet:
     """Sheet transverse to the base leaf at the point but tangent to the
     approaching foliation along the arc.
@@ -668,7 +665,10 @@ def tf_witness(
     leaf tangent lying in the slice, completed by the directions
     orthogonal to both that part and the projected witness vector.
     Frames are carried along the arc by projection and the sheet is
-    extended by reflection through the terminal normal hyperplane.
+    extended by reflection through the terminal normal hyperplane.  Each
+    patch reaches 0.35 from its center along each plane direction, and
+    every leaf tangent on the arc must lie within 1e-6 radians of its
+    patch tangent.
 
     The arc samples are evaluated and tested against the chart domain at
     once, and the chart values and leaf bases of the samples before the
@@ -780,11 +780,11 @@ def tf_witness(
         frames=all_frames[order],
         arc_dirs=all_dirs[order],
         ts=all_ts[order],
-        extent=extent,
+        extent=0.35,
         leaves=tuple(leafs),
     )
     worst = np.max(sheet.containment_angles)
-    if worst > tol:
+    if worst > 1e-6:
         raise ConstructionError(
             f"leaf tangents escape the sheet (worst angle {worst:.2e}); "
             "the arc does not hug the foliation"

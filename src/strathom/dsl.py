@@ -26,8 +26,9 @@ accepted.  Functions: ``exp, log, sin, cos, sqrt, bump`` (unary),
 ``bump`` is the standard smooth step (0 for a <= 0, 1 for a >= 1,
 strictly increasing in between) used by the explicit constructions.
 
-Non-smooth primitives parse, but a map declared C^1 (the default)
-rejects them at construction time rather than failing mid-derivative.
+Non-smooth primitives parse, but every map :func:`parse_map` builds is
+C^1 and rejects them at construction time rather than failing
+mid-derivative; they are allowed in domain predicates.
 SmoothMap values are immutable and safe to evaluate concurrently.
 Maps given by code rather than expressions (:class:`NumericMap`, such
 as :class:`AffineMap`) share SmoothMap's evaluation interface.
@@ -710,7 +711,6 @@ class SmoothMap:
     n: int
     components: tuple[Expr, ...]
     domain: tuple[Expr, ...] = ()
-    source: str | None = field(default=None, compare=False)
     _tape: _Tape = field(init=False, repr=False, compare=False)
     _domain_tape: _Tape = field(init=False, repr=False, compare=False)
 
@@ -800,20 +800,16 @@ def parse_map(
     source: str,
     n: int,
     domain: tuple[str, ...] | list[str] = (),
-    smooth: bool = True,
 ) -> SmoothMap:
-    """Parse comma-separated components into a SmoothMap.
+    """Parse comma-separated components into a C^1 SmoothMap.
 
     ``domain`` entries are expressions interpreted as strict inequalities
-    ``expr > 0``.  With ``smooth=True`` (the default) the components must
-    avoid abs/min/max.
+    ``expr > 0``.  The components must avoid abs/min/max
+    (:class:`SmoothnessError`); the domain predicates may use them.
     """
     comps = tuple(_Parser(source, n).parse_component_list())
     preds = tuple(parse_expr(d, n) for d in domain)
-    smap = SmoothMap(n=n, components=comps, domain=preds, source=source)
-    if smooth:
-        smap.require_smooth()
-    return smap
+    return SmoothMap(n=n, components=comps, domain=preds).require_smooth()
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .dsl import AffineMap, NumericMap, _bump_value_and_slope, parse_map
 from .regularity import PreconditionError, Status, check_af_at, transverse_at
 from .scene import Scene
 from .seeds import rng_for
-from .strata import CLOSURE_MARGIN, StratifiedMapContext, Stratum, _gauss_newton
+from .strata import CLOSURE_MARGIN, ApproachPlan, StratifiedMapContext, Stratum, _gauss_newton
 
 __all__ = [
     "PerturbationField",
@@ -598,16 +598,18 @@ def instability_demo(
     count: int = 20,
     radius: float = 1.0,
     seed: int = 0,
+    plan: ApproachPlan | None = None,
 ) -> InstabilityReport:
     """Destabilizer pipeline at a foliated fault.
 
-    Requires a fails-with-witness verdict at the incidence whose arc has
-    at least ``count`` samples, one per map; builds the complement, the
+    Requires a fails-with-witness af verdict at the incidence under
+    ``plan`` (the default plan if None), whose arc has at least
+    ``count`` samples, one per map; builds the complement, the
     rank-drop base map (transverse: complement plus the base leaf
     spans), and the converging sequence of non-transverse maps, then
     tabulates per-index certificates.
     """
-    verdict = check_af_at(ctx, x, y, point, seed=seed)
+    verdict = check_af_at(ctx, x, y, point, plan, seed=seed)
     if verdict.status is not Status.FAILS:
         raise PreconditionError(
             f"no fault witness: condition af is {verdict.status.value} at {list(point)}"

@@ -297,10 +297,6 @@ class AffineSurface:
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "normal", self.space.orthogonal_complement().basis)
 
-    @property
-    def n(self) -> int:
-        return self.space.n
-
     def tangent_at_center(self) -> Subspace:
         return self.space
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .grassmann import CONTAIN_TOL, Subspace
 from .regularity import RadialWitness, RegularityVerdict, Status
-from .scene import canonical_json, scene_hash
+from .scene import scene_hash
 
 REPORT_SCHEMA = "report-v1"
 
@@ -122,12 +122,6 @@ class Report:
             "report": self.body,
             "timing": {"wall_s": time.time() - self.started},
         }
-
-    def deterministic_json(self) -> str:
-        """Canonical serialization of the replayable part only."""
-        payload = self.finish()
-        payload.pop("timing")
-        return canonical_json(payload)
 
     def write(self, path) -> None:
         """Write the report as indented, key-sorted JSON in one call."""

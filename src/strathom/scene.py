@@ -136,10 +136,8 @@ class Scene:
     plan: ApproachPlan | None
     experiments: dict | None
 
-    def build_context(self, samples: int = 60, seed: int = 0) -> StratifiedMapContext:
-        return StratifiedMapContext.build(
-            self.f, self.prestratification, samples=samples, seed=seed
-        )
+    def build_context(self, seed: int = 0) -> StratifiedMapContext:
+        return StratifiedMapContext.build(self.f, self.prestratification, seed=seed)
 
 
 def _is_number(value) -> bool:

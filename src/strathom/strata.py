@@ -30,6 +30,7 @@ APPROACH_TOL = 1e-7  # how close the last arc term, and the closure of X, must c
 # samples per stratum the overlap test locates, whatever the sample count: each
 # costs one Gauss-Newton solve per other stratum, validation's dearest step
 OVERLAP_POINTS = 20
+RANK_SAMPLES = 60  # chart points per stratum a rank certificate samples
 
 __all__ = [
     "Stratum",
@@ -356,17 +357,12 @@ class Stratum:
         in order up to the first one not above ``floor``."""
         return self.chart.domain_values(np.atleast_2d(np.asarray(u, dtype=float)), floor)
 
-    def locate(
-        self,
-        point,
-        closure: bool = False,
-        seed: int = 0,
-    ) -> Location:
-        """Chart coordinates of the nearest chart image to ``point``: one
-        row of :meth:`locate_many`, which raises :class:`LocateError` if
-        no start ends admissible."""
+    def locate(self, point, closure: bool = False) -> Location:
+        """Chart coordinates of the nearest chart image to ``point``: the
+        row of :meth:`locate_many` with the start set of seed 0, raising
+        :class:`LocateError` if no start ends admissible."""
         p = np.asarray(point, dtype=float)
-        u, dist, unconverged = self.locate_many(p[None], closure, seed)
+        u, dist, unconverged = self.locate_many(p[None], closure)
         if dist[0] == np.inf:
             raise LocateError(
                 f"no admissible chart point found on {self.name!r} near {p.tolist()}"
@@ -541,14 +537,11 @@ class RankCertificate:
     max_dropped_sv: float  # largest singular value below the cutoff
 
 
-def validate_constant_rank(
-    f: SmoothMap, stratum: Stratum, samples: int = 60, seed: int = 0
-) -> RankCertificate:
-    """Certify that d(f o psi) has one rank at every sampled chart point."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+def validate_constant_rank(f: SmoothMap, stratum: Stratum, seed: int = 0) -> RankCertificate:
+    """Certify that d(f o psi) has one rank at every one of
+    ``RANK_SAMPLES`` sampled chart points."""
     rng = rng_for(seed, "rank", stratum.name)
-    pts = stratum.sample_chart_points(samples, rng)
+    pts = stratum.sample_chart_points(RANK_SAMPLES, rng)
     vals, chart_jacs = stratum.chart.value_and_jacobian(pts)
     _, f_jacs = f.value_and_jacobian(vals, check_domain=False)
     composed = f_jacs @ chart_jacs  # (k, p, d)
@@ -567,7 +560,7 @@ def validate_constant_rank(
     return RankCertificate(
         stratum=stratum.name,
         rank=r,
-        samples=samples,
+        samples=RANK_SAMPLES,
         seed=seed,
         chart_points=pts,
         min_kept_sv=min_kept,
@@ -602,17 +595,11 @@ class StratifiedMapContext:
 
     @staticmethod
     def build(
-        f: SmoothMap,
-        prestratification: Prestratification,
-        samples: int = 60,
-        seed: int = 0,
+        f: SmoothMap, prestratification: Prestratification, seed: int = 0
     ) -> "StratifiedMapContext":
         if f.n != prestratification.ambient:
             raise ValueError("map and prestratification have different ambient dimensions")
-        ranks = {
-            s.name: validate_constant_rank(f, s, samples=samples, seed=seed)
-            for s in prestratification.strata
-        }
+        ranks = {s.name: validate_constant_rank(f, s, seed=seed) for s in prestratification.strata}
         return StratifiedMapContext(f=f, prestratification=prestratification, ranks=ranks)
 
     def stratum(self, name: str) -> Stratum:
@@ -620,10 +607,6 @@ class StratifiedMapContext:
 
     def rank(self, name: str) -> int:
         return self.ranks[name].rank
-
-    def leaf_dim(self, name: str) -> int:
-        s = self.stratum(name)
-        return s.dim - self.rank(name)
 
     def base_leaf(self, y: str, point) -> Subspace:
         """Leaf tangent of Y at :meth:`Prestratification.location` of
@@ -884,12 +867,15 @@ def validate_prestratification(
     prestratification: Prestratification,
     samples: int = 40,
     seed: int = 0,
+    plan: ApproachPlan | None = None,
 ) -> PrestratificationReport:
     """Sampled validation: immersions, disjointness, incidences, frontier.
 
     Immersion is checked on ``samples`` chart points per stratum, and
     disjointness on the first ``OVERLAP_POINTS`` (20) of them, however
-    many are asked for.  Those violations and incidence violations raise;
+    many are asked for.  An incidence is confirmed by the approach arcs
+    that ``plan`` (the default plan if None) marches toward its point.
+    Those violations and incidence violations raise;
     the frontier condition is only probed (a prestratification need not
     satisfy it) and its status is reported as satisfied / violated /
     undetermined.
@@ -926,7 +912,7 @@ def validate_prestratification(
                 f"declared incidence point {list(inc.point)} is not on {inc.y!r} "
                 f"(distance {dist:.2e})"
             )
-        approach_sequence(P, inc.x, inc.point)  # raises if unreachable
+        approach_sequence(P, inc.x, inc.point, plan)  # raises if unreachable
         confirmed += 1
 
     probes = [_probe_frontier(P, s, sampled[s.name], seed) for s in P.strata]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import strathom
@@ -98,6 +99,17 @@ class TestValidate:
             exits.add(validated)
         capsys.readouterr()
         assert exits == {EXIT_OK, EXIT_VIOLATION}  # the ridge is seen at some seeds, missed at others
+
+    def test_validate_confirms_incidences_under_the_scene_plan(self, tmp_path, capsys):
+        # 12 terms of ratio 0.7 end 0.7^12 ~ 0.014 from the point, far
+        # above APPROACH_TOL: no arc of the scene's plan reaches it, so
+        # validate stops where check does, with the same message
+        path = _with_plan(tmp_path, "parabola-shelf", {"terms": 12})
+        assert main(["validate", path, "--seed", "1"]) == EXIT_VIOLATION
+        validated = capsys.readouterr().err
+        assert main(["check", path, "--condition", "a", "--seed", "1"]) == EXIT_VIOLATION
+        assert "no approach arc toward [0.0, 0.0, 0.0] on 'S1'" in validated
+        assert capsys.readouterr().err == validated
 
     def test_schema_violation_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -430,7 +442,30 @@ class TestCheck:
         assert rc == EXIT_INCONCLUSIVE
 
 
+def _with_plan(tmp_path, name: str, plan: dict) -> str:
+    """The gallery scene with a plan block, written to a file."""
+    from strathom.gallery import gallery_entry
+
+    path = tmp_path / f"{name}-plan.json"
+    path.write_text(json.dumps({**gallery_entry(name).scene_dict, "plan": plan}))
+    return str(path)
+
+
 class TestExperiment:
+    def test_instability_follows_the_scene_plans_witness_arc(self, tmp_path, capsys):
+        # the destabilizer's maps sit at the samples of the af witness arc
+        # that check reports under the scene's plan: 0.5, 0.25, 0.125, ...
+        path = _with_plan(tmp_path, "parabola-shelf", {"ratio": 0.5, "terms": 30})
+        checked, run = tmp_path / "check.json", tmp_path / "instability.json"
+        assert main(["check", path, "--condition", "af", "--seed", "1", "--json", str(checked)]) == EXIT_FAULT
+        assert main(["experiment", path, "--instability", "--count", "3", "--seed", "1",
+                     "--json", str(run)]) == EXIT_OK
+        capsys.readouterr()
+        (verdict,) = json.loads(checked.read_text())["report"]["verdicts"]
+        arc = [float(np.linalg.norm(p)) for p in verdict["witness"]["arc_points"][:3]]
+        rows = json.loads(run.read_text())["report"]["instability"]["rows"]
+        assert [r["distance_to_point"] for r in rows] == arc
+        assert arc == pytest.approx([0.5, 0.25, 0.125], abs=1e-11)
     def test_instability_on_fault_scene(self, scene_path_factory, tmp_path, capsys):
         csv = tmp_path / "rows.csv"
         rc = main(["experiment", scene_path_factory("parabola-shelf"), "--instability",

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import strathom.constructions as constructions
 from strathom.constructions import (
+    C1_SAMPLES,
     ConstructionError,
     LocalizedCorrection,
     RankDropMap,
@@ -231,7 +232,7 @@ class TestDestabilizer:
         scene, ctx, witness = shelf_fault
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
-        seq = destabilizing_sequence(base, witness, radius=1.0, count=10, seed=0, c1_samples=2000)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=10, seed=0)
         assert len(seq.entries) == 10
         for e in seq.entries:
             # center hits the fault sample and the rotated complement
@@ -249,7 +250,7 @@ class TestDestabilizer:
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
         assert transverse_at(base.image_at_center(), witness.required, 3).transverse
-        seq = destabilizing_sequence(base, witness, radius=1.0, count=5, seed=0, c1_samples=1000)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=5, seed=0)
         for e in seq.entries:
             assert not transverse_at(
                 span_of(list(e.map.jacobian(np.array(witness.point)).T), n=3), e.leaf, 3
@@ -259,7 +260,7 @@ class TestDestabilizer:
         scene, ctx, witness = shelf_fault
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
-        seq = destabilizing_sequence(base, witness, radius=1.0, count=3, seed=0, c1_samples=500)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=3, seed=0)
         gmap = seq.entries[0].map
         rng = np.random.default_rng(7)
         for z in rng.uniform(-0.9, 0.9, size=(5, 3)):
@@ -280,7 +281,7 @@ class TestDestabilizer:
                 return _original(self, z, *args, **kwargs)
 
             monkeypatch.setattr(RankDropMap, attr, counted)
-        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0, c1_samples=777)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0)
         # the base is read at the fault point only, never on the C^1 sample
         assert sizes and set(sizes) == {1}
         monkeypatch.undo()
@@ -319,19 +320,23 @@ class TestDestabilizer:
         real = transverse_at(base.image_at_center(), witness.required, 3)
         monkeypatch.setattr(constructions, "transverse_at", lambda *args: real)
         with pytest.raises(ConstructionError, match="spans with the leaf at arc sample 0$"):
-            destabilizing_sequence(base, witness, count=3, seed=0, c1_samples=100)
+            destabilizing_sequence(base, witness, count=3, seed=0)
 
     # 395 of 777 cube points fall inside the ball; at seed 1 the one
-    # point of a 1-point cube falls outside, where delta vanishes
+    # point of a 1-point cube falls outside, where delta vanishes.  The
+    # cube size is the module constant, patched here
     @pytest.mark.parametrize("seed, count, samples, inside", [(9, 4, 777, 395), (1, 1, 1, 0)])
-    def test_support_rows_give_the_full_cube_distance(self, shelf_fault, seed, count, samples, inside):
+    def test_support_rows_give_the_full_cube_distance(
+        self, shelf_fault, monkeypatch, seed, count, samples, inside
+    ):
         # the correction is an exact zero off the ball, so the distances
         # measured on the cube points inside it equal those of every cube
         # point through every row of the unpruned formula, bit for bit
         scene, ctx, witness = shelf_fault
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
-        seq = destabilizing_sequence(base, witness, radius=0.8, count=count, seed=seed, c1_samples=samples)
+        monkeypatch.setattr(constructions, "C1_SAMPLES", samples)
+        seq = destabilizing_sequence(base, witness, radius=0.8, count=count, seed=seed)
         cube = seq.y + 0.8 * rng_for(seed, "c1-samples").uniform(-1.0, 1.0, size=(samples, 3))
         assert np.sum(np.linalg.norm(cube - seq.y, axis=1) < 0.8) == inside
         for e in seq.entries:
@@ -342,8 +347,8 @@ class TestDestabilizer:
         scene, ctx, witness = shelf_fault
         h = choose_complement_H(witness.limit, witness.required, np.array(witness.vector), 3)
         base = rank_drop_map(3, 1, center=np.array(witness.point), frame=frame_for_image(h))
-        a = destabilizing_sequence(base, witness, count=4, seed=9, c1_samples=500)
-        b = destabilizing_sequence(base, witness, count=4, seed=9, c1_samples=500)
+        a = destabilizing_sequence(base, witness, count=4, seed=9)
+        b = destabilizing_sequence(base, witness, count=4, seed=9)
         assert [e.c1_distance for e in a.entries] == [e.c1_distance for e in b.entries]
 
 
@@ -560,9 +565,9 @@ class TestPrunedC1Size:
             return _original(self, cut)
 
         monkeypatch.setattr(LocalizedCorrection, "on_cutoff", counted)
-        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0, c1_samples=2000)
+        seq = destabilizing_sequence(base, witness, radius=1.0, count=4, seed=0)
         monkeypatch.undo()
-        cube = seq.y + rng_for(0, "c1-samples").uniform(-1.0, 1.0, size=(2000, 3))
+        cube = seq.y + rng_for(0, "c1-samples").uniform(-1.0, 1.0, size=(C1_SAMPLES, 3))
         inside = int(np.sum(np.linalg.norm(cube - seq.y, axis=1) < 1.0))
         # per map: the center check (one point), the two probe rows, and
         # the kept rows, a small share of the ball

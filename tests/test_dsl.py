@@ -118,8 +118,10 @@ class TestParse:
     def test_nonsmooth_rejected_in_smooth_map(self):
         with pytest.raises(SmoothnessError):
             parse_map("abs(x1)", 1)
-        # but allowed when declared non-smooth
-        f = parse_map("abs(x1)", 1, smooth=False)
+        # but allowed in a domain predicate, and in a map built from
+        # expressions without the C^1 check
+        assert parse_map("x1", 1, domain=("abs(x1) - 1",)).in_domain([-2.0])
+        f = SmoothMap(n=1, components=(parse_expr("abs(x1)", 1),))
         assert f([-2.0]) == pytest.approx([2.0])
 
 
@@ -265,13 +267,13 @@ class TestJacobian:
         assert j == pytest.approx(np.array([[2.0, 0.0], [2.0, 1.0]]))
 
     def test_kink_raises(self):
-        f = parse_map("abs(x1)", 1, smooth=False)
+        f = SmoothMap(n=1, components=(parse_expr("abs(x1)", 1),))
         with pytest.raises(NonDifferentiableError):
             f.jacobian([0.0])
         assert f.jacobian([2.0]) == pytest.approx(np.array([[1.0]]))
 
     def test_min_tie_raises(self):
-        f = parse_map("min(x1, x2)", 2, smooth=False)
+        f = SmoothMap(n=2, components=(parse_expr("min(x1, x2)", 2),))
         with pytest.raises(NonDifferentiableError):
             f.jacobian([1.0, 1.0])
 

@@ -401,7 +401,7 @@ class TestReferenceValues:
             box=((-2.0, 2.0), (-2.0, 2.0)),
         )
         center = np.zeros(3)
-        u0 = halfplane.locate(center, closure=True, seed=0).u
+        u0 = halfplane.locate(center, closure=True).u
         seeds_u, _ = _samples_in_balls(
             halfplane, u0, center, [0.5], 200, [rng_for(0, "tf", "S1", "S2", "0")]
         )
@@ -649,7 +649,7 @@ class TestStackedRadii:
         ctx, inc, surface, surface_seed = _cli_tf_case(name, seed, k)
         sx = ctx.stratum(inc.x)
         center = np.asarray(inc.point, dtype=float)
-        u0 = sx.locate(center, closure=True, seed=surface_seed).u
+        u0 = sx.locate(center, closure=True).u
         radii = [float(r) for r in RadialPlan().radii()]
         streams = [rng_for(surface_seed, "tf", inc.x, inc.y, str(j)) for j in range(len(radii))]
         seeds = [_samples_in_balls(sx, u0, center, [r], 200, [rng])[0] for r, rng in zip(radii, streams)]
@@ -678,7 +678,7 @@ class TestStackedRadii:
         ctx, inc, _, surface_seed = _cli_tf_case(name, seed, 0)
         sx = ctx.stratum(inc.x)
         center = np.asarray(inc.point, dtype=float)
-        u0 = sx.locate(center, closure=True, seed=surface_seed).u
+        u0 = sx.locate(center, closure=True).u
         radii = [float(r) for r in RadialPlan().radii()]
 
         def streams():
