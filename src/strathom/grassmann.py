@@ -22,6 +22,7 @@ and takes only the rows it leaves open through the SVD.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,18 @@ __all__ = [
     "grassmann_limit",
     "grassmann_limits",
 ]
+
+
+def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the columns of a 2-D array, in order:
+    ``(a[:, 0] op a[:, 1]) op a[:, 2]`` and so on.
+
+    Along a short row this is a few elementwise passes, where
+    ``ufunc.reduce(a, axis=1)`` pays per row.  Max, min, and and or come
+    out exact (NaN propagates through max and min as in ``np.max``), and
+    ``np.add`` sums in the order in which ``np.linalg.norm`` sums the
+    squares of the rows of a (k, n) array, n <= 4, under numpy 2.4.6."""
+    return functools.reduce(ufunc, a.T)
 
 
 def _ranks(sv: np.ndarray) -> np.ndarray:

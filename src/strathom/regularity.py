@@ -26,6 +26,7 @@ from .dsl import AffineMap, SmoothMap
 from .grassmann import (
     Subspace,
     _angles,
+    _fold_columns,
     _largest,
     _rank,
     _rank_at_least,
@@ -427,22 +428,42 @@ def _samples_in_balls(
     The draws of every radius run through one domain test and one chart
     evaluation, and each row is tested against its own radius; both act
     row by row, so each radius keeps the rows a draw of its own would.
+    One index into the draws runs through the tests, the radius of a
+    draw is its index over 6 * count, and the rows are gathered with
+    ``np.take``, which copies short rows faster than fancy indexing.  The
+    distance to the center sums the squared coordinates in column order
+    (:func:`grassmann._fold_columns`), the order of ``np.linalg.norm``,
+    so a draw on a ball's boundary is kept or dropped as
+    ``np.linalg.norm`` would have it.
     """
     radii = np.asarray(radii)
     draws = np.concatenate([
         rng.uniform(-1.5, 1.5, size=(count * 6, stratum.dim)) * r + u0
         for r, rng in zip(radii, rngs)
     ])
-    which = np.repeat(np.arange(len(radii)), count * 6)
-    inside = stratum.chart.in_domain(draws)
-    draws, which = draws[inside], which[inside]
-    if len(draws):
-        pts = stratum.chart(draws)
-        near = np.linalg.norm(pts - center, axis=1) <= radii[which]
-        draws, which = draws[near], which[near]
+    idx = np.flatnonzero(stratum.chart.in_domain(draws))
+    if idx.size:
+        offset = stratum.chart(np.take(draws, idx, axis=0), check_domain=False) - center
+        dist = np.sqrt(_fold_columns(np.add, offset * offset))
+        idx = idx[dist <= radii[idx // (count * 6)]]
+    which = idx // (count * 6)
     # the first ``count`` rows of each radius
     first = np.arange(len(which)) - np.searchsorted(which, which) < count
-    return draws[first], which[first]
+    return np.take(draws, idx[first], axis=0), which[first]
+
+
+def _first_of_each_row(keys: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the first occurrence of each distinct row
+    of ``keys`` (k, c): those of ``np.unique(keys, axis=0,
+    return_index=True)``.  Rows are equal when every entry compares
+    equal, so -0.0 and 0.0 match and a row holding a NaN matches none.
+    A stable lexsort puts equal rows next to each other in index order,
+    and the first of each run is kept."""
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[starts])
 
 
 class _Intersections(NamedTuple):
@@ -450,7 +471,7 @@ class _Intersections(NamedTuple):
     points: np.ndarray  # (h, n) their images
     tangents: np.ndarray  # (h, n, s) surface tangent frames there
     which: np.ndarray  # (h,) radius index of each, nondecreasing
-    stalled: np.ndarray  # (len(radii),) seeds still moving after the last step
+    stalled: np.ndarray  # (len(radii),) unconverged: moving at the cap, or on a non-finite step
 
 
 def _find_intersections(
@@ -500,13 +521,15 @@ def _find_intersections(
     are the solutions within 1e-9 of the surface, strictly inside the domain,
     inside the ball of their own seed's radius and not at the center,
     with numerically identical ones collapsed by one de-duplication over
-    the key (radius index, ``round(u, 7)``), which collapses only
-    solutions of the same radius.  One ``surface.project`` over all
-    solutions gives their distances to the surface and their surface
-    tangent frames.  Each kept solution carries its seed's ``which``.
+    the key (radius index, ``round(u, 7)``) (:func:`_first_of_each_row`),
+    which collapses only solutions of the same radius.  One
+    ``surface.project`` over all solutions gives their distances to the
+    surface and their surface tangent frames.  Each kept solution
+    carries its seed's ``which``.
     Seeds that stop at positive distance witness no intersection;
-    ``stalled`` counts, per radius, the seeds whose solve was still
-    moving after 60 steps.
+    ``stalled`` counts, per radius, the seeds whose solve did not
+    converge: still moving after 60 steps, or stopped on a step that is
+    not finite (``converged=False`` of :func:`strata._gauss_newton`).
     """
     def residual(u, _idx):
         vals, jacs = stratum.chart.value_and_jacobian(u, check_domain=False)
@@ -532,9 +555,7 @@ def _find_intersections(
         & (dist_center <= np.asarray(radii)[which])
     )
     # collapse numerically identical solutions of the same radius
-    keys = np.column_stack([which[kept], np.round(solved.u[kept], 7)])
-    _, first = np.unique(keys, axis=0, return_index=True)
-    kept = kept[np.sort(first)]
+    kept = kept[_first_of_each_row(np.column_stack([which[kept], np.round(solved.u[kept], 7)]))]
     stalled = np.bincount(which[~solved.converged], minlength=len(radii))
     return _Intersections(solved.u[kept], vals[kept], tangents[kept], which[kept], stalled)
 
@@ -656,8 +677,9 @@ def check_tf_at(
     one rank gate on [surface tangent | leaf]); each radius reports on the
     hits inside its own ball.
     A detail row adds the number of intersections, whether one of them
-    is non-transverse and the number of stalled seeds, and is marked
-    ``"empty"`` when it keeps no intersection.  Verdict and witness
+    is non-transverse and the number of stalled seeds (unconverged: still
+    moving after the last step, or stopped on a non-finite one), and is
+    marked ``"empty"`` when it keeps no intersection.  Verdict and witness
     follow :func:`_radial_verdict`.
     """
     n = ctx.prestratification.ambient

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsl import DomainError, SmoothMap, to_source
-from .grassmann import Subspace, _rank_at_least, _ranks
+from .grassmann import Subspace, _fold_columns, _rank_at_least, _ranks
 from .seeds import rng_for
 
 ON_STRATUM_TOL = 1e-9  # point-membership / overlap distance
@@ -202,7 +202,7 @@ def _box_steps(res, jacs, tri, u, lo, hi) -> np.ndarray:
     steps = _back_substitute(tri, _least_squares_steps(jacs, res))
     new = u - steps
     fixed = ((u <= lo) & (new < lo)) | ((u >= hi) & (new > hi))
-    rows = np.flatnonzero(fixed.any(axis=1))
+    rows = np.flatnonzero(_fold_columns(np.logical_or, fixed))
     if rows.size == 0:
         return steps
     codes = fixed[rows] @ (1 << np.arange(u.shape[1]))
@@ -265,10 +265,10 @@ def _gauss_newton(residual, u0, lo, hi, tol: float, max_iter: int) -> _GaussNewt
         if not np.isfinite(step).all():  # rows without a finite step stop where they are
             keep = np.isfinite(step).all(axis=1)
             active, ua, step = active[keep], ua[keep], step[keep]
-        new = np.clip(ua - step, lo, hi)
+        new = np.minimum(np.maximum(ua - step, lo), hi)  # np.clip, without its overhead
         u[active] = new
         iterations[active] += 1
-        done = np.max(np.abs(new - ua), axis=1) < tol
+        done = _fold_columns(np.maximum, np.abs(new - ua)) < tol  # max-abs movement
         converged[active[done]] = True
         active = active[~done]
     return _GaussNewtonResult(u, iterations, converged)
