@@ -317,16 +317,19 @@ class AffineSurface:
 
 @dataclass(frozen=True)
 class ChartSurface:
-    """Chart-backed test submanifold with Gauss-Newton projection."""
+    """Chart-backed test submanifold: its chart and box make one
+    :class:`Stratum`, on which point location finds its preimages."""
 
     chart: SmoothMap
     center_preimage: np.ndarray
     box: tuple[tuple[float, float], ...]
+    sheet: Stratum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "center_preimage", np.asarray(self.center_preimage, dtype=float)
         )
+        object.__setattr__(self, "sheet", Stratum("surface", self.chart, sample_box=self.box))
 
     @property
     def n(self) -> int:
@@ -337,19 +340,14 @@ class ChartSurface:
         return span_of(list(jac.T), n=self.n)
 
     def _preimages(self, points: np.ndarray) -> tuple[np.ndarray, int]:
-        """Chart points of the nearest sheet points, by Gauss-Newton
-        from the center preimage inside ``box``, and the number of them
-        whose solve had not converged."""
+        """Chart points of the nearest sheet points, by
+        :meth:`Stratum._nearest` from the center preimage alone (every
+        point admissible), and the number of them whose solve had not
+        converged."""
         pts = np.atleast_2d(points)
-        box = np.asarray(self.box)
-
-        def residual(w, idx):
-            vals, jacs = self.chart.value_and_jacobian(w, check_domain=False)
-            return vals - pts[idx], jacs
-
-        w0 = np.tile(self.center_preimage, (len(pts), 1))
-        solved = _gauss_newton(residual, w0, box[:, 0], box[:, 1], tol=1e-13, max_iter=50)
-        return solved.u, int(np.count_nonzero(~solved.converged))
+        starts = np.tile(self.center_preimage, (len(pts), 1, 1))
+        u, _, unconverged = self.sheet._nearest(pts, starts, -np.inf, max_iter=50)
+        return u, int(unconverged.sum())
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest sheet points (k, n) with orthonormal normal frames
@@ -397,20 +395,15 @@ def random_test_surface(
 # Radial sampling plans
 
 
-@dataclass(frozen=True)
 class RadialPlan:
-    r0: float = 0.5
-    ratio: float = 0.5
-    count: int = 10
-    samples: int = 200
+    """The one shrinking-radius schedule of tf and afs: ``count`` radii
+    from ``r0``, each ``ratio`` times the last, with up to ``samples``
+    chart points kept per radius."""
 
-    def __post_init__(self):
-        if not 0.0 < self.r0 < np.inf:
-            raise ValueError("r0 must be positive and finite")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie strictly inside (0, 1)")
-        if self.count < 1 or self.samples < 1:
-            raise ValueError("count and samples must be positive")
+    r0 = 0.5
+    ratio = 0.5
+    count = 10
+    samples = 200
 
     def radii(self) -> np.ndarray:
         return self.r0 * self.ratio ** np.arange(self.count)
@@ -727,9 +720,9 @@ def _sample_leaf_points(
 ) -> tuple[np.ndarray, int]:
     """Points on the actual leaf through psi(uy), uy the located chart
     point of ``point`` on Y: stay on the stratum and on the fiber of f,
-    nudged along the directions of the base leaf.  Returns the points
-    that reach the fiber and the number of solves that had not
-    converged."""
+    nudged along the directions of the base leaf, in one solve clipped
+    to :attr:`Stratum.solve_bounds` of Y.  Returns the points that reach
+    the fiber and the number of solves that had not converged."""
     sy = ctx.stratum(y)
     uy = ctx.prestratification.location(y, point).u
     base_point = np.asarray(sy.chart(uy), dtype=float)
@@ -751,7 +744,7 @@ def _sample_leaf_points(
         return res, jac
 
     solved = _gauss_newton(
-        residual, np.tile(uy, (count, 1)), -np.inf, np.inf, tol=1e-13, max_iter=60
+        residual, np.tile(uy, (count, 1)), *sy.solve_bounds, tol=1e-13, max_iter=60
     )
     pts = sy.chart(solved.u, check_domain=False)
     fvals = ctx.f(pts, check_domain=False)

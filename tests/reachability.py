@@ -67,7 +67,6 @@ ALLOWED = {
     "grassmann.principal_angles": _PERFBENCH,
     "regularity.ChartSurface.__post_init__": _CHART_SURFACE,
     "regularity.ChartSurface._preimages": _CHART_SURFACE,
-    "regularity.ChartSurface._preimages.<locals>.residual": _CHART_SURFACE,
     "regularity.ChartSurface.n": _CHART_SURFACE,
     "regularity.ChartSurface.project": _CHART_SURFACE,
     "regularity.ChartSurface.tangent_at_center": _CHART_SURFACE,

@@ -24,7 +24,14 @@ from strathom.constructions import (
 from strathom.dsl import _bump_value_and_slope, parse_map
 from strathom.experiments import PerturbationField, make_perturbation
 from strathom.grassmann import Subspace, grassmann_distance, span_of, subspace_sum
-from strathom.regularity import PreconditionError, Status, check_af_at, transverse_at
+from strathom.regularity import (
+    ArcEvidence,
+    FaultWitness,
+    PreconditionError,
+    Status,
+    check_af_at,
+    transverse_at,
+)
 from strathom.seeds import rng_for
 from strathom.strata import NumericalInconsistencyError, StratifiedMapContext
 
@@ -342,6 +349,42 @@ class TestDestabilizer:
         for e in seq.entries:
             full = _unpruned_c1_size(*e.map.delta.value_and_jacobian(cube))
             assert e.c1_distance.hex() == full.hex()
+
+    def test_leaves_turning_toward_the_limit_rotate_the_complement(self):
+        # limit span(e1), required span(e3), vector e3; the arc leaves
+        # span(cos t e1 + sin t e3) turn toward the limit as t -> 0, so
+        # each w_i leaves w = e3 by the angle t_i and the rotation is not
+        # the identity: the correction has a nonzero linear part
+        e1, e2, e3 = np.eye(3)
+        ts = 0.5 * 0.7 ** np.arange(12)
+        dirs = np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e3
+        points = 0.6 * 0.8 ** np.arange(12)[:, None] * (dirs + e2)
+        limit, required = span3(e1), span3(e3)
+        arc = ArcEvidence(
+            direction=(1.0, 0.0), chart_points=points[:, :2], points=points,
+            tangents=dirs[:, :, None], converged=True, limit=limit, residual=0.0,
+            history=(), contains_required=False, worst_angle=np.pi / 2,
+        )
+        witness = FaultWitness(
+            point=ORIGIN, vector=tuple(e3), angle=np.pi / 2, angle_tol=1e-6,
+            limit=limit, required=required, arc=arc,
+        )
+        h = choose_complement_H(limit, required, e3, 3)
+        base = rank_drop_map(3, 2, frame=frame_for_image(h))
+        seq = destabilizing_sequence(base, witness, count=12, seed=0)
+        y = np.zeros(3)
+        for e, t in zip(seq.entries, ts):
+            rot = least_rotation(e3, np.array([-np.sin(t), 0.0, np.cos(t)]))
+            assert np.max(np.abs(rot - np.eye(3))) > 0.5 * t
+            assert np.max(np.abs(e.map.delta.lin)) > 0.0
+            assert np.linalg.norm(e.map(y) - e.point) < 1e-10
+            img = span_of(list(e.map.jacobian(y).T), n=3)
+            assert grassmann_distance(img, e.h_i) < 1e-8
+            assert grassmann_distance(e.h_i, h) > 0.5 * t  # H_i turned with the leaf
+            assert not transverse_at(e.h_i, e.leaf, 3).transverse
+            assert not e.transversality.transverse
+        dists = [e.c1_distance for e in seq.entries]
+        assert all(b < a for a, b in zip(dists, dists[1:]))
 
     def test_deterministic_given_seed(self, shelf_fault):
         scene, ctx, witness = shelf_fault

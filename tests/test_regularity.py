@@ -374,10 +374,17 @@ class TestEmptyRadii:
 
     BAD = np.array([0.1, 0.2, 0.0])
 
-    def _verdict(self, ctx, rows):
+    @staticmethod
+    def _short_schedule(monkeypatch, count):
+        # the schedule is fixed; patched short, it gives one row per made-up one
+        monkeypatch.setattr(RadialPlan, "count", count)
+        monkeypatch.setattr(RadialPlan, "samples", 5)
+
+    def _verdict(self, ctx, rows, monkeypatch):
         # each radius tests its hits at BAD, every one of them bad where
         # its row is
         hits, stalled, bad = (np.array(column) for column in zip(*rows))
+        self._short_schedule(monkeypatch, len(rows))
 
         def probe(radii, samples, which):
             assert len(radii) == len(rows)
@@ -385,51 +392,51 @@ class TestEmptyRadii:
             columns = {"intersections": hits, "stalled": stalled}
             return np.tile(self.BAD, (len(tested), 1)), tested, np.repeat(bad, hits), columns
 
-        plan = RadialPlan(count=len(rows), samples=5)
         return _radial_verdict(
-            ctx, "tf", "S1", "S2", ORIGIN, plan, 0, Subspace.zero(3), probe, "nontransverse"
+            ctx, "tf", "S1", "S2", ORIGIN, None, 0, Subspace.zero(3), probe, "nontransverse"
         )
 
     @staticmethod
     def _row(hits, stalled, bad=False):
         return hits, stalled, bad
 
-    def test_empty_radius_with_stalled_seeds_is_not_clean(self, gallery_ctx):
+    def test_empty_radius_with_stalled_seeds_is_not_clean(self, gallery_ctx, monkeypatch):
         _, _, ctx = gallery_ctx("parallel-planes")
-        v = self._verdict(ctx, [self._row(0, 3), self._row(4, 0), self._row(0, 0)])
+        v = self._verdict(ctx, [self._row(0, 3), self._row(4, 0), self._row(0, 0)], monkeypatch)
         assert v.status is Status.HOLDS
         assert v.detail["clean_radius"] == 0.25
         assert "vacuous" not in v.detail
 
-    def test_clean_radius_without_intersections_holds_vacuously(self, gallery_ctx):
+    def test_clean_radius_without_intersections_holds_vacuously(self, gallery_ctx, monkeypatch):
         _, _, ctx = gallery_ctx("parallel-planes")
-        v = self._verdict(ctx, [self._row(0, 3), self._row(0, 0), self._row(4, 0)])
+        v = self._verdict(ctx, [self._row(0, 3), self._row(0, 0), self._row(4, 0)], monkeypatch)
         assert v.status is Status.HOLDS
         assert v.detail["clean_radius"] == 0.25
         assert v.detail["vacuous"] is True
         assert [r.get("empty", False) for r in v.detail["radii"]] == [True, True, False]
 
-    def test_bad_points_beside_unresolved_radii_are_inconclusive(self, gallery_ctx):
+    def test_bad_points_beside_unresolved_radii_are_inconclusive(self, gallery_ctx, monkeypatch):
         _, _, ctx = gallery_ctx("parallel-planes")
         rows = [self._row(3, 0, bad=True), self._row(0, 2), self._row(5, 1, bad=True)]
-        v = self._verdict(ctx, rows)
+        v = self._verdict(ctx, rows, monkeypatch)
         assert v.status is Status.INCONCLUSIVE
         assert v.witness is None and v.detail["clean_radius"] is None
-        v = self._verdict(ctx, [self._row(0, 2), self._row(0, 1)])
+        v = self._verdict(ctx, [self._row(0, 2), self._row(0, 1)], monkeypatch)
         assert v.status is Status.INCONCLUSIVE
-        v = self._verdict(ctx, [self._row(3, 0, bad=True), self._row(5, 1, bad=True)])
+        v = self._verdict(ctx, [self._row(3, 0, bad=True), self._row(5, 1, bad=True)], monkeypatch)
         assert v.status is Status.FAILS
         assert len(v.witness.points) == 2
 
-    def test_rows_without_the_empty_mark_keep_the_old_rule(self, gallery_ctx):
+    def test_rows_without_the_empty_mark_keep_the_old_rule(self, gallery_ctx, monkeypatch):
         # afs rows carry no intersection count: a clean radius is clean
         _, _, ctx = gallery_ctx("parallel-planes")
 
         def probe(radii, samples, which):
             return np.zeros((len(samples), 3)), which, np.zeros(len(samples), dtype=bool), {}
 
+        self._short_schedule(monkeypatch, 2)
         v = _radial_verdict(
-            ctx, "afs", "S1", "S2", ORIGIN, RadialPlan(count=2, samples=5), 0,
+            ctx, "afs", "S1", "S2", ORIGIN, None, 0,
             Subspace.zero(3), probe, "rank_drop", required_rank=1,
         )
         assert v.status is Status.HOLDS
@@ -593,6 +600,26 @@ class TestRetractionCondition:
             vs = check_afs_at(ctx, inc.x, inc.y, inc.point, seed=0)
             assert vf.status == vs.status, name
 
+    def test_leaf_solve_stays_in_the_solve_bounds(self, monkeypatch):
+        # the point sits on the edge x1 = 0 of the floor's sample box and
+        # its leaf, the x1 axis (the fiber of z), runs across that edge:
+        # half of the nudged targets lie outside the box
+        floor = Stratum("Y", parse_map("x1, 0, x2", 2), sample_box=((0.0, 1.0), (-1.0, 1.0)))
+        ctx = StratifiedMapContext.build(parse_map("x3", 3), Prestratification(3, (floor,)), seed=0)
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(strata._gauss_newton(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(regularity, "_gauss_newton", recording)
+        points, _ = regularity._sample_leaf_points(ctx, "Y", ORIGIN, 8, 1e-5, 0)
+        ((u, _, _),) = solves
+        lo, hi = floor.solve_bounds
+        assert np.all((u >= lo) & (u <= hi))
+        assert np.any(u[:, 0] == lo[0])  # the targets across the edge stop on it
+        assert len(points) == 8 and np.all(points[:, 0] >= 0.0)
+
     def test_bad_retraction_rejected(self, gallery_ctx):
         _, scene, ctx = gallery_ctx("parallel-planes")
         from strathom.dsl import parse_map
@@ -631,19 +658,14 @@ class TestOrthogonalRetraction:
 
 class TestRadialPlan:
     def test_radii_are_geometric(self):
-        plan = RadialPlan(r0=0.5, ratio=0.5, count=4)
-        assert plan.radii() == pytest.approx([0.5, 0.25, 0.125, 0.0625])
+        radii = RadialPlan().radii()
+        assert radii == pytest.approx(0.5 * 0.5 ** np.arange(10))
+        assert RadialPlan.samples == 200
 
-    def test_degenerate_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            RadialPlan(ratio=1.0)
-
-    @pytest.mark.parametrize("r0", [0.0, -0.5, float("nan"), float("inf")])
-    def test_radius_must_be_positive_and_finite(self, r0):
-        # radii of 0, below 0 or nan hold no sample, so tf and afs would
-        # hold vacuously
-        with pytest.raises(ValueError, match="r0 must be positive and finite"):
-            RadialPlan(r0=r0)
+    def test_the_schedule_takes_no_arguments(self):
+        # one schedule for every tf and afs verdict
+        with pytest.raises(TypeError):
+            RadialPlan(count=2)
 
 
 REGULARITY_SCENES = (
