@@ -19,11 +19,16 @@ stored as `float.hex`, so every pin holds bit for bit.
 
 from __future__ import annotations
 
+import os
+
+# the kernels the corpus was recorded under, set before numpy loads: see
+# tests/conftest.py
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
+
 import contextlib
 import hashlib
 import io
 import json
-import os
 import struct
 import sys
 import tempfile

@@ -350,16 +350,17 @@ class TestStability:
     @pytest.mark.parametrize(
         "seed, eps_hex",
         [
-            (1, "0x1.ace92f6c929d6p+0"),
-            (2, "0x1.24d06caf0b7a4p-1"),
+            (1, "0x1.ace92f6c929d4p+0"),
+            (2, "0x1.24d06caf0b7a2p-1"),
             (3, "0x1.18711529738e4p+1"),
-            (20261017, "0x1.4e0e3b1705e20p+0"),
+            (20261017, "0x1.4e0e3b1705e1ep+0"),
         ],
         ids=["1", "2", "3", "20261017"],
     )
     def test_calibration_draws_each_trial_field_once(self, seed, eps_hex, monkeypatch):
         # the benchmark's stability-planes calibration at its seeds; the
-        # eps is pinned so that any change to it is seen
+        # eps is pinned, under the BLAS kernels tests/conftest.py pins, so
+        # that any change to it is seen
         entry_scene = gallery_entry("parallel-planes").scene()
         exp = entry_scene.experiments
         ctx = entry_scene.build_context(seed=derive_seed(seed, "context"))

@@ -370,13 +370,14 @@ class TestThinQR:
 class TestReferenceValues:
     def test_base_map_margin_is_unchanged(self, gallery_ctx):
         # the base map `strathom experiment --stability` draws at seed 0;
-        # the value is the one the batch-wide-exit loop computed
+        # the value is the one the batch-wide-exit loop computed, under the
+        # BLAS kernels tests/conftest.py pins
         _, scene, ctx = gallery_ctx("parallel-planes")
         exp = scene.experiments
         base = seeded_full_rank_map(scene.ambient, seed=derive_seed(0, "base"))
         k_points = grid_points(exp["k_box"], exp["grid"])
         margin, _ = transversality_margin(ctx, *base.value_and_jacobian(k_points), k_points, seed=0)
-        assert margin.hex() == "0x1.07f1f5cca8fe6p-1"
+        assert margin.hex() == "0x1.07f1f5cca8fe5p-1"
 
     def test_chart_surface_intersections_are_unchanged(self, gallery_ctx):
         # chart points the 60-step alternating projection without an exit
