@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsl import AffineMap, SmoothMap
+from .dsl import SmoothMap
 from .grassmann import (
     Subspace,
     _angles,
@@ -61,7 +61,6 @@ __all__ = [
     "PreconditionError",
     "AffineSurface",
     "ChartSurface",
-    "orthogonal_retraction",
     "random_test_surface",
     "check_af_at",
     "check_whitney_a_at",
@@ -703,94 +702,24 @@ def check_tf_at(
 # Retraction condition
 
 
-def orthogonal_retraction(point, space: Subspace) -> AffineMap:
-    """Affine orthogonal projection onto point + space: z -> P z + (y - P y),
-    P the orthogonal projector onto the space.
-
-    The default local retraction onto a leaf: first-order model of the
-    leaf through the point.  Its Jacobian is P at every point.
-    """
-    y = np.asarray(point, dtype=float)
-    proj = space.basis @ space.basis.T
-    return AffineMap(proj, y - proj @ y)
-
-
-def _sample_leaf_points(
-    ctx: StratifiedMapContext, y: str, point, count: int, scale: float, seed: int
-) -> tuple[np.ndarray, int]:
-    """Points on the actual leaf through psi(uy), uy the located chart
-    point of ``point`` on Y: stay on the stratum and on the fiber of f,
-    nudged along the directions of the base leaf, in one solve clipped
-    to :attr:`Stratum.solve_bounds` of Y.  Returns the points that reach
-    the fiber and the number of solves that had not converged."""
-    sy = ctx.stratum(y)
-    uy = ctx.prestratification.location(y, point).u
-    base_point = np.asarray(sy.chart(uy), dtype=float)
-    leaf = ctx.base_leaf(y, point)
-    if leaf.dim == 0:
-        return np.tile(base_point, (count, 1)), 0
-    rng = rng_for(seed, "leaf-samples", y)
-    offsets = rng.standard_normal((count, leaf.dim))
-    offsets *= scale / np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), 1e-300)
-    targets = base_point + offsets @ leaf.basis.T
-    f_ref = np.asarray(ctx.f(base_point, check_domain=False), dtype=float)
-    kappa = 1.0e3
-
-    def residual(u, idx):
-        vals, cjacs = sy.chart.value_and_jacobian(u, check_domain=False)
-        fvals, fjacs = ctx.f.value_and_jacobian(vals, check_domain=False)
-        res = np.concatenate([kappa * (fvals - f_ref), vals - targets[idx]], axis=1)
-        jac = np.concatenate([kappa * (fjacs @ cjacs), cjacs], axis=1)
-        return res, jac
-
-    solved = _gauss_newton(
-        residual, np.tile(uy, (count, 1)), *sy.solve_bounds, tol=1e-13, max_iter=60
-    )
-    pts = sy.chart(solved.u, check_domain=False)
-    fvals = ctx.f(pts, check_domain=False)
-    ok = np.linalg.norm(fvals - f_ref, axis=1) < 1e-9
-    return pts[ok], int(np.count_nonzero(~solved.converged))
-
-
-def _validate_retraction(
-    ctx: StratifiedMapContext, y: str, point, retraction: SmoothMap | AffineMap, seed: int
-) -> None:
-    sy = ctx.stratum(y)
-    base_point = np.asarray(sy.chart(ctx.prestratification.location(y, point).u), dtype=float)
-    n = retraction.n
-    rng = rng_for(seed, "retraction", y)
-    nearby = base_point + 0.3 * rng.standard_normal((12, n))
-    once = retraction(nearby, check_domain=False)
-    twice = retraction(once, check_domain=False)
-    if np.max(np.linalg.norm(twice - once, axis=1)) > 1e-8:
-        raise PreconditionError("retraction is not idempotent near the point")
-    leaf_pts, _ = _sample_leaf_points(ctx, y, point, count=8, scale=1e-5, seed=seed)
-    if len(leaf_pts):
-        fixed = retraction(leaf_pts, check_domain=False)
-        drift = np.max(np.linalg.norm(fixed - leaf_pts, axis=1))
-        if drift > 1e-8:
-            raise PreconditionError(
-                f"retraction moves sampled leaf points by {drift:.2e} (> 1e-8)"
-            )
-
-
 def check_afs_at(
     ctx: StratifiedMapContext,
     x: str,
     y: str,
     point,
-    retraction: SmoothMap | AffineMap | None = None,
     plan: RadialPlan | None = None,
     seed: int = 0,
 ) -> RegularityVerdict:
     """Retraction condition at shrinking radii.
 
-    The retraction (default: orthogonal projection onto the affine
-    tangent of the Y-leaf) restricted to X must be a submersion onto the
-    leaf on every X-leaf near the point: the differential applied to the
-    X-leaf tangents must keep full rank equal to the Y-leaf dimension.
-    The retraction is validated first (an invalid one is an error, not
-    a fault).  A detail row adds whether some sample drops rank, and is
+    The one retraction tested is the orthogonal projection onto the
+    affine tangent of the Y-leaf through the point, whose differential
+    is the constant projector P = B B^T, B the leaf's orthonormal basis.
+    Restricted to X it must be a submersion onto the leaf on every X-leaf
+    near the point: P applied to the X-leaf tangents must keep full rank
+    equal to the Y-leaf dimension.  A fault is therefore a fault of af,
+    and a hold covers this projection only, not every retraction.
+    A detail row adds whether some sample drops rank, and is
     marked ``"empty"`` when the ball gave no samples; the detail adds
     the required rank.  Verdict and witness follow
     :func:`_radial_verdict`.
@@ -799,11 +728,7 @@ def check_afs_at(
     _on_base(ctx, y, point)
     leaf_y = ctx.base_leaf(y, point)
     s_req = leaf_y.dim
-    if retraction is None:
-        retraction = orthogonal_retraction(point, leaf_y)
-    if retraction.n != n or retraction.m != n:
-        raise PreconditionError("retraction must map the ambient space to itself")
-    _validate_retraction(ctx, y, point, retraction, seed)
+    proj = leaf_y.basis @ leaf_y.basis.T
     sx = ctx.stratum(x)
 
     def probe(radii: np.ndarray, samples: np.ndarray, which: np.ndarray):
@@ -812,7 +737,7 @@ def check_afs_at(
         if s_req and len(samples):  # a rank-0 requirement is vacuous
             leaves_x = ctx.leaf_tangents(sx, samples)
             pts = np.asarray(sx.chart(samples), dtype=float)
-            pushed = retraction.jacobian(pts, check_domain=False) @ leaves_x
+            pushed = proj @ leaves_x
             low = ~_rank_at_least(pushed, s_req)
         return pts, which, low, {}
 

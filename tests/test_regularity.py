@@ -18,7 +18,6 @@ from strathom.regularity import (
     check_afs_at,
     check_tf_at,
     check_whitney_a_at,
-    orthogonal_retraction,
     random_test_surface,
     transverse_at,
 )
@@ -599,61 +598,6 @@ class TestRetractionCondition:
             vf = check_af_at(ctx, inc.x, inc.y, inc.point, seed=0)
             vs = check_afs_at(ctx, inc.x, inc.y, inc.point, seed=0)
             assert vf.status == vs.status, name
-
-    def test_leaf_solve_stays_in_the_solve_bounds(self, monkeypatch):
-        # the point sits on the edge x1 = 0 of the floor's sample box and
-        # its leaf, the x1 axis (the fiber of z), runs across that edge:
-        # half of the nudged targets lie outside the box
-        floor = Stratum("Y", parse_map("x1, 0, x2", 2), sample_box=((0.0, 1.0), (-1.0, 1.0)))
-        ctx = StratifiedMapContext.build(parse_map("x3", 3), Prestratification(3, (floor,)), seed=0)
-        solves = []
-
-        def recording(*args, **kwargs):
-            solves.append(strata._gauss_newton(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(regularity, "_gauss_newton", recording)
-        points, _ = regularity._sample_leaf_points(ctx, "Y", ORIGIN, 8, 1e-5, 0)
-        ((u, _, _),) = solves
-        lo, hi = floor.solve_bounds
-        assert np.all((u >= lo) & (u <= hi))
-        assert np.any(u[:, 0] == lo[0])  # the targets across the edge stop on it
-        assert len(points) == 8 and np.all(points[:, 0] >= 0.0)
-
-    def test_bad_retraction_rejected(self, gallery_ctx):
-        _, scene, ctx = gallery_ctx("parallel-planes")
-        from strathom.dsl import parse_map
-
-        # doubling map is not idempotent, hence no retraction
-        bad = parse_map("2*x1, 2*x2, 2*x3", 3)
-        with pytest.raises(PreconditionError):
-            check_afs_at(ctx, "S1", "S2", ORIGIN, retraction=bad, seed=0)
-
-
-class TestOrthogonalRetraction:
-    def test_projects_onto_affine_leaf(self):
-        y = np.array([0.5, -0.25, 1.0])
-        space = span3([1, 0, 0], [0, 0, 1])
-        pi = orthogonal_retraction(y, space)
-        z = np.array([2.0, 3.0, -4.0])
-        img = pi(z)
-        assert img == pytest.approx([2.0, -0.25, -4.0])
-        assert pi(img) == pytest.approx(img)  # idempotent
-
-    def test_jacobian_is_the_projector(self):
-        y = np.zeros(3)
-        space = span3([1, 0, 0])
-        pi = orthogonal_retraction(y, space)
-        jac = pi.jacobian(np.array([0.3, 0.1, 0.2]))
-        assert jac == pytest.approx(np.diag([1.0, 0.0, 0.0]))
-
-    def test_jacobian_is_the_projector_bit_for_bit(self):
-        # a numeric affine map: every point's Jacobian is P itself
-        space = span3([1, 2, 0], [0, 1, 1])
-        pi = orthogonal_retraction(np.array([0.5, -0.25, 1.0]), space)
-        jacs = pi.jacobian(np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3)))
-        proj = space.basis @ space.basis.T
-        assert all(jac.tobytes() == proj.tobytes() for jac in jacs)
 
 
 class TestRadialPlan:

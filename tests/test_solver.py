@@ -133,12 +133,12 @@ class TestNonConvergence:
         assert np.array_equal(iterations[[0, 2]], alone.iterations)
         assert np.array_equal(converged[[0, 2]], alone.converged)
 
-    def test_callers_count_points_still_moving(self, gallery_ctx, monkeypatch):
+    def test_callers_count_points_still_moving(self, monkeypatch):
         # point location (9 starts), a margin's location (4 starts for each
-        # of 60 queries), chart-surface preimages (60) and leaf samples
-        # (8): with their own step budgets, and with one step, where every
-        # point is still moving.  75 batched starts creep along the edge
-        # of the sample box for all 40 steps.
+        # of 60 queries) and chart-surface preimages (60): with their own
+        # step budgets, and with one step, where every point is still
+        # moving.  75 batched starts creep along the edge of the sample box
+        # for all 40 steps.
         surface = Stratum("P", parse_map("x1, x1^2 + x2^2, x2", 2))
         sheet = Stratum(
             "S",
@@ -149,28 +149,22 @@ class TestNonConvergence:
         points = np.column_stack([
             rng.uniform(-1.2, 1.2, 60), rng.uniform(-0.6, 1.2, 60), rng.uniform(-1.5, 1.5, 60),
         ])
-        _, _, ctx = gallery_ctx("parallel-planes")
 
         def counts():
-            leaf_points, leaf_moving = regularity._sample_leaf_points(
-                ctx, "S2", np.zeros(3), 8, 1e-5, 0
-            )
-            assert len(leaf_points) == 8
             return [
                 surface.locate([0.3, 0.25, 0.4]).unconverged,
                 int(_margin_location(sheet, points, seed=3)[2].sum()),
                 PARABOLIC_SHEET._preimages(points)[1],
-                leaf_moving,
             ]
 
-        assert counts() == [0, 75, 1, 0]
+        assert counts() == [0, 75, 1]
 
         def one_step(*args, **kwargs):
             return _gauss_newton(*args, **{**kwargs, "max_iter": 1})
 
-        for module in (strata, experiments, regularity):
+        for module in (strata, experiments):
             monkeypatch.setattr(module, "_gauss_newton", one_step)
-        assert counts() == [9, 240, 60, 8]
+        assert counts() == [9, 240, 60]
 
 
 @st.composite
