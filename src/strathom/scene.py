@@ -309,8 +309,8 @@ def _check_experiments(exp: dict, n: int) -> None:
     """SceneError unless the experiment block's grid, box and map agree
     in dimension, its map ``g`` (the non-genericity scene's map, or the
     stability run's base map) parses on its inputs into the ambient
-    space, its radius (the instability run's) is positive, and a
-    non-genericity block has every key it reads and the shape its
+    space, its radius (the instability run's) and its eps are positive,
+    and a non-genericity block has every key it reads and the shape its
     witness search reads: a plane curve for the slope search on a line
     or circle, a plane map of a 2-D domain for the fold search."""
     if exp.get("mode") == "nongeneric":
@@ -333,6 +333,8 @@ def _check_experiments(exp: dict, n: int) -> None:
             raise SceneError(f"experiment map g maps into R^{g.m}, scene is in R^{n}")
     if exp.get("radius", 1.0) <= 0:
         raise SceneError(f"experiment radius must be positive, got {exp['radius']}")
+    if exp.get("eps", 1.0) <= 0:
+        raise SceneError(f"experiment eps must be positive, got {exp['eps']}")
     if "k_box" not in exp:
         return
     box_dim = len(exp["k_box"])

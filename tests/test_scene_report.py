@@ -238,6 +238,10 @@ class TestSceneSchema:
              "k_box has 2 intervals, but the input dimension of g is 1"),
             ({"g": "x1, x1", "k_box": [[-1, 1]]}, "the input dimension of g is 2"),
             ({"mode": "nongeneric", "g": "x1, x1", "g_dim": 1, "k_box": [[-1, 1]]}, "block has no grid"),
+            # a non-genericity demo ran its trials at eps=0.0 and exited 0,
+            # where --eps 0 is a usage error
+            ({"eps": 0}, "experiment eps must be positive, got 0"),
+            ({"eps": -0.05}, "experiment eps must be positive, got -0.05"),
         ],
     )
     def test_experiment_block_of_the_wrong_shape(self, experiments, message):
