@@ -574,9 +574,8 @@ class SampledSheet:
     approaching foliation's normal slice, extended by reflection through
     the terminal normal hyperplane.
 
-    The sheet is a sampled object (frames at discrete arc parameters
-    with nearest-patch projection); it serializes to frame lists rather
-    than expression text.
+    The sheet is a sampled object: frames at discrete arc parameters,
+    in decreasing parameter order, with nearest-patch projection.
     """
 
     center: np.ndarray
@@ -584,7 +583,6 @@ class SampledSheet:
     centers: np.ndarray = field(repr=False)  # (K, n) patch base points
     frames: np.ndarray = field(repr=False)  # (K, n, n-2) plane directions
     arc_dirs: np.ndarray = field(repr=False)  # (K, n) unit arc tangents
-    ts: np.ndarray = field(repr=False)  # (K,) signed arc parameters
     extent: float
     # leaf tangents at the positive arc samples, which are patches 0, 1, ...
     leaves: InitVar[tuple[Subspace, ...]] = ()
@@ -631,17 +629,6 @@ class SampledSheet:
         dists = np.linalg.norm(pts[:, None, :] - q, axis=2)
         best = np.argmin(dists, axis=1)
         return q[np.arange(len(pts)), best], self.normals[best], self.tangents[best]
-
-    def to_json(self) -> dict:
-        return {
-            "center": self.center.tolist(),
-            "center_tangent": self.center_tangent.to_json(),
-            "ts": self.ts.tolist(),
-            "centers": self.centers.tolist(),
-            "frames": [f.T.tolist() for f in self.frames],
-            "arc_dirs": self.arc_dirs.tolist(),
-            "extent": self.extent,
-        }
 
 
 def tf_witness(
@@ -779,7 +766,6 @@ def tf_witness(
         centers=all_centers[order],
         frames=all_frames[order],
         arc_dirs=all_dirs[order],
-        ts=all_ts[order],
         extent=0.35,
         leaves=tuple(leafs),
     )

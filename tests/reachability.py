@@ -45,7 +45,6 @@ ALLOWED = {
     "constructions.SampledSheet.n": _ACCEPTANCE,
     "constructions.SampledSheet.project": _ACCEPTANCE,
     "constructions.SampledSheet.tangent_at_center": _ACCEPTANCE,
-    "constructions.SampledSheet.to_json": _ACCEPTANCE,
     "constructions.tf_witness": _ACCEPTANCE,
     "dsl.ParseError.__init__": "raised by text that does not parse; no gallery scene has any",
     "dsl.SmoothMap.to_source": _PRINTER,

@@ -808,17 +808,5 @@ class TestWitnessSheet:
             SampledSheet(
                 center=sheet.center, center_tangent=sheet.center_tangent,
                 centers=sheet.centers, frames=sheet.frames, arc_dirs=arc_dirs,
-                ts=sheet.ts, extent=sheet.extent,
+                extent=sheet.extent,
             )
-
-    def test_serializes_to_frames(self, shelf_fault):
-        scene, ctx, witness = shelf_fault
-        wit = scene.raw["witness"]
-        arc = parse_map(wit["arc"], 1)
-        sheet = tf_witness(
-            ctx, "S1", "S2", ORIGIN, arc, np.array(witness.vector),
-            t0=wit["t0"], ratio=wit["ratio"], count=wit["count"],
-        )
-        data = sheet.to_json()
-        assert len(data["centers"]) == len(data["frames"]) == len(data["ts"])
-        assert data["center"] == [0.0, 0.0, 0.0]
