@@ -1,10 +1,15 @@
-"""Verdicts survive a rigid motion of the ambient space.
+"""Verdicts survive a rigid motion and a dilation of the ambient space.
 
 A scene moved by y -> Q y + c (Q orthogonal with det 1) describes the
 same stratified map: the charts become Q psi + c, the map and the
 inverse hints become g(Q^T (y - c)), and the incidence points move with
 the strata.  `strathom check --condition all` must give every verdict
 the same status, and every a/af witness the same angle.
+
+A scene dilated by y -> L y (charts L psi, map and inverse hints
+g(y / L), incidence points L p) is the same stratified map at another
+scale, and the regularity conditions do not depend on the scale: every
+verdict must keep its status.
 """
 
 import json
@@ -81,6 +86,27 @@ def rigid_motion(scene: dict, seed: int) -> dict:
     return moved
 
 
+def dilation(scene: dict, scale: float) -> dict:
+    """The scene dilated by y -> L y, L = ``scale``."""
+    n = scene["ambient_dim"]
+    coords = [f"x{i + 1}/({_num(scale)})" for i in range(n)]
+    dilated = {k: v for k, v in scene.items() if k != "experiments"}
+    dilated["map"] = _pull_back(scene["map"], coords)
+    dilated["strata"] = []
+    for spec in scene["strata"]:
+        psi = [to_source(e) for e in parse_map(spec["chart"], spec["dim"]).components]
+        spec = dict(spec)
+        spec["chart"] = ", ".join(f"({_num(scale)})*({c})" for c in psi)
+        if "inverse" in spec:
+            spec["inverse"] = _pull_back(spec["inverse"], coords)
+        dilated["strata"].append(spec)
+    dilated["incidences"] = [
+        {**inc, "point": (scale * np.array(inc["point"])).tolist()}
+        for inc in scene.get("incidences", ())
+    ]
+    return dilated
+
+
 def _check_all(scene: dict, tmp_path, tag: str) -> list[dict]:
     path = tmp_path / f"{tag}.json"
     path.write_text(json.dumps(scene))
@@ -128,3 +154,19 @@ def test_check_all_is_invariant_under_rigid_motions(name, tmp_path):
                 assert abs(angle - v["witness"]["angle"]) <= 1e-9, (name, seed, v["condition"])
                 if (name, v["condition"]) == ("parabola-shelf", "af"):
                     assert abs(angle - math.pi / 2) <= 1e-9
+
+
+# statuses only: the radial schedule of tf and afs is absolute, so at
+# L = 1e-3 one tf verdict of parabola-shelf-constant changes its vacuous
+# flag while keeping its status
+@pytest.mark.parametrize("name, scale", [
+    *[(name, 1e-3) for name in REGULARITY_SCENES],
+    pytest.param("blowup", 10.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 25 step 1: the sampler's absolute lengths turn blowup's tf "
+        "and afs faults into vacuous holds"))),
+])
+def test_check_all_statuses_are_invariant_under_a_dilation(name, scale, tmp_path):
+    scene = gallery_entry(name).scene_dict
+    base = _check_all(scene, tmp_path, "base")
+    dilated = _check_all(dilation(scene, scale), tmp_path, "dilated")
+    assert [v["status"] for v in dilated] == [v["status"] for v in base]
