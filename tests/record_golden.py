@@ -8,7 +8,10 @@ as `strathom gallery --emit` writes it, and rewrites `tests/golden/`, one
 file per command, keyed by seed.  It then prints a field-level diff
 against the files it replaced (entry, field, old, new, |delta|, ulps);
 a change that moves a pin records that diff in CHANGES.md.
-`tests/test_golden.py` replays every entry and compares.
+`tests/test_golden.py` replays every entry and compares.  It also writes
+the platform it recorded on to `tests/golden/PLATFORM` (see
+:func:`platform_of`), which a failed comparison on another platform
+names.
 
 An entry holds the run's argv, its exit code, the SHA-256 of its
 report's canonical JSON without `"timing"` (so any bit of the report
@@ -29,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import struct
 import sys
 import tempfile
@@ -36,11 +40,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 import strathom.cli as cli
 from strathom.gallery import gallery_entry, gallery_names
 from strathom.scene import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
+PLATFORM = GOLDEN / "PLATFORM"
 SEEDS = (1, 2, 3, 20261017)
 REGULARITY = ("blowup", "parabola-shelf", "parabola-shelf-constant", "parallel-planes",
               "parallel-planes-constant")
@@ -60,6 +67,23 @@ def argv_of(command: str, seed: int) -> list[str]:
     scene, subcommand, flags = COMMANDS[command]
     outputs = ["--json", "report.json"] + (["--csv", "plot.csv"] if subcommand == "experiment" else [])
     return [subcommand, f"{scene}.json", *flags, "--seed", str(seed), *outputs]
+
+
+def platform_of() -> dict:
+    """What the bits of a run depend on besides the code: numpy's
+    version, the name and version of the BLAS it was built with (numpy
+    1.25 and later report them), the machine, and the OpenBLAS core type
+    set above (the value set, not one probed from the library)."""
+    out = {"numpy": np.__version__}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25: show_config takes no mode
+        pass
+    else:
+        out["blas"] = f"{blas.get('name')} {blas.get('version')}"
+    out["machine"] = platform.machine()
+    out["OPENBLAS_CORETYPE"] = os.environ.get("OPENBLAS_CORETYPE")
+    return out
 
 
 def _pin(value):
@@ -236,11 +260,15 @@ def format_rows(rows) -> str:
 def mismatch(entry: str, old, new, shown: int = 10) -> str:
     """Empty when ``old`` and ``new`` agree, else how many fields differ
     and a table of the first ``shown``: the message of every comparison
-    against the corpus."""
+    against the corpus.  When the corpus was recorded on another
+    platform, the message starts with both."""
     changes = diff(old, new)
     if not changes:
         return ""
-    return (f"{len(changes)} fields of {entry} differ from the golden corpus; the first:\n"
+    recorded = json.loads(PLATFORM.read_text()) if PLATFORM.exists() else None
+    here = platform_of()
+    header = f"the corpus was recorded on {recorded}, this run is on {here}\n" if recorded != here else ""
+    return (f"{header}{len(changes)} fields of {entry} differ from the golden corpus; the first:\n"
             + format_rows(diff_rows(entry, changes[:shown])))
 
 
@@ -262,6 +290,7 @@ def main() -> int:
                 else:
                     rows += diff_rows(f"{command}.{seed}", diff(old[str(seed)], entry))
             path.write_text(_dump(new) + "\n")
+    PLATFORM.write_text(json.dumps(platform_of(), indent=1, sort_keys=True) + "\n")
     for stale in sorted(set(GOLDEN.glob("*.json")) - {GOLDEN / f"{c}.json" for c in COMMANDS}):
         stale.unlink()
         rows.append((stale.stem, "(file)", "present", "removed", "", ""))
