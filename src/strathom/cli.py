@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsl import DslError, parse_map
+from .dsl import DslError
 from .experiments import (
     grid_points,
     instability_demo,
@@ -203,7 +203,7 @@ def _probe_outputs(args) -> None:
 
 def _plan_from_args(scene: Scene, args) -> ApproachPlan:
     try:
-        return _plan_from(scene.plan or ApproachPlan(), vars(args))
+        return _plan_from(scene.plan, vars(args))
     except SceneError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -292,10 +292,12 @@ def cmd_check(args, scene: Scene, report: Report) -> int:
 
 
 def cmd_experiment(args, scene: Scene, report: Report) -> int:
-    exp = scene.experiments or {}
+    # the scene's resolved experiment keys, each flag given overriding its own
+    flags = {key: getattr(args, key) for key in ("eps", "trials", "count")}
+    exp = {**scene.experiments, **{key: value for key, value in flags.items() if value is not None}}
     if args.stability and exp.get("mode") == "nongeneric":
         key = "nongenericity"
-        run = nongenericity_demo(scene, eps=args.eps, trials=args.trials, seed=report.seed)
+        run = nongenericity_demo(scene, eps=exp["eps"], trials=exp["trials"], seed=report.seed)
         print(
             f"non-genericity demo: {run.trials} trials at eps={run.eps}, "
             f"fraction made transverse: {run.transverse_fraction}; unresolved trials: {len(run.unresolved)}"
@@ -304,16 +306,15 @@ def cmd_experiment(args, scene: Scene, report: Report) -> int:
         if "k_box" not in exp:
             raise SceneError("scene has no stability experiment block (k_box)")
         ctx = scene.build_context(seed=derive_seed(report.seed, "context"))
-        k_points = grid_points(exp["k_box"], exp.get("grid", [5] * len(exp["k_box"])))
+        k_points = grid_points(exp["k_box"], exp["grid"])
         if "g" in exp:
-            base = parse_map(exp["g"], exp.get("g_dim", scene.ambient))
+            base = exp["g"]
         else:
             base = seeded_full_rank_map(scene.ambient, seed=derive_seed(report.seed, "base"))
-        trials = args.trials if args.trials is not None else int(exp.get("trials", 200))
         key = "stability"
         run = stability_trial(
-            ctx, base, k_points, args.eps, trials,
-            seed=derive_seed(report.seed, "stability"), bumps=int(exp.get("bumps", 4)),
+            ctx, base, k_points, exp["eps"], exp["trials"],
+            seed=derive_seed(report.seed, "stability"), bumps=exp["bumps"],
         )
         print(
             f"stability: {run.trials} trials at eps={run.eps:.6g} on "
@@ -324,11 +325,10 @@ def cmd_experiment(args, scene: Scene, report: Report) -> int:
         if not inc:
             raise PreconditionError("no incidences; instability needs a fault")
         ctx = scene.build_context(seed=derive_seed(report.seed, "context"))
-        count = args.count if args.count is not None else int(exp.get("count", 20))
         key = "instability"
         run = instability_demo(
             ctx, inc[0].x, inc[0].y, inc[0].point,
-            count=count, radius=float(exp.get("radius", 1.0)),
+            count=exp["count"], radius=exp["radius"],
             seed=derive_seed(report.seed, "instability"), plan=scene.plan,
         )
         print(f"instability: {run.count} maps; base margin {run.base_transverse_margin:.3f}")

@@ -59,7 +59,7 @@ from .constructions import (
     frame_for_image,
     rank_drop_map,
 )
-from .dsl import AffineMap, NumericMap, _bump_value_and_slope, parse_map
+from .dsl import AffineMap, NumericMap, _bump_value_and_slope
 from .regularity import PreconditionError, Status, check_af_at, transverse_at
 from .scene import Scene
 from .seeds import rng_for
@@ -768,24 +768,21 @@ def nongenericity_demo(scene: Scene, eps: float | None = None, trials: int | Non
     one field call per step (:func:`_fold_on_circle_witnesses`).  Each
     trial gets the witness it would get alone.
     """
-    exp = scene.experiments or {}
+    exp = scene.experiments
     if exp.get("mode") != "nongeneric":
         raise PreconditionError("scene has no non-genericity experiment block")
-    g = parse_map(exp["g"], exp["g_dim"])
-    box = exp["k_box"]
-    topology = exp.get("domain_topology", "line")
-    eps = float(exp.get("eps", 0.05)) if eps is None else eps
-    trials = int(exp.get("trials", 50)) if trials is None else trials
+    g, box, topology = exp["g"], exp["k_box"], exp["domain_topology"]
+    eps = exp["eps"] if eps is None else eps
+    trials = exp["trials"] if trials is None else trials
     _require_count("trials", trials, 0)
     fields = _TrialFields(
-        scene.ambient, box, seed, int(exp.get("bumps", 3)),
-        topology="circle" if topology == "circle" else "line",
+        scene.ambient, box, seed, exp["bumps"], topology="circle" if topology == "circle" else "line"
     )
     unresolved: list[int] = []
     if topology == "fold":
         found, unresolved = _fold_on_circle_witnesses(g, fields.stack(trials, eps), box, exp["grid"])
     else:
-        ts = np.linspace(box[0][0], box[0][1], int(exp["grid"][0]))
+        ts = np.linspace(box[0][0], box[0][1], exp["grid"][0])
         on_grid = _GridTrials(g, fields, ts[:, None], keep=0)
         slopes = np.empty((trials, len(ts)))
         for t, row in enumerate(slopes):

@@ -128,13 +128,18 @@ SCENE_SCHEMA = {
 
 @dataclass(frozen=True)
 class Scene:
+    """A scene as every command reads it, resolved once at load: ``plan``
+    is the default approach plan with the scene's ``plan`` keys set, and
+    ``experiments`` the experiment block with every key a run reads, each
+    absent one at its default, and its map ``g``, where given, parsed."""
+
     raw: dict = field(repr=False)
     name: str
     ambient: int
     f: SmoothMap
     prestratification: Prestratification
-    plan: ApproachPlan | None
-    experiments: dict | None
+    plan: ApproachPlan
+    experiments: dict
 
     def build_context(self, seed: int = 0) -> StratifiedMapContext:
         return StratifiedMapContext.build(self.f, self.prestratification, seed=seed)
@@ -292,32 +297,51 @@ def scene_from_dict(data: dict) -> Scene:
         prestrat = Prestratification(ambient=n, strata=tuple(strata), incidences=incidences)
     except (ValueError, KeyError) as exc:
         raise SceneError(str(exc)) from exc
-    plan = _plan_from(ApproachPlan(), data["plan"]) if "plan" in data else None
-    _check_experiments(data.get("experiments", {}), n)
     return Scene(
         raw=data,
         name=data.get("name", "scene"),
         ambient=n,
         f=f,
         prestratification=prestrat,
-        plan=plan,
-        experiments=data.get("experiments"),
+        plan=_plan_from(ApproachPlan(), data.get("plan", {})),
+        experiments=_experiments_from(data.get("experiments", {}), n),
     )
 
 
-def _check_experiments(exp: dict, n: int) -> None:
-    """SceneError unless the experiment block's grid, box and map agree
-    in dimension, its map ``g`` (the non-genericity scene's map, or the
-    stability run's base map) parses on its inputs into the ambient
-    space, its radius (the instability run's) and its eps are positive,
-    and a non-genericity block has every key it reads and the shape its
+# the default of every experiment key a run reads, by kind of block: a
+# nongeneric block's, read by the non-genericity demo, and every other
+# block's (or a scene's without one), read by the stability run, whose
+# eps None calibrates, and by the instability run, which reads count and
+# radius in both.  Every block takes grid from its k_box, 5 per
+# interval, and g_dim from the ambient dimension
+_RUN_DEFAULTS = {"eps": None, "trials": 200, "bumps": 4, "count": 20, "radius": 1.0}
+_EXPERIMENT_DEFAULTS = {
+    "nongeneric": {**_RUN_DEFAULTS, "eps": 0.05, "trials": 50, "bumps": 3, "domain_topology": "line"},
+    "other": _RUN_DEFAULTS,
+}
+
+
+def _experiments_from(block: dict, n: int) -> dict:
+    """The experiment block with each absent key at its default
+    (``_EXPERIMENT_DEFAULTS``), eps and radius as floats and ``g`` parsed.
+
+    SceneError unless the block's grid, box and map agree in dimension,
+    its map ``g`` (the non-genericity scene's map, or the stability run's
+    base map) parses on its inputs into the ambient space, its radius
+    (the instability run's) and its eps are positive, and a
+    non-genericity block has every key it reads and the shape its
     witness search reads: a plane curve for the slope search on a line
     or circle, a plane map of a 2-D domain for the fold search."""
-    if exp.get("mode") == "nongeneric":
-        missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in exp]
+    nongeneric = block.get("mode") == "nongeneric"
+    if nongeneric:
+        missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in block]
         if missing:
             raise SceneError(f"the nongeneric experiment block has no {', '.join(missing)}")
-        topology = exp.get("domain_topology", "line")
+    exp = {"g_dim": n, **_EXPERIMENT_DEFAULTS["nongeneric" if nongeneric else "other"], **block}
+    if "k_box" in exp:
+        exp.setdefault("grid", [5] * len(exp["k_box"]))
+    if nongeneric:
+        topology = exp["domain_topology"]
         g_dim = 2 if topology == "fold" else 1
         if (exp["g_dim"], n) != (g_dim, 2):
             raise SceneError(
@@ -326,28 +350,30 @@ def _check_experiments(exp: dict, n: int) -> None:
             )
     if "g" in exp:
         try:
-            g = parse_map(exp["g"], exp.get("g_dim", n))
+            exp["g"] = parse_map(exp["g"], exp["g_dim"])
         except DslError as exc:
             raise SceneError(f"experiment map g does not parse: {exc}") from exc
-        if g.m != n:
-            raise SceneError(f"experiment map g maps into R^{g.m}, scene is in R^{n}")
-    if exp.get("radius", 1.0) <= 0:
-        raise SceneError(f"experiment radius must be positive, got {exp['radius']}")
-    if exp.get("eps", 1.0) <= 0:
-        raise SceneError(f"experiment eps must be positive, got {exp['eps']}")
+        if exp["g"].m != n:
+            raise SceneError(f"experiment map g maps into R^{exp['g'].m}, scene is in R^{n}")
+    for key in ("radius", "eps"):
+        if exp[key] is not None:
+            if exp[key] <= 0:
+                raise SceneError(f"experiment {key} must be positive, got {exp[key]}")
+            exp[key] = float(exp[key])
     if "k_box" not in exp:
-        return
+        return exp
     box_dim = len(exp["k_box"])
-    if "grid" in exp and len(exp["grid"]) != box_dim:
+    if len(exp["grid"]) != box_dim:
         raise SceneError(
             f"experiment grid has {len(exp['grid'])} entries, k_box has {box_dim} intervals"
         )
-    map_dim, source = (exp.get("g_dim", n), "g") if "g" in exp else (n, "the ambient space")
+    map_dim, source = (exp["g_dim"], "g") if "g" in exp else (n, "the ambient space")
     if box_dim != map_dim:
         raise SceneError(
             f"experiment k_box has {box_dim} intervals, but the input dimension "
             f"of {source} is {map_dim}"
         )
+    return exp
 
 
 # the plan keys of a scene, which are also `strathom check` options,

@@ -589,7 +589,7 @@ class TestNongenericity:
         # a fresh evaluation and from kept sums, at sizes asked in any order
         _, scene, _ = gallery_ctx(name)
         exp = scene.experiments
-        g = parse_map(exp["g"], exp["g_dim"])
+        g = exp["g"]  # parsed at load
         topology = "circle" if exp["domain_topology"] == "circle" else "line"
         fields = _TrialFields(2, exp["k_box"], 1, 3, topology=topology)
         w = grid_points(exp["k_box"], exp["grid"] if topology == "circle" else [7, 5])

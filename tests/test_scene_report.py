@@ -152,7 +152,7 @@ class TestSceneSchema:
     def test_plan_block_sets_only_the_keys_present(self):
         scene = scene_from_dict(dict(MINIMAL, plan={"directions": 3}))
         assert scene.plan == ApproachPlan(total_directions=3)
-        assert scene_from_dict(MINIMAL).plan is None
+        assert scene_from_dict(MINIMAL).plan == ApproachPlan()
 
     def test_out_of_range_plan_is_a_scene_error(self):
         with pytest.raises(SceneError, match="approach plan: term count"):
