@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_exp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--stability", action="store_true")
     mode.add_argument("--instability", action="store_true")
-    p_exp.add_argument("--eps", type=float, help="perturbation size (default: calibrate by bisection)")
+    p_exp.add_argument("--eps", type=float, help="perturbation size (default: the scene's, else calibrated)")
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--count", type=int, default=None, help="destabilizer length")
     p_exp.add_argument("--seed", type=int, default=None)
@@ -307,10 +307,7 @@ def cmd_experiment(args, scene: Scene, report: Report) -> int:
             raise SceneError("scene has no stability experiment block (k_box)")
         ctx = scene.build_context(seed=derive_seed(report.seed, "context"))
         k_points = grid_points(exp["k_box"], exp["grid"])
-        if "g" in exp:
-            base = exp["g"]
-        else:
-            base = seeded_full_rank_map(scene.ambient, seed=derive_seed(report.seed, "base"))
+        base = exp["g"] if "g" in exp else seeded_full_rank_map(scene.ambient, derive_seed(report.seed, "base"))
         key = "stability"
         run = stability_trial(
             ctx, base, k_points, exp["eps"], exp["trials"],

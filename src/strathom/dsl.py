@@ -645,11 +645,10 @@ class _Tape:
         With ``check`` the roots are domain predicates, each checked
         ``> floor`` in order, before any node that only later roots need
         runs.  ``check="raise"`` raises :class:`DomainError` at the first
-        failure.  ``check="mask"`` and ``check="values"`` drop a failing
-        point from the rest of the run; "mask" returns the mask (k,) of
-        the points that pass all, "values" the root values (k, #roots),
-        where a point reads ``-inf`` on the roots after the first one it
-        fails.  Both run values only."""
+        failure.  ``check="values"`` drops a failing point from the rest
+        of the run and returns the root values (k, #roots), where a point
+        reads ``-inf`` on the roots after the first one it fails; it runs
+        values only."""
         k, n = x.shape
         rows = np.arange(k)  # the points still in the run
         passed = None  # which of them pass every check so far, None for all
@@ -679,10 +678,6 @@ class _Tape:
                         f"predicate {to_source(self.roots[j])} > 0"
                     )
                 passed = ok if passed is None else passed & ok
-        if check == "mask":
-            mask = np.zeros(k, bool)
-            mask[rows if passed is None else rows[passed]] = True
-            return mask
         if check:
             return out
         out = np.empty((k, len(self.outputs)))
@@ -766,9 +761,8 @@ class SmoothMap:
     def in_domain(self, x) -> np.ndarray | bool:
         """Whether each point satisfies the domain predicates; a point
         that fails one is not evaluated on the later ones."""
-        arr, single = self._batch(x)
-        ok = self._domain_tape.run(arr, check="mask")
-        return bool(ok[0]) if single else ok
+        ok = (self.domain_values(x) > 0.0).all(axis=-1)
+        return bool(ok) if ok.ndim == 0 else ok
 
     def _evaluate(self, x, check_domain: bool, partials: bool):
         arr, single = self._batch(x)

@@ -537,7 +537,7 @@ def _find_intersections(
     margins = stratum.domain_margins(solved.u)
     # strict positivity only: intersection points may hug the domain
     # boundary arbitrarily closely (that is what faults look like)
-    interior = np.all(margins > 0.0, axis=1) if margins.size else np.ones(len(vals), bool)
+    interior = np.all(margins > 0.0, axis=1)
     dist_center = np.linalg.norm(vals - center, axis=1)
     # the incidence point itself belongs to the base stratum, not to X;
     # solutions indistinguishable from it are boundary-limit artifacts,
@@ -558,7 +558,6 @@ def _radial_verdict(
     x: str,
     y: str,
     point,
-    plan: RadialPlan | None,
     seed: int,
     required: Subspace,
     probe,
@@ -570,7 +569,7 @@ def _radial_verdict(
     The point must lie on the closure of X, within the APPROACH_TOL that
     :func:`strata.approach_sequence` allows, or IncidenceError is raised;
     both read the prestratification's location of the point.
-    For each radius of the plan, chart points of X inside the ball are
+    For each radius of ``RadialPlan``, chart points of X inside the ball are
     drawn from the stream ``rng_for(seed, condition, x, y, j)`` for the
     j-th radius; the draws of all radii share one domain test and one
     chart evaluation (:func:`_samples_in_balls`) and stay one flat batch,
@@ -596,13 +595,12 @@ def _radial_verdict(
     ``detail`` entries follow the radius rows, the clean radius and the
     vacuous flag in the verdict.
     """
-    plan = plan or RadialPlan()
     center = np.asarray(point, dtype=float)
     sx = ctx.stratum(x)
     u0 = _on_closure(ctx.prestratification, x, center)
-    radii = plan.radii()
+    radii = RadialPlan().radii()
     streams = [rng_for(seed, condition, x, y, str(j)) for j in range(len(radii))]
-    samples, which = _samples_in_balls(sx, u0, center, radii, plan.samples, streams)
+    samples, which = _samples_in_balls(sx, u0, center, radii, RadialPlan.samples, streams)
     points, tested, bad, columns = probe(radii, samples, which)
     sampled = np.bincount(which, minlength=len(radii))
     found = np.bincount(tested, minlength=len(radii))
@@ -656,7 +654,6 @@ def check_tf_at(
     y: str,
     point,
     surface,
-    plan: RadialPlan | None = None,
     seed: int = 0,
 ) -> RegularityVerdict:
     """Test-submanifold condition at shrinking radii.
@@ -695,7 +692,7 @@ def check_tf_at(
         counts = np.bincount(hits.which, minlength=len(radii))
         return hits.points, hits.which, short, {"intersections": counts, "stalled": hits.stalled}
 
-    return _radial_verdict(ctx, "tf", x, y, point, plan, seed, leaf_y, probe, "nontransverse")
+    return _radial_verdict(ctx, "tf", x, y, point, seed, leaf_y, probe, "nontransverse")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +719,10 @@ def check_afs_at(
     A detail row adds whether some sample drops rank, and is
     marked ``"empty"`` when the ball gave no samples; the detail adds
     the required rank.  Verdict and witness follow
-    :func:`_radial_verdict`.
+    :func:`_radial_verdict`.  ``plan`` is ignored: every run takes the one
+    ``RadialPlan`` schedule.  It stays only because the benchmark passes
+    ``plan=RadialPlan()``, and goes with the benchmark's next revision
+    (ROADMAP item 5).
     """
     n = ctx.prestratification.ambient
     _on_base(ctx, y, point)
@@ -742,6 +742,6 @@ def check_afs_at(
         return pts, which, low, {}
 
     return _radial_verdict(
-        ctx, "afs", x, y, point, plan, seed, leaf_y, probe, "rank_drop",
+        ctx, "afs", x, y, point, seed, leaf_y, probe, "rank_drop",
         required_rank=s_req,
     )

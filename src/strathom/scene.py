@@ -128,10 +128,9 @@ SCENE_SCHEMA = {
 
 @dataclass(frozen=True)
 class Scene:
-    """A scene as every command reads it, resolved once at load: ``plan``
-    is the default approach plan with the scene's ``plan`` keys set, and
-    ``experiments`` the experiment block with every key a run reads, each
-    absent one at its default, and its map ``g``, where given, parsed."""
+    """A scene resolved once, at load: ``plan`` is the default approach
+    plan with the scene's ``plan`` keys set, ``experiments`` the block
+    of :func:`_experiments_from`."""
 
     raw: dict = field(repr=False)
     name: str
@@ -308,12 +307,10 @@ def scene_from_dict(data: dict) -> Scene:
     )
 
 
-# the default of every experiment key a run reads, by kind of block: a
-# nongeneric block's, read by the non-genericity demo, and every other
-# block's (or a scene's without one), read by the stability run, whose
-# eps None calibrates, and by the instability run, which reads count and
-# radius in both.  Every block takes grid from its k_box, 5 per
-# interval, and g_dim from the ambient dimension
+# the default of every experiment key a run reads: a nongeneric block's,
+# for the non-genericity demo, and every other block's, or no block's, for
+# the stability run (eps None calibrates) and the instability run (count
+# and radius); grid defaults to 5 per k_box interval, g_dim to the ambient
 _RUN_DEFAULTS = {"eps": None, "trials": 200, "bumps": 4, "count": 20, "radius": 1.0}
 _EXPERIMENT_DEFAULTS = {
     "nongeneric": {**_RUN_DEFAULTS, "eps": 0.05, "trials": 50, "bumps": 3, "domain_topology": "line"},
@@ -322,16 +319,14 @@ _EXPERIMENT_DEFAULTS = {
 
 
 def _experiments_from(block: dict, n: int) -> dict:
-    """The experiment block with each absent key at its default
-    (``_EXPERIMENT_DEFAULTS``), eps and radius as floats and ``g`` parsed.
-
-    SceneError unless the block's grid, box and map agree in dimension,
-    its map ``g`` (the non-genericity scene's map, or the stability run's
-    base map) parses on its inputs into the ambient space, its radius
-    (the instability run's) and its eps are positive, and a
-    non-genericity block has every key it reads and the shape its
-    witness search reads: a plane curve for the slope search on a line
-    or circle, a plane map of a 2-D domain for the fold search."""
+    """The experiment block with every absent key at its default, eps and
+    radius as floats and ``g`` parsed.  SceneError unless its grid, box
+    and map agree in dimension, ``g`` (the non-genericity scene's map, or
+    the stability run's base map) parses on its inputs into the ambient
+    space, radius and eps are positive, and a non-genericity block has
+    every key it reads and the shape its witness search reads: a plane
+    curve for the slope search on a line or circle, a plane map of a 2-D
+    domain for the fold search."""
     nongeneric = block.get("mode") == "nongeneric"
     if nongeneric:
         missing = [key for key in ("g", "g_dim", "k_box", "grid") if key not in block]
@@ -364,9 +359,7 @@ def _experiments_from(block: dict, n: int) -> dict:
         return exp
     box_dim = len(exp["k_box"])
     if len(exp["grid"]) != box_dim:
-        raise SceneError(
-            f"experiment grid has {len(exp['grid'])} entries, k_box has {box_dim} intervals"
-        )
+        raise SceneError(f"experiment grid has {len(exp['grid'])} entries, k_box has {box_dim} intervals")
     map_dim, source = (exp["g_dim"], "g") if "g" in exp else (n, "the ambient space")
     if box_dim != map_dim:
         raise SceneError(

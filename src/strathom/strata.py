@@ -533,8 +533,6 @@ class RankCertificate:
     samples: int
     seed: int
     chart_points: np.ndarray = field(repr=False)
-    min_kept_sv: float  # smallest singular value counted into the rank
-    max_dropped_sv: float  # largest singular value below the cutoff
 
 
 def validate_constant_rank(f: SmoothMap, stratum: Stratum, seed: int = 0) -> RankCertificate:
@@ -545,8 +543,7 @@ def validate_constant_rank(f: SmoothMap, stratum: Stratum, seed: int = 0) -> Ran
     vals, chart_jacs = stratum.chart.value_and_jacobian(pts)
     _, f_jacs = f.value_and_jacobian(vals, check_domain=False)
     composed = f_jacs @ chart_jacs  # (k, p, d)
-    svs = np.linalg.svd(composed, compute_uv=False)
-    ranks = _ranks(svs)
+    ranks = _ranks(np.linalg.svd(composed, compute_uv=False))
     if not np.all(ranks == ranks[0]):
         lo = int(np.argmin(ranks))
         hi = int(np.argmax(ranks))
@@ -554,17 +551,12 @@ def validate_constant_rank(f: SmoothMap, stratum: Stratum, seed: int = 0) -> Ran
             f"rank of the map varies on stratum {stratum.name!r}: "
             f"rank {ranks[lo]} at {pts[lo].tolist()} vs rank {ranks[hi]} at {pts[hi].tolist()}"
         )
-    r = int(ranks[0])
-    min_kept = float(np.min(svs[:, r - 1])) if r > 0 else 0.0
-    max_dropped = float(np.max(svs[:, r:])) if r < svs.shape[1] else 0.0
     return RankCertificate(
         stratum=stratum.name,
-        rank=r,
+        rank=int(ranks[0]),
         samples=RANK_SAMPLES,
         seed=seed,
         chart_points=pts,
-        min_kept_sv=min_kept,
-        max_dropped_sv=max_dropped,
     )
 
 

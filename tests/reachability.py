@@ -10,7 +10,10 @@ of `src/strathom` (a `def`, nested or a method; not a lambda) is reached
 when a frame of its code starts.
 
 Every definition no run reaches must be listed in ALLOWED with its
-reason.  The script prints the reached and unreached counts and exits 1,
+reason.  The script prints the reached and unreached counts, and the
+number of settable values in the package (parameters with a default,
+plus dataclass fields with a default that ``__init__`` takes, counted
+with ``ast``; printed only, no gate), and exits 1,
 naming the function, when an unlisted function is unreached, a listed
 one is reached, or a listed one no longer exists.  So code that only
 tests reach shows up in review: give it a caller, move it into the
@@ -97,6 +100,35 @@ def definitions() -> dict[tuple[str, int, str], str]:
     return found
 
 
+def _field_is_settable(statement) -> bool:
+    """Whether a statement of a dataclass body is a field with a default
+    that ``__init__`` takes."""
+    if not isinstance(statement, ast.AnnAssign) or statement.value is None:
+        return False
+    if "ClassVar" in ast.unparse(statement.annotation):
+        return False
+    value = statement.value
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        options = {k.arg: ast.unparse(k.value) for k in value.keywords}
+        return options.get("init") != "False" and ("default" in options or "default_factory" in options)
+    return True
+
+
+def settable_values() -> int:
+    """Parameters with a default, plus dataclass fields with a default that
+    ``__init__`` takes, over every module of the package."""
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list
+            ):
+                count += sum(_field_is_settable(statement) for statement in node.body)
+    return count
+
+
 def run_commands() -> set:
     """The code objects whose frames started while every command ran."""
     started = set()
@@ -138,6 +170,8 @@ def main() -> int:
                  for name in sorted(set(ALLOWED) - set(defs.values()))]
     print(f"{len(defs) - len(unreached)} of {len(defs)} function definitions reached, "
           f"{len(unreached)} not, in {time.perf_counter() - start:.1f} s")
+    print(f"{settable_values()} settable values (parameters with a default, "
+          f"dataclass fields with a default that __init__ takes)")
     for line in problems:
         print(line)
     return 1 if problems else 0

@@ -568,6 +568,47 @@ class TestExperiment:
         assert len(lines) == 6
         assert all(line.endswith(",1") for line in lines[1:])
 
+    @pytest.mark.parametrize("flag, eps", [([], 0.001), (["--eps", "0.002"], 0.002)],
+                             ids=["block-eps", "flag-overrides-block"])
+    def test_stability_reads_the_block_eps(self, tmp_path, capsys, flag, eps):
+        # the block's eps was validated and then ignored: the run
+        # calibrated and reported eps 2.17195
+        from strathom.gallery import gallery_entry
+
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "eps": 0.001}
+        path = tmp_path / "block-eps.json"
+        path.write_text(json.dumps(scene))
+        report = tmp_path / "s.json"
+        rc = main(["experiment", str(path), "--stability", "--trials", "3", "--seed", "1", *flag,
+                   "--json", str(report), "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK
+        assert f"at eps={eps:.6g} on" in capsys.readouterr().out
+        assert json.loads(report.read_text())["report"]["stability"]["eps"] == eps
+
+    def test_experiment_map_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        # the scene's validation parsed g, and the run parsed it again
+        import strathom.dsl as dsl
+        from strathom.gallery import gallery_entry
+
+        g = "x1 + 0.1*x2, x2, x3"
+        scene = dict(gallery_entry("parallel-planes").scene_dict)
+        scene["experiments"] = {**scene["experiments"], "g": g, "g_dim": 3}
+        path = tmp_path / "with-g.json"
+        path.write_text(json.dumps(scene))
+        parsed = []
+        tokenize = dsl._tokenize
+
+        def counting(source):
+            parsed.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(dsl, "_tokenize", counting)
+        rc = main(["experiment", str(path), "--stability", "--eps", "0.01", "--trials", "2",
+                   "--seed", "1", "--csv", str(tmp_path / "s.csv")])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        assert parsed.count(g) == 1
+
     def test_calibration_uses_the_scene_bumps(self, tmp_path, monkeypatch, capsys):
         import strathom.experiments as experiments
         from strathom.gallery import gallery_entry

@@ -392,7 +392,7 @@ class TestEmptyRadii:
             return np.tile(self.BAD, (len(tested), 1)), tested, np.repeat(bad, hits), columns
 
         return _radial_verdict(
-            ctx, "tf", "S1", "S2", ORIGIN, None, 0, Subspace.zero(3), probe, "nontransverse"
+            ctx, "tf", "S1", "S2", ORIGIN, 0, Subspace.zero(3), probe, "nontransverse"
         )
 
     @staticmethod
@@ -435,7 +435,7 @@ class TestEmptyRadii:
 
         self._short_schedule(monkeypatch, 2)
         v = _radial_verdict(
-            ctx, "afs", "S1", "S2", ORIGIN, None, 0,
+            ctx, "afs", "S1", "S2", ORIGIN, 0,
             Subspace.zero(3), probe, "rank_drop", required_rank=1,
         )
         assert v.status is Status.HOLDS

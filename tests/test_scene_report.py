@@ -154,6 +154,23 @@ class TestSceneSchema:
         assert scene.plan == ApproachPlan(total_directions=3)
         assert scene_from_dict(MINIMAL).plan == ApproachPlan()
 
+    @pytest.mark.parametrize(
+        "scene, drop, resolved",
+        [
+            ("minimal", (), {"eps": None, "trials": 200, "bumps": 4, "count": 20, "radius": 1.0, "g_dim": 2}),
+            ("cubic-graph", ("eps", "trials", "bumps", "domain_topology"),
+             {"eps": 0.05, "trials": 50, "bumps": 3, "domain_topology": "line"}),
+            ("parallel-planes", ("grid",), {"grid": [5, 5, 5], "trials": 200, "bumps": 4}),
+        ],
+        ids=["no-block", "nongeneric", "stability-without-grid"],
+    )
+    def test_experiment_block_resolves_every_default(self, scene, drop, resolved):
+        data = copy.deepcopy(base_scene(scene))
+        for key in drop:
+            data["experiments"].pop(key, None)
+        exp = scene_from_dict(data).experiments
+        assert {key: exp[key] for key in resolved} == resolved
+
     def test_out_of_range_plan_is_a_scene_error(self):
         with pytest.raises(SceneError, match="approach plan: term count"):
             scene_from_dict(dict(MINIMAL, plan={"terms": 3}))
